@@ -2,16 +2,16 @@
 validate/emit designs, run the search probe, and self-test.
 
 Exit codes: 0 success / all applicable checks pass; 1 a proven bound fails;
-2 input could not be parsed (or the map is degenerate); 3 only the
-open-conjecture probe flags a finding.  All randomness flows from --seed and
-all outputs are byte-reproducible for identical inputs and seeds.
+2 input could not be parsed or is out of range, the map is degenerate, or a
+check margin is not a finite number; 3 only the open-conjecture probe flags
+a finding.  All randomness flows from --seed and all outputs are
+byte-reproducible for identical inputs and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import sys
@@ -23,16 +23,18 @@ import numpy as np
 
 from . import __version__, intrinsic, pointwise, verify
 from .designs import (
+    FrameMatrix,
     builtin_design,
+    clifford,
     parse_frame_matrix,
     subtorus_immersion,
     validate_design,
 )
-from .errors import DegenerateImmersion, ParseError, RankDeficient, ToricurvError
+from .errors import DegenerateImmersion, DegenerateMetric, ParseError, RankDeficient, ToricurvError
 from .explore import SearchConfig, optimize
 from .fixtures import ball_immersion
-from .formats import immersion_to_obj, load_immersion
-from .immersion import immersion_rank_check
+from .formats import immersion_to_obj, parse_immersion, read_input
+from .immersion import evaluate_jet, immersion_rank_check
 from .quadrature import TorusGrid, monomial_selftest, _philox
 
 RANK_THRESHOLD = 1e-8
@@ -49,8 +51,8 @@ def _jsonable(value):
         return value.item()
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)      # "nan", "inf" or "-inf"
     return value
 
 
@@ -73,11 +75,14 @@ def _parse_grid(spec: str | None, n: int) -> TorusGrid:
         sizes = sizes * n
     if len(sizes) != n:
         raise ParseError(f"--grid: expected {n} sizes, got {len(sizes)}")
-    return TorusGrid(sizes)
+    try:
+        return TorusGrid(sizes)
+    except ValueError as exc:
+        raise ParseError(f"--grid: {exc}") from None
 
 
-def _input_config(path: str, grid: TorusGrid | None, seed: int, extra: dict | None = None) -> dict:
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _input_config(path: str, digest: str, grid: TorusGrid | None, seed: int,
+                  extra: dict | None = None) -> dict:
     config = {"input": str(path), "input_sha256": digest, "seed": seed,
               "version": __version__}
     if grid is not None:
@@ -86,33 +91,20 @@ def _input_config(path: str, grid: TorusGrid | None, seed: int, extra: dict | No
     return config
 
 
-def _expected_design_K(path: str):
-    """Exact constant-curvature expectation for design-backed inputs, if any."""
-    try:
-        obj = json.loads(Path(path).read_text())
-    except Exception:
-        return None
-    if not isinstance(obj, dict):
-        return None
+def _expected_design_K(obj: dict):
+    """Exact constant-curvature expectation for a parsed design-backed input, if any."""
     scale = obj.get("scale", 1.0)
-    if not isinstance(scale, (int, float)) or isinstance(scale, bool) or scale <= 0:
-        return None
-    if obj.get("type") == "gromov" and isinstance(obj.get("B"), list):
-        try:
-            report = validate_design(parse_frame_matrix(
-                "\n".join(" ".join(str(c) for c in row) for row in obj["B"])))
-        except Exception:
-            return None
-        if report.is_constant_curvature:
-            return report.K / scale
-        return None
-    if obj.get("type") == "clifford" and obj.get("m") == 1:
+    if obj["type"] == "gromov":
+        report = validate_design(FrameMatrix(tuple(tuple(r) for r in obj["B"])))
+        return report.K / scale if report.is_constant_curvature else None
+    if obj["type"] == "clifford" and obj["m"] == 1:
         return 1.0 / scale
     return None
 
 
 def cmd_analyze(args) -> int:
-    imm = load_immersion(args.input)
+    obj, digest = read_input(args.input)
+    imm = parse_immersion(obj)
     grid = _parse_grid(args.grid, imm.n)
     sigma = immersion_rank_check(imm, grid)
     if sigma < RANK_THRESHOLD:
@@ -136,24 +128,18 @@ def cmd_analyze(args) -> int:
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        thetas = grid.points()
         beta = np.arcsin(np.clip(fields.sin_beta, 0.0, 1.0))
-        for i in range(grid.npoints):
-            row = [repr(float(v)) for v in thetas[i]]
-            row += [repr(float(v)) for v in
-                    (fields.r[i], fields.norm_H[i], fields.zh[i], sc[i],
-                     k_min[i], k_max[i], beta[i])]
-            writer.writerow(row)
+        table = np.column_stack([grid.points(), fields.r, fields.norm_H, fields.zh, sc,
+                                 k_min, k_max, beta])
+        writer.writerows([repr(float(v)) for v in row] for row in table)
 
     # Polish the global curvature extremes at their sweep winners.
-    from .immersion import evaluate_jet
-
     refined = []
     for idx, sign in ((int(np.argmax(k_max)), +1), (int(np.argmin(k_min)), -1)):
         S = pointwise.second_form_at(evaluate_jet(imm, grid.theta_at(idx), order=2))
         refined.append(pointwise.extremal_normal_curvature(S, seed=args.seed))
     summary = {
-        "config": _input_config(args.input, grid, args.seed),
+        "config": _input_config(args.input, digest, grid, args.seed),
         "n": n, "q": imm.q,
         "avg_zh": pointwise.weighted_average(fields, fields.zh),
         "avg_H": pointwise.weighted_average(fields, fields.norm_H),
@@ -173,12 +159,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    imm = load_immersion(args.input)
+    obj, digest = read_input(args.input)
+    imm = parse_immersion(obj)
     grid = _parse_grid(args.grid, imm.n)
-    expected_K = _expected_design_K(args.input)
     reports = verify.run_checks(imm, grid=grid, seed=args.seed,
-                                checks=args.checks, expected_K=expected_K)
-    config = _input_config(args.input, grid, args.seed,
+                                checks=args.checks, expected_K=_expected_design_K(obj))
+    config = _input_config(args.input, digest, grid, args.seed,
                            {"checks": args.checks, "format": args.format})
     for rep in reports:
         rep["config"] = config
@@ -214,22 +200,22 @@ def cmd_design(args) -> int:
         payload["optimal_K2"] = report.optimal_K2
         _dump_json(payload, args.out)
         return 0
-    imm = subtorus_immersion(B)
+    _dump_json(immersion_to_obj(subtorus_immersion(B)), args.out)
     if args.out:
-        _dump_json(immersion_to_obj(imm), args.out)
         print(f"design: wrote {args.out}")
-    else:
-        _dump_json(immersion_to_obj(imm), None)
     return 0
 
 
 def cmd_explore(args) -> int:
     grid = _parse_grid(args.grid, args.n)
-    config = SearchConfig(
-        n=args.n, q=args.q, fmax=args.fmax, grid=grid, seed=args.seed,
-        iterations=args.iterations, restarts=args.restarts,
-        penalty_weight=args.penalty_weight, smoothing=args.smoothing,
-    )
+    try:
+        config = SearchConfig(
+            n=args.n, q=args.q, fmax=args.fmax, grid=grid, seed=args.seed,
+            iterations=args.iterations, restarts=args.restarts,
+            penalty_weight=args.penalty_weight, smoothing=args.smoothing,
+        )
+    except ValueError as exc:
+        raise ParseError(f"explore: {exc}") from None
     result = optimize(config)
     payload = {
         "config": {
@@ -270,28 +256,20 @@ def _selftest_checks(seed: int, fail_injection: bool = False):
         worst = float(np.max(np.abs(intrinsic.gauss_residuals(imm, pts))))
         yield (f"curvature identity, random immersion {i}", worst < 1e-6,
                f"max residual {worst:.2e}")
-    from .designs import clifford
-
-    for name, frame in (("hex2", builtin_design("hex2")), ("d4", builtin_design("d4"))):
-        rep = validate_design(frame)
-        ok = rep.is_constant_curvature and rep.is_optimal
-        yield (f"design certificate {name}", ok,
+    for name in ("hex2", "d4"):
+        rep = validate_design(builtin_design(name))
+        yield (f"design certificate {name}", rep.is_constant_curvature and rep.is_optimal,
                f"constant={rep.is_constant_curvature}, optimal={rep.is_optimal}")
-        imm = subtorus_immersion(frame)
-        grid = TorusGrid((8,) * imm.n)
-        fields = pointwise.grid_fields(imm, grid)
-        bound = 3.0 * imm.n / (imm.n + 2)
-        ok = (float(np.max(np.abs(fields.zh - bound))) < 1e-10
-              and float(np.max(np.abs(fields.norm_H - imm.n))) < 1e-9)
-        yield (f"equality fixture {name}", ok,
-               f"zh within {float(np.max(np.abs(fields.zh - bound))):.2e} of {bound}")
-    for m in (2, 3):
-        imm = clifford(m)
-        fields = pointwise.grid_fields(imm, TorusGrid((8,) * m))
-        bound = 3.0 * m / (m + 2)
-        ok = (float(np.max(np.abs(fields.zh - bound))) < 1e-10
+    # Every fixture below lies on the unit sphere with |H| = n and zh = 3n/(n+2).
+    fixtures = [(name, subtorus_immersion(builtin_design(name))) for name in ("hex2", "d4")]
+    for name, imm in fixtures + [(f"clifford({m})", clifford(m)) for m in (2, 3)]:
+        n = imm.n
+        fields = pointwise.grid_fields(imm, TorusGrid((8,) * n))
+        bound = 3.0 * n / (n + 2)
+        zh_dev = float(np.max(np.abs(fields.zh - bound)))
+        ok = (zh_dev < 1e-10 and float(np.max(np.abs(fields.norm_H - n))) < 1e-9
               and float(np.max(np.abs(fields.r - 1.0))) < 1e-12)
-        yield (f"equality fixture clifford({m})", ok, "zh and |f| at exact values")
+        yield (f"equality fixture {name}", ok, f"zh within {zh_dev:.2e} of {bound}; |H| = n, |f| = 1")
 
 
 def cmd_selftest(args) -> int:
@@ -308,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="toricurv",
         description="Curvature invariants and bound verification for immersed tori in a ball.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker-count bound; results never depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="per-point invariants table plus a summary")
@@ -358,7 +334,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, RankDeficient, DegenerateImmersion) as exc:
+    except (ParseError, RankDeficient, DegenerateImmersion, DegenerateMetric) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

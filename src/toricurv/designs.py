@@ -50,21 +50,7 @@ class FrameMatrix:
 
     def rank(self) -> int:
         """Rank over the rationals, by exact fraction elimination."""
-        mat = [[Fraction(c) for c in row] for row in self.rows]
-        rank = 0
-        for col in range(self.n):
-            pivot = next((r for r in range(rank, self.m) if mat[r][col] != 0), None)
-            if pivot is None:
-                continue
-            mat[rank], mat[pivot] = mat[pivot], mat[rank]
-            inv = 1 / mat[rank][col]
-            mat[rank] = [x * inv for x in mat[rank]]
-            for r in range(self.m):
-                if r != rank and mat[r][col] != 0:
-                    factor = mat[r][col]
-                    mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
-            rank += 1
-        return rank
+        return _row_reduce([[Fraction(c) for c in row] for row in self.rows], self.n)
 
     def gram(self) -> tuple[tuple[int, ...], ...]:
         """G = B'B with exact integer entries."""
@@ -95,21 +81,31 @@ class DesignReport:
         return Fraction(3 * self.n, self.n + 2)
 
 
+def _row_reduce(mat: list[list[Fraction]], ncols: int) -> int:
+    """Exact Gauss-Jordan elimination of mat, in place, over its first ncols
+    columns; returns the rank."""
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
 def _fraction_inverse(G: tuple[tuple[int, ...], ...]) -> list[list[Fraction]]:
     n = len(G)
     a = [[Fraction(G[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
          for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise RankDeficient("Gram matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    if _row_reduce(a, n) < n:
+        raise RankDeficient("Gram matrix is singular")
     return [row[n:] for row in a]
 
 

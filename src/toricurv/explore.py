@@ -38,8 +38,9 @@ class SearchConfig:
     smoothing: float = 0.05          # soft-max temperature for sup zh
 
     def __post_init__(self) -> None:
-        if self.q <= self.n:
-            raise ValueError(f"need q > n, got q={self.q}, n={self.n}")
+        if self.q < 2 * self.n:
+            raise ValueError(f"q must be at least 2n = {2 * self.n} (the search starts from a "
+                             f"Clifford torus), got q={self.q}, n={self.n}")
         if self.fmax < 1:
             raise ValueError("fmax must be >= 1")
         if self.iterations < 1:
@@ -86,19 +87,17 @@ def _initial_immersion(config: SearchConfig) -> FourierImmersion:
     n, q = config.n, config.q
     if (n, q) == (2, 6):
         return subtorus_immersion(builtin_design("hex2"))
-    if q >= 2 * n:
-        base = clifford(n)
-        if q == base.q:
-            return base
-        terms = []
-        for t in base.terms:
-            a = np.zeros(q)
-            b = np.zeros(q)
-            a[:base.q] = t.a
-            b[:base.q] = t.b
-            terms.append(FourierTerm(t.k, a, b))
-        return FourierImmersion(Signature(n, q), tuple(terms), scale=base.scale)
-    raise ValueError(f"no starting fixture for n={config.n}, q={config.q} (need q >= 2n)")
+    base = clifford(n)
+    if q == base.q:
+        return base
+    terms = []
+    for t in base.terms:
+        a = np.zeros(q)
+        b = np.zeros(q)
+        a[:base.q] = t.a
+        b[:base.q] = t.b
+        terms.append(FourierTerm(t.k, a, b))
+    return FourierImmersion(Signature(n, q), tuple(terms), scale=base.scale)
 
 
 def _coefficients(imm: FourierImmersion, freqs: list[tuple[int, ...]], q: int) -> np.ndarray:

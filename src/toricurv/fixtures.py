@@ -25,10 +25,18 @@ def canonical_frequencies(n: int, fmax: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _max_norm(imm: FourierImmersion, grid: TorusGrid) -> float:
+def _into_ball(imm: FourierImmersion, margin: float) -> FourierImmersion:
+    """imm rescaled so its largest norm on the default grid (doubled for
+    n <= 2) is margin."""
     from .pointwise import grid_fields   # local import to avoid a cycle
 
-    return float(np.max(grid_fields(imm, grid).r))
+    n = imm.n
+    grid = TorusGrid.default(n).doubled() if n <= 2 else TorusGrid.default(n)
+    top = float(np.max(grid_fields(imm, grid).r))
+    return FourierImmersion(
+        signature=imm.signature, terms=imm.terms,
+        scale=imm.scale * margin / top, translate=imm.translate,
+    )
 
 
 def random_immersion(n: int, q: int, seed: int, terms: int = 6, fmax: int = 2,
@@ -61,13 +69,7 @@ def random_immersion(n: int, q: int, seed: int, terms: int = 6, fmax: int = 2,
 def ball_immersion(n: int, q: int, seed: int, terms: int = 6, fmax: int = 2,
                    margin: float = 0.999) -> FourierImmersion:
     """Random immersion rescaled so its image lies strictly inside the unit ball."""
-    imm = random_immersion(n, q, seed, terms=terms, fmax=fmax)
-    grid = TorusGrid.default(n).doubled() if n <= 2 else TorusGrid.default(n)
-    top = _max_norm(imm, grid)
-    return FourierImmersion(
-        signature=imm.signature, terms=imm.terms,
-        scale=imm.scale * margin / top, translate=imm.translate,
-    )
+    return _into_ball(random_immersion(n, q, seed, terms=terms, fmax=fmax), margin)
 
 
 def perturbed_clifford(n: int, seed: int, eps: float = 0.05, fmax: int = 2,
@@ -88,10 +90,7 @@ def perturbed_clifford(n: int, seed: int, eps: float = 0.05, fmax: int = 2,
         damp = eps / (1.0 + float(np.dot(k, k)))
         terms.append(FourierTerm(k=k, a=damp * rng.standard_normal(q),
                                  b=damp * rng.standard_normal(q)))
-    imm = FourierImmersion(signature=base.signature, terms=tuple(terms), scale=1.0)
-    grid = TorusGrid.default(n) if n >= 3 else TorusGrid.default(n).doubled()
-    top = _max_norm(imm, grid)
-    return FourierImmersion(signature=imm.signature, terms=imm.terms, scale=margin / top)
+    return _into_ball(FourierImmersion(signature=base.signature, terms=tuple(terms)), margin)
 
 
 def round_sphere(radius: float = 1.0) -> FourierImmersion:

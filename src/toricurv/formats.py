@@ -15,7 +15,9 @@ placing a fixture strictly inside the ball).
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -36,16 +38,32 @@ def _require(obj: dict, field: str, kind, where: str):
     return value
 
 
+def _finite(value, where: str) -> float:
+    """A JSON number as a finite float: NaN, infinities and literals beyond
+    the float range (json reads 1e400 as inf) are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{where}: expected a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:      # an integer literal beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ParseError(f"{where}: expected a finite number, got {value!r}")
+    return x
+
+
+def _scale(obj: dict, where: str) -> float:
+    scale = _finite(obj.get("scale", 1.0), f"{where}.scale")
+    if scale <= 0:
+        raise ParseError(f"{where}.scale: expected a positive number, got {scale!r}")
+    return scale
+
+
 def _number_list(obj: dict, field: str, length: int, where: str) -> list[float]:
     raw = _require(obj, field, list, where)
     if len(raw) != length:
         raise ParseError(f"{where}.{field}: expected {length} numbers, got {len(raw)}")
-    out = []
-    for i, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ParseError(f"{where}.{field}[{i}]: expected a number, got {v!r}")
-        out.append(float(v))
-    return out
+    return [_finite(v, f"{where}.{field}[{i}]") for i, v in enumerate(raw)]
 
 
 def parse_immersion(obj) -> FourierImmersion:
@@ -60,9 +78,7 @@ def parse_immersion(obj) -> FourierImmersion:
             sig = Signature(n=n, q=q)
         except ValueError as exc:
             raise ParseError(f"fourier: {exc}") from None
-        scale = obj.get("scale", 1.0)
-        if isinstance(scale, bool) or not isinstance(scale, (int, float)) or scale <= 0:
-            raise ParseError(f"fourier.scale: expected a positive number, got {scale!r}")
+        scale = _scale(obj, "fourier")
         translate = _number_list(obj, "translate", q, "fourier") if "translate" in obj else None
         terms = []
         for i, t in enumerate(_require(obj, "terms", list, "fourier")):
@@ -76,7 +92,7 @@ def parse_immersion(obj) -> FourierImmersion:
             b = _number_list(t, "b", q, where)
             terms.append(FourierTerm(k=tuple(k_raw), a=a, b=b))
         return FourierImmersion(signature=sig, terms=tuple(terms),
-                                scale=float(scale), translate=translate)
+                                scale=scale, translate=translate)
     if kind == "clifford":
         m = _require(obj, "m", int, "clifford")
         if m < 1:
@@ -98,9 +114,7 @@ def parse_immersion(obj) -> FourierImmersion:
 
 
 def _rescaled(imm: FourierImmersion, obj: dict, where: str) -> FourierImmersion:
-    scale = obj.get("scale", 1.0)
-    if isinstance(scale, bool) or not isinstance(scale, (int, float)) or scale <= 0:
-        raise ParseError(f"{where}.scale: expected a positive number, got {scale!r}")
+    scale = _scale(obj, where)
     translate = None
     if "translate" in obj:
         translate = _number_list(obj, "translate", imm.q, where)
@@ -109,7 +123,7 @@ def _rescaled(imm: FourierImmersion, obj: dict, where: str) -> FourierImmersion:
     return FourierImmersion(
         signature=imm.signature,
         terms=imm.terms,
-        scale=imm.scale * float(scale),
+        scale=imm.scale * scale,
         translate=None if translate is None else np.asarray(translate, dtype=float),
     )
 
@@ -129,15 +143,20 @@ def immersion_to_obj(imm: FourierImmersion) -> dict:
     }
 
 
-def load_immersion(path) -> FourierImmersion:
+def read_input(path) -> tuple[object, str]:
+    """Decoded JSON of an input file and the SHA-256 of the bytes decoded."""
     path = Path(path)
     try:
-        obj = json.loads(path.read_text())
+        raw = path.read_bytes()
+        return json.loads(raw), hashlib.sha256(raw).hexdigest()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:     # malformed JSON or text encoding
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    return parse_immersion(obj)
+
+
+def load_immersion(path) -> FourierImmersion:
+    return parse_immersion(read_input(path)[0])
 
 
 def save_immersion(imm: FourierImmersion, path) -> None:

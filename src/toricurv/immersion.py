@@ -100,28 +100,15 @@ class FourierImmersion:
     # Stacked coefficient matrices; cached because jets are evaluated in bulk.
     @cached_property
     def _kmat(self) -> np.ndarray:  # (T, n)
-        if not self.terms:
-            return np.zeros((0, self.n))
-        return np.array([t.k for t in self.terms], dtype=float)
+        return np.array([t.k for t in self.terms], dtype=float).reshape(-1, self.n)
 
     @cached_property
     def _amat(self) -> np.ndarray:  # (T, q)
-        if not self.terms:
-            return np.zeros((0, self.q))
-        return np.array([t.a for t in self.terms], dtype=float)
+        return np.array([t.a for t in self.terms], dtype=float).reshape(-1, self.q)
 
     @cached_property
     def _bmat(self) -> np.ndarray:  # (T, q)
-        if not self.terms:
-            return np.zeros((0, self.q))
-        return np.array([t.b for t in self.terms], dtype=float)
-
-    @cached_property
-    def max_frequency(self) -> int:
-        """Largest |k_i| over all terms (0 for a constant map)."""
-        if not self.terms:
-            return 0
-        return int(np.max(np.abs(self._kmat)))
+        return np.array([t.b for t in self.terms], dtype=float).reshape(-1, self.q)
 
     # Per-order derivative bases: row t of _basis(order)[0/1] holds the
     # (frequency-product x coefficient) tensor of term t, flattened, so a jet
@@ -160,6 +147,7 @@ class Jet:
     d1: np.ndarray | None = None      # (n, q)
     d2: np.ndarray | None = None      # (n, n, q)
     d3: np.ndarray | None = None      # (n, n, n, q)
+    theta: np.ndarray | None = None   # (n,) the point, named in errors
 
 
 def jets_at(imm: FourierImmersion, thetas: np.ndarray, order: int):
@@ -213,6 +201,7 @@ def evaluate_jet(imm: FourierImmersion, theta, order: int = 3) -> Jet:
         d1=None if d1 is None else d1[0],
         d2=None if d2 is None else d2[0],
         d3=None if d3 is None else d3[0],
+        theta=theta[0],
     )
 
 

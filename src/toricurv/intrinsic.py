@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateMetric, DimensionTooLow, OriginPoint, ZeroMeanCurvature
 from .immersion import FourierImmersion, evaluate_jet, jets_at
-from .pointwise import _grid_cache, mean_curvature, metric_at, second_form_at, zh_at
+from .pointwise import _grid_cache, _metric_factor, _scalar_invariants, _second_form, frame_at
 from .quadrature import TorusGrid
 
 
@@ -30,10 +30,6 @@ class MetricJets:
     g: np.ndarray     # (n, n)
     dg: np.ndarray    # (n, n, n), dg[k, i, j] = d_k g_ij
     ddg: np.ndarray   # (n, n, n, n), ddg[l, k, i, j] = d_l d_k g_ij
-
-    @property
-    def n(self) -> int:
-        return self.g.shape[0]
 
 
 def _metric_jet_arrays(d1, d2, d3):
@@ -117,30 +113,17 @@ def gauss_residual(imm: FourierImmersion, theta) -> float:
     Zero (to roundoff) for every immersed manifold; computed through two
     fully independent paths so it is a falsifiable residual.
     """
-    theta = np.asarray(theta, dtype=float)
-    sc = scalar_curvature(metric_jets(imm, theta))
-    jet = evaluate_jet(imm, theta, order=2)
-    S = second_form_at(jet, metric_at(jet))
-    n = imm.n
-    H = mean_curvature(S)
-    zh = zh_at(S)
-    return sc - (1.5 * float(H @ H) - 0.5 * n * (n + 2) * zh)
+    return float(gauss_residuals(imm, np.asarray(theta, dtype=float).reshape(1, -1))[0])
 
 
 def gauss_residuals(imm: FourierImmersion, thetas: np.ndarray) -> np.ndarray:
     """Batched version of gauss_residual over a (P, n) array of points."""
-    from .pointwise import _chunk_core
-
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     _, d1, d2, d3 = jets_at(imm, thetas, order=3)
-    g, dg, ddg = _metric_jet_arrays(d1, d2, d3)
-    _, _, sc, _ = _curvature_arrays(g, dg, ddg)
-    _, _, S, _ = _chunk_core(imm, thetas)
-    H = np.einsum("piiq->pq", S)
-    H2 = np.einsum("pq,pq->p", H, H)
-    II2 = np.einsum("pijq,pijq->p", S, S, optimize=True)
+    _, _, sc, _ = _curvature_arrays(*_metric_jet_arrays(d1, d2, d3))
+    _, L, _ = _metric_factor(d1, thetas)
+    _, H2, _, zh, _ = _scalar_invariants(_second_form(L, d1, d2)[1])
     n = imm.n
-    zh = (2.0 * II2 + H2) / (n * (n + 2))
     return sc - (1.5 * H2 - 0.5 * n * (n + 2) * zh)
 
 
@@ -186,8 +169,8 @@ class ConformalTrace:
         return self.conformal_value
 
 
-def _radial_arrays(imm: FourierImmersion, thetas: np.ndarray, k: float):
-    """Batched r, lap_f, grad2, sc plus H-vs-x angle data.
+def _radial_arrays(imm: FourierImmersion, thetas: np.ndarray):
+    """Batched jets, Christoffel data, Sc, lap_f and |grad f|^2.
 
     lap_f and grad_f use the intrinsic formulas (Christoffel symbols and the
     metric inverse applied to derivatives of |f|^2/2), independent of the
@@ -202,14 +185,13 @@ def _radial_arrays(imm: FourierImmersion, thetas: np.ndarray, k: float):
         - np.einsum("pkij,pk->pij", gam, du, optimize=True)
     lap_f = np.einsum("pij,pij->p", ginv, hess)
     grad2 = np.einsum("pij,pi,pj->p", ginv, du, du, optimize=True)
+    return value, d1, d2, ginv, gam, sc, lap_f, grad2
 
-    # Mean curvature vector through the same Christoffel data.
-    Hvec = np.einsum("pij,pijq->pq", ginv, d2, optimize=True) \
-        - np.einsum("pij,pkij,pkq->pq", ginv, gam, d1, optimize=True)
-    r = np.linalg.norm(value, axis=1)
+
+def _radial_weight(k: float, r, lap_f, grad2):
+    """u = exp(-k r^2 / 2) and its Laplacian by the chain rule."""
     u = np.exp(-0.5 * k * r * r)
-    lap_u = u * (-k * lap_f + k * k * grad2)
-    return value, r, lap_f, grad2, sc, Hvec, u, lap_u
+    return u, u * (-k * lap_f + k * k * grad2)
 
 
 def conformal_trace(imm: FourierImmersion, theta, k: float | Fraction) -> ConformalTrace:
@@ -222,74 +204,65 @@ def conformal_trace(imm: FourierImmersion, theta, k: float | Fraction) -> Confor
     k = float(k)
     theta = np.asarray(theta, dtype=float).reshape(1, -1)
     n = imm.n
-    value, r, lap_f, grad2, sc, Hvec, u, lap_u = _radial_arrays(imm, theta, k)
-    r0 = float(r[0])
+    value, d1, d2, ginv, gam, sc, lap_f, grad2 = _radial_arrays(imm, theta)
+    x = value[0]
+    r0 = float(np.linalg.norm(value, axis=1)[0])
     if r0 < 1e-12:
         raise OriginPoint("f(theta) is at the origin; radial angles are undefined")
-    x = value[0]
-    H = Hvec[0]
+    u, lap_u = _radial_weight(k, r0, float(lap_f[0]), float(grad2[0]))
+    # Mean curvature vector through the same Christoffel data.
+    H = np.einsum("ij,ijq->q", ginv[0], d2[0], optimize=True) \
+        - np.einsum("ij,kij,kq->q", ginv[0], gam[0], d1[0], optimize=True)
     normH = float(np.linalg.norm(H))
     if normH < 1e-12:
         alpha = None
     else:
         alpha = float(math.acos(np.clip(float(H @ x) / (normH * r0), -1.0, 1.0)))
-    jet = evaluate_jet(imm, theta[0], order=1)
-    E = metric_at(jet).L @ jet.d1
+    E = frame_at(evaluate_jet(imm, theta[0], order=1)).E
     tangential = float(np.linalg.norm(E @ x))
     beta = math.asin(min(tangential / r0, 1.0))
     grad_norm = math.sqrt(max(float(grad2[0]), 0.0))
     conformal = None
     if n >= 3:
-        conformal = float(sc[0] * u[0] - 4.0 * (n - 1) / (n - 2) * lap_u[0])
+        conformal = float(sc[0] * u - 4.0 * (n - 1) / (n - 2) * lap_u)
     return ConformalTrace(
-        r=r0, alpha=alpha, beta=beta, u=float(u[0]),
+        r=r0, alpha=alpha, beta=beta, u=float(u),
         lap_f=float(lap_f[0]), grad_f_norm=grad_norm,
-        lap_u=float(lap_u[0]), sc=float(sc[0]),
+        lap_u=float(lap_u), sc=float(sc[0]),
         conformal_value=conformal, k=k,
     )
 
 
-def curvature_grid(imm: FourierImmersion, grid: TorusGrid, chunk: int = 512) -> np.ndarray:
-    """Intrinsic scalar curvature at every grid point (flat C order), memoized."""
+def _intrinsic_grid(imm: FourierImmersion, grid: TorusGrid) -> dict[str, np.ndarray]:
+    """The one third-order pass over a grid: r, Sc, lap_f and |grad f|^2,
+    memoized per (immersion, sizes)."""
     per_imm = _grid_cache.setdefault(imm, {})
-    key = ("sc", grid.sizes)
-    if key in per_imm:
-        return per_imm[key]
-    out = np.empty(grid.npoints)
-    for start, thetas in grid.iter_points(chunk):
-        _, d1, d2, d3 = jets_at(imm, thetas, order=3)
-        g, dg, ddg = _metric_jet_arrays(d1, d2, d3)
-        _, _, sc, _ = _curvature_arrays(g, dg, ddg)
-        out[start:start + thetas.shape[0]] = sc
-    per_imm[key] = out
-    return out
+    key = ("intrinsic", grid.sizes)
+    if key not in per_imm:
+        P = grid.npoints
+        out = {name: np.empty(P) for name in ("r", "sc", "lap_f", "grad2")}
+        for start, thetas in grid.iter_points(512):
+            stop = start + thetas.shape[0]
+            value, _, _, _, _, sc, lap_f, grad2 = _radial_arrays(imm, thetas)
+            out["r"][start:stop] = np.linalg.norm(value, axis=1)
+            out["sc"][start:stop] = sc
+            out["lap_f"][start:stop] = lap_f
+            out["grad2"][start:stop] = grad2
+        per_imm[key] = out
+    return per_imm[key]
 
 
-def conformal_grid(imm: FourierImmersion, grid: TorusGrid, k: float | Fraction,
-                   chunk: int = 512) -> dict[str, np.ndarray]:
-    """Batched conformal-operator values Sc*u - 4(n-1)/(n-2)*lap u over a grid.
+def curvature_grid(imm: FourierImmersion, grid: TorusGrid) -> np.ndarray:
+    """Intrinsic scalar curvature at every grid point (flat C order), memoized."""
+    return _intrinsic_grid(imm, grid)["sc"]
 
-    Returns arrays 'conformal', 'sc', 'lap_f', 'grad2', 'u', 'r'; requires
-    n >= 3.  Memoized per (immersion, sizes, k).
-    """
+
+def conformal_grid(imm: FourierImmersion, grid: TorusGrid, k: float | Fraction) -> dict[str, np.ndarray]:
+    """Arrays 'conformal' (Sc*u - 4(n-1)/(n-2)*lap u), 'sc', 'lap_f',
+    'grad2', 'u' and 'r' over a grid, for n >= 3."""
     n = imm.n
     if n < 3:
         raise DimensionTooLow(f"conformal operator needs n >= 3, got n={n}")
-    k = float(k)
-    per_imm = _grid_cache.setdefault(imm, {})
-    key = ("conformal", grid.sizes, k)
-    if key in per_imm:
-        return per_imm[key]
-    P = grid.npoints
-    out = {name: np.empty(P) for name in ("conformal", "sc", "lap_f", "grad2", "u", "r")}
-    for start, thetas in grid.iter_points(chunk):
-        stop = start + thetas.shape[0]
-        _, r, lap_f, grad2, sc, _, u, lap_u = _radial_arrays(imm, thetas, k)
-        out["conformal"][start:stop] = sc * u - 4.0 * (n - 1) / (n - 2) * lap_u
-        out["sc"][start:stop] = sc
-        out["lap_f"][start:stop] = lap_f
-        out["grad2"][start:stop] = grad2
-        out["u"][start:stop] = u
-        out["r"][start:stop] = r
-    per_imm[key] = out
-    return out
+    base = _intrinsic_grid(imm, grid)
+    u, lap_u = _radial_weight(float(k), base["r"], base["lap_f"], base["grad2"])
+    return dict(base, conformal=base["sc"] * u - 4.0 * (n - 1) / (n - 2) * lap_u, u=u)

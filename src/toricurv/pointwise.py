@@ -36,28 +36,12 @@ class MetricPoint:
     L: np.ndarray        # (n, n) lower triangular, inverse of the Cholesky factor
     sqrt_det: float
 
-    @property
-    def n(self) -> int:
-        return self.g.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class TangentNormalFrame:
     """Orthonormal tangent frame rows e_i; the normal projector is I - E'E."""
 
     E: np.ndarray        # (n, q)
-
-    @property
-    def n(self) -> int:
-        return self.E.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.E.shape[1]
-
-    def tangential_coords(self, v: np.ndarray) -> np.ndarray:
-        """Coordinates of the tangential part of an ambient vector."""
-        return self.E @ np.asarray(v, dtype=float)
 
     def project_normal(self, v: np.ndarray) -> np.ndarray:
         """Component of an ambient vector orthogonal to the tangent space."""
@@ -76,10 +60,6 @@ class SecondForm:
     def n(self) -> int:
         return self.S.shape[0]
 
-    @property
-    def q(self) -> int:
-        return self.S.shape[2]
-
 
 @dataclass(frozen=True, eq=False)
 class PointInvariants:
@@ -95,17 +75,71 @@ class PointInvariants:
     r: float            # |f(theta)|
 
 
+# ---------------------------------------------------------------------------
+# The batched kernel: every metric factor and every II in the package comes
+# from _metric_factor and _second_form, with P = 1 for single points.
+# ---------------------------------------------------------------------------
+
+def _metric_factor(d1: np.ndarray, thetas: np.ndarray | None):
+    """Metric g = d1 d1', its inverse Cholesky factor L (L g L' = I) and
+    sqrt(det g) for a (P, n, q) batch of first derivatives.
+
+    The metric is degenerate where its smallest eigenvalue is below
+    _DEGENERATE_EIG.  Since lambda_min >= 1/|L|_F^2 at each point, a batch
+    whose squared factor norms sum to at most 1/_DEGENERATE_EIG is certified
+    without an eigensolve; otherwise eigvalsh decides, and DegenerateMetric
+    names the offending theta.  Non-finite input is not degenerate: it flows
+    through for the checks to report.
+    """
+    g = d1 @ d1.transpose(0, 2, 1)
+    try:
+        C = np.linalg.cholesky(g)
+        L = np.linalg.solve(C, np.broadcast_to(np.eye(g.shape[1]), g.shape).copy())
+        certified = float(np.vdot(L, L)) <= 1.0 / _DEGENERATE_EIG
+    except np.linalg.LinAlgError:
+        C = None
+        certified = False
+    if not certified:
+        eigs = np.linalg.eigvalsh(g)[:, 0]
+        bad = np.flatnonzero(eigs < _DEGENERATE_EIG)
+        if bad.size or C is None:
+            i = int(bad[0]) if bad.size else int(np.nanargmin(eigs))
+            where = "" if thetas is None else f" at theta={thetas[i].tolist()}"
+            raise DegenerateMetric(f"metric eigenvalue {eigs[i]:.3e} < {_DEGENERATE_EIG}{where}")
+    return g, L, np.prod(np.einsum("pii->pi", C), axis=1)
+
+
+def _second_form(L: np.ndarray, d1: np.ndarray, d2: np.ndarray):
+    """Tangent frame E = L d1 and II in that frame, S_ij = P_N(sum_ab L_ia L_jb d2_ab),
+    exactly symmetric in (i, j), for a batch of P points."""
+    P, n, q = d1.shape
+    E = L @ d1
+    # raw_ij = sum_ab L_ia L_jb d2_ab, as two batched matmuls over flattened axes
+    t1 = (L @ d2.reshape(P, n, n * q)).reshape(P, n, n, q)
+    raw = (L @ t1.transpose(0, 2, 1, 3).reshape(P, n, n * q)) \
+        .reshape(P, n, n, q).transpose(0, 2, 1, 3)
+    tang = raw.reshape(P, n * n, q) @ E.transpose(0, 2, 1)
+    S = raw - (tang @ E).reshape(P, n, n, q)
+    return E, 0.5 * (S + S.transpose(0, 2, 1, 3))
+
+
+def _scalar_invariants(S: np.ndarray):
+    """H, |H|^2, |II|^2, zh and the extrinsic scalar curvature |H|^2 - |II|^2
+    of a (P, n, n, q) batch of second forms."""
+    n = S.shape[1]
+    H = np.einsum("piiq->pq", S)
+    H2 = np.einsum("pq,pq->p", H, H)
+    II2 = np.einsum("pijq,pijq->p", S, S, optimize=True)
+    return H, H2, II2, (2.0 * II2 + H2) / (n * (n + 2)), H2 - II2
+
+
 def metric_at(jet: Jet) -> MetricPoint:
     """Induced metric and its factorizations from an order >= 1 jet."""
     if jet.d1 is None:
         raise ValueError("metric_at needs a jet of order >= 1")
-    g = jet.d1 @ jet.d1.T
-    eigs = np.linalg.eigvalsh(g)
-    if eigs[0] < _DEGENERATE_EIG:
-        raise DegenerateMetric(f"smallest metric eigenvalue {eigs[0]:.3e} < {_DEGENERATE_EIG}")
-    C = np.linalg.cholesky(g)
-    L = np.linalg.solve(C, np.eye(g.shape[0]))
-    return MetricPoint(g=g, g_inv=L.T @ L, L=L, sqrt_det=float(np.prod(np.diag(C))))
+    theta = None if jet.theta is None else jet.theta[None]
+    g, L, sqrt_det = _metric_factor(jet.d1[None], theta)
+    return MetricPoint(g=g[0], g_inv=L[0].T @ L[0], L=L[0], sqrt_det=float(sqrt_det[0]))
 
 
 def frame_at(jet: Jet, metric: MetricPoint | None = None) -> TangentNormalFrame:
@@ -120,20 +154,18 @@ def second_form_at(jet: Jet, metric: MetricPoint | None = None,
 
     An explicit frame may be supplied (e.g. a rotated one) to exercise frame
     independence; it must be orthonormal and span the same tangent space.
+    The result is then R S R' with the rotation R = F E' between the frames.
     """
     if jet.d2 is None:
         raise ValueError("second_form_at needs a jet of order >= 2")
     metric = metric_at(jet) if metric is None else metric
+    E, S = _second_form(metric.L[None], jet.d1[None], jet.d2[None])
+    E, S = E[0], S[0]
     if frame is None:
-        frame = TangentNormalFrame(E=metric.L @ jet.d1)
-        raw = np.einsum("ia,jb,abq->ijq", metric.L, metric.L, jet.d2)
-    else:
-        # Express the supplied frame in coordinate components: e_i = W_ia df_a.
-        W = np.linalg.solve(jet.d1 @ jet.d1.T, jet.d1 @ frame.E.T).T
-        raw = np.einsum("ia,jb,abq->ijq", W, W, jet.d2)
-    S = raw - np.einsum("ijk,kq->ijq", np.einsum("ijq,kq->ijk", raw, frame.E), frame.E)
-    S = 0.5 * (S + S.transpose(1, 0, 2))   # exact symmetry in (i, j)
-    return SecondForm(S=S, frame=frame)
+        return SecondForm(S=S, frame=TangentNormalFrame(E=E))
+    R = frame.E @ E.T
+    S = np.einsum("ia,jb,abq->ijq", R, R, S)
+    return SecondForm(S=0.5 * (S + S.transpose(1, 0, 2)), frame=frame)
 
 
 def mean_curvature(S: SecondForm) -> np.ndarray:
@@ -143,10 +175,7 @@ def mean_curvature(S: SecondForm) -> np.ndarray:
 
 def zh_at(S: SecondForm) -> float:
     """Closed form of the sphere average of |II(u,u)|^2."""
-    n = S.n
-    H = mean_curvature(S)
-    II2 = float(np.einsum("ijq,ijq->", S.S, S.S))
-    return (2.0 * II2 + float(H @ H)) / (n * (n + 2))
+    return float(_scalar_invariants(S.S[None])[3][0])
 
 
 def normal_curvature(S: SecondForm, u) -> float:
@@ -227,16 +256,29 @@ def _sphere_extremize(S: np.ndarray, u0: np.ndarray, sign: float,
     return u, f
 
 
-def _start_directions(n: int, starts: int, seed: int) -> np.ndarray:
-    """Deterministic starting set: coordinate axes, the diagonal, then seeded draws."""
-    base = [np.eye(n)[i] for i in range(n)]
-    base.append(np.ones(n) / math.sqrt(n))
-    extra = starts - len(base)
-    if extra > 0:
-        z = _philox(seed).standard_normal((extra, n))
-        z /= np.linalg.norm(z, axis=1)[:, None]
-        base.extend(z)
-    return np.array(base[:max(starts, len(base))])
+def _directions(n: int, count: int, seed: int) -> np.ndarray:
+    """Deterministic direction set: coordinate axes, the diagonal, then
+    count - n - 1 seeded unit draws (never fewer than the n + 1 fixed rows)."""
+    fixed = np.vstack([np.eye(n), np.ones((1, n)) / math.sqrt(n)])
+    extra = count - n - 1
+    if extra <= 0:
+        return fixed
+    z = _philox(seed).standard_normal((extra, n))
+    z /= np.linalg.norm(z, axis=1)[:, None]
+    return np.vstack([fixed, z])
+
+
+def _half_circle(count: int) -> np.ndarray:
+    """count equispaced unit directions in the plane; u and -u give the same K."""
+    ang = np.linspace(0.0, math.pi, count, endpoint=False)
+    return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+
+
+def _k2_sweep(D: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """K(u)^2 = |II(u, u)|^2 for every row u of D at every point of a
+    (P, n, n, q) batch, as a (P, len(D)) array."""
+    vals = np.einsum("da,db,pabq->pdq", D, D, S, optimize=True)
+    return np.einsum("pdq,pdq->pd", vals, vals)
 
 
 def extremal_normal_curvature(S: SecondForm, starts: int | None = None,
@@ -252,42 +294,32 @@ def extremal_normal_curvature(S: SecondForm, starts: int | None = None,
     if starts < 1:
         raise ValueError("starts must be >= 1")
     Sarr = S.S
-    best_max = -math.inf
-    best_min = math.inf
-    u_max = u_min = np.eye(n)[0]
-
-    scan_info = {}
-    if n == 2:
-        ang = np.linspace(0.0, math.pi, 4096, endpoint=False)   # u and -u coincide in K
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        vals = np.einsum("di,dj,ijq->dq", dirs, dirs, Sarr)
-        f = np.einsum("dq,dq->d", vals, vals)
-        i_max, i_min = int(np.argmax(f)), int(np.argmin(f))
-        best_max, u_max = float(f[i_max]), dirs[i_max]
-        best_min, u_min = float(f[i_min]), dirs[i_min]
-        scan_info = {"scan_angles": 4096, "scan_max": math.sqrt(best_max), "scan_min": math.sqrt(best_min)}
-
-    for u0 in _start_directions(n, starts, seed):
-        u, f = _sphere_extremize(Sarr, u0, +1.0)
-        if f > best_max:
-            best_max, u_max = f, u
-        u, f = _sphere_extremize(Sarr, u0, -1.0)
-        if f < best_min:
-            best_min, u_min = f, u
-    # Polish the scan winners too so n=2 results are not grid-limited.
-    if n == 2:
-        u, f = _sphere_extremize(Sarr, u_max, +1.0)
-        if f > best_max:
-            best_max, u_max = f, u
-        u, f = _sphere_extremize(Sarr, u_min, -1.0)
-        if f < best_min:
-            best_min, u_min = f, u
-
+    # best[sign]: best-found (|II(u,u)|^2, u) for maximizing sign * |II(u,u)|^2
+    best = {+1.0: (-math.inf, np.eye(n)[0]), -1.0: (math.inf, np.eye(n)[0])}
     diag = {"starts": starts, "seed": seed}
-    diag.update(scan_info)
+    if n == 2:
+        dirs = _half_circle(4096)
+        f = _k2_sweep(dirs, Sarr[None])[0]
+        i_max, i_min = int(np.argmax(f)), int(np.argmin(f))
+        best = {+1.0: (float(f[i_max]), dirs[i_max]), -1.0: (float(f[i_min]), dirs[i_min])}
+        diag.update(scan_angles=4096, scan_max=math.sqrt(best[+1.0][0]),
+                    scan_min=math.sqrt(best[-1.0][0]))
+
+    def climb(u0: np.ndarray, sign: float) -> None:
+        u, f = _sphere_extremize(Sarr, u0, sign)
+        if sign * (f - best[sign][0]) > 0.0:
+            best[sign] = (f, u)
+
+    for u0 in _directions(n, starts, seed):
+        climb(u0, +1.0)
+        climb(u0, -1.0)
+    if n == 2:   # polish the scan winners too so n = 2 results are not grid-limited
+        climb(best[+1.0][1], +1.0)
+        climb(best[-1.0][1], -1.0)
+    (f_max, u_max), (f_min, u_min) = best[+1.0], best[-1.0]
     return ExtremalCurvature(
-        k_min=math.sqrt(max(best_min, 0.0)),
-        k_max=math.sqrt(max(best_max, 0.0)),
+        k_min=math.sqrt(max(f_min, 0.0)),
+        k_max=math.sqrt(max(f_max, 0.0)),
         u_min=u_min,
         u_max=u_max,
         diagnostics=diag,
@@ -298,20 +330,15 @@ def invariants_at(jet: Jet, starts: int | None = None, seed: int = 0) -> PointIn
     """All pointwise invariants at once; the two scalar-curvature closed forms
     (3/2*|H|^2 - n(n+2)/2*zh and |H|^2 - |II|^2) agree to roundoff by algebra,
     and both are evaluated so bookkeeping bugs cannot hide."""
-    metric = metric_at(jet)
-    S = second_form_at(jet, metric)
+    S = second_form_at(jet)
     n = S.n
-    H = mean_curvature(S)
-    H2 = float(H @ H)
-    II2 = float(np.einsum("ijq,ijq->", S.S, S.S))
-    zh = (2.0 * II2 + H2) / (n * (n + 2))
+    H, H2, II2, zh, sc_b = (v[0] for v in _scalar_invariants(S.S[None]))
     sc_a = 1.5 * H2 - 0.5 * n * (n + 2) * zh
-    sc_b = H2 - II2
     if abs(sc_a - sc_b) > 1e-10 * max(1.0, H2 + II2):
         raise AssertionError(f"scalar-curvature closed forms disagree: {sc_a!r} vs {sc_b!r}")
     ext = extremal_normal_curvature(S, starts=starts, seed=seed)
     return PointInvariants(
-        H=H, H2=H2, II2=II2, zh=zh, sc_ext=sc_b,
+        H=H, H2=float(H2), II2=float(II2), zh=float(zh), sc_ext=float(sc_b),
         K_min=ext.k_min, K_max=ext.k_max,
         r=float(np.linalg.norm(jet.value)),
     )
@@ -339,38 +366,18 @@ class GridFields:
 
 
 def _chunk_core(imm: FourierImmersion, thetas: np.ndarray):
-    """Shared per-chunk computation: frame, second form, and raw vectors."""
+    """Kernel over one chunk of grid points: position, frame, II and sqrt(det g)."""
     value, d1, d2, _ = jets_at(imm, thetas, order=2)
-    g = d1 @ d1.transpose(0, 2, 1)
-    try:
-        C = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        eigs = np.linalg.eigvalsh(g)
-        i = int(np.argmin(eigs[:, 0]))
-        raise DegenerateMetric(
-            f"metric eigenvalue {eigs[i, 0]:.3e} < {_DEGENERATE_EIG} at theta={thetas[i].tolist()}"
-        ) from None
-    n, q = imm.n, imm.q
-    P = thetas.shape[0]
-    L = np.linalg.solve(C, np.broadcast_to(np.eye(n), C.shape).copy())
-    E = L @ d1
-    # raw_ij = sum_ab L_ia L_jb d2_ab, as two batched matmuls over flattened axes
-    t1 = (L @ d2.reshape(P, n, n * q)).reshape(P, n, n, q)
-    raw = (L @ t1.transpose(0, 2, 1, 3).reshape(P, n, n * q)) \
-        .reshape(P, n, n, q).transpose(0, 2, 1, 3)
-    tang = raw.reshape(P, n * n, q) @ E.transpose(0, 2, 1)
-    S = raw - (tang @ E).reshape(P, n, n, q)
-    S = 0.5 * (S + S.transpose(0, 2, 1, 3))
-    sqrt_det = np.prod(np.einsum("pii->pi", C), axis=1)
+    _, L, sqrt_det = _metric_factor(d1, thetas)
+    E, S = _second_form(L, d1, d2)
     return value, E, S, sqrt_det
 
 
 def second_form_chunks(imm: FourierImmersion, grid: TorusGrid,
-                       chunk: int = 1024) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (start, value, E, S) batches over the grid, for direction sweeps."""
+                       chunk: int = 1024) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, S) batches of II over the grid, for direction sweeps."""
     for start, thetas in grid.iter_points(chunk):
-        value, E, S, _ = _chunk_core(imm, thetas)
-        yield start, value, E, S
+        yield start, _chunk_core(imm, thetas)[2]
 
 
 _grid_cache: "weakref.WeakKeyDictionary[FourierImmersion, dict]" = weakref.WeakKeyDictionary()
@@ -384,15 +391,12 @@ def grid_fields(imm: FourierImmersion, grid: TorusGrid, chunk: int = 1024) -> Gr
         return per_imm[key]
 
     P = grid.npoints
-    n = imm.n
     out = {name: np.empty(P) for name in
            ("r", "sqrt_det", "norm_H", "hx", "H2", "II2", "zh", "sc_ext", "sin_beta", "cos_beta")}
     for start, thetas in grid.iter_points(chunk):
         stop = start + thetas.shape[0]
         value, E, S, sqrt_det = _chunk_core(imm, thetas)
-        H = np.einsum("piiq->pq", S)
-        H2 = np.einsum("pq,pq->p", H, H)
-        II2 = np.einsum("pijq,pijq->p", S, S, optimize=True)
+        H, H2, II2, zh, sc_ext = _scalar_invariants(S)
         r = np.linalg.norm(value, axis=1)
         xt = np.einsum("piq,pq->pi", E, value)
         xt2 = np.einsum("pi,pi->p", xt, xt)
@@ -408,8 +412,8 @@ def grid_fields(imm: FourierImmersion, grid: TorusGrid, chunk: int = 1024) -> Gr
         out["hx"][start:stop] = np.einsum("pq,pq->p", H, value)
         out["H2"][start:stop] = H2
         out["II2"][start:stop] = II2
-        out["zh"][start:stop] = (2.0 * II2 + H2) / (n * (n + 2))
-        out["sc_ext"][start:stop] = H2 - II2
+        out["zh"][start:stop] = zh
+        out["sc_ext"][start:stop] = sc_ext
         out["sin_beta"][start:stop] = sin_b
         out["cos_beta"][start:stop] = cos_b
     fields = GridFields(grid=grid, **out)
@@ -431,23 +435,11 @@ def grid_K_estimates(imm: FourierImmersion, grid: TorusGrid, seed: int = 0,
     the diagonal, and seeded draws), i.e. an inner bound on the true range.
     """
     n = imm.n
-    if n == 2:
-        ang = np.linspace(0.0, math.pi, 1024, endpoint=False)
-        D = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    else:
-        dirs = [np.eye(n)[i] for i in range(n)]
-        dirs.append(np.ones(n) / math.sqrt(n))
-        extra = directions - len(dirs)
-        if extra > 0:
-            z = _philox(seed * 2713 + 5).standard_normal((extra, n))
-            z /= np.linalg.norm(z, axis=1)[:, None]
-            dirs.extend(z)
-        D = np.array(dirs)
+    D = _half_circle(1024) if n == 2 else _directions(n, directions, seed * 2713 + 5)
     k_min = np.empty(grid.npoints)
     k_max = np.empty(grid.npoints)
-    for start, _, _, S in second_form_chunks(imm, grid, chunk):
-        vals = np.einsum("da,db,pabq->pdq", D, D, S, optimize=True)
-        K2 = np.einsum("pdq,pdq->pd", vals, vals)
+    for start, S in second_form_chunks(imm, grid, chunk):
+        K2 = _k2_sweep(D, S)
         stop = start + S.shape[0]
         k_min[start:stop] = np.sqrt(K2.min(axis=1))
         k_max[start:stop] = np.sqrt(K2.max(axis=1))

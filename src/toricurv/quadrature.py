@@ -15,10 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateMetric
-from .immersion import FourierImmersion, jets_at
-
-_DEGENERATE_EIG = 1e-12
+from .immersion import FourierImmersion
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -74,59 +71,21 @@ class TorusGrid:
         return TorusGrid((per_axis,) * n)
 
 
-def volume_weights(imm: FourierImmersion, thetas: np.ndarray) -> np.ndarray:
-    """sqrt(det g) at each point; raises DegenerateMetric naming the offender."""
-    _, d1, _, _ = jets_at(imm, thetas, order=1)
-    g = np.einsum("piq,pjq->pij", d1, d1)
-    try:
-        C = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        C = None
-    if C is None or float(np.min(np.einsum("pii->pi", C))) ** 2 < 1e-10:
-        # Slow path: locate the first genuinely singular point for the error.
-        eigs = np.linalg.eigvalsh(g)
-        bad = np.nonzero(eigs[:, 0] < _DEGENERATE_EIG)[0]
-        if bad.size:
-            theta = thetas[bad[0]]
-            raise DegenerateMetric(
-                f"metric eigenvalue {eigs[bad[0], 0]:.3e} < {_DEGENERATE_EIG} at theta={theta.tolist()}"
-            )
-        if C is None:  # Cholesky failed yet no eigenvalue is tiny: genuinely broken input
-            raise DegenerateMetric("induced metric is not positive definite on this batch")
-    return np.prod(np.einsum("pii->pi", C), axis=1)
-
-
-def _field_values(field, imm: FourierImmersion, thetas: np.ndarray, start: int, stop: int) -> np.ndarray:
-    if callable(field):
-        vals = np.asarray(field(thetas), dtype=float)
-        if vals.shape != (thetas.shape[0],):
-            raise ValueError(f"field callable returned shape {vals.shape}, expected ({thetas.shape[0]},)")
-        return vals
-    arr = np.asarray(field, dtype=float).reshape(-1)
-    return arr[start:stop]
-
-
-def average_over_torus(field, imm: FourierImmersion, grid: TorusGrid, chunk: int = 4096) -> float:
+def average_over_torus(field, imm: FourierImmersion, grid: TorusGrid) -> float:
     """Average of a point field with respect to the induced volume.
 
     `field` is either a callable mapping a (P, n) batch of parameter points
     to (P,) values, or an array of values precomputed in the grid's flat C
-    order.  The reduction order is fixed by the grid indexing, so results do
-    not depend on how the evaluation is scheduled.
+    order.  The weights are the grid's sqrt(det g) from grid_fields, and the
+    reduction order is fixed by the grid indexing.
     """
-    if not callable(field):
-        arr = np.asarray(field, dtype=float).reshape(-1)
-        if arr.size != grid.npoints:
-            raise ValueError(f"field array has {arr.size} values for a grid of {grid.npoints} points")
-        field = arr
-    num = 0.0
-    den = 0.0
-    for start, thetas in grid.iter_points(chunk):
-        w = volume_weights(imm, thetas)
-        v = _field_values(field, imm, thetas, start, start + thetas.shape[0])
-        num += float(np.sum(v * w))
-        den += float(np.sum(w))
-    return num / den
+    from .pointwise import grid_fields, weighted_average   # pointwise imports this module
+
+    values = field(grid.points()) if callable(field) else field
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if values.size != grid.npoints:
+        raise ValueError(f"field gives {values.size} values for a grid of {grid.npoints} points")
+    return weighted_average(grid_fields(imm, grid), values)
 
 
 @dataclass(frozen=True)
@@ -176,6 +135,13 @@ class SphereSampler:
         return z / norms[:, None]
 
 
+def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (0 for a single sample)."""
+    count = vals.shape[0]
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
+    return float(np.mean(vals)), stderr
+
+
 def sphere_average_mc(fn: Callable[[np.ndarray], np.ndarray], sampler: SphereSampler) -> tuple[float, float]:
     """Monte-Carlo sphere average of fn with its standard error.
 
@@ -185,11 +151,7 @@ def sphere_average_mc(fn: Callable[[np.ndarray], np.ndarray], sampler: SphereSam
     vals = np.asarray(fn(dirs), dtype=float).reshape(-1)
     if vals.shape[0] != sampler.count:
         raise ValueError(f"fn returned {vals.shape[0]} values for {sampler.count} directions")
-    mean = float(np.mean(vals))
-    if sampler.count == 1:
-        return mean, 0.0
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(sampler.count))
-    return mean, stderr
+    return _mean_stderr(vals)
 
 
 @dataclass(frozen=True)
@@ -238,13 +200,9 @@ def monomial_selftest(n: int, count: int, seed: int = 0) -> MonomialReport:
     entries = []
     for i in range(n):
         vals = scale4 * dirs[:, i] ** 4
-        mean = float(np.mean(vals))
-        stderr = float(np.std(vals, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-        entries.append(MonomialEntry(f"x{i + 1}^4", mean, stderr))
+        entries.append(MonomialEntry(f"x{i + 1}^4", *_mean_stderr(vals)))
     for i in range(n):
         for j in range(i + 1, n):
             vals = scale22 * dirs[:, i] ** 2 * dirs[:, j] ** 2
-            mean = float(np.mean(vals))
-            stderr = float(np.std(vals, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-            entries.append(MonomialEntry(f"x{i + 1}^2*x{j + 1}^2", mean, stderr))
+            entries.append(MonomialEntry(f"x{i + 1}^2*x{j + 1}^2", *_mean_stderr(vals)))
     return MonomialReport(n=n, count=count, seed=seed, entries=tuple(entries))

@@ -45,10 +45,10 @@ class CheckReport:
     """Outcome of one verification run."""
 
     name: str
-    passed: bool
+    passed: bool | None              # None when the margin is not a finite number
     margin: float
     tolerance: float
-    status: str                      # "pass" | "fail" | "unresolved"
+    status: str                      # "pass" | "fail" | "unresolved" | "error"
     witness: dict | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -71,7 +71,9 @@ def _report(name: str, margin: float, tolerance: float, witness=None,
     resolved = delta < REFINE_TOL
     diagnostics["resolved"] = resolved
     passed = bool(margin >= -tolerance) and bool(extra_ok)
-    if not passed:
+    if not math.isfinite(margin):
+        passed, status = None, "error"     # a NaN or infinite margin neither passes nor fails
+    elif not passed:
         status = "fail"
     elif not resolved:
         status = "unresolved"
@@ -86,14 +88,20 @@ def _pair(imm: FourierImmersion, grid: TorusGrid) -> tuple[GridFields, GridField
     return grid_fields(imm, grid), grid_fields(imm, grid.doubled())
 
 
-def _max_r(imm: FourierImmersion, grid: TorusGrid) -> tuple[float, float, int]:
-    base, fine = _pair(imm, grid)
-    i_fine = int(np.argmax(fine.r))
-    return float(np.max(base.r)), float(fine.r[i_fine]), i_fine
+def _max_pair(imm: FourierImmersion, grid: TorusGrid, name: str) -> tuple[float, float, int]:
+    """Max of a grid field on the grid and on its doubling, with the refined argmax."""
+    base, fine = (getattr(f, name) for f in _pair(imm, grid))
+    i_fine = int(np.argmax(fine))
+    return float(np.max(base)), float(fine[i_fine]), i_fine
+
+
+def _average_pair(imm: FourierImmersion, grid: TorusGrid, name: str) -> tuple[float, float]:
+    """Volume average of a grid field on the grid and on its doubling."""
+    return tuple(weighted_average(f, getattr(f, name)) for f in _pair(imm, grid))
 
 
 def _ensure_ball(imm: FourierImmersion, grid: TorusGrid) -> float:
-    _, top, _ = _max_r(imm, grid)
+    _, top, _ = _max_pair(imm, grid, "r")
     if top > 1.0 + BALL_SLACK:
         raise NotInBall(f"max |f| = {top!r} exceeds 1 (image leaves the unit ball)")
     return top
@@ -101,7 +109,7 @@ def _ensure_ball(imm: FourierImmersion, grid: TorusGrid) -> float:
 
 def check_ball_containment(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     """Image stays in the closed unit ball: margin = 1 - max |f|."""
-    base_top, fine_top, i_fine = _max_r(imm, grid)
+    base_top, fine_top, i_fine = _max_pair(imm, grid, "r")
     theta = grid.doubled().theta_at(i_fine)
     return _report(
         "ball", margin=1.0 - fine_top, tolerance=BALL_SLACK,
@@ -116,12 +124,9 @@ def check_avg_H(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     """Average |H| over the torus is at least n, with the divergence identity
     average<H, x> = -n recorded as a hard sub-check."""
     _ensure_ball(imm, grid)
-    base, fine = _pair(imm, grid)
     n = imm.n
-    avg_base = weighted_average(base, base.norm_H)
-    avg_fine = weighted_average(fine, fine.norm_H)
-    div_base = weighted_average(base, base.hx)
-    div_fine = weighted_average(fine, fine.hx)
+    avg_base, avg_fine = _average_pair(imm, grid, "norm_H")
+    div_base, div_fine = _average_pair(imm, grid, "hx")
     div_dev = abs(div_fine + n)
     return _report(
         "avg_h", margin=avg_fine - n, tolerance=1e-7,
@@ -141,10 +146,8 @@ def check_2d(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     if imm.n != 2:
         raise WrongDimension(f"check_2d needs n = 2, got n = {imm.n}")
     _ensure_ball(imm, grid)
-    base, fine = _pair(imm, grid)
-    avg_base = weighted_average(base, base.zh)
-    avg_fine = weighted_average(fine, fine.zh)
-    avg_sc = weighted_average(base, intrinsic.curvature_grid(imm, grid))
+    avg_base, avg_fine = _average_pair(imm, grid, "zh")
+    avg_sc = weighted_average(grid_fields(imm, grid), intrinsic.curvature_grid(imm, grid))
     return _report(
         "2d", margin=avg_fine - 1.5, tolerance=1e-7,
         diagnostics={
@@ -164,11 +167,9 @@ def check_flat(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     sc_max = float(np.max(np.abs(sc)))
     if sc_max >= FLAT_SC_TOL:
         raise InapplicableHypothesis(f"metric is not flat: max |Sc| = {sc_max!r} >= {FLAT_SC_TOL}")
-    base, fine = _pair(imm, grid)
     n = imm.n
     bound = 3.0 * n / (n + 2)
-    avg_base = weighted_average(base, base.zh)
-    avg_fine = weighted_average(fine, fine.zh)
+    avg_base, avg_fine = _average_pair(imm, grid, "zh")
     return _report(
         "flat", margin=avg_fine - bound, tolerance=1e-8,
         diagnostics={"average_zh": avg_fine, "bound": bound,
@@ -297,6 +298,15 @@ def _trace_diagnostics(imm: FourierImmersion, grid: TorusGrid) -> tuple[dict, di
     return diag, witness
 
 
+def _gate_K(imm: FourierImmersion, grid: TorusGrid, seed: int, claim: str) -> float:
+    """The hypothesis "all normal curvatures are at most 2", on the best-found maximum."""
+    k_top = global_normal_curvature_max(imm, grid, seed=seed)
+    if k_top > 2.0 + K_GATE_SLACK:
+        raise InapplicableHypothesis(
+            f"max normal curvature {k_top!r} exceeds 2; the {claim} bound is not claimed")
+    return k_top
+
+
 def check_main(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> CheckReport:
     """zh >= 3n/(n+2) at some point, for n <= 4 or normal curvatures <= 2.
 
@@ -315,15 +325,9 @@ def check_main(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> CheckRe
                            tolerance=inner.tolerance, status=inner.status,
                            witness=inner.witness, diagnostics=merged)
     if n >= 5:
-        k_top = global_normal_curvature_max(imm, grid, seed=seed)
-        if k_top > 2.0 + K_GATE_SLACK:
-            raise InapplicableHypothesis(
-                f"normal curvature reaches {k_top!r} > 2; the pointwise bound is not claimed here")
-    base, fine = _pair(imm, grid)
+        _gate_K(imm, grid, seed, "pointwise")
     bound = 3.0 * n / (n + 2)
-    top_base = float(np.max(base.zh))
-    i_fine = int(np.argmax(fine.zh))
-    top_fine = float(fine.zh[i_fine])
+    top_base, top_fine, i_fine = _max_pair(imm, grid, "zh")
     diag, witness = _trace_diagnostics(imm, grid)
     diag.update({"max_zh": top_fine, "bound": bound, "grid": list(grid.sizes)})
     if witness is None:
@@ -338,10 +342,7 @@ def check_main(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> CheckRe
 
 def check_bow(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> CheckReport:
     """|x| <= cos(beta) wherever normal curvatures stay at most 2."""
-    k_top = global_normal_curvature_max(imm, grid, seed=seed)
-    if k_top > 2.0 + K_GATE_SLACK:
-        raise InapplicableHypothesis(
-            f"max normal curvature {k_top!r} exceeds 2; the bow bound is not claimed")
+    k_top = _gate_K(imm, grid, seed, "bow")
 
     def slack(fields: GridFields) -> np.ndarray:
         s = fields.cos_beta - fields.r
@@ -374,19 +375,9 @@ def check_constant_K(imm: FourierImmersion, directions: int = 256, seed: int = 0
     dirs = rng.standard_normal((directions, n))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
 
-    k_min, k_max = math.inf, -math.inf
-    total, count = 0.0, 0
-    chunk = 256
-    for start in range(0, thetas.shape[0], chunk):
-        batch = thetas[start:start + chunk]
-        _, _, S, _ = pointwise._chunk_core(imm, batch)
-        vals = np.einsum("da,db,pabq->pdq", dirs, dirs, S, optimize=True)
-        K = np.sqrt(np.einsum("pdq,pdq->pd", vals, vals))
-        k_min = min(k_min, float(K.min()))
-        k_max = max(k_max, float(K.max()))
-        total += float(K.sum())
-        count += K.size
-    mean = total / count
+    K = np.sqrt(pointwise._k2_sweep(dirs, pointwise._chunk_core(imm, thetas)[2]))
+    k_min, k_max = float(K.min()), float(K.max())
+    mean = float(K.sum()) / K.size
     spread = k_max - k_min
     tolerance = 1e-10 if expected_K is not None else math.inf
     extra_ok = True
@@ -407,12 +398,9 @@ def conjecture_probe(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     refute anything by itself; the report carries the serialized immersion as
     a counterexample candidate for human review."""
     _ensure_ball(imm, grid)
-    base, fine = _pair(imm, grid)
     n = imm.n
     bound = 3.0 * n / (n + 2)
-    top_base = float(np.max(base.zh))
-    i_fine = int(np.argmax(fine.zh))
-    top_fine = float(fine.zh[i_fine])
+    top_base, top_fine, i_fine = _max_pair(imm, grid, "zh")
     margin = top_fine - bound
     diagnostics = {"max_zh": top_fine, "bound": bound, "grid": list(grid.sizes)}
     if margin < -1e-9:
@@ -439,21 +427,10 @@ def global_normal_curvature_max(imm: FourierImmersion, grid: TorusGrid, seed: in
     key = ("kmax", grid.sizes, seed, sweep_directions, refine_top, starts)
     if key in cache:
         return cache[key]
-    n = imm.n
-    dirs = [np.eye(n)[i] for i in range(n)]
-    dirs.append(np.ones(n) / math.sqrt(n))
-    extra = sweep_directions - len(dirs)
-    if extra > 0:
-        z = _philox(seed * 7919 + 3).standard_normal((extra, n))
-        z /= np.linalg.norm(z, axis=1)[:, None]
-        dirs.extend(z)
-    D = np.array(dirs)
-
+    D = pointwise._directions(imm.n, sweep_directions, seed * 7919 + 3)
     best = np.empty(grid.npoints)
-    for start, _, _, S in second_form_chunks(imm, grid):
-        vals = np.einsum("da,db,pabq->pdq", D, D, S, optimize=True)
-        K2 = np.einsum("pdq,pdq->pd", vals, vals)
-        best[start:start + S.shape[0]] = K2.max(axis=1)
+    for start, S in second_form_chunks(imm, grid):
+        best[start:start + S.shape[0]] = pointwise._k2_sweep(D, S).max(axis=1)
 
     order = np.argsort(best)[::-1][:refine_top]
     top = math.sqrt(float(best.max()))
@@ -495,19 +472,19 @@ def run_checks(imm: FourierImmersion, grid: TorusGrid | None = None, seed: int =
             continue
         try:
             reports.append(dispatch[name]().to_dict())
-        except InapplicableHypothesis as exc:
-            reports.append({"name": name, "status": "skipped", "pass": None,
-                            "margin": None, "tolerance": None, "witness": None,
-                            "diagnostics": {"reason": str(exc), "error": type(exc).__name__}})
-        except NoNonpositiveScalarPoint as exc:
-            reports.append({"name": name, "status": "unresolved", "pass": None,
+        except (InapplicableHypothesis, NoNonpositiveScalarPoint) as exc:
+            status = "skipped" if isinstance(exc, InapplicableHypothesis) else "unresolved"
+            reports.append({"name": name, "status": status, "pass": None,
                             "margin": None, "tolerance": None, "witness": None,
                             "diagnostics": {"reason": str(exc), "error": type(exc).__name__}})
     return reports
 
 
 def exit_code(reports: list[dict]) -> int:
-    """0 all applicable pass; 1 any proven bound fails; 3 only the probe fails."""
+    """0 all applicable pass; 2 any margin is not finite; 1 any proven bound
+    fails; 3 only the probe fails."""
+    if any(r["status"] == "error" for r in reports):
+        return 2
     proven_fail = any(r["status"] == "fail" and r["name"] != "conjecture" for r in reports)
     probe_fail = any(r["status"] == "fail" and r["name"] == "conjecture" for r in reports)
     if proven_fail:

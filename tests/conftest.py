@@ -63,3 +63,20 @@ def random_orthogonal(q: int, seed: int) -> np.ndarray:
 def random_points(n: int, count: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     return rng.uniform(0.0, 2.0 * np.pi, size=(count, n))
+
+
+def reference_second_form(jet, E=None):
+    """II at one point by the per-point construction, independent of the
+    package's batched kernel: S_ij = P_N(sum_ab W_ia W_jb d2f_ab) for the
+    frame e_i = sum_a W_ia df_a.  Without E the frame is the inverse-Cholesky
+    one (W = L); an explicit orthonormal tangent frame E gives W by solving
+    g W' = df E'.  Returns (S, E)."""
+    g = jet.d1 @ jet.d1.T
+    if E is None:
+        W = np.linalg.inv(np.linalg.cholesky(g))
+        E = W @ jet.d1
+    else:
+        W = np.linalg.solve(g, jet.d1 @ E.T).T
+    raw = np.einsum("ia,jb,abq->ijq", W, W, jet.d2)
+    S = raw - np.einsum("ijk,kq->ijq", np.einsum("ijq,kq->ijk", raw, E), E)
+    return 0.5 * (S + S.transpose(1, 0, 2)), E

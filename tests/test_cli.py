@@ -232,3 +232,41 @@ def test_explore_cli_runs(tmp_path):
 def test_selftest_failure_injection():
     results = list(_selftest_checks(seed=0, fail_injection=True))
     assert any(not ok for _, ok, _ in results)
+
+
+# ---------------------------------------------------------------- bad input fails closed (exit 2)
+
+def test_verify_degenerate_map_exit_2(tmp_path, capsys):
+    # One Fourier term: df has rank 1 everywhere, so the metric is singular.
+    path = tmp_path / "rank1.json"
+    path.write_text(json.dumps({"type": "fourier", "n": 2, "q": 4, "terms": [
+        {"k": [1, 0], "a": [0.5, 0, 0, 0], "b": [0, 0.5, 0, 0]}]}))
+    assert main(["verify", str(path), "--grid", "8,8"]) == 2
+    assert "theta=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ('{"type": "clifford", "m": 2, "scale": NaN}', "clifford.scale"),
+    ('{"type": "clifford", "m": 2, "scale": 1e400}', "clifford.scale"),
+    ('{"type": "fourier", "n": 1, "q": 2, "terms": [{"k": [1], "a": [Infinity, 0], "b": [0, 1]}]}',
+     "fourier.terms[0].a[0]"),
+    ('{"type": "gromov", "B": [[1, 0], [0, 1]], "translate": [0, 0, 0, -Infinity]}',
+     "gromov.translate[3]"),
+    ('{"type": "clifford", "m": 1, "translate": [1' + "0" * 400 + ', 0]}', "clifford.translate[0]"),
+])
+def test_verify_non_finite_input_exit_2(tmp_path, capsys, text, fragment):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_verify_grid_too_small_exit_2(hex_file, capsys):
+    assert main(["verify", hex_file, "--grid", "2"]) == 2
+    assert "--grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", ["4", "3"])
+def test_explore_unsupported_q_exit_2(q, capsys):
+    assert main(["explore", "--n", "3", "--q", q, "--iterations", "1", "--restarts", "1"]) == 2
+    assert f"q={q}" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from toricurv.designs import clifford
 from toricurv.errors import DegenerateMetric, NotNormal, NotUnit
-from toricurv.immersion import FourierImmersion, Signature, evaluate_jet, transform
+from toricurv.immersion import FourierImmersion, FourierTerm, Signature, evaluate_jet, transform
 from toricurv.pointwise import (
     TangentNormalFrame,
     extremal_normal_curvature,
@@ -25,7 +25,7 @@ from toricurv.pointwise import (
 )
 from toricurv.quadrature import SphereSampler, TorusGrid, sphere_average_mc
 
-from conftest import random_orthogonal, random_points
+from conftest import random_orthogonal, random_points, reference_second_form
 
 
 def jet_of(imm, theta, order=2):
@@ -58,6 +58,22 @@ def test_metric_degenerate_for_constant_map():
         metric_at(jet_of(constant, [0.0, 0.0]))
     with pytest.raises(DegenerateMetric):
         second_form_at(jet_of(constant, [0.0, 0.0]))
+
+
+def test_degeneracy_policy_below_cholesky_failure():
+    # f = (cos t1, sin t1, 1e-7 sin t2): lambda_min(g) = 1e-14 cos^2 t2 < 1e-12
+    # everywhere, yet Cholesky succeeds.  Both entry points apply one policy
+    # and name the point.
+    thin = FourierImmersion(Signature(2, 3), (
+        FourierTerm(k=(1, 0), a=[1.0, 0.0, 0.0], b=[0.0, 1.0, 0.0]),
+        FourierTerm(k=(0, 1), a=[0.0, 0.0, 0.0], b=[0.0, 0.0, 1e-7]),
+    ))
+    jet = jet_of(thin, [0.3, 0.0], order=1)
+    np.linalg.cholesky(jet.d1 @ jet.d1.T)
+    with pytest.raises(DegenerateMetric, match=r"theta=\[0\.3, 0\.0\]"):
+        metric_at(jet)
+    with pytest.raises(DegenerateMetric, match=r"theta=\[0\.0, 0\.0\]"):
+        grid_fields(thin, TorusGrid((8, 8)))
 
 
 # ---------------------------------------------------------------- frame
@@ -262,16 +278,22 @@ def test_frame_independence(wavy2):
     jet = jet_of(wavy2, theta)
     metric = metric_at(jet)
     default = second_form_at(jet, metric)
-    R = random_orthogonal(2, seed=17)
-    rotated_frame = TangentNormalFrame(E=R @ metric.L @ jet.d1)
-    rotated = second_form_at(jet, metric, frame=rotated_frame)
-    for fn in (lambda s: np.linalg.norm(mean_curvature(s)), zh_at,
-               lambda s: float(np.einsum("ijq,ijq->", s.S, s.S))):
-        assert abs(fn(default) - fn(rotated)) < 1e-9
-    a = extremal_normal_curvature(default, seed=0)
-    b = extremal_normal_curvature(rotated, seed=0)
-    assert abs(a.k_min - b.k_min) < 1e-9
-    assert abs(a.k_max - b.k_max) < 1e-9
+    # A 2x2 reflection is symmetric, so a proper rotation is needed as well to
+    # tell R S R' from R' S R.
+    rotation = np.array([[math.cos(0.7), -math.sin(0.7)], [math.sin(0.7), math.cos(0.7)]])
+    for R in (random_orthogonal(2, seed=17), rotation):
+        rotated_frame = TangentNormalFrame(E=R @ metric.L @ jet.d1)
+        rotated = second_form_at(jet, metric, frame=rotated_frame)
+        # The rotation of the kernel's II matches II built directly in the rotated frame.
+        np.testing.assert_allclose(rotated.S, reference_second_form(jet, rotated_frame.E)[0],
+                                   atol=1e-12)
+        for fn in (lambda s: np.linalg.norm(mean_curvature(s)), zh_at,
+                   lambda s: float(np.einsum("ijq,ijq->", s.S, s.S))):
+            assert abs(fn(default) - fn(rotated)) < 1e-9
+        a = extremal_normal_curvature(default, seed=0)
+        b = extremal_normal_curvature(rotated, seed=0)
+        assert abs(a.k_min - b.k_min) < 1e-9
+        assert abs(a.k_max - b.k_max) < 1e-9
 
 
 def test_euclidean_invariance(wavy2):
@@ -303,12 +325,16 @@ def test_grid_fields_match_pointwise(wavy2):
     thetas = grid.points()
     for idx in (0, 13, 37, 60):
         jet = jet_of(wavy2, thetas[idx])
-        iv = invariants_at(jet)
-        assert abs(fields.zh[idx] - iv.zh) < 1e-12
-        assert abs(fields.H2[idx] - iv.H2) < 1e-12
-        assert abs(fields.sc_ext[idx] - iv.sc_ext) < 1e-12
-        assert abs(fields.r[idx] - iv.r) < 1e-12
-        assert abs(fields.norm_H[idx] - math.sqrt(iv.H2)) < 1e-12
+        S, _ = reference_second_form(jet)
+        H = np.einsum("iiq->q", S)
+        H2 = float(H @ H)
+        II2 = float(np.einsum("ijq,ijq->", S, S))
+        assert abs(fields.zh[idx] - (2.0 * II2 + H2) / 8.0) < 1e-12
+        assert abs(fields.H2[idx] - H2) < 1e-12
+        assert abs(fields.sc_ext[idx] - (H2 - II2)) < 1e-12
+        assert abs(fields.r[idx] - np.linalg.norm(jet.value)) < 1e-12
+        assert abs(fields.norm_H[idx] - math.sqrt(H2)) < 1e-12
+        assert abs(fields.zh[idx] - invariants_at(jet).zh) < 1e-12
 
 
 def test_weighted_average_constant_is_exact(clifford2, grid16):

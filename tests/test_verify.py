@@ -6,7 +6,7 @@ import pytest
 from toricurv.designs import clifford
 from toricurv.errors import InapplicableHypothesis, NotInBall, WrongDimension
 from toricurv.fixtures import ball_immersion
-from toricurv.immersion import transform
+from toricurv.immersion import FourierImmersion, FourierTerm, transform
 from toricurv.quadrature import TorusGrid
 from toricurv.verify import (
     check_2d,
@@ -287,6 +287,26 @@ def test_exit_code_probe_only_failure():
     reports.append({"name": "flat", "status": "fail"})
     assert exit_code(reports) == 1
     assert exit_code([{"name": "bow", "status": "skipped"}]) == 0
+    reports.append({"name": "avg_h", "status": "error"})
+    assert exit_code(reports) == 2          # a non-finite margin outranks a failure
+
+
+def test_non_finite_margin_is_error(clifford2):
+    # The library path bypasses the parser, so a NaN coefficient reaches the
+    # checks; no check may pass or fail on a NaN margin.
+    t = clifford2.terms[0]
+    a = t.a.copy()
+    a[0] = np.nan
+    bad = FourierImmersion(clifford2.signature, (FourierTerm(t.k, a, t.b),) + clifford2.terms[1:],
+                           scale=clifford2.scale)
+    reports = run_checks(bad, grid=GRID2)
+    by_name = {r["name"]: r for r in reports}
+    assert by_name["constant_k"]["status"] == "error"
+    for r in reports:
+        if r["margin"] is not None and not math.isfinite(r["margin"]):
+            assert r["status"] == "error" and r["pass"] is None
+        assert r["status"] not in ("pass", "fail") or math.isfinite(r["margin"])
+    assert exit_code(reports) == 2
 
 
 def test_under_resolved_margin_is_marked():

@@ -133,11 +133,10 @@ def cmd_analyze(args) -> int:
                                  k_min, k_max, beta])
         writer.writerows([repr(float(v)) for v in row] for row in table)
 
-    # Polish the global curvature extremes at their sweep winners.
-    refined = []
-    for idx, sign in ((int(np.argmax(k_max)), +1), (int(np.argmin(k_min)), -1)):
-        S = pointwise.second_form_at(evaluate_jet(imm, grid.theta_at(idx), order=2))
-        refined.append(pointwise.extremal_normal_curvature(S, seed=args.seed))
+    # Refine the curvature extremes at the points where the grid estimates peak.
+    top, bottom = (pointwise.extremal_normal_curvature(pointwise.second_form_at(
+        evaluate_jet(imm, grid.theta_at(int(idx)), order=2)), seed=args.seed)
+        for idx in (np.argmax(k_max), np.argmin(k_min)))
     summary = {
         "config": _input_config(args.input, digest, grid, args.seed),
         "n": n, "q": imm.q,
@@ -148,8 +147,8 @@ def cmd_analyze(args) -> int:
         "min_norm_f": float(np.min(fields.r)),
         "ball_margin": 1.0 - float(np.max(fields.r)),
         "zh_range": [float(np.min(fields.zh)), float(np.max(fields.zh))],
-        "K_min": min(refined[1].k_min, float(np.min(k_min))),
-        "K_max": max(refined[0].k_max, float(np.max(k_max))),
+        "K_min": min(bottom.k_min, float(np.min(k_min))),
+        "K_max": max(top.k_max, float(np.max(k_max))),
         "max_gauss_residual": float(np.max(np.abs(residual))),
         "min_singular_value": float(sigma),
     }

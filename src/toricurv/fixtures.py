@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 
 from .designs import clifford
-from .immersion import FourierImmersion, FourierTerm, Signature, immersion_rank_check
+from .immersion import FourierImmersion, FourierTerm, Signature, immersion_rank_check, jets_at
 from .quadrature import TorusGrid, _philox
 
 
@@ -26,13 +26,10 @@ def canonical_frequencies(n: int, fmax: int) -> list[tuple[int, ...]]:
 
 
 def _into_ball(imm: FourierImmersion, margin: float) -> FourierImmersion:
-    """imm rescaled so its largest norm on the default grid (doubled for
-    n <= 2) is margin."""
-    from .pointwise import grid_fields   # local import to avoid a cycle
-
-    n = imm.n
-    grid = TorusGrid.default(n).doubled() if n <= 2 else TorusGrid.default(n)
-    top = float(np.max(grid_fields(imm, grid).r))
+    """imm rescaled so its largest norm on the doubled default grid, the grid
+    the ball check reads at the default grid, is margin."""
+    top = max(float(np.max(np.linalg.norm(jets_at(imm, thetas, 0)[0], axis=1)))
+              for _, thetas in TorusGrid.default(imm.n).doubled().iter_points())
     return FourierImmersion(
         signature=imm.signature, terms=imm.terms,
         scale=imm.scale * margin / top, translate=imm.translate,

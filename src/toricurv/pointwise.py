@@ -87,9 +87,9 @@ def _metric_factor(d1: np.ndarray, thetas: np.ndarray | None):
     The metric is degenerate where its smallest eigenvalue is below
     _DEGENERATE_EIG.  Since lambda_min >= 1/|L|_F^2 at each point, a batch
     whose squared factor norms sum to at most 1/_DEGENERATE_EIG is certified
-    without an eigensolve; otherwise eigvalsh decides, and DegenerateMetric
-    names the offending theta.  Non-finite input is not degenerate: it flows
-    through for the checks to report.
+    without an eigensolve; otherwise eigvalsh decides on the finite rows, and
+    DegenerateMetric names the offending theta.  Non-finite input is not
+    degenerate: it flows through for the checks to report.
     """
     g = d1 @ d1.transpose(0, 2, 1)
     try:
@@ -100,7 +100,9 @@ def _metric_factor(d1: np.ndarray, thetas: np.ndarray | None):
         C = None
         certified = False
     if not certified:
-        eigs = np.linalg.eigvalsh(g)[:, 0]
+        eigs = np.full(g.shape[0], np.nan)
+        finite = np.isfinite(g).all(axis=(1, 2))     # eigvalsh raises on NaN
+        eigs[finite] = np.linalg.eigvalsh(g[finite])[:, 0]
         bad = np.flatnonzero(eigs < _DEGENERATE_EIG)
         if bad.size or C is None:
             i = int(bad[0]) if bad.size else int(np.nanargmin(eigs))
@@ -215,45 +217,6 @@ class ExtremalCurvature:
     k_max: float
     u_min: np.ndarray
     u_max: np.ndarray
-    diagnostics: dict
-
-
-def _quartic(S: np.ndarray, u: np.ndarray) -> float:
-    v = np.einsum("i,j,ijq->q", u, u, S)
-    return float(v @ v)
-
-
-def _quartic_grad(S: np.ndarray, u: np.ndarray) -> np.ndarray:
-    v = np.einsum("i,j,ijq->q", u, u, S)
-    return 4.0 * np.einsum("ijq,q,j->i", S, v, u)
-
-
-def _sphere_extremize(S: np.ndarray, u0: np.ndarray, sign: float,
-                      max_iter: int = 400) -> tuple[np.ndarray, float]:
-    """Curvilinear projected-gradient search for an extremum of |II(u,u)|^2."""
-    u = u0 / np.linalg.norm(u0)
-    f = _quartic(S, u)
-    step = 0.25
-    for _ in range(max_iter):
-        grad = sign * _quartic_grad(S, u)
-        tangent = grad - (grad @ u) * u
-        gn = float(np.linalg.norm(tangent))
-        if gn < 1e-14:
-            break
-        moved = False
-        while step > 1e-12:
-            v = u + step * tangent
-            v /= np.linalg.norm(v)
-            fv = _quartic(S, v)
-            if sign * (fv - f) > 0.0:
-                u, f = v, fv
-                step = min(step * 2.0, 1.0)
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-    return u, f
 
 
 def _directions(n: int, count: int, seed: int) -> np.ndarray:
@@ -268,12 +231,6 @@ def _directions(n: int, count: int, seed: int) -> np.ndarray:
     return np.vstack([fixed, z])
 
 
-def _half_circle(count: int) -> np.ndarray:
-    """count equispaced unit directions in the plane; u and -u give the same K."""
-    ang = np.linspace(0.0, math.pi, count, endpoint=False)
-    return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-
-
 def _k2_sweep(D: np.ndarray, S: np.ndarray) -> np.ndarray:
     """K(u)^2 = |II(u, u)|^2 for every row u of D at every point of a
     (P, n, n, q) batch, as a (P, len(D)) array."""
@@ -281,52 +238,98 @@ def _k2_sweep(D: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.einsum("pdq,pdq->pd", vals, vals)
 
 
-def extremal_normal_curvature(S: SecondForm, starts: int | None = None,
-                              seed: int = 0) -> ExtremalCurvature:
-    """Best-found extremes of the normal curvature over unit directions.
+_POWER_STEPS = 5000      # cap on shifted power steps per (point, start, sign)
+_POWER_STILL = 1e-13     # a row stops once its unit direction moves less than this
+_POWER_TAU = 1e-6        # convexity margin of the adaptive shift, relative to |II|^2
 
-    Multi-start projected-gradient extremization of |II(u,u)|^2; for n = 2 an
-    exhaustive 4096-angle scan serves as a floor the returned values may never
-    be worse than.  Deterministic for a fixed (starts, seed).
-    """
-    n = S.n
-    starts = 16 * n if starts is None else int(starts)
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
-    Sarr = S.S
-    # best[sign]: best-found (|II(u,u)|^2, u) for maximizing sign * |II(u,u)|^2
-    best = {+1.0: (-math.inf, np.eye(n)[0]), -1.0: (math.inf, np.eye(n)[0])}
-    diag = {"starts": starts, "seed": seed}
+
+def _plane_candidates(S: np.ndarray) -> np.ndarray:
+    """Unit directions (P, 6, 2) that include every critical direction of K^2
+    at each point of a (P, 2, 2, q) batch.  With u = (cos t, sin t), s = 2t
+    and II(u, u) = a + b cos s + c sin s, dK^2/ds = B1 cos s - A1 sin s +
+    B2 cos 2s - A2 sin 2s vanishes at the arguments of the roots z = e^{is} of
+    (B2+iA2) z^4 + (B1+iA1) z^3 + (B1-iA1) z + (B2-iA2), or, where the leading
+    coefficient vanishes (|b| = |c|, b _|_ c: constant-curvature designs), at
+    atan2(B1, A1) + {0, pi}, which are always included."""
+    V = np.stack([S[:, 0, 0] + S[:, 1, 1], S[:, 0, 0] - S[:, 1, 1], 2.0 * S[:, 0, 1]], axis=1)
+    G = 0.25 * np.einsum("pxq,pyq->pxy", V, V)        # Gram matrix of a, b, c
+    A1, B1, A2, B2 = 2.0 * G[:, 0, 1], 2.0 * G[:, 0, 2], G[:, 1, 1] - G[:, 2, 2], 2.0 * G[:, 1, 2]
+    coef = np.stack([B2 + 1j * A2, B1 + 1j * A1, 0.0 * A1, B1 - 1j * A1, B2 - 1j * A2], axis=1)
+    s = np.arctan2(B1, A1)[:, None] + np.array([0.0, 0.0, 0.0, 0.0, 0.0, math.pi])
+    quartic = np.abs(coef[:, 0]) > 1e-15 * np.abs(coef).max(axis=1)
+    companion = np.tile(np.eye(4, k=-1, dtype=complex), (int(quartic.sum()), 1, 1))
+    companion[:, 0] = -coef[quartic, 1:] / coef[quartic, :1]
+    s[quartic, :4] = np.angle(np.linalg.eigvals(companion))
+    return np.stack([np.cos(0.5 * s), np.sin(0.5 * s)], axis=2)
+
+
+def _power_climb(M: np.ndarray, U: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Shifted symmetric higher-order power method (Kolda & Mayo 2011, with
+    the adaptive shift of 2014) on K^2(u) = M_ijkl u_i u_j u_k u_l, M_ijkl =
+    <II(e_i, e_j), II(e_k, e_l)>, for R rows of (M, unit start, sigma = +1 to
+    ascend or -1 to descend).  With v = II(u, u), g_i = <II(e_i, u), v> and
+    H_ik = 2<II(e_i, u), II(e_k, u)> + <II(e_i, e_k), v>, a step is
+    u <- normalize(sigma g + alpha u), alpha = max(0, tau - lambda_min(sigma H)),
+    monotone in K^2.  Each row stops on its own once it stops moving."""
+    n = U.shape[1]
+    U = U.copy()
+    tau = _POWER_TAU * np.einsum("rijij->r", M)
+    live = np.arange(U.shape[0])
+    for _ in range(_POWER_STEPS):
+        u, sg = U[live], sigma[live, None]
+        Mu = (M[live].reshape(-1, n ** 3, n) @ u[:, :, None]).reshape(-1, n * n, n)
+        N = (Mu @ u[:, :, None]).reshape(-1, n, n)                          # <II(e_i, e_k), v>
+        T = (u[:, None, :] @ Mu.reshape(-1, n, n * n)).reshape(-1, n, n)    # <II(e_i, u), II(e_k, u)>
+        alpha = np.maximum(0.0, tau[live] - np.linalg.eigvalsh(sg[:, :, None] * (2.0 * T + N))[:, 0])
+        step = sg * (N @ u[:, :, None])[:, :, 0] + alpha[:, None] * u
+        norm = np.linalg.norm(step, axis=1, keepdims=True)
+        U[live] = np.divide(step, norm, out=u.copy(), where=norm > 0.0)
+        live = live[np.linalg.norm(U[live] - u, axis=1) > _POWER_STILL]
+        if live.size == 0:
+            break
+    return U
+
+
+def _k2_extremes(S: np.ndarray, seed: int = 0):
+    """K^2_min, K^2_max and unit directions attaining them at every point of a
+    (P, n, n, q) batch of second forms: (k2_min, k2_max, u_min, u_max).
+
+    Exact for n = 2: K^2 at every root of its derivative (_plane_candidates).
+    Otherwise the best the shifted power method finds, ascending and
+    descending from each of the 16n directions _directions(n, 16n, seed).
+    Points with non-finite entries give NaN."""
+    P, n = S.shape[:2]
+    # the eigensolvers raise on NaN, so non-finite points search on II = 0
+    S0 = np.where(np.isfinite(S).all(axis=(1, 2, 3))[:, None, None, None], S, 0.0)
     if n == 2:
-        dirs = _half_circle(4096)
-        f = _k2_sweep(dirs, Sarr[None])[0]
-        i_max, i_min = int(np.argmax(f)), int(np.argmin(f))
-        best = {+1.0: (float(f[i_max]), dirs[i_max]), -1.0: (float(f[i_min]), dirs[i_min])}
-        diag.update(scan_angles=4096, scan_max=math.sqrt(best[+1.0][0]),
-                    scan_min=math.sqrt(best[-1.0][0]))
+        U = _plane_candidates(S0)
+    else:
+        D = _directions(n, 16 * n, seed)
+        M = np.repeat(np.einsum("pijq,pklq->pijkl", S0, S0, optimize=True), 2 * len(D), axis=0)
+        sigma = np.tile(np.repeat([1.0, -1.0], len(D)), P)
+        U = _power_climb(M, np.tile(D, (2 * P, 1)), sigma).reshape(P, 2 * len(D), n)
+    v = np.einsum("pca,pcb,pabq->pcq", U, U, S, optimize=True)
+    K2 = np.einsum("pcq,pcq->pc", v, v)
+    i_min, i_max, at = np.argmin(K2, axis=1), np.argmax(K2, axis=1), np.arange(P)
+    return K2[at, i_min], K2[at, i_max], U[at, i_min], U[at, i_max]
 
-    def climb(u0: np.ndarray, sign: float) -> None:
-        u, f = _sphere_extremize(Sarr, u0, sign)
-        if sign * (f - best[sign][0]) > 0.0:
-            best[sign] = (f, u)
 
-    for u0 in _directions(n, starts, seed):
-        climb(u0, +1.0)
-        climb(u0, -1.0)
-    if n == 2:   # polish the scan winners too so n = 2 results are not grid-limited
-        climb(best[+1.0][1], +1.0)
-        climb(best[-1.0][1], -1.0)
-    (f_max, u_max), (f_min, u_min) = best[+1.0], best[-1.0]
+def extremal_normal_curvature(S: SecondForm, seed: int = 0) -> ExtremalCurvature:
+    """Extremes of the normal curvature K(u) = |II(u, u)| over unit directions.
+
+    Exact for n = 2 (K^2 at every root of its derivative); for n >= 3 the best
+    values the shifted power method finds from 16n seeded starts, an inner
+    bound on the true range.  Deterministic for a fixed seed."""
+    k2_min, k2_max, u_min, u_max = _k2_extremes(S.S[None], seed)
     return ExtremalCurvature(
-        k_min=math.sqrt(max(f_min, 0.0)),
-        k_max=math.sqrt(max(f_max, 0.0)),
-        u_min=u_min,
-        u_max=u_max,
-        diagnostics=diag,
+        k_min=math.sqrt(max(float(k2_min[0]), 0.0)),
+        k_max=math.sqrt(max(float(k2_max[0]), 0.0)),
+        u_min=u_min[0],
+        u_max=u_max[0],
     )
 
 
-def invariants_at(jet: Jet, starts: int | None = None, seed: int = 0) -> PointInvariants:
+def invariants_at(jet: Jet, seed: int = 0) -> PointInvariants:
     """All pointwise invariants at once; the two scalar-curvature closed forms
     (3/2*|H|^2 - n(n+2)/2*zh and |H|^2 - |II|^2) agree to roundoff by algebra,
     and both are evaluated so bookkeeping bugs cannot hide."""
@@ -336,7 +339,7 @@ def invariants_at(jet: Jet, starts: int | None = None, seed: int = 0) -> PointIn
     sc_a = 1.5 * H2 - 0.5 * n * (n + 2) * zh
     if abs(sc_a - sc_b) > 1e-10 * max(1.0, H2 + II2):
         raise AssertionError(f"scalar-curvature closed forms disagree: {sc_a!r} vs {sc_b!r}")
-    ext = extremal_normal_curvature(S, starts=starts, seed=seed)
+    ext = extremal_normal_curvature(S, seed=seed)
     return PointInvariants(
         H=H, H2=float(H2), II2=float(II2), zh=float(zh), sc_ext=float(sc_b),
         K_min=ext.k_min, K_max=ext.k_max,
@@ -426,21 +429,19 @@ def weighted_average(fields: GridFields, values: np.ndarray) -> float:
     return float(np.sum(values * fields.sqrt_det) / np.sum(fields.sqrt_det))
 
 
-def grid_K_estimates(imm: FourierImmersion, grid: TorusGrid, seed: int = 0,
-                     directions: int = 256, chunk: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point estimates of the normal-curvature extremes over a grid.
-
-    For n = 2 this is an exhaustive 1024-angle scan per point (exact to grid
-    resolution); above that it is a sweep over a fixed direction set (axes,
-    the diagonal, and seeded draws), i.e. an inner bound on the true range.
-    """
-    n = imm.n
-    D = _half_circle(1024) if n == 2 else _directions(n, directions, seed * 2713 + 5)
-    k_min = np.empty(grid.npoints)
-    k_max = np.empty(grid.npoints)
-    for start, S in second_form_chunks(imm, grid, chunk):
-        K2 = _k2_sweep(D, S)
-        stop = start + S.shape[0]
-        k_min[start:stop] = np.sqrt(K2.min(axis=1))
-        k_max[start:stop] = np.sqrt(K2.max(axis=1))
-    return k_min, k_max
+def grid_K_estimates(imm: FourierImmersion, grid: TorusGrid,
+                     seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point normal-curvature extremes (K_min, K_max) over a grid: exact
+    for n = 2 (the extremizer's root solve at every point), otherwise K over
+    256 fixed directions (axes, the diagonal and seeded draws), an inner bound
+    on the true range, since the power method at every point costs seconds."""
+    D = _directions(imm.n, 256, seed * 2713 + 5)
+    K2 = np.empty((2, grid.npoints))
+    for start, S in second_form_chunks(imm, grid, 256):
+        if imm.n == 2:
+            lo, hi = _k2_extremes(S)[:2]
+        else:
+            swept = _k2_sweep(D, S)
+            lo, hi = swept.min(axis=1), swept.max(axis=1)
+        K2[:, start:start + S.shape[0]] = lo, hi
+    return np.sqrt(K2[0]), np.sqrt(K2[1])

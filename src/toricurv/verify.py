@@ -65,12 +65,16 @@ class CheckReport:
 
 
 def _report(name: str, margin: float, tolerance: float, witness=None,
-            diagnostics=None, extra_ok: bool = True, delta: float = 0.0) -> CheckReport:
+            diagnostics=None, extra_ok: bool = True, delta: float = 0.0,
+            extra_delta: float = 0.0) -> CheckReport:
     diagnostics = dict(diagnostics or {})
     diagnostics.setdefault("refinement_delta", float(delta))
-    resolved = delta < REFINE_TOL
+    # A side identity that misses while its own value still moves by REFINE_TOL
+    # or more under refinement is under-resolved, not failed.
+    side_unresolved = not extra_ok and extra_delta >= REFINE_TOL
+    resolved = delta < REFINE_TOL and not side_unresolved
     diagnostics["resolved"] = resolved
-    passed = bool(margin >= -tolerance) and bool(extra_ok)
+    passed = bool(margin >= -tolerance) and (bool(extra_ok) or side_unresolved)
     if not math.isfinite(margin):
         passed, status = None, "error"     # a NaN or infinite margin neither passes nor fails
     elif not passed:
@@ -138,6 +142,7 @@ def check_avg_H(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
         },
         extra_ok=div_dev < 1e-7,
         delta=abs(avg_fine - avg_base),
+        extra_delta=abs(div_fine - div_base),
     )
 
 
@@ -147,16 +152,20 @@ def check_2d(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
         raise WrongDimension(f"check_2d needs n = 2, got n = {imm.n}")
     _ensure_ball(imm, grid)
     avg_base, avg_fine = _average_pair(imm, grid, "zh")
-    avg_sc = weighted_average(grid_fields(imm, grid), intrinsic.curvature_grid(imm, grid))
+    base, fine = _pair(imm, grid)
+    avg_sc = weighted_average(base, intrinsic.curvature_grid(imm, grid))
+    avg_sc_fine = weighted_average(fine, fine.sc_ext)     # closed form |H|^2 - |II|^2
     return _report(
         "2d", margin=avg_fine - 1.5, tolerance=1e-7,
         diagnostics={
             "average_zh": avg_fine,
             "average_sc": avg_sc,
+            "average_sc_refined": avg_sc_fine,
             "grid": list(grid.sizes),
         },
         extra_ok=abs(avg_sc) < 1e-6,
         delta=abs(avg_fine - avg_base),
+        extra_delta=abs(avg_sc_fine - avg_sc),
     )
 
 
@@ -366,9 +375,9 @@ def check_constant_K(imm: FourierImmersion, directions: int = 256, seed: int = 0
                      expected_K: float | None = None) -> CheckReport:
     """Sampled constancy of the normal curvature over points and directions.
 
-    With an expected value (from an exact design certificate) the check is a
-    hard 1e-10 constancy assertion; without one it is informational and
-    records the observed spread."""
+    The check is a hard 1e-10 constancy assertion against the expected value
+    of an exact design certificate; without one it is skipped, naming the
+    sampled K range."""
     n = imm.n
     rng = _philox(seed * 613 + 7)
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=(max(16, directions // 4), n))
@@ -378,17 +387,14 @@ def check_constant_K(imm: FourierImmersion, directions: int = 256, seed: int = 0
     K = np.sqrt(pointwise._k2_sweep(dirs, pointwise._chunk_core(imm, thetas)[2]))
     k_min, k_max = float(K.min()), float(K.max())
     mean = float(K.sum()) / K.size
-    spread = k_max - k_min
-    tolerance = 1e-10 if expected_K is not None else math.inf
-    extra_ok = True
+    if expected_K is None:
+        raise InapplicableHypothesis(
+            f"no design certificate gives an expected K; sampled K ranges over [{k_min!r}, {k_max!r}]")
     diagnostics = {"mean_K": mean, "min_K": k_min, "max_K": k_max,
-                   "points": int(thetas.shape[0]), "directions": int(directions)}
-    if expected_K is not None:
-        diagnostics["expected_K"] = float(expected_K)
-        diagnostics["mean_deviation"] = abs(mean - expected_K)
-        extra_ok = abs(mean - expected_K) <= 1e-10
-    return _report("constant_k", margin=-spread, tolerance=tolerance,
-                   diagnostics=diagnostics, extra_ok=extra_ok)
+                   "points": int(thetas.shape[0]), "directions": int(directions),
+                   "expected_K": float(expected_K), "mean_deviation": abs(mean - expected_K)}
+    return _report("constant_k", margin=-(k_max - k_min), tolerance=1e-10,
+                   diagnostics=diagnostics, extra_ok=abs(mean - expected_K) <= 1e-10)
 
 
 def conjecture_probe(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
@@ -413,32 +419,27 @@ def conjecture_probe(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     )
 
 
-def global_normal_curvature_max(imm: FourierImmersion, grid: TorusGrid, seed: int = 0,
-                                sweep_directions: int = 64, refine_top: int = 4,
-                                starts: int = 8) -> float:
+def global_normal_curvature_max(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> float:
     """Best-found maximum of the normal curvature over the whole torus.
 
-    A fixed direction set is swept over every grid point (vectorized), then
-    the most curved points are refined by multistart extremization (for n = 2
-    that includes an exhaustive angle scan).  This is the one genuinely
-    heuristic quantity in the package; it is used only to gate hypotheses.
-    Memoized per (immersion, grid, seed)."""
+    64 fixed directions are swept over every grid point, then the four most
+    curved points are refined by extremal_normal_curvature (exact for n = 2,
+    the power method from 16n starts above).  Values between grid points are
+    not seen, so this is the one heuristic quantity in the package; it is used
+    only to gate hypotheses.  Memoized per (immersion, grid, seed)."""
     cache = pointwise._grid_cache.setdefault(imm, {})
-    key = ("kmax", grid.sizes, seed, sweep_directions, refine_top, starts)
+    key = ("kmax", grid.sizes, seed)
     if key in cache:
         return cache[key]
-    D = pointwise._directions(imm.n, sweep_directions, seed * 7919 + 3)
+    D = pointwise._directions(imm.n, 64, seed * 7919 + 3)
     best = np.empty(grid.npoints)
     for start, S in second_form_chunks(imm, grid):
         best[start:start + S.shape[0]] = pointwise._k2_sweep(D, S).max(axis=1)
 
-    order = np.argsort(best)[::-1][:refine_top]
     top = math.sqrt(float(best.max()))
-    for idx in order:
-        jet = evaluate_jet(imm, grid.theta_at(int(idx)), order=2)
-        S = pointwise.second_form_at(jet)
-        ext = pointwise.extremal_normal_curvature(S, starts=starts, seed=seed)
-        top = max(top, ext.k_max)
+    for idx in np.argsort(best)[::-1][:4]:
+        S = pointwise.second_form_at(evaluate_jet(imm, grid.theta_at(int(idx)), order=2))
+        top = max(top, pointwise.extremal_normal_curvature(S, seed=seed).k_max)
     cache[key] = top
     return top
 

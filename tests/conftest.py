@@ -80,3 +80,20 @@ def reference_second_form(jet, E=None):
     raw = np.einsum("ia,jb,abq->ijq", W, W, jet.d2)
     S = raw - np.einsum("ijk,kq->ijq", np.einsum("ijq,kq->ijk", raw, E), E)
     return 0.5 * (S + S.transpose(1, 0, 2)), E
+
+
+def reference_k2_range(S):
+    """(min, max) of K(u)^2 = |II(u, u)|^2 over a dense direction scan,
+    independent of the package's extremizer: 2^16 half-circle angles for
+    n = 2 (u and -u give the same K), 20,000 Philox directions otherwise."""
+    n = S.shape[0]
+    if n == 2:
+        t = np.linspace(0.0, np.pi, 2 ** 16, endpoint=False)
+        D = np.stack([np.cos(t), np.sin(t)], axis=1)
+    else:
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(20_000)))
+        D = rng.standard_normal((20_000, n))
+        D /= np.linalg.norm(D, axis=1)[:, None]
+    v = np.einsum("da,db,abq->dq", D, D, S, optimize=True)
+    K2 = np.einsum("dq,dq->d", v, v)
+    return float(K2.min()), float(K2.max())

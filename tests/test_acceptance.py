@@ -72,7 +72,7 @@ def test_criterion_02_zh_definition_vs_closed_form():
             sampler = SphereSampler(imm.n, 200_000, seed=300 + i)
 
             def ksq(dirs):
-                vals = np.einsum("da,db,abq->dq", dirs, dirs, S.S)
+                vals = np.einsum("da,db,abq->dq", dirs, dirs, S.S, optimize=True)
                 return np.einsum("dq,dq->d", vals, vals)
 
             mean, stderr = sphere_average_mc(ksq, sampler)
@@ -120,7 +120,7 @@ def test_criterion_05_optimal_fixtures_sharp():
             S = second_form_at(evaluate_jet(imm, theta, 2))
             dirs = rng.standard_normal((256, n))
             dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-            vals = np.einsum("da,db,abq->dq", dirs, dirs, S.S)
+            vals = np.einsum("da,db,abq->dq", dirs, dirs, S.S, optimize=True)
             K = np.sqrt(np.einsum("dq,dq->d", vals, vals))
             k_dev = max(k_dev, float(np.max(np.abs(K - cert.K))))
         ok &= zh_dev < 1e-10 and sc_dev < 1e-9 and h_dev < 1e-9 and k_dev < 1e-9

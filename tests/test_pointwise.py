@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricurv.designs import clifford
+from toricurv.designs import builtin_design, clifford, subtorus_immersion
+from toricurv.fixtures import ball_immersion, perturbed_clifford
 from toricurv.errors import DegenerateMetric, NotNormal, NotUnit
 from toricurv.immersion import FourierImmersion, FourierTerm, Signature, evaluate_jet, transform
 from toricurv.pointwise import (
     TangentNormalFrame,
+    SecondForm,
     extremal_normal_curvature,
     frame_at,
+    grid_K_estimates,
     grid_fields,
     invariants_at,
     mean_curvature,
@@ -25,7 +28,7 @@ from toricurv.pointwise import (
 )
 from toricurv.quadrature import SphereSampler, TorusGrid, sphere_average_mc
 
-from conftest import random_orthogonal, random_points, reference_second_form
+from conftest import random_orthogonal, random_points, reference_k2_range, reference_second_form
 
 
 def jet_of(imm, theta, order=2):
@@ -153,7 +156,7 @@ def test_zh_matches_sphere_average(wavy2, hexagonal):
             sampler = SphereSampler(2, 200_000, seed=seed * 10 + i)
 
             def ksq(dirs):
-                vals = np.einsum("da,db,abq->dq", dirs, dirs, S.S)
+                vals = np.einsum("da,db,abq->dq", dirs, dirs, S.S, optimize=True)
                 return np.einsum("dq,dq->d", vals, vals)
 
             mean, stderr = sphere_average_mc(ksq, sampler)
@@ -186,6 +189,59 @@ def test_extremal_constant_designs(hexagonal, d4):
     ext = extremal_normal_curvature(S, seed=3)
     assert abs(ext.k_min - math.sqrt(2)) < 1e-8
     assert abs(ext.k_max - math.sqrt(2)) < 1e-8
+
+
+def _check_extremes(S, ext):
+    """The extremizer's values bracket a dense scan, its directions reproduce
+    its values and, for n >= 3, are stationary on the sphere."""
+    scale = max(1.0, float(np.einsum("ijq,ijq->", S.S, S.S)))
+    lo, hi = reference_k2_range(S.S)
+    assert ext.k_max ** 2 >= hi - 1e-12 * scale
+    assert ext.k_min ** 2 <= lo + 1e-12 * scale
+    for k, u in ((ext.k_min, ext.u_min), (ext.k_max, ext.u_max)):
+        assert abs(normal_curvature(S, u) - k) <= 1e-12 * math.sqrt(scale)
+        if S.n >= 3:
+            v = np.einsum("i,j,ijq->q", u, u, S.S)
+            g = np.einsum("ijq,j,q->i", S.S, u, v)
+            assert np.linalg.norm(g - (g @ u) * u) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("make", [
+    lambda: perturbed_clifford(2, seed=5),
+    lambda: subtorus_immersion(builtin_design("hex2")),    # constant K
+    lambda: perturbed_clifford(3, seed=1),
+    lambda: ball_immersion(3, 7, seed=7),
+    lambda: ball_immersion(5, 11, seed=3),
+], ids=["wavy2", "hex2", "wavy3", "ball37", "ball511"])
+def test_extremizer_against_dense_scan(make):
+    imm = make()
+    for theta in random_points(imm.n, 3, seed=61):
+        S = second_form_at(jet_of(imm, theta))
+        _check_extremes(S, extremal_normal_curvature(S, seed=1))
+
+
+def test_extremizer_degree_one_derivative():
+    # II(u, u) = a + b cos s + c sin s with |b| = |c| and b _|_ c: the quartic's
+    # leading coefficient vanishes, and K^2 = |a|^2 + |b|^2 + 2 a.b cos s + 2 a.c sin s.
+    a = np.array([0.0, 0.0, 0.4, 0.2, 1.0])
+    b = np.array([0.0, 0.0, 0.7, 0.0, 0.0])
+    c = np.array([0.0, 0.0, 0.0, 0.7, 0.0])
+    S = SecondForm(S=np.array([[a + b, c], [c, a - b]]),
+                   frame=TangentNormalFrame(E=np.eye(5)[:2]))
+    ext = extremal_normal_curvature(S)
+    mid, amp = a @ a + b @ b, 2.0 * math.hypot(a @ b, a @ c)
+    assert abs(ext.k_max ** 2 - (mid + amp)) < 1e-14
+    assert abs(ext.k_min ** 2 - (mid - amp)) < 1e-14
+    _check_extremes(S, ext)
+
+
+def test_grid_K_estimates_exact_for_surfaces(wavy2):
+    grid = TorusGrid((8, 8))
+    k_min, k_max = grid_K_estimates(wavy2, grid)
+    for idx in (0, 21, 50):
+        lo, hi = reference_k2_range(second_form_at(jet_of(wavy2, grid.theta_at(idx))).S)
+        assert k_max[idx] ** 2 >= hi - 1e-12 and k_min[idx] ** 2 <= lo + 1e-12
+        assert k_max[idx] ** 2 <= hi + 1e-8 and k_min[idx] ** 2 >= lo - 1e-8
 
 
 # ---------------------------------------------------------------- principal values

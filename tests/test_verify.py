@@ -56,6 +56,17 @@ def test_ball_translated_fails(clifford2):
     assert rep.margin < -0.1
 
 
+def test_ball_fixture_inside_on_refined_default_grid():
+    # The fixture is scaled on the grid the check re-checks on (the doubled
+    # default); scaled on the undoubled grid it reached |f| = 1.0029 there.
+    imm = ball_immersion(3, 7, seed=7)
+    rep = check_ball_containment(imm, TorusGrid.default(3))
+    assert rep.passed
+    assert abs(rep.margin - 1e-3) < 1e-12
+    # The undoubled maximum is lower by more than REFINE_TOL.
+    assert rep.status == "unresolved"
+
+
 # ---------------------------------------------------------------- average |H|
 
 def test_avg_H_clifford_equality(clifford2):
@@ -213,10 +224,15 @@ def test_constant_k_hexagonal(hexagonal):
 
 
 def test_constant_k_clifford_spread(clifford2):
-    rep = check_constant_K(clifford2, directions=512)
+    rep = check_constant_K(clifford2, directions=512, expected_K=1.0)
     spread = -rep.margin
     assert abs(spread - (math.sqrt(2) - 1.0)) < 2e-3   # sampled range
-    assert rep.status == "pass"   # informational without an expectation
+    assert rep.status == "fail"
+    # Without an exact expectation there is no claim to check: skipped, naming the range.
+    with pytest.raises(InapplicableHypothesis, match=r"K ranges over \[1\.0"):
+        check_constant_K(clifford2, directions=512)
+    by_name = {r["name"]: r for r in run_checks(clifford2, GRID2, checks="constant_k")}
+    assert by_name["constant_k"]["status"] == "skipped"
 
 
 def test_constant_k_circle():
@@ -291,15 +307,18 @@ def test_exit_code_probe_only_failure():
     assert exit_code(reports) == 2          # a non-finite margin outranks a failure
 
 
-def test_non_finite_margin_is_error(clifford2):
+@pytest.mark.parametrize("m", [2, 3])
+def test_non_finite_margin_is_error(m):
     # The library path bypasses the parser, so a NaN coefficient reaches the
-    # checks; no check may pass or fail on a NaN margin.
-    t = clifford2.terms[0]
+    # checks; no check may pass or fail on a NaN margin.  For n >= 3 this
+    # needs every eigensolve to skip non-finite rows (LAPACK raises on NaN).
+    imm = clifford(m)
+    t = imm.terms[0]
     a = t.a.copy()
     a[0] = np.nan
-    bad = FourierImmersion(clifford2.signature, (FourierTerm(t.k, a, t.b),) + clifford2.terms[1:],
-                           scale=clifford2.scale)
-    reports = run_checks(bad, grid=GRID2)
+    bad = FourierImmersion(imm.signature, (FourierTerm(t.k, a, t.b),) + imm.terms[1:],
+                           scale=imm.scale)
+    reports = run_checks(bad, grid=GRID2 if m == 2 else GRID3, expected_K=1.0)
     by_name = {r["name"]: r for r in reports}
     assert by_name["constant_k"]["status"] == "error"
     for r in reports:
@@ -307,6 +326,23 @@ def test_non_finite_margin_is_error(clifford2):
             assert r["status"] == "error" and r["pass"] is None
         assert r["status"] not in ("pass", "fail") or math.isfinite(r["margin"])
     assert exit_code(reports) == 2
+
+
+def test_under_resolved_side_identity_is_unresolved():
+    # At 64^2 the bounds hold by wide margins, but the divergence identity and
+    # the zero average Sc miss their tolerances while still moving under grid
+    # refinement: the reports are unresolved, not failed, and exit 1 is not
+    # reached.
+    imm = ball_immersion(2, 5, seed=7)
+    reports = run_checks(imm, TorusGrid.default(2), checks="avg_h,2d,main")
+    by_name = {r["name"]: r for r in reports}
+    for name in ("avg_h", "2d", "main"):
+        assert by_name[name]["status"] == "unresolved"
+        assert by_name[name]["margin"] > 1.0
+        assert not by_name[name]["diagnostics"]["resolved"]
+    assert by_name["avg_h"]["diagnostics"]["divergence_deviation"] >= 1e-7
+    assert abs(by_name["2d"]["diagnostics"]["average_sc"]) >= 1e-6
+    assert exit_code(reports) == 0
 
 
 def test_under_resolved_margin_is_marked():
@@ -320,8 +356,16 @@ def test_under_resolved_margin_is_marked():
     assert rep.diagnostics["refinement_delta"] >= 1e-6
     assert rep.status == "unresolved"
     assert not rep.diagnostics["resolved"]
-    rep = check_avg_H(imm, TorusGrid((8, 8)))
+    rep = check_ball_containment(translated(imm, [0.5] + [0.0] * (imm.q - 1)), TorusGrid((8, 8)))
+    assert rep.diagnostics["refinement_delta"] >= 1e-6
+    assert rep.margin < -0.1
     assert rep.status == "fail"   # negative margin wins over "unresolved"
+    # The divergence identity misses on this grid while still moving under
+    # refinement; the bound itself holds, so the report is unresolved.
+    rep = check_avg_H(imm, TorusGrid((8, 8)))
+    assert rep.margin > 0.5
+    assert rep.diagnostics["divergence_deviation"] >= 1e-7
+    assert rep.status == "unresolved"
 
 
 def test_no_nonpositive_point_reported_not_failed(clifford3, monkeypatch):

@@ -110,26 +110,26 @@ class FourierImmersion:
     def _bmat(self) -> np.ndarray:  # (T, q)
         return np.array([t.b for t in self.terms], dtype=float).reshape(-1, self.q)
 
-    # Per-order derivative bases: row t of _basis(order)[0/1] holds the
-    # (frequency-product x coefficient) tensor of term t, flattened, so a jet
-    # evaluation is one matrix product per trigonometric factor.
-    def _basis(self, order: int) -> tuple[np.ndarray, np.ndarray]:
+    # Stacked jet basis: column block o of _basis(order) holds the order-o
+    # derivative coefficients, (frequency product x coefficient) per term,
+    # with the cos rows over the sin rows, the derivative signs and the scale
+    # folded in, so that [cos | sin] @ _basis(order) is every jet up to order.
+    def _basis(self, order: int) -> np.ndarray:
         cache = self.__dict__.setdefault("_basis_cache", {})
         if order not in cache:
             K, A, B = self._kmat, self._amat, self._bmat
-            T = K.shape[0]
-            n, q = self.n, self.q
-            width = n ** order * q
-            if T == 0:
-                cache[order] = (np.zeros((0, width)), np.zeros((0, width)))
-            else:
-                kprod = np.ones((T, 1))
-                for _ in range(order):
-                    kprod = (kprod[:, :, None] * K[:, None, :]).reshape(T, -1)
-                cache[order] = (
-                    (kprod[:, :, None] * A[:, None, :]).reshape(T, width),
-                    (kprod[:, :, None] * B[:, None, :]).reshape(T, width),
-                )
+            T, n, q = K.shape[0], self.n, self.q
+            kprod = np.ones((T, 1))
+            cos_rows, sin_rows = [], []
+            for o in range(order + 1):
+                ka = (kprod[:, :, None] * A[:, None, :]).reshape(T, n ** o * q)
+                kb = (kprod[:, :, None] * B[:, None, :]).reshape(T, n ** o * q)
+                # d/dphase maps a*cos + b*sin to b*cos - a*sin
+                c_coef, s_coef = ((ka, kb), (kb, -ka), (-ka, -kb), (-kb, ka))[o]
+                cos_rows.append(c_coef)
+                sin_rows.append(s_coef)
+                kprod = (kprod[:, :, None] * K[:, None, :]).reshape(T, n ** (o + 1))
+            cache[order] = self.scale * np.vstack([np.hstack(cos_rows), np.hstack(sin_rows)])
         return cache[order]
 
 
@@ -169,25 +169,21 @@ def jets_at(imm: FourierImmersion, thetas: np.ndarray, order: int):
     n, q = imm.n, imm.q
     if thetas.shape[1] != n:
         raise ValueError(f"theta must have {n} components, got {thetas.shape[1]}")
-    P = thetas.shape[0]
-    lam = imm.scale
+    P, T = thetas.shape[0], imm._kmat.shape[0]
 
     phases = thetas @ imm._kmat.T              # (P, T)
-    c, s = np.cos(phases), np.sin(phases)
-    a0, b0 = imm._basis(0)
-    value = lam * (c @ a0 + s @ b0) + imm.translate
-
-    # Each derivative order d/dphase cycles (cos, sin) -> (-sin, cos).
+    trig = np.empty((P, 2 * T))
+    np.cos(phases, out=trig[:, :T])
+    np.sin(phases, out=trig[:, T:])
+    out = trig @ imm._basis(order)             # one GEMM for every order
+    value = out[:, :q] + imm.translate
     d1 = d2 = d3 = None
     if order >= 1:
-        a1, b1 = imm._basis(1)
-        d1 = (lam * (-(s @ a1) + c @ b1)).reshape(P, n, q)
+        d1 = out[:, q:q * (1 + n)].reshape(P, n, q)
     if order >= 2:
-        a2, b2 = imm._basis(2)
-        d2 = (lam * (-(c @ a2) - s @ b2)).reshape(P, n, n, q)
+        d2 = out[:, q * (1 + n):q * (1 + n + n * n)].reshape(P, n, n, q)
     if order >= 3:
-        a3, b3 = imm._basis(3)
-        d3 = (lam * (s @ a3 - c @ b3)).reshape(P, n, n, n, q)
+        d3 = out[:, q * (1 + n + n * n):].reshape(P, n, n, n, q)
     return value, d1, d2, d3
 
 
@@ -231,7 +227,10 @@ def transform(imm: FourierImmersion, Q: np.ndarray, c=None, lam: float = 1.0) ->
     )
 
 
-def immersion_rank_check(imm: FourierImmersion, grid, chunk: int = 4096) -> float:
+_RANK_CHUNK = 4096      # points per rank-check batch
+
+
+def immersion_rank_check(imm: FourierImmersion, grid) -> float:
     """Smallest singular value of the differential over a parameter grid.
 
     `grid` is anything with an ``iter_points(chunk)`` method (a TorusGrid) or
@@ -239,10 +238,10 @@ def immersion_rank_check(imm: FourierImmersion, grid, chunk: int = 4096) -> floa
     the map count as an immersion; a constant map returns exactly 0.
     """
     if hasattr(grid, "iter_points"):
-        batches = grid.iter_points(chunk)
+        batches = grid.iter_points(_RANK_CHUNK)
     else:
         pts = np.atleast_2d(np.asarray(grid, dtype=float))
-        batches = ((i, pts[i:i + chunk]) for i in range(0, pts.shape[0], chunk))
+        batches = ((i, pts[i:i + _RANK_CHUNK]) for i in range(0, pts.shape[0], _RANK_CHUNK))
     smallest = np.inf
     for _, thetas in batches:
         _, d1, _, _ = jets_at(imm, thetas, order=1)

@@ -13,10 +13,11 @@ over unit tangent directions, with closed form (2*|II|_F^2 + |H|^2)/(n(n+2)).
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -111,27 +112,73 @@ def _metric_factor(d1: np.ndarray, thetas: np.ndarray | None):
     return g, L, np.prod(np.einsum("pii->pi", C), axis=1)
 
 
+class _PairLayout(NamedTuple):
+    """II held for the m = n(n+1)/2 pairs i <= j only: the pairs' rows I and
+    columns J, their weights w (1 on the diagonal, 2 off it: how often a pair
+    occurs in a sum over all (i, j)), the positions of the diagonal pairs, the
+    (n, n) map from (i, j) to its pair, which mirrors a full S out by index,
+    and the flat indices into an (n, n) L of the factors of (L (x) L)[pairs]."""
+
+    I: np.ndarray
+    J: np.ndarray
+    w: np.ndarray
+    diag: np.ndarray
+    full: np.ndarray
+    left: np.ndarray     # (m * n * n,) flat index of L_ia at entry (k, a, b)
+    right: np.ndarray    # (m * n * n,) flat index of L_jb at entry (k, a, b)
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> _PairLayout:
+    I, J = np.triu_indices(n)
+    full = np.empty((n, n), dtype=np.intp)
+    full[I, J] = full[J, I] = np.arange(I.size)
+    a, b = np.indices((n, n))
+    left = (n * I[:, None, None] + a).ravel()
+    right = (n * J[:, None, None] + b).ravel()
+    layout = _PairLayout(I, J, np.where(I == J, 1.0, 2.0), np.flatnonzero(I == J), full, left, right)
+    for index in layout:
+        index.flags.writeable = False     # shared by every caller through the cache
+    return layout
+
+
+def _n_of_pairs(m: int) -> int:
+    return (math.isqrt(8 * m + 1) - 1) // 2
+
+
 def _second_form(L: np.ndarray, d1: np.ndarray, d2: np.ndarray):
-    """Tangent frame E = L d1 and II in that frame, S_ij = P_N(sum_ab L_ia L_jb d2_ab),
-    exactly symmetric in (i, j), for a batch of P points."""
+    """Tangent frame E = L d1 and II in that frame for a batch of P points, in
+    the pair layout (P, m, q): S_k = P_N(sum_ab L_ia L_jb d2_ab) for the k-th
+    pair (i, j) of _pairs(n), as raw = (L (x) L)[pairs] d2 and one projection."""
     P, n, q = d1.shape
+    layout = _pairs(n)
     E = L @ d1
-    # raw_ij = sum_ab L_ia L_jb d2_ab, as two batched matmuls over flattened axes
-    t1 = (L @ d2.reshape(P, n, n * q)).reshape(P, n, n, q)
-    raw = (L @ t1.transpose(0, 2, 1, 3).reshape(P, n, n * q)) \
-        .reshape(P, n, n, q).transpose(0, 2, 1, 3)
-    tang = raw.reshape(P, n * n, q) @ E.transpose(0, 2, 1)
-    S = raw - (tang @ E).reshape(P, n, n, q)
-    return E, 0.5 * (S + S.transpose(0, 2, 1, 3))
+    flat = L.reshape(P, n * n)
+    LL = np.take(flat, layout.left, axis=1) * np.take(flat, layout.right, axis=1)
+    raw = LL.reshape(P, layout.I.size, n * n) @ d2.reshape(P, n * n, q)
+    tang = (raw @ E.transpose(0, 2, 1)) @ E
+    return E, np.subtract(raw, tang, out=tang)
+
+
+def _full_form(S: np.ndarray) -> np.ndarray:
+    """(..., n, n, q) second forms mirrored out of the (..., m, q) pair layout."""
+    return S[..., _pairs(_n_of_pairs(S.shape[-2])).full, :]
+
+
+def _pair_form(S: np.ndarray) -> np.ndarray:
+    """(..., m, q) pair layout of symmetric (..., n, n, q) second forms."""
+    layout = _pairs(S.shape[-3])
+    return S[..., layout.I, layout.J, :]
 
 
 def _scalar_invariants(S: np.ndarray):
     """H, |H|^2, |II|^2, zh and the extrinsic scalar curvature |H|^2 - |II|^2
-    of a (P, n, n, q) batch of second forms."""
-    n = S.shape[1]
-    H = np.einsum("piiq->pq", S)
+    of a (P, m, q) batch of second forms in the pair layout."""
+    n = _n_of_pairs(S.shape[1])
+    layout = _pairs(n)
+    H = S[:, layout.diag].sum(axis=1)
     H2 = np.einsum("pq,pq->p", H, H)
-    II2 = np.einsum("pijq,pijq->p", S, S, optimize=True)
+    II2 = np.einsum("pkq,pkq->pk", S, S) @ layout.w
     return H, H2, II2, (2.0 * II2 + H2) / (n * (n + 2)), H2 - II2
 
 
@@ -150,6 +197,15 @@ def frame_at(jet: Jet, metric: MetricPoint | None = None) -> TangentNormalFrame:
     return TangentNormalFrame(E=metric.L @ jet.d1)
 
 
+def _pair_form_at(jet: Jet, metric: MetricPoint | None = None):
+    """Frame E (n, q) and II (m, q) in the pair layout at one point."""
+    if jet.d2 is None:
+        raise ValueError("second_form_at needs a jet of order >= 2")
+    metric = metric_at(jet) if metric is None else metric
+    E, S = _second_form(metric.L[None], jet.d1[None], jet.d2[None])
+    return E[0], S[0]
+
+
 def second_form_at(jet: Jet, metric: MetricPoint | None = None,
                    frame: TangentNormalFrame | None = None) -> SecondForm:
     """Second fundamental form S_ij = P_N(sum_ab L_ia L_jb d2f_ab).
@@ -158,11 +214,8 @@ def second_form_at(jet: Jet, metric: MetricPoint | None = None,
     independence; it must be orthonormal and span the same tangent space.
     The result is then R S R' with the rotation R = F E' between the frames.
     """
-    if jet.d2 is None:
-        raise ValueError("second_form_at needs a jet of order >= 2")
-    metric = metric_at(jet) if metric is None else metric
-    E, S = _second_form(metric.L[None], jet.d1[None], jet.d2[None])
-    E, S = E[0], S[0]
+    E, S = _pair_form_at(jet, metric)
+    S = _full_form(S)
     if frame is None:
         return SecondForm(S=S, frame=TangentNormalFrame(E=E))
     R = frame.E @ E.T
@@ -177,7 +230,7 @@ def mean_curvature(S: SecondForm) -> np.ndarray:
 
 def zh_at(S: SecondForm) -> float:
     """Closed form of the sphere average of |II(u,u)|^2."""
-    return float(_scalar_invariants(S.S[None])[3][0])
+    return float(_scalar_invariants(_pair_form(S.S[None]))[3][0])
 
 
 def normal_curvature(S: SecondForm, u) -> float:
@@ -231,27 +284,41 @@ def _directions(n: int, count: int, seed: int) -> np.ndarray:
     return np.vstack([fixed, z])
 
 
+def _sweep_coefficients(U: np.ndarray) -> np.ndarray:
+    """C[..., k] = u_i u_j w_k for the pairs (i, j) of _pairs(n), so that
+    II(u, u) = C @ S for a second form S in the pair layout."""
+    layout = _pairs(U.shape[-1])
+    return U[..., layout.I] * U[..., layout.J] * layout.w
+
+
 def _k2_sweep(D: np.ndarray, S: np.ndarray) -> np.ndarray:
     """K(u)^2 = |II(u, u)|^2 for every row u of D at every point of a
-    (P, n, n, q) batch, as a (P, len(D)) array."""
-    vals = np.einsum("da,db,pabq->pdq", D, D, S, optimize=True)
-    return np.einsum("pdq,pdq->pd", vals, vals)
+    (P, m, q) batch in the pair layout, as a (P, len(D)) array: one matrix
+    product of the shared coefficients C[d, m] with every point's II."""
+    P, m, q = S.shape
+    # points last, so that the sum over q runs along rows of length P
+    vals = (_sweep_coefficients(D) @ S.transpose(1, 2, 0).reshape(m, q * P)).reshape(-1, q, P)
+    return np.einsum("dqp,dqp->pd", vals, vals)
 
 
 _POWER_STEPS = 5000      # cap on shifted power steps per (point, start, sign)
 _POWER_STILL = 1e-13     # a row stops once its unit direction moves less than this
 _POWER_TAU = 1e-6        # convexity margin of the adaptive shift, relative to |II|^2
+_POWER_STALL = 50        # ... or once K^2 gains less than _POWER_GAIN * |II|^2
+_POWER_GAIN = 1e-15      # over its last _POWER_STALL steps
+_POWER_SAME = 1e-12      # directions with |cos| above 1 - this count as the same
 
 
 def _plane_candidates(S: np.ndarray) -> np.ndarray:
     """Unit directions (P, 6, 2) that include every critical direction of K^2
-    at each point of a (P, 2, 2, q) batch.  With u = (cos t, sin t), s = 2t
-    and II(u, u) = a + b cos s + c sin s, dK^2/ds = B1 cos s - A1 sin s +
-    B2 cos 2s - A2 sin 2s vanishes at the arguments of the roots z = e^{is} of
+    at each point of a (P, 3, q) batch in the pair layout (S00, S01, S11).
+    With u = (cos t, sin t), s = 2t and II(u, u) = a + b cos s + c sin s,
+    dK^2/ds = B1 cos s - A1 sin s + B2 cos 2s - A2 sin 2s vanishes at the
+    arguments of the roots z = e^{is} of
     (B2+iA2) z^4 + (B1+iA1) z^3 + (B1-iA1) z + (B2-iA2), or, where the leading
     coefficient vanishes (|b| = |c|, b _|_ c: constant-curvature designs), at
     atan2(B1, A1) + {0, pi}, which are always included."""
-    V = np.stack([S[:, 0, 0] + S[:, 1, 1], S[:, 0, 0] - S[:, 1, 1], 2.0 * S[:, 0, 1]], axis=1)
+    V = np.stack([S[:, 0] + S[:, 2], S[:, 0] - S[:, 2], 2.0 * S[:, 1]], axis=1)
     G = 0.25 * np.einsum("pxq,pyq->pxy", V, V)        # Gram matrix of a, b, c
     A1, B1, A2, B2 = 2.0 * G[:, 0, 1], 2.0 * G[:, 0, 2], G[:, 1, 1] - G[:, 2, 2], 2.0 * G[:, 1, 2]
     coef = np.stack([B2 + 1j * A2, B1 + 1j * A1, 0.0 * A1, B1 - 1j * A1, B2 - 1j * A2], axis=1)
@@ -263,52 +330,72 @@ def _plane_candidates(S: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(0.5 * s), np.sin(0.5 * s)], axis=2)
 
 
-def _power_climb(M: np.ndarray, U: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def _power_climb(M: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Shifted symmetric higher-order power method (Kolda & Mayo 2011, with
     the adaptive shift of 2014) on K^2(u) = M_ijkl u_i u_j u_k u_l, M_ijkl =
-    <II(e_i, e_j), II(e_k, e_l)>, for R rows of (M, unit start, sigma = +1 to
-    ascend or -1 to descend).  With v = II(u, u), g_i = <II(e_i, u), v> and
-    H_ik = 2<II(e_i, u), II(e_k, u)> + <II(e_i, e_k), v>, a step is
+    <II(e_i, e_j), II(e_k, e_l)>, ascending (sigma = +1) and descending
+    (sigma = -1) from every unit start in D at each of P points: (P, 2d, n)
+    directions, the d ascents first.  With v = II(u, u), g_i = <II(e_i, u), v>
+    and H_ik = 2<II(e_i, u), II(e_k, u)> + <II(e_i, e_k), v>, a step is
     u <- normalize(sigma g + alpha u), alpha = max(0, tau - lambda_min(sigma H)),
-    monotone in K^2.  Each row stops on its own once it stops moving."""
-    n = U.shape[1]
-    U = U.copy()
-    tau = _POWER_TAU * np.einsum("rijij->r", M)
-    live = np.arange(U.shape[0])
-    for _ in range(_POWER_STEPS):
+    monotone in K^2.  Each row stops on its own once it stops moving, once its
+    K^2 stalls, or once it reaches a direction (up to sign) where a row of the
+    same point and sign has already stopped, since both end at that point."""
+    P, d, n = M.shape[0], D.shape[0], D.shape[1]
+    R = 2 * d * P
+    M = np.repeat(M, 2 * d, axis=0)
+    U = np.tile(D, (2 * P, 1))
+    sigma = np.tile(np.repeat([1.0, -1.0], d), P)
+    group = np.arange(R) // d                   # one group per (point, sign)
+    II2 = np.einsum("rijij->r", M)
+    tau = _POWER_TAU * II2
+    mark = np.full(R, np.nan)                   # K^2 of each row _POWER_STALL steps ago
+    live = np.arange(R)
+    for step_no in range(_POWER_STEPS):
         u, sg = U[live], sigma[live, None]
         Mu = (M[live].reshape(-1, n ** 3, n) @ u[:, :, None]).reshape(-1, n * n, n)
         N = (Mu @ u[:, :, None]).reshape(-1, n, n)                          # <II(e_i, e_k), v>
         T = (u[:, None, :] @ Mu.reshape(-1, n, n * n)).reshape(-1, n, n)    # <II(e_i, u), II(e_k, u)>
         alpha = np.maximum(0.0, tau[live] - np.linalg.eigvalsh(sg[:, :, None] * (2.0 * T + N))[:, 0])
-        step = sg * (N @ u[:, :, None])[:, :, 0] + alpha[:, None] * u
+        g = (N @ u[:, :, None])[:, :, 0]
+        step = sg * g + alpha[:, None] * u
         norm = np.linalg.norm(step, axis=1, keepdims=True)
         U[live] = np.divide(step, norm, out=u.copy(), where=norm > 0.0)
-        live = live[np.linalg.norm(U[live] - u, axis=1) > _POWER_STILL]
+        keep = np.linalg.norm(U[live] - u, axis=1) > _POWER_STILL
+        if step_no % _POWER_STALL == 0:
+            k2 = np.einsum("ri,ri->r", u, g)                                # K^2(u) = <v, v>
+            keep &= ~(sg[:, 0] * (k2 - mark[live]) < _POWER_GAIN * II2[live])
+            mark[live] = k2
+            peers = group[live]                  # the rows of each live row's (point, sign)
+            stopped = np.ones(R, dtype=bool)
+            stopped[live] = False
+            cos = np.abs(U.reshape(-1, d, n)[peers] @ U[live][:, :, None])[:, :, 0]
+            keep &= ~((cos > 1.0 - _POWER_SAME) & stopped.reshape(-1, d)[peers]).any(axis=1)
+        live = live[keep]
         if live.size == 0:
             break
-    return U
+    return U.reshape(P, 2 * d, n)
 
 
 def _k2_extremes(S: np.ndarray, seed: int = 0):
     """K^2_min, K^2_max and unit directions attaining them at every point of a
-    (P, n, n, q) batch of second forms: (k2_min, k2_max, u_min, u_max).
+    (P, m, q) batch of second forms in the pair layout: (k2_min, k2_max,
+    u_min, u_max).
 
     Exact for n = 2: K^2 at every root of its derivative (_plane_candidates).
     Otherwise the best the shifted power method finds, ascending and
     descending from each of the 16n directions _directions(n, 16n, seed).
     Points with non-finite entries give NaN."""
-    P, n = S.shape[:2]
+    P, n = S.shape[0], _n_of_pairs(S.shape[1])
     # the eigensolvers raise on NaN, so non-finite points search on II = 0
-    S0 = np.where(np.isfinite(S).all(axis=(1, 2, 3))[:, None, None, None], S, 0.0)
+    S0 = np.where(np.isfinite(S).all(axis=(1, 2))[:, None, None], S, 0.0)
     if n == 2:
         U = _plane_candidates(S0)
     else:
-        D = _directions(n, 16 * n, seed)
-        M = np.repeat(np.einsum("pijq,pklq->pijkl", S0, S0, optimize=True), 2 * len(D), axis=0)
-        sigma = np.tile(np.repeat([1.0, -1.0], len(D)), P)
-        U = _power_climb(M, np.tile(D, (2 * P, 1)), sigma).reshape(P, 2 * len(D), n)
-    v = np.einsum("pca,pcb,pabq->pcq", U, U, S, optimize=True)
+        full = _full_form(S0)
+        M = np.einsum("pijq,pklq->pijkl", full, full, optimize=True)
+        U = _power_climb(M, _directions(n, 16 * n, seed))
+    v = _sweep_coefficients(U) @ S
     K2 = np.einsum("pcq,pcq->pc", v, v)
     i_min, i_max, at = np.argmin(K2, axis=1), np.argmax(K2, axis=1), np.arange(P)
     return K2[at, i_min], K2[at, i_max], U[at, i_min], U[at, i_max]
@@ -320,7 +407,12 @@ def extremal_normal_curvature(S: SecondForm, seed: int = 0) -> ExtremalCurvature
     Exact for n = 2 (K^2 at every root of its derivative); for n >= 3 the best
     values the shifted power method finds from 16n seeded starts, an inner
     bound on the true range.  Deterministic for a fixed seed."""
-    k2_min, k2_max, u_min, u_max = _k2_extremes(S.S[None], seed)
+    return _extremal(_pair_form(S.S[None]), seed)
+
+
+def _extremal(S: np.ndarray, seed: int) -> ExtremalCurvature:
+    """extremal_normal_curvature of a (1, m, q) pair-layout second form."""
+    k2_min, k2_max, u_min, u_max = _k2_extremes(S, seed)
     return ExtremalCurvature(
         k_min=math.sqrt(max(float(k2_min[0]), 0.0)),
         k_max=math.sqrt(max(float(k2_max[0]), 0.0)),
@@ -333,13 +425,13 @@ def invariants_at(jet: Jet, seed: int = 0) -> PointInvariants:
     """All pointwise invariants at once; the two scalar-curvature closed forms
     (3/2*|H|^2 - n(n+2)/2*zh and |H|^2 - |II|^2) agree to roundoff by algebra,
     and both are evaluated so bookkeeping bugs cannot hide."""
-    S = second_form_at(jet)
-    n = S.n
-    H, H2, II2, zh, sc_b = (v[0] for v in _scalar_invariants(S.S[None]))
+    S = _pair_form_at(jet)[1][None]
+    n = jet.d1.shape[0]
+    H, H2, II2, zh, sc_b = (v[0] for v in _scalar_invariants(S))
     sc_a = 1.5 * H2 - 0.5 * n * (n + 2) * zh
     if abs(sc_a - sc_b) > 1e-10 * max(1.0, H2 + II2):
         raise AssertionError(f"scalar-curvature closed forms disagree: {sc_a!r} vs {sc_b!r}")
-    ext = extremal_normal_curvature(S, seed=seed)
+    ext = _extremal(S, seed)
     return PointInvariants(
         H=H, H2=float(H2), II2=float(II2), zh=float(zh), sc_ext=float(sc_b),
         K_min=ext.k_min, K_max=ext.k_max,
@@ -368,8 +460,15 @@ class GridFields:
     cos_beta: np.ndarray
 
 
+_FIELD_NAMES = ("r", "sqrt_det", "norm_H", "hx", "H2", "II2", "zh", "sc_ext", "sin_beta", "cos_beta")
+
+
+_GRID_CHUNK = 1024      # grid points per kernel call
+
+
 def _chunk_core(imm: FourierImmersion, thetas: np.ndarray):
-    """Kernel over one chunk of grid points: position, frame, II and sqrt(det g)."""
+    """Kernel over one chunk of grid points: position, frame, II in the pair
+    layout and sqrt(det g)."""
     value, d1, d2, _ = jets_at(imm, thetas, order=2)
     _, L, sqrt_det = _metric_factor(d1, thetas)
     E, S = _second_form(L, d1, d2)
@@ -377,8 +476,9 @@ def _chunk_core(imm: FourierImmersion, thetas: np.ndarray):
 
 
 def second_form_chunks(imm: FourierImmersion, grid: TorusGrid,
-                       chunk: int = 1024) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, S) batches of II over the grid, for direction sweeps."""
+                       chunk: int = _GRID_CHUNK) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, S) batches of II in the pair layout over the grid, for
+    direction sweeps."""
     for start, thetas in grid.iter_points(chunk):
         yield start, _chunk_core(imm, thetas)[2]
 
@@ -386,17 +486,30 @@ def second_form_chunks(imm: FourierImmersion, grid: TorusGrid,
 _grid_cache: "weakref.WeakKeyDictionary[FourierImmersion, dict]" = weakref.WeakKeyDictionary()
 
 
-def grid_fields(imm: FourierImmersion, grid: TorusGrid, chunk: int = 1024) -> GridFields:
-    """Pointwise invariant fields over a grid, memoized per (immersion, sizes)."""
+def grid_fields(imm: FourierImmersion, grid: TorusGrid) -> GridFields:
+    """Pointwise invariant fields over a grid, memoized per (immersion, sizes).
+
+    A grid whose doubled grid is already cached is the stride-2 slice of it:
+    the same points, since 2*pi*j/N == 2*pi*(2j)/(2N) in binary floating point,
+    so a check that reads both grids evaluates only the doubled one."""
     per_imm = _grid_cache.setdefault(imm, {})
     key = ("fields", grid.sizes)
-    if key in per_imm:
-        return per_imm[key]
+    if key not in per_imm:
+        fine = per_imm.get(("fields", grid.doubled().sizes))
+        if fine is None:
+            per_imm[key] = _evaluate_fields(imm, grid)
+        else:
+            every_other = (slice(None, None, 2),) * grid.n
+            per_imm[key] = GridFields(grid=grid, **{
+                name: getattr(fine, name).reshape(fine.grid.sizes)[every_other].ravel()
+                for name in _FIELD_NAMES})
+    return per_imm[key]
 
-    P = grid.npoints
-    out = {name: np.empty(P) for name in
-           ("r", "sqrt_det", "norm_H", "hx", "H2", "II2", "zh", "sc_ext", "sin_beta", "cos_beta")}
-    for start, thetas in grid.iter_points(chunk):
+
+def _evaluate_fields(imm: FourierImmersion, grid: TorusGrid) -> GridFields:
+    """One kernel pass over every point of a grid."""
+    out = {name: np.empty(grid.npoints) for name in _FIELD_NAMES}
+    for start, thetas in grid.iter_points(_GRID_CHUNK):
         stop = start + thetas.shape[0]
         value, E, S, sqrt_det = _chunk_core(imm, thetas)
         H, H2, II2, zh, sc_ext = _scalar_invariants(S)
@@ -419,9 +532,7 @@ def grid_fields(imm: FourierImmersion, grid: TorusGrid, chunk: int = 1024) -> Gr
         out["sc_ext"][start:stop] = sc_ext
         out["sin_beta"][start:stop] = sin_b
         out["cos_beta"][start:stop] = cos_b
-    fields = GridFields(grid=grid, **out)
-    per_imm[key] = fields
-    return fields
+    return GridFields(grid=grid, **out)
 
 
 def weighted_average(fields: GridFields, values: np.ndarray) -> float:

@@ -89,7 +89,10 @@ def _report(name: str, margin: float, tolerance: float, witness=None,
 
 
 def _pair(imm: FourierImmersion, grid: TorusGrid) -> tuple[GridFields, GridFields]:
-    return grid_fields(imm, grid), grid_fields(imm, grid.doubled())
+    """Fields on the grid and on its doubling; the doubled grid comes first,
+    so the base grid is sliced out of it, not evaluated."""
+    fine = grid_fields(imm, grid.doubled())
+    return grid_fields(imm, grid), fine
 
 
 def _max_pair(imm: FourierImmersion, grid: TorusGrid, name: str) -> tuple[float, float, int]:
@@ -212,7 +215,7 @@ def check_sphere(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     The witness is a grid point with nonpositive scalar curvature (up to
     tolerance), which must exist because no torus metric has positive scalar
     curvature everywhere."""
-    base = grid_fields(imm, grid)
+    base, _ = _pair(imm, grid)
     off_sphere = float(np.max(np.abs(base.r - 1.0)))
     if off_sphere >= SPHERE_TOL:
         raise InapplicableHypothesis(

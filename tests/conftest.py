@@ -82,6 +82,15 @@ def reference_second_form(jet, E=None):
     return 0.5 * (S + S.transpose(1, 0, 2)), E
 
 
+def reference_k2_sweep(D, S):
+    """K(u)^2 = |II(u, u)|^2 for every row u of D at every point of a
+    (P, n, n, q) batch of full second forms, as a (P, len(D)) array: the
+    direction sweep contracted over all (i, j), independent of the package's
+    pair layout."""
+    vals = np.einsum("da,db,pabq->pdq", D, D, S, optimize=True)
+    return np.einsum("pdq,pdq->pd", vals, vals)
+
+
 def reference_k2_range(S):
     """(min, max) of K(u)^2 = |II(u, u)|^2 over a dense direction scan,
     independent of the package's extremizer: 2^16 half-circle angles for

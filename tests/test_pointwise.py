@@ -26,9 +26,16 @@ from toricurv.pointwise import (
     weighted_average,
     zh_at,
 )
+from toricurv.pointwise import _chunk_core, _directions, _full_form, _k2_sweep
 from toricurv.quadrature import SphereSampler, TorusGrid, sphere_average_mc
 
-from conftest import random_orthogonal, random_points, reference_k2_range, reference_second_form
+from conftest import (
+    random_orthogonal,
+    random_points,
+    reference_k2_range,
+    reference_k2_sweep,
+    reference_second_form,
+)
 
 
 def jet_of(imm, theta, order=2):
@@ -108,6 +115,31 @@ def test_second_form_symmetry_and_normality(wavy2):
     for i in range(2):
         for j in range(2):
             assert np.max(np.abs(S.frame.E @ S.S[i, j])) < 1e-9
+
+
+@pytest.mark.parametrize("make", [
+    lambda: perturbed_clifford(2, seed=5),
+    lambda: clifford(3),
+    lambda: subtorus_immersion(builtin_design("d4")),
+    lambda: ball_immersion(5, 11, seed=3),
+], ids=["wavy2", "clifford3", "d4", "ball511"])
+def test_pair_kernel_matches_reference(make):
+    # The batched kernel holds II for the pairs i <= j only; mirrored out, it
+    # must match the per-point construction, and the pair-layout sweep must
+    # match the sweep over all (i, j).
+    imm = make()
+    thetas = random_points(imm.n, 8, seed=71)
+    S = _chunk_core(imm, thetas)[2]
+    for p, theta in enumerate(thetas):
+        jet = jet_of(imm, theta)
+        ref, _ = reference_second_form(jet)
+        size = float(np.linalg.norm(ref))
+        np.testing.assert_allclose(_full_form(S[p]), ref, rtol=0, atol=1e-12 * size)
+        public = second_form_at(jet).S
+        assert np.array_equal(public, public.swapaxes(0, 1))
+    D = _directions(imm.n, 64, seed=5)
+    expected = reference_k2_sweep(D, _full_form(S))
+    np.testing.assert_allclose(_k2_sweep(D, S), expected, rtol=1e-13, atol=0)
 
 
 def test_second_form_hexagonal_constant_curvature(hexagonal):

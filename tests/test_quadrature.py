@@ -21,6 +21,17 @@ from toricurv.quadrature import (
 
 # ---------------------------------------------------------------- grids
 
+def test_doubled_grid_holds_base_points_bit_for_bit():
+    for N in range(4, 65):
+        grid = TorusGrid((N,))
+        j = np.arange(N)
+        assert np.array_equal(grid.doubled().theta_at(2 * j), grid.theta_at(j))
+    grid = TorusGrid((5, 8))
+    j = np.arange(grid.npoints)
+    fine = np.ravel_multi_index(tuple(2 * i for i in np.unravel_index(j, grid.sizes)), (10, 16))
+    assert np.array_equal(grid.doubled().theta_at(fine), grid.theta_at(j))
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         TorusGrid((3, 8))
@@ -113,10 +124,10 @@ def test_refinement_smooth_perturbed_clifford():
 
     def zh_field(thetas):
         from toricurv.pointwise import _chunk_core
-        _, _, S, _ = _chunk_core(imm, thetas)
-        H = np.einsum("piiq->pq", S)
+        _, _, S, _ = _chunk_core(imm, thetas)     # pairs (0,0), (0,1), (1,1)
+        H = S[:, 0] + S[:, 2]
         H2 = np.einsum("pq,pq->p", H, H)
-        II2 = np.einsum("pijq,pijq->p", S, S)
+        II2 = np.einsum("pkq,pkq->p", S, S) + np.einsum("pq,pq->p", S[:, 1], S[:, 1])
         return (2 * II2 + H2) / 8.0
 
     rep = grid_refinement_report(zh_field, imm, grid)

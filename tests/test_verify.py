@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from toricurv.designs import clifford
+from toricurv import pointwise
+from toricurv.designs import builtin_design, clifford, subtorus_immersion
 from toricurv.errors import InapplicableHypothesis, NotInBall, WrongDimension
-from toricurv.fixtures import ball_immersion
+from toricurv.fixtures import ball_immersion, perturbed_clifford
 from toricurv.immersion import FourierImmersion, FourierTerm, transform
 from toricurv.quadrature import TorusGrid
 from toricurv.verify import (
@@ -374,7 +375,37 @@ def test_no_nonpositive_point_reported_not_failed(clifford3, monkeypatch):
     import toricurv.intrinsic as intrinsic_mod
 
     monkeypatch.setattr(intrinsic_mod, "curvature_grid",
-                        lambda imm, grid, chunk=512: np.ones(grid.npoints))
+                        lambda imm, grid: np.ones(grid.npoints))
     reports = run_checks(clifford3, grid=GRID3, checks="sphere")
     assert reports[0]["status"] == "unresolved"
     assert "error" in reports[0]["diagnostics"]
+
+
+# ---------------------------------------------------------------- refined-grid reuse
+
+def test_base_grid_sliced_from_doubled_grid(monkeypatch):
+    # Every base point is a point of the doubled grid, so run_checks evaluates
+    # the fields on the doubled grid only and slices the base grid out of it.
+    d4 = subtorus_immersion(builtin_design("d4"))
+    evaluate = pointwise._evaluate_fields
+    evaluated = []
+
+    def counting(imm, grid):
+        evaluated.append(grid.npoints)
+        return evaluate(imm, grid)
+
+    monkeypatch.setattr(pointwise, "_evaluate_fields", counting)
+    run_checks(d4, GRID4)
+    assert evaluated == [12 ** 4]
+    monkeypatch.undo()
+
+    # d4's fields are constant, so compare on a map whose fields are not too
+    wavy3 = perturbed_clifford(3, seed=1)
+    pointwise.grid_fields(wavy3, GRID3.doubled())
+    for imm, fresh, grid in ((d4, subtorus_immersion(builtin_design("d4")), GRID4),
+                             (wavy3, perturbed_clifford(3, seed=1), GRID3)):
+        sliced = pointwise.grid_fields(imm, grid)
+        direct = pointwise.grid_fields(fresh, grid)
+        for name in pointwise._FIELD_NAMES:
+            np.testing.assert_allclose(getattr(sliced, name), getattr(direct, name),
+                                       rtol=0, atol=1e-13, equal_nan=True, err_msg=name)

@@ -239,15 +239,13 @@ def cmd_explore(args) -> int:
     return 3 if result.counterexample_candidate else 0
 
 
-def _selftest_checks(seed: int, fail_injection: bool = False):
-    """Yield (name, ok, detail) health checks; fail_injection exists so the
-    failure path itself is testable."""
+def _selftest_checks(seed: int):
+    """Yield (name, ok, detail) health checks."""
     for n in (1, 2, 3, 4):
         rep = monomial_selftest(n, count=1_000_000, seed=seed + n)
-        dev = rep.max_deviation + (1.0 if fail_injection else 0.0)
-        ok = dev < 0.01 and rep.worst_sigmas < 5.0
+        ok = rep.max_deviation < 0.01 and rep.worst_sigmas < 5.0
         yield (f"monomial averages n={n}", ok,
-               f"max deviation {dev:.2e}, worst {rep.worst_sigmas:.2f} sigma")
+               f"max deviation {rep.max_deviation:.2e}, worst {rep.worst_sigmas:.2f} sigma")
     rng = _philox(seed + 101)
     for i in range(3):
         imm = ball_immersion(2, 5, seed=seed + 11 * i + 1, terms=6, fmax=2)

@@ -231,19 +231,12 @@ _RANK_CHUNK = 4096      # points per rank-check batch
 
 
 def immersion_rank_check(imm: FourierImmersion, grid) -> float:
-    """Smallest singular value of the differential over a parameter grid.
-
-    `grid` is anything with an ``iter_points(chunk)`` method (a TorusGrid) or
-    a plain (P, n) array of points.  The caller decides what threshold makes
-    the map count as an immersion; a constant map returns exactly 0.
+    """Smallest singular value of the differential over the points of a
+    TorusGrid.  The caller decides what threshold makes the map count as an
+    immersion; a constant map returns exactly 0.
     """
-    if hasattr(grid, "iter_points"):
-        batches = grid.iter_points(_RANK_CHUNK)
-    else:
-        pts = np.atleast_2d(np.asarray(grid, dtype=float))
-        batches = ((i, pts[i:i + _RANK_CHUNK]) for i in range(0, pts.shape[0], _RANK_CHUNK))
     smallest = np.inf
-    for _, thetas in batches:
+    for _, thetas in grid.iter_points(_RANK_CHUNK):
         _, d1, _, _ = jets_at(imm, thetas, order=1)
         sv = np.linalg.svd(d1, compute_uv=False)   # (P, n)
         smallest = min(smallest, float(sv.min()))

@@ -7,6 +7,10 @@ i.e. twice the Gauss curvature in dimension two.  The Laplace-Beltrami
 operator appears only through its action on radial composites
 u = phi(|x|^2 / 2), evaluated by the chain rule from the metric and the
 mean curvature; no discretized elliptic operator is involved.
+
+The third-order (Christoffel) path is the independent check of the closed
+forms: it serves single points, seeded samples and curvature_grid, while
+conformal_grid reads the closed forms from the cached second-order fields.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateMetric, DimensionTooLow, OriginPoint, ZeroMeanCurvature
-from .immersion import FourierImmersion, evaluate_jet, jets_at
-from .pointwise import _grid_cache, _metric_factor, _scalar_invariants, _second_form, frame_at
+from .immersion import FourierImmersion, jets_at
+from .pointwise import _metric_factor, _scalar_invariants, _second_form, grid_fields
 from .quadrature import TorusGrid
 
 
@@ -169,25 +173,6 @@ class ConformalTrace:
         return self.conformal_value
 
 
-def _radial_arrays(imm: FourierImmersion, thetas: np.ndarray):
-    """Batched jets, Christoffel data, Sc, lap_f and |grad f|^2.
-
-    lap_f and grad_f use the intrinsic formulas (Christoffel symbols and the
-    metric inverse applied to derivatives of |f|^2/2), independent of the
-    frame-based identities they are checked against.
-    """
-    value, d1, d2, d3 = jets_at(imm, thetas, order=3)
-    g, dg, ddg = _metric_jet_arrays(d1, d2, d3)
-    ginv, gam, sc, _ = _curvature_arrays(g, dg, ddg)
-
-    du = np.einsum("pq,piq->pi", value, d1, optimize=True)      # d_i (|f|^2/2)
-    hess = g + np.einsum("pq,pijq->pij", value, d2, optimize=True) \
-        - np.einsum("pkij,pk->pij", gam, du, optimize=True)
-    lap_f = np.einsum("pij,pij->p", ginv, hess)
-    grad2 = np.einsum("pij,pi,pj->p", ginv, du, du, optimize=True)
-    return value, d1, d2, ginv, gam, sc, lap_f, grad2
-
-
 def _radial_weight(k: float, r, lap_f, grad2):
     """u = exp(-k r^2 / 2) and its Laplacian by the chain rule."""
     u = np.exp(-0.5 * k * r * r)
@@ -197,19 +182,28 @@ def _radial_weight(k: float, r, lap_f, grad2):
 def conformal_trace(imm: FourierImmersion, theta, k: float | Fraction) -> ConformalTrace:
     """Full radial-trace record at one point for a given decay rate k.
 
+    Sc, lap_f and grad_f_norm come from the intrinsic formulas (Christoffel
+    symbols and the metric inverse applied to derivatives of |f|^2/2), while
     beta comes from the orthonormal-frame decomposition of the position
-    vector while grad_f_norm comes from the metric inverse, so the identity
-    |grad f| = r*sin(beta) is a genuine cross-check of two paths.
+    vector, so the identities lap_f = n + <H, x> and |grad f| = r*sin(beta)
+    are genuine cross-checks of two paths.
     """
     k = float(k)
     theta = np.asarray(theta, dtype=float).reshape(1, -1)
     n = imm.n
-    value, d1, d2, ginv, gam, sc, lap_f, grad2 = _radial_arrays(imm, theta)
+    value, d1, d2, d3 = jets_at(imm, theta, order=3)
+    g, dg, ddg = _metric_jet_arrays(d1, d2, d3)
+    ginv, gam, sc, _ = _curvature_arrays(g, dg, ddg)
     x = value[0]
     r0 = float(np.linalg.norm(value, axis=1)[0])
     if r0 < 1e-12:
         raise OriginPoint("f(theta) is at the origin; radial angles are undefined")
-    u, lap_u = _radial_weight(k, r0, float(lap_f[0]), float(grad2[0]))
+    du = np.einsum("pq,piq->pi", value, d1, optimize=True)      # d_i (|f|^2/2)
+    hess = g + np.einsum("pq,pijq->pij", value, d2, optimize=True) \
+        - np.einsum("pkij,pk->pij", gam, du, optimize=True)
+    lap_f = float(np.einsum("pij,pij->p", ginv, hess)[0])
+    grad2 = float(np.einsum("pij,pi,pj->p", ginv, du, du, optimize=True)[0])
+    u, lap_u = _radial_weight(k, r0, lap_f, grad2)
     # Mean curvature vector through the same Christoffel data.
     H = np.einsum("ij,ijq->q", ginv[0], d2[0], optimize=True) \
         - np.einsum("ij,kij,kq->q", ginv[0], gam[0], d1[0], optimize=True)
@@ -218,51 +212,45 @@ def conformal_trace(imm: FourierImmersion, theta, k: float | Fraction) -> Confor
         alpha = None
     else:
         alpha = float(math.acos(np.clip(float(H @ x) / (normH * r0), -1.0, 1.0)))
-    E = frame_at(evaluate_jet(imm, theta[0], order=1)).E
+    E = _metric_factor(d1, theta)[1][0] @ d1[0]
     tangential = float(np.linalg.norm(E @ x))
     beta = math.asin(min(tangential / r0, 1.0))
-    grad_norm = math.sqrt(max(float(grad2[0]), 0.0))
     conformal = None
     if n >= 3:
         conformal = float(sc[0] * u - 4.0 * (n - 1) / (n - 2) * lap_u)
     return ConformalTrace(
         r=r0, alpha=alpha, beta=beta, u=float(u),
-        lap_f=float(lap_f[0]), grad_f_norm=grad_norm,
+        lap_f=lap_f, grad_f_norm=math.sqrt(max(grad2, 0.0)),
         lap_u=float(lap_u), sc=float(sc[0]),
         conformal_value=conformal, k=k,
     )
 
 
-def _intrinsic_grid(imm: FourierImmersion, grid: TorusGrid) -> dict[str, np.ndarray]:
-    """The one third-order pass over a grid: r, Sc, lap_f and |grad f|^2,
-    memoized per (immersion, sizes)."""
-    per_imm = _grid_cache.setdefault(imm, {})
-    key = ("intrinsic", grid.sizes)
-    if key not in per_imm:
-        P = grid.npoints
-        out = {name: np.empty(P) for name in ("r", "sc", "lap_f", "grad2")}
-        for start, thetas in grid.iter_points(512):
-            stop = start + thetas.shape[0]
-            value, _, _, _, _, sc, lap_f, grad2 = _radial_arrays(imm, thetas)
-            out["r"][start:stop] = np.linalg.norm(value, axis=1)
-            out["sc"][start:stop] = sc
-            out["lap_f"][start:stop] = lap_f
-            out["grad2"][start:stop] = grad2
-        per_imm[key] = out
-    return per_imm[key]
-
-
 def curvature_grid(imm: FourierImmersion, grid: TorusGrid) -> np.ndarray:
-    """Intrinsic scalar curvature at every grid point (flat C order), memoized."""
-    return _intrinsic_grid(imm, grid)["sc"]
+    """Intrinsic scalar curvature at every grid point (flat C order), from
+    third-order jets and Christoffel symbols: the independent path that
+    analyze reports next to the closed form."""
+    sc = np.empty(grid.npoints)
+    for start, thetas in grid.iter_points(512):
+        _, d1, d2, d3 = jets_at(imm, thetas, order=3)
+        sc[start:start + thetas.shape[0]] = _curvature_arrays(*_metric_jet_arrays(d1, d2, d3))[2]
+    return sc
 
 
 def conformal_grid(imm: FourierImmersion, grid: TorusGrid, k: float | Fraction) -> dict[str, np.ndarray]:
     """Arrays 'conformal' (Sc*u - 4(n-1)/(n-2)*lap u), 'sc', 'lap_f',
-    'grad2', 'u' and 'r' over a grid, for n >= 3."""
+    'grad2', 'u' and 'r' over a grid, for n >= 3.
+
+    Every term is a closed form of the cached second-order fields: the Gauss
+    equation Sc = |H|^2 - |II|^2, lap_f = n + <H, x> and |grad f| = r*sin(beta)
+    (0 at the origin, where beta is undefined)."""
     n = imm.n
     if n < 3:
         raise DimensionTooLow(f"conformal operator needs n >= 3, got n={n}")
-    base = _intrinsic_grid(imm, grid)
-    u, lap_u = _radial_weight(float(k), base["r"], base["lap_f"], base["grad2"])
-    return dict(base, conformal=base["sc"] * u - 4.0 * (n - 1) / (n - 2) * lap_u, u=u)
+    fields = grid_fields(imm, grid)
+    r = fields.r
+    lap_f = n + fields.hx
+    grad2 = np.where(r < 1e-12, 0.0, (r * fields.sin_beta) ** 2)
+    u, lap_u = _radial_weight(float(k), r, lap_f, grad2)
+    return {"conformal": fields.sc_ext * u - 4.0 * (n - 1) / (n - 2) * lap_u,
+            "sc": fields.sc_ext, "lap_f": lap_f, "grad2": grad2, "u": u, "r": r}

@@ -95,16 +95,14 @@ class RefinementReport:
     delta: float
 
 
-def grid_refinement_report(field: Callable, imm: FourierImmersion, grid: TorusGrid,
-                           refined: TorusGrid | None = None) -> RefinementReport:
+def grid_refinement_report(field: Callable, imm: FourierImmersion, grid: TorusGrid) -> RefinementReport:
     """Average on a grid and the change after doubling every axis.
 
     Callers treat delta < 1e-6 as "the average is resolved"; a larger delta
     flags an under-resolved integrand (aliasing).
     """
-    refined = grid.doubled() if refined is None else refined
     base = average_over_torus(field, imm, grid)
-    fine = average_over_torus(field, imm, refined)
+    fine = average_over_torus(field, imm, grid.doubled())
     return RefinementReport(value=base, refined_value=fine, delta=abs(fine - base))
 
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from toricurv.cli import _selftest_checks, main
+import toricurv.cli as cli
+from toricurv.cli import main
 from toricurv.formats import (
     immersion_to_obj,
     load_immersion,
@@ -14,6 +15,7 @@ from toricurv.formats import (
 )
 from toricurv.errors import ParseError
 from toricurv.immersion import evaluate_jet
+from toricurv.quadrature import MonomialEntry, MonomialReport
 
 
 @pytest.fixture()
@@ -232,9 +234,17 @@ def test_explore_cli_runs(tmp_path):
 
 # ---------------------------------------------------------------- selftest failure path
 
-def test_selftest_failure_injection():
-    results = list(_selftest_checks(seed=0, fail_injection=True))
-    assert any(not ok for _, ok, _ in results)
+def test_selftest_failure_injection(monkeypatch, capsys):
+    # A sphere average off by 1 must fail the self-test through the real exit path.
+    def broken(n, count, seed=0):
+        return MonomialReport(n=n, count=count, seed=seed,
+                              entries=(MonomialEntry("x1^4", mean=2.0, stderr=0.5),))
+
+    monkeypatch.setattr(cli, "monomial_selftest", broken)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL monomial averages n=1: max deviation 1.00e+00" in out
+    assert "4 check(s) failed" in out
 
 
 # ---------------------------------------------------------------- bad input fails closed (exit 2)

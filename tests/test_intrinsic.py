@@ -6,7 +6,7 @@ import pytest
 
 from toricurv.designs import clifford
 from toricurv.errors import DimensionTooLow, OriginPoint
-from toricurv.fixtures import round_sphere
+from toricurv.fixtures import ball_immersion, perturbed_clifford, round_sphere
 from toricurv.immersion import FourierImmersion, FourierTerm, Signature, evaluate_jet, transform
 from toricurv.intrinsic import (
     conformal_grid,
@@ -185,6 +185,23 @@ def test_conformal_grid_nonpositive_minimum(clifford3, clifford4, d4):
         grid = TorusGrid((6,) * imm.n)
         cg = conformal_grid(imm, grid, conformal_rate(imm.n))
         assert float(np.min(cg["conformal"])) <= 1e-7
+
+
+@pytest.mark.parametrize("make", [lambda: perturbed_clifford(3, seed=1),
+                                  lambda: ball_immersion(3, 7, seed=7)],
+                         ids=["perturbed_clifford31", "ball377"])
+def test_conformal_grid_matches_christoffel_path(make):
+    # The grid reads Sc, lap_f and |grad f|^2 from closed forms of the
+    # second-order fields; the trace computes them from Christoffel symbols.
+    imm = make()
+    grid = TorusGrid((8, 8, 8))
+    k = conformal_rate(3)
+    cg = conformal_grid(imm, grid, k)
+    for idx in (0, 77, 200, 365, 511):
+        tr = conformal_trace(imm, grid.theta_at(idx), k)
+        for got, want in ((cg["conformal"][idx], tr.conformal_value), (cg["sc"][idx], tr.sc),
+                          (cg["lap_f"][idx], tr.lap_f), (cg["grad2"][idx], tr.grad_f_norm ** 2)):
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_conformal_grid_dimension_gate(wavy2, grid16):

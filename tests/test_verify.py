@@ -1,9 +1,11 @@
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from toricurv import pointwise
+from toricurv import intrinsic, pointwise, verify
 from toricurv.designs import builtin_design, clifford, subtorus_immersion
 from toricurv.errors import InapplicableHypothesis, NotInBall, WrongDimension
 from toricurv.fixtures import ball_immersion, perturbed_clifford
@@ -225,13 +227,13 @@ def test_constant_k_hexagonal(hexagonal):
 
 
 def test_constant_k_clifford_spread(clifford2):
-    rep = check_constant_K(clifford2, directions=512, expected_K=1.0)
+    rep = check_constant_K(clifford2, expected_K=1.0)
     spread = -rep.margin
     assert abs(spread - (math.sqrt(2) - 1.0)) < 2e-3   # sampled range
     assert rep.status == "fail"
     # Without an exact expectation there is no claim to check: skipped, naming the range.
     with pytest.raises(InapplicableHypothesis, match=r"K ranges over \[1\.0"):
-        check_constant_K(clifford2, directions=512)
+        check_constant_K(clifford2)
     by_name = {r["name"]: r for r in run_checks(clifford2, GRID2, checks="constant_k")}
     assert by_name["constant_k"]["status"] == "skipped"
 
@@ -372,13 +374,28 @@ def test_under_resolved_margin_is_marked():
 def test_no_nonpositive_point_reported_not_failed(clifford3, monkeypatch):
     # If the scan finds no nonpositive-curvature point, the sphere check is
     # reported as unresolved (never pass/fail) since only a grid was scanned.
-    import toricurv.intrinsic as intrinsic_mod
+    fields = verify.grid_fields
 
-    monkeypatch.setattr(intrinsic_mod, "curvature_grid",
-                        lambda imm, grid: np.ones(grid.npoints))
+    def positive(imm, grid):
+        f = fields(imm, grid)
+        return dataclasses.replace(f, sc_ext=np.ones_like(f.sc_ext))
+
+    monkeypatch.setattr(verify, "grid_fields", positive)
     reports = run_checks(clifford3, grid=GRID3, checks="sphere")
     assert reports[0]["status"] == "unresolved"
     assert "error" in reports[0]["diagnostics"]
+
+
+def test_flat_gate_adds_gauss_residual(clifford3, monkeypatch):
+    # The flat hypothesis reads the closed-form Sc on the grid plus the Gauss
+    # residual of the intrinsic path at seeded points; a residual alone skips it.
+    rep = check_flat(clifford3, GRID3)
+    assert rep.status == "pass"
+    assert 0.0 <= rep.diagnostics["gauss_residual"] < 1e-12
+    monkeypatch.setattr(intrinsic, "gauss_residuals", lambda imm, thetas: np.full(len(thetas), 1e-6))
+    (report,) = run_checks(clifford3, grid=GRID3, checks="flat")
+    assert report["status"] == "skipped"
+    assert "Gauss residual 1e-06" in report["diagnostics"]["reason"]
 
 
 # ---------------------------------------------------------------- refined-grid reuse
@@ -409,3 +426,22 @@ def test_base_grid_sliced_from_doubled_grid(monkeypatch):
         for name in pointwise._FIELD_NAMES:
             np.testing.assert_allclose(getattr(sliced, name), getattr(direct, name),
                                        rtol=0, atol=1e-13, equal_nan=True, err_msg=name)
+
+
+def test_no_third_order_pass_over_the_grid(monkeypatch):
+    # verify reads Sc, lap_f and |grad f|^2 from the order-2 fields; third-order
+    # jets are evaluated only at the trace point and the flat gate's sample.
+    d4 = subtorus_immersion(builtin_design("d4"))
+    jets_at = pointwise.jets_at
+    batches = []
+
+    def counting(imm, thetas, order):
+        if order == 3:
+            batches.append(len(thetas))
+        return jets_at(imm, thetas, order)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("toricurv")]:
+        if getattr(module, "jets_at", None) is jets_at:
+            monkeypatch.setattr(module, "jets_at", counting)
+    run_checks(d4, GRID4)
+    assert batches and max(batches) <= 64

@@ -58,8 +58,6 @@ from .pointwise import (
 from .quadrature import (
     SphereSampler,
     TorusGrid,
-    average_over_torus,
-    grid_refinement_report,
     monomial_selftest,
     sphere_average_mc,
 )

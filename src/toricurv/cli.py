@@ -11,7 +11,6 @@ byte-reproducible for identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -30,14 +29,12 @@ from .designs import (
     subtorus_immersion,
     validate_design,
 )
-from .errors import DegenerateImmersion, DegenerateMetric, ParseError, RankDeficient, ToricurvError
+from .errors import DegenerateMetric, ParseError, RankDeficient, ToricurvError
 from .explore import SearchConfig, optimize
 from .fixtures import ball_immersion
 from .formats import immersion_to_obj, parse_immersion, read_input
 from .immersion import evaluate_jet, immersion_rank_check
 from .quadrature import TorusGrid, monomial_selftest, _philox
-
-RANK_THRESHOLD = 1e-8
 
 
 def _jsonable(value):
@@ -107,11 +104,7 @@ def cmd_analyze(args) -> int:
     imm = parse_immersion(obj)
     grid = _parse_grid(args.grid, imm.n)
     sigma = immersion_rank_check(imm, grid)
-    if sigma < RANK_THRESHOLD:
-        raise DegenerateImmersion(
-            f"differential rank drops: min singular value {sigma!r} < {RANK_THRESHOLD}")
-
-    fields = pointwise.grid_fields(imm, grid)
+    fields = pointwise.grid_fields(imm, grid)     # raises DegenerateMetric, naming theta
     sc = intrinsic.curvature_grid(imm, grid)
     k_min, k_max = pointwise.grid_K_estimates(imm, grid, seed=args.seed)
     n = imm.n
@@ -125,13 +118,14 @@ def cmd_analyze(args) -> int:
 
     header = [f"theta_{i + 1}" for i in range(n)] + \
         ["norm_f", "norm_H", "zh", "sc", "k_min", "k_max", "beta"]
+    beta = np.arcsin(np.clip(fields.sin_beta, 0.0, 1.0))
+    table = np.column_stack([grid.points(), fields.r, fields.norm_H, fields.zh, sc,
+                             k_min, k_max, beta])
+    # Row by row: the whole table as Python floats and strings at once took
+    # analyze's peak RSS from 49 to 70 MB on a 32^3 grid.
     with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        beta = np.arcsin(np.clip(fields.sin_beta, 0.0, 1.0))
-        table = np.column_stack([grid.points(), fields.r, fields.norm_H, fields.zh, sc,
-                                 k_min, k_max, beta])
-        writer.writerows([repr(float(v)) for v in row] for row in table)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in table)
 
     # Refine the curvature extremes at the points where the grid estimates peak.
     top, bottom = (pointwise.extremal_normal_curvature(pointwise.second_form_at(
@@ -331,7 +325,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, RankDeficient, DegenerateImmersion, DegenerateMetric) as exc:
+    except (ParseError, RankDeficient, DegenerateMetric) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

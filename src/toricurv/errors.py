@@ -9,10 +9,6 @@ class NonOrthogonal(ToricurvError):
     """A matrix expected to be orthogonal is not, beyond tolerance."""
 
 
-class DegenerateImmersion(ToricurvError):
-    """The differential of the map drops rank somewhere on the grid."""
-
-
 class DegenerateMetric(ToricurvError):
     """The induced metric is singular (or nearly so) at a point."""
 

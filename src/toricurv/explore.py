@@ -171,7 +171,8 @@ def optimize(config: SearchConfig) -> SearchResult:
     Deterministic for a fixed config; restarts use sub-seeds derived from
     (seed, restart index), so their outcomes do not depend on scheduling.
     The counterexample flag is set only after re-verification on a grid with
-    every size doubled plus a fresh full-rank check.
+    every size doubled, whose field pass also certifies the metric there
+    (lambda_min(g) >= 1e-12, or it raises DegenerateMetric).
     """
     freqs = canonical_frequencies(config.n, config.fmax)
     x_init = _coefficients(_initial_immersion(config), freqs, config.q)
@@ -198,11 +199,7 @@ def optimize(config: SearchConfig) -> SearchResult:
     max_norm = float(np.max(fields.r))
     sigma_min = immersion_rank_check(best, fine)
     bound = 3.0 * config.n / (config.n + 2)
-    candidate = (
-        sup_zh < bound - 1e-4
-        and max_norm <= 1.0 - 1e-6
-        and sigma_min >= 1e-6
-    )
+    candidate = sup_zh < bound - 1e-4 and max_norm <= 1.0 - 1e-6
     return SearchResult(
         config=config,
         best=best,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateMetric, NotNormal, NotUnit
 from .immersion import FourierImmersion, Jet, jets_at
-from .quadrature import TorusGrid, _philox
+from .quadrature import SphereSampler, TorusGrid
 
 _DEGENERATE_EIG = 1e-12
 
@@ -171,6 +171,16 @@ def _pair_form(S: np.ndarray) -> np.ndarray:
     return S[..., layout.I, layout.J, :]
 
 
+def _zh(H2, II2, n: int):
+    """zh = (2|II|^2 + |H|^2)/(n(n+2)), the sphere average of K(u)^2."""
+    return (2.0 * II2 + H2) / (n * (n + 2))
+
+
+def _sc_ext(H2, II2):
+    """Scalar curvature by the Gauss equation, |H|^2 - |II|^2."""
+    return H2 - II2
+
+
 def _scalar_invariants(S: np.ndarray):
     """H, |H|^2, |II|^2, zh and the extrinsic scalar curvature |H|^2 - |II|^2
     of a (P, m, q) batch of second forms in the pair layout."""
@@ -179,7 +189,7 @@ def _scalar_invariants(S: np.ndarray):
     H = S[:, layout.diag].sum(axis=1)
     H2 = np.einsum("pq,pq->p", H, H)
     II2 = np.einsum("pkq,pkq->pk", S, S) @ layout.w
-    return H, H2, II2, (2.0 * II2 + H2) / (n * (n + 2)), H2 - II2
+    return H, H2, II2, _zh(H2, II2, n), _sc_ext(H2, II2)
 
 
 def metric_at(jet: Jet) -> MetricPoint:
@@ -279,9 +289,7 @@ def _directions(n: int, count: int, seed: int) -> np.ndarray:
     extra = count - n - 1
     if extra <= 0:
         return fixed
-    z = _philox(seed).standard_normal((extra, n))
-    z /= np.linalg.norm(z, axis=1)[:, None]
-    return np.vstack([fixed, z])
+    return np.vstack([fixed, SphereSampler(n, extra, seed).directions()])
 
 
 def _sweep_coefficients(U: np.ndarray) -> np.ndarray:
@@ -445,22 +453,47 @@ def invariants_at(jet: Jet, seed: int = 0) -> PointInvariants:
 
 @dataclass(frozen=True, eq=False)
 class GridFields:
-    """Per-point scalar fields over a torus grid (flat C order)."""
+    """Per-point scalar fields over a torus grid (flat C order): the six the
+    kernel computes, and read-only properties for the rest."""
 
     grid: TorusGrid
     r: np.ndarray          # |f|
     sqrt_det: np.ndarray
-    norm_H: np.ndarray     # |H|
     hx: np.ndarray         # <H, f>
-    H2: np.ndarray
-    II2: np.ndarray
-    zh: np.ndarray
-    sc_ext: np.ndarray
-    sin_beta: np.ndarray   # |tangential part of f| / |f|  (nan where |f| ~ 0)
-    cos_beta: np.ndarray
+    H2: np.ndarray         # |H|^2
+    II2: np.ndarray        # |II|^2
+    xt2: np.ndarray        # |E f|^2, the squared tangential part of f
+
+    @property
+    def norm_H(self) -> np.ndarray:
+        return np.sqrt(self.H2)
+
+    @property
+    def zh(self) -> np.ndarray:
+        return _zh(self.H2, self.II2, self.grid.n)
+
+    @property
+    def sc_ext(self) -> np.ndarray:
+        return _sc_ext(self.H2, self.II2)
+
+    @property
+    def sin_beta(self) -> np.ndarray:
+        """|tangential part of f| / |f| (nan where |f| < 1e-12)."""
+        return self._over_r(self.xt2)
+
+    @property
+    def cos_beta(self) -> np.ndarray:
+        """|normal part of f| / |f| (nan where |f| < 1e-12)."""
+        return self._over_r(self.r * self.r - self.xt2)
+
+    def _over_r(self, square: np.ndarray) -> np.ndarray:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = np.sqrt(np.clip(square, 0.0, None)) / self.r
+        out[self.r < 1e-12] = np.nan
+        return out
 
 
-_FIELD_NAMES = ("r", "sqrt_det", "norm_H", "hx", "H2", "II2", "zh", "sc_ext", "sin_beta", "cos_beta")
+_FIELD_NAMES = ("r", "sqrt_det", "hx", "H2", "II2", "xt2")
 
 
 _GRID_CHUNK = 1024      # grid points per kernel call
@@ -512,26 +545,14 @@ def _evaluate_fields(imm: FourierImmersion, grid: TorusGrid) -> GridFields:
     for start, thetas in grid.iter_points(_GRID_CHUNK):
         stop = start + thetas.shape[0]
         value, E, S, sqrt_det = _chunk_core(imm, thetas)
-        H, H2, II2, zh, sc_ext = _scalar_invariants(S)
-        r = np.linalg.norm(value, axis=1)
+        H, H2, II2 = _scalar_invariants(S)[:3]
         xt = np.einsum("piq,pq->pi", E, value)
-        xt2 = np.einsum("pi,pi->p", xt, xt)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sin_b = np.sqrt(np.clip(xt2, 0.0, None)) / r
-            cos_b = np.sqrt(np.clip(r * r - xt2, 0.0, None)) / r
-        tiny = r < 1e-12
-        sin_b[tiny] = np.nan
-        cos_b[tiny] = np.nan
-        out["r"][start:stop] = r
+        out["r"][start:stop] = np.linalg.norm(value, axis=1)
         out["sqrt_det"][start:stop] = sqrt_det
-        out["norm_H"][start:stop] = np.sqrt(H2)
         out["hx"][start:stop] = np.einsum("pq,pq->p", H, value)
         out["H2"][start:stop] = H2
         out["II2"][start:stop] = II2
-        out["zh"][start:stop] = zh
-        out["sc_ext"][start:stop] = sc_ext
-        out["sin_beta"][start:stop] = sin_b
-        out["cos_beta"][start:stop] = cos_b
+        out["xt2"][start:stop] = np.einsum("pi,pi->p", xt, xt)
     return GridFields(grid=grid, **out)
 
 

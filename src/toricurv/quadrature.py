@@ -1,10 +1,11 @@
-"""Averages over the torus and uniform direction sampling on spheres.
+"""Torus grids and uniform direction sampling on spheres.
 
-Torus averages use the equispaced trapezoidal rule, which is exact for
-trigonometric polynomials resolved by the grid and spectrally accurate for
-smooth periodic integrands.  Direction sampling normalizes standard normal
-draws from a counter-based generator, so a (seed, count, n) triple always
-produces the same sequence no matter how the work is chunked.
+Averages over a grid (pointwise.weighted_average) are the equispaced
+trapezoidal rule, which is exact for trigonometric polynomials resolved by
+the grid and spectrally accurate for smooth periodic integrands.  Direction
+sampling normalizes standard normal draws from a counter-based generator, so
+a (seed, count, n) triple always produces the same sequence no matter how
+the work is chunked.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .immersion import FourierImmersion
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -69,41 +68,6 @@ class TorusGrid:
         """Desk-scale defaults: 64^2, 32^3, 16^4; 512 for a circle, 8^n above."""
         per_axis = {1: 512, 2: 64, 3: 32, 4: 16}.get(n, 8)
         return TorusGrid((per_axis,) * n)
-
-
-def average_over_torus(field, imm: FourierImmersion, grid: TorusGrid) -> float:
-    """Average of a point field with respect to the induced volume.
-
-    `field` is either a callable mapping a (P, n) batch of parameter points
-    to (P,) values, or an array of values precomputed in the grid's flat C
-    order.  The weights are the grid's sqrt(det g) from grid_fields, and the
-    reduction order is fixed by the grid indexing.
-    """
-    from .pointwise import grid_fields, weighted_average   # pointwise imports this module
-
-    values = field(grid.points()) if callable(field) else field
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if values.size != grid.npoints:
-        raise ValueError(f"field gives {values.size} values for a grid of {grid.npoints} points")
-    return weighted_average(grid_fields(imm, grid), values)
-
-
-@dataclass(frozen=True)
-class RefinementReport:
-    value: float
-    refined_value: float
-    delta: float
-
-
-def grid_refinement_report(field: Callable, imm: FourierImmersion, grid: TorusGrid) -> RefinementReport:
-    """Average on a grid and the change after doubling every axis.
-
-    Callers treat delta < 1e-6 as "the average is resolved"; a larger delta
-    flags an under-resolved integrand (aliasing).
-    """
-    base = average_over_torus(field, imm, grid)
-    fine = average_over_torus(field, imm, grid.doubled())
-    return RefinementReport(value=base, refined_value=fine, delta=abs(fine - base))
 
 
 @dataclass(frozen=True)

@@ -209,8 +209,9 @@ def _sphere_witness(imm: FourierImmersion, grid: TorusGrid):
             f"no grid point with Sc <= {NONPOS_SC_TOL} on grid {grid.sizes}; "
             "either under-resolved or a bug"
         )
-    pick = int(candidates[np.argmax(fields.zh[candidates])])
-    return pick, float(fields.zh[pick]), float(fields.sc_ext[pick])
+    zh = fields.zh
+    pick = int(candidates[np.argmax(zh[candidates])])
+    return pick, float(zh[pick]), float(fields.sc_ext[pick])
 
 
 def check_sphere(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
@@ -261,15 +262,16 @@ def _chain_terms(n: int, zh: float, norm_H: float, r: float,
 def _trace_diagnostics(imm: FourierImmersion, grid: TorusGrid) -> tuple[dict, dict | None]:
     """Radial-trace diagnostics at the most informative grid point.
 
-    For n >= 3 that is the minimizer of the conformal operator value; for
-    n = 2 (where the operator is undefined) it is the zh maximizer.  Returns
+    For n >= 3 that is the minimizer of the conformal operator value among
+    points off the origin (where the radial angles are undefined); for n = 2
+    (where the operator is undefined) it is the zh maximizer.  Returns
     (diagnostics, witness)."""
     n = imm.n
     fields = grid_fields(imm, grid)
     if n >= 3:
         k = intrinsic.conformal_rate(n)
         cg = intrinsic.conformal_grid(imm, grid, k)
-        idx = int(np.argmin(cg["conformal"]))
+        idx = int(np.argmin(np.where(fields.r < 1e-12, np.inf, cg["conformal"])))
         conformal_min = float(cg["conformal"][idx])
     else:
         k = None
@@ -366,8 +368,9 @@ def check_bow(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> CheckRep
 
     base, fine = _pair(imm, grid)
     m_base = float(np.min(slack(base)))
-    i_fine = int(np.argmin(slack(fine)))
-    m_fine = float(slack(fine)[i_fine])
+    s_fine = slack(fine)
+    i_fine = int(np.argmin(s_fine))
+    m_fine = float(s_fine[i_fine])
     theta = grid.doubled().theta_at(i_fine)
     return _report(
         "bow", margin=m_fine, tolerance=1e-8,

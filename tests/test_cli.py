@@ -1,6 +1,9 @@
 import csv
+import importlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,11 +159,12 @@ def test_analyze_hexagonal_constant_K(hex_file, tmp_path):
     assert summary["K_max"] - summary["K_min"] < 1e-10
 
 
-def test_analyze_rejects_degenerate(tmp_path):
+def test_analyze_rejects_degenerate(tmp_path, capsys):
     path = tmp_path / "flat.json"
     path.write_text(json.dumps({"type": "fourier", "n": 2, "q": 4,
                                 "translate": [0.5, 0, 0, 0], "terms": []}))
     assert main(["analyze", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert "theta=" in capsys.readouterr().err
 
 
 def test_analyze_malformed_exit_2(tmp_path, capsys):
@@ -283,3 +287,15 @@ def test_verify_grid_too_small_exit_2(hex_file, capsys):
 def test_explore_unsupported_q_exit_2(q, capsys):
     assert main(["explore", "--n", "3", "--q", q, "--iterations", "1", "--restarts", "1"]) == 2
     assert f"q={q}" in capsys.readouterr().err
+
+
+def test_perfbench_trace_targets_resolve():
+    # perfbench/tracer.py wraps toricurv functions by (module, name); each
+    # one must still exist, or a traced benchmark run breaks.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, name in tracer.TARGETS:
+        assert callable(getattr(importlib.import_module(f"toricurv.{module}"), name, None)), \
+            f"toricurv.{module}.{name}"

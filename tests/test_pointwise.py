@@ -26,7 +26,7 @@ from toricurv.pointwise import (
     weighted_average,
     zh_at,
 )
-from toricurv.pointwise import _chunk_core, _directions, _full_form, _k2_sweep
+from toricurv.pointwise import _chunk_core, _directions, _full_form, _k2_sweep, _scalar_invariants
 from toricurv.quadrature import SphereSampler, TorusGrid, sphere_average_mc
 
 from conftest import (
@@ -428,3 +428,29 @@ def test_grid_fields_match_pointwise(wavy2):
 def test_weighted_average_constant_is_exact(clifford2, grid16):
     fields = grid_fields(clifford2, grid16)
     assert weighted_average(fields, np.ones(grid16.npoints)) == 1.0
+
+
+@pytest.mark.parametrize("through_origin", [False, True], ids=["perturbed_clifford31", "origin"])
+def test_derived_fields_bit_identical(through_origin):
+    # norm_H, zh, sc_ext, sin_beta and cos_beta are read off the six stored
+    # fields; they equal _scalar_invariants and the direct beta expressions
+    # on the same kernel batch bit for bit, NaN at the origin included.
+    imm, grid = perturbed_clifford(3, seed=1), TorusGrid((8,) * 3)
+    if through_origin:
+        x = evaluate_jet(imm, grid.theta_at(100), order=0).value
+        imm = transform(imm, np.eye(imm.q), -x, 1.0)
+    fields = grid_fields(imm, grid)
+    value, E, S, _ = _chunk_core(imm, grid.points())
+    _, H2, _, zh, sc = _scalar_invariants(S)
+    r = np.linalg.norm(value, axis=1)
+    xt = np.einsum("piq,pq->pi", E, value)
+    xt2 = np.einsum("pi,pi->p", xt, xt)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sin_b = np.sqrt(np.clip(xt2, 0.0, None)) / r
+        cos_b = np.sqrt(np.clip(r * r - xt2, 0.0, None)) / r
+    sin_b[r < 1e-12] = np.nan
+    cos_b[r < 1e-12] = np.nan
+    assert np.isnan(fields.sin_beta).any() == through_origin
+    for name, expected in (("norm_H", np.sqrt(H2)), ("zh", zh), ("sc_ext", sc),
+                           ("sin_beta", sin_b), ("cos_beta", cos_b)):
+        np.testing.assert_array_equal(getattr(fields, name), expected, err_msg=name)

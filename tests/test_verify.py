@@ -9,7 +9,7 @@ from toricurv import intrinsic, pointwise, verify
 from toricurv.designs import builtin_design, clifford, subtorus_immersion
 from toricurv.errors import InapplicableHypothesis, NotInBall, WrongDimension
 from toricurv.fixtures import ball_immersion, perturbed_clifford
-from toricurv.immersion import FourierImmersion, FourierTerm, transform
+from toricurv.immersion import FourierImmersion, FourierTerm, evaluate_jet, transform
 from toricurv.quadrature import TorusGrid
 from toricurv.verify import (
     check_2d,
@@ -378,7 +378,7 @@ def test_no_nonpositive_point_reported_not_failed(clifford3, monkeypatch):
 
     def positive(imm, grid):
         f = fields(imm, grid)
-        return dataclasses.replace(f, sc_ext=np.ones_like(f.sc_ext))
+        return dataclasses.replace(f, H2=f.II2 + 1.0)     # Sc = |H|^2 - |II|^2 > 0
 
     monkeypatch.setattr(verify, "grid_fields", positive)
     reports = run_checks(clifford3, grid=GRID3, checks="sphere")
@@ -423,7 +423,7 @@ def test_base_grid_sliced_from_doubled_grid(monkeypatch):
                              (wavy3, perturbed_clifford(3, seed=1), GRID3)):
         sliced = pointwise.grid_fields(imm, grid)
         direct = pointwise.grid_fields(fresh, grid)
-        for name in pointwise._FIELD_NAMES:
+        for name in pointwise._FIELD_NAMES + ("norm_H", "zh", "sc_ext", "sin_beta", "cos_beta"):
             np.testing.assert_allclose(getattr(sliced, name), getattr(direct, name),
                                        rtol=0, atol=1e-13, equal_nan=True, err_msg=name)
 
@@ -445,3 +445,22 @@ def test_no_third_order_pass_over_the_grid(monkeypatch):
             monkeypatch.setattr(module, "jets_at", counting)
     run_checks(d4, GRID4)
     assert batches and max(batches) <= 64
+
+
+def test_trace_point_skips_the_origin():
+    # A map moved so that its conformal-minimum grid point sits at the origin,
+    # where the radial angles are undefined: the trace takes the minimizer
+    # among the other points, and the check is reported.
+    grid = TorusGrid((8,) * 3)
+    half = scaled(ball_immersion(3, 7, seed=7), 0.5)
+    k = intrinsic.conformal_rate(3)
+    assert int(np.argmin(intrinsic.conformal_grid(half, grid, k)["conformal"])) == 286
+    moved = translated(half, -evaluate_jet(half, grid.theta_at(286), order=0).value)
+    conformal = intrinsic.conformal_grid(moved, grid, k)["conformal"]
+    assert int(np.argmin(conformal)) == 286
+    assert pointwise.grid_fields(moved, grid).r[286] < 1e-12
+    (report,) = run_checks(moved, grid, checks="main")
+    assert report["status"] in ("pass", "fail", "unresolved")
+    diag = report["diagnostics"]
+    assert diag["trace_theta"] != grid.theta_at(286).tolist()
+    assert diag["conformal_min"] == float(np.min(np.delete(conformal, 286)))

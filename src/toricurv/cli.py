@@ -33,7 +33,7 @@ from .errors import DegenerateMetric, ParseError, RankDeficient, ToricurvError
 from .explore import SearchConfig, optimize
 from .fixtures import ball_immersion
 from .formats import immersion_to_obj, parse_immersion, read_input
-from .immersion import evaluate_jet, immersion_rank_check
+from .immersion import immersion_rank_check
 from .quadrature import TorusGrid, monomial_selftest, _philox
 
 
@@ -127,10 +127,6 @@ def cmd_analyze(args) -> int:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in table)
 
-    # Refine the curvature extremes at the points where the grid estimates peak.
-    top, bottom = (pointwise.extremal_normal_curvature(pointwise.second_form_at(
-        evaluate_jet(imm, grid.theta_at(int(idx)), order=2)), seed=args.seed)
-        for idx in (np.argmax(k_max), np.argmin(k_min)))
     summary = {
         "config": _input_config(args.input, digest, grid, args.seed),
         "n": n, "q": imm.q,
@@ -141,8 +137,8 @@ def cmd_analyze(args) -> int:
         "min_norm_f": float(np.min(fields.r)),
         "ball_margin": 1.0 - float(np.max(fields.r)),
         "zh_range": [float(np.min(fields.zh)), float(np.max(fields.zh))],
-        "K_min": min(bottom.k_min, float(np.min(k_min))),
-        "K_max": max(top.k_max, float(np.max(k_max))),
+        "K_min": pointwise._best_found_K(imm, grid, args.seed, highest=False),
+        "K_max": verify.global_normal_curvature_max(imm, grid, seed=args.seed),
         "max_gauss_residual": float(np.max(np.abs(residual))),
         "min_singular_value": float(sigma),
     }

@@ -17,7 +17,7 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -348,7 +348,8 @@ def _power_climb(M: np.ndarray, D: np.ndarray) -> np.ndarray:
     u <- normalize(sigma g + alpha u), alpha = max(0, tau - lambda_min(sigma H)),
     monotone in K^2.  Each row stops on its own once it stops moving, once its
     K^2 stalls, or once it reaches a direction (up to sign) where a row of the
-    same point and sign has already stopped, since both end at that point."""
+    same point and sign has already stopped or is live with a larger sigma K^2,
+    since both end at that point."""
     P, d, n = M.shape[0], D.shape[0], D.shape[1]
     R = 2 * d * P
     M = np.repeat(M, 2 * d, axis=0)
@@ -375,19 +376,24 @@ def _power_climb(M: np.ndarray, D: np.ndarray) -> np.ndarray:
             keep &= ~(sg[:, 0] * (k2 - mark[live]) < _POWER_GAIN * II2[live])
             mark[live] = k2
             peers = group[live]                  # the rows of each live row's (point, sign)
-            stopped = np.ones(R, dtype=bool)
-            stopped[live] = False
+            # a peer ahead of a live row: stopped, or live with a larger sigma K^2
+            # (ties to the lower row), so each cluster keeps one live row
+            score = np.full(R, np.inf)
+            score[live] = sg[:, 0] * k2
+            ahead = score.reshape(-1, d)[peers]
+            ahead = (ahead > score[live, None]) | ((ahead == score[live, None])
+                                                   & (np.arange(d) < live[:, None] % d))
             cos = np.abs(U.reshape(-1, d, n)[peers] @ U[live][:, :, None])[:, :, 0]
-            keep &= ~((cos > 1.0 - _POWER_SAME) & stopped.reshape(-1, d)[peers]).any(axis=1)
+            keep &= ~((cos > 1.0 - _POWER_SAME) & ahead).any(axis=1)
         live = live[keep]
         if live.size == 0:
             break
     return U.reshape(P, 2 * d, n)
 
 
-def _k2_extremes(S: np.ndarray, seed: int = 0):
-    """K^2_min, K^2_max and unit directions attaining them at every point of a
-    (P, m, q) batch of second forms in the pair layout: (k2_min, k2_max,
+def _k_extremes(S: np.ndarray, seed: int = 0):
+    """K_min, K_max and unit directions attaining them at every point of a
+    (P, m, q) batch of second forms in the pair layout: (k_min, k_max,
     u_min, u_max).
 
     Exact for n = 2: K^2 at every root of its derivative (_plane_candidates).
@@ -406,7 +412,7 @@ def _k2_extremes(S: np.ndarray, seed: int = 0):
     v = _sweep_coefficients(U) @ S
     K2 = np.einsum("pcq,pcq->pc", v, v)
     i_min, i_max, at = np.argmin(K2, axis=1), np.argmax(K2, axis=1), np.arange(P)
-    return K2[at, i_min], K2[at, i_max], U[at, i_min], U[at, i_max]
+    return np.sqrt(K2[at, i_min]), np.sqrt(K2[at, i_max]), U[at, i_min], U[at, i_max]
 
 
 def extremal_normal_curvature(S: SecondForm, seed: int = 0) -> ExtremalCurvature:
@@ -420,13 +426,8 @@ def extremal_normal_curvature(S: SecondForm, seed: int = 0) -> ExtremalCurvature
 
 def _extremal(S: np.ndarray, seed: int) -> ExtremalCurvature:
     """extremal_normal_curvature of a (1, m, q) pair-layout second form."""
-    k2_min, k2_max, u_min, u_max = _k2_extremes(S, seed)
-    return ExtremalCurvature(
-        k_min=math.sqrt(max(float(k2_min[0]), 0.0)),
-        k_max=math.sqrt(max(float(k2_max[0]), 0.0)),
-        u_min=u_min[0],
-        u_max=u_max[0],
-    )
+    k_min, k_max, u_min, u_max = _k_extremes(S, seed)
+    return ExtremalCurvature(float(k_min[0]), float(k_max[0]), u_min[0], u_max[0])
 
 
 def invariants_at(jet: Jet, seed: int = 0) -> PointInvariants:
@@ -508,14 +509,6 @@ def _chunk_core(imm: FourierImmersion, thetas: np.ndarray):
     return value, E, S, sqrt_det
 
 
-def second_form_chunks(imm: FourierImmersion, grid: TorusGrid,
-                       chunk: int = _GRID_CHUNK) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, S) batches of II in the pair layout over the grid, for
-    direction sweeps."""
-    for start, thetas in grid.iter_points(chunk):
-        yield start, _chunk_core(imm, thetas)[2]
-
-
 _grid_cache: "weakref.WeakKeyDictionary[FourierImmersion, dict]" = weakref.WeakKeyDictionary()
 
 
@@ -563,17 +556,50 @@ def weighted_average(fields: GridFields, values: np.ndarray) -> float:
 
 def grid_K_estimates(imm: FourierImmersion, grid: TorusGrid,
                      seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point normal-curvature extremes (K_min, K_max) over a grid: exact
-    for n = 2 (the extremizer's root solve at every point), otherwise K over
-    256 fixed directions (axes, the diagonal and seeded draws), an inner bound
-    on the true range, since the power method at every point costs seconds."""
-    D = _directions(imm.n, 256, seed * 2713 + 5)
-    K2 = np.empty((2, grid.npoints))
-    for start, S in second_form_chunks(imm, grid, 256):
-        if imm.n == 2:
-            lo, hi = _k2_extremes(S)[:2]
-        else:
-            swept = _k2_sweep(D, S)
-            lo, hi = swept.min(axis=1), swept.max(axis=1)
-        K2[:, start:start + S.shape[0]] = lo, hi
-    return np.sqrt(K2[0]), np.sqrt(K2[1])
+    """Per-point normal-curvature extremes (K_min, K_max) over a grid, as
+    read-only arrays memoized per (immersion, sizes, seed): exact for n = 2
+    (the extremizer's root solve at every point), otherwise K over 256 fixed
+    directions (axes, the diagonal and seeded draws), an inner bound on the
+    true range, since the power method at every point costs seconds."""
+    per_imm = _grid_cache.setdefault(imm, {})
+    key = ("K", grid.sizes, seed)
+    if key not in per_imm:
+        D = _directions(imm.n, 256, seed * 2713 + 5)
+        K = np.empty((2, grid.npoints))
+        for start, thetas in grid.iter_points(256):
+            S = _chunk_core(imm, thetas)[2]
+            if imm.n == 2:
+                lo, hi = _k_extremes(S)[:2]
+            else:
+                swept = _k2_sweep(D, S)
+                lo, hi = np.sqrt(swept.min(axis=1)), np.sqrt(swept.max(axis=1))
+            K[:, start:start + S.shape[0]] = lo, hi
+        K.flags.writeable = False
+        per_imm[key] = (K[0], K[1])
+    return per_imm[key]
+
+
+def _best_found_K(imm: FourierImmersion, grid: TorusGrid, seed: int, highest: bool) -> float:
+    """grid_K_estimates' K_max (highest) or K_min, pushed outward by the
+    extremizer at the four grid points where that estimate is most extreme,
+    in one batched call."""
+    K = grid_K_estimates(imm, grid, seed)[highest]
+    picks = np.argsort(K)[-4:] if highest else np.argsort(K)[:4]
+    refined = _k_extremes(_chunk_core(imm, grid.theta_at(picks))[2], seed)[highest]
+    values = np.append(K[picks], refined)
+    return float(values.max() if highest else values.min())
+
+
+def global_normal_curvature_max(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> float:
+    """Best-found maximum of the normal curvature over the whole torus, the
+    value the K <= 2 gate decides on: the larger of grid_K_estimates' K_max
+    and the extremizer's K_max (exact for n = 2, the power method from 16n
+    starts above) at the four grid points where that estimate is highest.
+    Values between grid points are not seen, so, like every grid-sampled
+    supremum, it can fall short of the true maximum.  Memoized per
+    (immersion, sizes, seed) with the sweep."""
+    per_imm = _grid_cache.setdefault(imm, {})
+    key = ("K_max", grid.sizes, seed)
+    if key not in per_imm:
+        per_imm[key] = _best_found_K(imm, grid, seed, highest=True)
+    return per_imm[key]

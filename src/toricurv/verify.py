@@ -26,8 +26,8 @@ from .errors import (
     WrongDimension,
 )
 from .formats import immersion_to_obj
-from .immersion import FourierImmersion, evaluate_jet
-from .pointwise import GridFields, grid_fields, second_form_chunks, weighted_average
+from .immersion import FourierImmersion
+from .pointwise import GridFields, global_normal_curvature_max, grid_fields, weighted_average
 from .quadrature import TorusGrid, _philox
 
 BALL_SLACK = 1e-9           # |f| may exceed 1 by at most this much
@@ -428,31 +428,6 @@ def conjecture_probe(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
         diagnostics=diagnostics,
         delta=abs(top_fine - top_base),
     )
-
-
-def global_normal_curvature_max(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> float:
-    """Best-found maximum of the normal curvature over the whole torus.
-
-    64 fixed directions are swept over every grid point, then the four most
-    curved points are refined by extremal_normal_curvature (exact for n = 2,
-    the power method from 16n starts above).  Values between grid points are
-    not seen, so this is the one heuristic quantity in the package; it is used
-    only to gate hypotheses.  Memoized per (immersion, grid, seed)."""
-    cache = pointwise._grid_cache.setdefault(imm, {})
-    key = ("kmax", grid.sizes, seed)
-    if key in cache:
-        return cache[key]
-    D = pointwise._directions(imm.n, 64, seed * 7919 + 3)
-    best = np.empty(grid.npoints)
-    for start, S in second_form_chunks(imm, grid):
-        best[start:start + S.shape[0]] = pointwise._k2_sweep(D, S).max(axis=1)
-
-    top = math.sqrt(float(best.max()))
-    for idx in np.argsort(best)[::-1][:4]:
-        S = pointwise.second_form_at(evaluate_jet(imm, grid.theta_at(int(idx)), order=2))
-        top = max(top, pointwise.extremal_normal_curvature(S, seed=seed).k_max)
-    cache[key] = top
-    return top
 
 
 def run_checks(imm: FourierImmersion, grid: TorusGrid | None = None, seed: int = 0,

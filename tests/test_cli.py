@@ -17,8 +17,10 @@ from toricurv.formats import (
     save_immersion,
 )
 from toricurv.errors import ParseError
+from toricurv.fixtures import perturbed_clifford
 from toricurv.immersion import evaluate_jet
-from toricurv.quadrature import MonomialEntry, MonomialReport
+from toricurv.quadrature import MonomialEntry, MonomialReport, TorusGrid
+from toricurv.verify import global_normal_curvature_max
 
 
 @pytest.fixture()
@@ -157,6 +159,21 @@ def test_analyze_hexagonal_constant_K(hex_file, tmp_path):
     assert main(["analyze", hex_file, "--grid", "16,16", "--out", str(base)]) == 0
     summary = json.loads((tmp_path / "hexrep.json").read_text())
     assert summary["K_max"] - summary["K_min"] < 1e-10
+
+
+def test_analyze_K_max_is_the_gate_value(tmp_path):
+    # analyze's JSON K_max and the K <= 2 gate read one best-found maximum;
+    # K_min is refined downward from the sweep's smallest k_min.
+    path = tmp_path / "input.json"
+    save_immersion(perturbed_clifford(3, seed=1), path)
+    base = tmp_path / "wavy3"
+    assert main(["analyze", str(path), "--grid", "6", "--seed", "1", "--out", str(base)]) == 0
+    summary = json.loads((tmp_path / "wavy3.json").read_text())
+    gate = global_normal_curvature_max(load_immersion(path), TorusGrid((6, 6, 6)), seed=1)
+    assert summary["K_max"] == gate
+    with (tmp_path / "wavy3.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert summary["K_min"] <= min(float(row["k_min"]) for row in rows)
 
 
 def test_analyze_rejects_degenerate(tmp_path, capsys):

@@ -26,7 +26,14 @@ from toricurv.pointwise import (
     weighted_average,
     zh_at,
 )
-from toricurv.pointwise import _chunk_core, _directions, _full_form, _k2_sweep, _scalar_invariants
+from toricurv.pointwise import (
+    _chunk_core,
+    _directions,
+    _full_form,
+    _k2_sweep,
+    _power_climb,
+    _scalar_invariants,
+)
 from toricurv.quadrature import SphereSampler, TorusGrid, sphere_average_mc
 
 from conftest import (
@@ -250,6 +257,22 @@ def test_extremizer_against_dense_scan(make):
     for theta in random_points(imm.n, 3, seed=61):
         S = second_form_at(jet_of(imm, theta))
         _check_extremes(S, extremal_normal_curvature(S, seed=1))
+
+
+def test_power_climb_keeps_one_live_row_per_cluster():
+    # A repeated start is a cluster from the first step: the lower row climbs
+    # on, the repeat stops at the first stall check (both ascending and
+    # descending), and never ends past the row it defers to.
+    S = _chunk_core(ball_immersion(3, 7, seed=7), random_points(3, 1, seed=61))[2]
+    full = _full_form(S)
+    M = np.einsum("pijq,pklq->pijkl", full, full)
+    D = _directions(3, 8, 0)
+    U = _power_climb(M, np.vstack([D, D[:1]]))[0]
+    v = np.einsum("ri,rj,ijq->rq", U, U, full[0])
+    k2 = np.einsum("rq,rq->r", v, v)
+    for first, repeat, sign in ((0, 8, 1.0), (9, 17, -1.0)):
+        assert not np.array_equal(U[first], U[repeat])
+        assert sign * (k2[first] - k2[repeat]) >= 0.0
 
 
 def test_extremizer_degree_one_derivative():

@@ -217,6 +217,29 @@ def test_global_curvature_max(clifford2, hexagonal):
     assert abs(global_normal_curvature_max(hexagonal, GRID2) - math.sqrt(1.5)) < 1e-9
 
 
+def test_gate_memo_shared_by_main_and_bow(monkeypatch):
+    # The n >= 5 main gate and the bow gate read one memoized K sweep of the
+    # base grid and one batched extremizer call at no more than four points.
+    swept, refined = [], []
+    sweep, extremes = pointwise._k2_sweep, pointwise._k_extremes
+
+    def counting_sweep(D, S):
+        swept.append(S.shape[0])
+        return sweep(D, S)
+
+    def counting_extremes(S, seed=0):
+        refined.append(S.shape[0])
+        return extremes(S, seed)
+
+    monkeypatch.setattr(pointwise, "_k2_sweep", counting_sweep)
+    monkeypatch.setattr(pointwise, "_k_extremes", counting_extremes)
+    grid = TorusGrid((4,) * 5)
+    reports = run_checks(clifford(5), grid, checks="main,bow")
+    assert [r["status"] for r in reports] == ["skipped", "skipped"]     # K_max = sqrt(5) > 2
+    assert sum(swept) == grid.npoints
+    assert len(refined) == 1 and refined[0] <= 4
+
+
 # ---------------------------------------------------------------- constant K
 
 def test_constant_k_hexagonal(hexagonal):

@@ -232,12 +232,12 @@ _RANK_CHUNK = 4096      # points per rank-check batch
 
 def immersion_rank_check(imm: FourierImmersion, grid) -> float:
     """Smallest singular value of the differential over the points of a
-    TorusGrid.  The caller decides what threshold makes the map count as an
+    TorusGrid, as sqrt(max(lambda_min(g), 0)) from the n x n metric
+    g = d1 d1'.  The caller decides what threshold makes the map count as an
     immersion; a constant map returns exactly 0.
     """
     smallest = np.inf
     for _, thetas in grid.iter_points(_RANK_CHUNK):
         _, d1, _, _ = jets_at(imm, thetas, order=1)
-        sv = np.linalg.svd(d1, compute_uv=False)   # (P, n)
-        smallest = min(smallest, float(sv.min()))
-    return smallest
+        smallest = min(smallest, float(np.linalg.eigvalsh(d1 @ d1.transpose(0, 2, 1))[:, 0].min()))
+    return float(np.sqrt(max(0.0, smallest)))

@@ -85,31 +85,50 @@ def _metric_factor(d1: np.ndarray, thetas: np.ndarray | None):
     """Metric g = d1 d1', its inverse Cholesky factor L (L g L' = I) and
     sqrt(det g) for a (P, n, q) batch of first derivatives.
 
+    C and L come from column sweeps over (n, n, P) arrays held points-last,
+    each step one elementwise numpy operation over all P points, so a point's
+    factor does not depend on its batch and no LAPACK call runs per point:
+    C_jj = sqrt(A_jj) and C_ij = A_ij / C_jj for column j of the trailing
+    matrix A (initially g), which then loses C_ij C_kj at (i, k); and
+    L_ij = B_ij / C_ii for row i of B (initially I), whose later rows k then
+    lose C_ki L_ij.  sqrt(det g) is the product of the pivots C_jj.
+
     The metric is degenerate where its smallest eigenvalue is below
     _DEGENERATE_EIG.  Since lambda_min >= 1/|L|_F^2 at each point, a batch
-    whose squared factor norms sum to at most 1/_DEGENERATE_EIG is certified
-    without an eigensolve; otherwise eigvalsh decides on the finite rows, and
-    DegenerateMetric names the offending theta.  Non-finite input is not
-    degenerate: it flows through for the checks to report.
+    whose pivots A_jj are all > 0 and whose squared factor norms sum to at
+    most 1/_DEGENERATE_EIG is certified without an eigensolve; otherwise
+    eigvalsh runs on the finite rows, and DegenerateMetric names the theta of
+    the first finite row with lambda_min < _DEGENERATE_EIG or a pivot that is
+    not > 0.  Non-finite input is not degenerate: it flows through as NaN for
+    the checks to report.
     """
     g = d1 @ d1.transpose(0, 2, 1)
-    try:
-        C = np.linalg.cholesky(g)
-        L = np.linalg.solve(C, np.broadcast_to(np.eye(g.shape[1]), g.shape).copy())
-        certified = float(np.vdot(L, L)) <= 1.0 / _DEGENERATE_EIG
-    except np.linalg.LinAlgError:
-        C = None
-        certified = False
+    P, n, _ = g.shape
+    A = g.transpose(1, 2, 0).copy()
+    C = np.zeros_like(A)
+    L = np.broadcast_to(np.eye(n)[:, :, None], A.shape).copy()
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for j in range(n):
+            C[j, j] = np.sqrt(A[j, j])
+            C[j + 1:, j] = A[j + 1:, j] / C[j, j]
+            A[j + 1:, j + 1:] -= C[j + 1:, None, j] * C[None, j + 1:, j]
+        for i in range(n):
+            L[i, :i + 1] /= C[i, i]
+            L[i + 1:, :i + 1] -= C[i + 1:, None, i] * L[None, i, :i + 1]
+        pivot_ok = (np.einsum("iip->ip", A) > 0).all(axis=0)
+        certified = pivot_ok.all() and float(np.vdot(L, L)) <= 1.0 / _DEGENERATE_EIG
     if not certified:
-        eigs = np.full(g.shape[0], np.nan)
+        eigs = np.full(P, np.nan)
         finite = np.isfinite(g).all(axis=(1, 2))     # eigvalsh raises on NaN
         eigs[finite] = np.linalg.eigvalsh(g[finite])[:, 0]
-        bad = np.flatnonzero(eigs < _DEGENERATE_EIG)
-        if bad.size or C is None:
-            i = int(bad[0]) if bad.size else int(np.nanargmin(eigs))
+        bad = np.flatnonzero(finite & ((eigs < _DEGENERATE_EIG) | ~pivot_ok))
+        if bad.size:
+            i = int(bad[0])
             where = "" if thetas is None else f" at theta={thetas[i].tolist()}"
-            raise DegenerateMetric(f"metric eigenvalue {eigs[i]:.3e} < {_DEGENERATE_EIG}{where}")
-    return g, L, np.prod(np.einsum("pii->pi", C), axis=1)
+            why = f"< {_DEGENERATE_EIG}" if eigs[i] < _DEGENERATE_EIG else "and a pivot <= 0"
+            raise DegenerateMetric(f"metric eigenvalue {eigs[i]:.3e} {why}{where}")
+    sqrt_det = np.prod(np.einsum("iip->ip", C), axis=0)
+    return g, np.ascontiguousarray(L.transpose(2, 0, 1)), sqrt_det
 
 
 class _PairLayout(NamedTuple):

@@ -31,6 +31,7 @@ from toricurv.pointwise import (
     _directions,
     _full_form,
     _k2_sweep,
+    _metric_factor,
     _power_climb,
     _scalar_invariants,
 )
@@ -91,6 +92,51 @@ def test_degeneracy_policy_below_cholesky_failure():
         metric_at(jet)
     with pytest.raises(DegenerateMetric, match=r"theta=\[0\.0, 0\.0\]"):
         grid_fields(thin, TorusGrid((8, 8)))
+
+
+def spd_jets(n: int, count: int, cond: float, seed: int) -> np.ndarray:
+    """(count, n, n + 2) first derivatives whose metrics have condition number
+    cond, random eigenvectors and a random overall scale."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    Q = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+    W = np.linalg.qr(rng.standard_normal((count, n + 2, n)))[0].transpose(0, 2, 1)
+    lam = np.logspace(0.0, -math.log10(cond), n) * 10.0 ** rng.uniform(-1, 1, (count, 1))
+    return (Q * np.sqrt(lam)[:, None, :]) @ W
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_metric_factor_against_lapack(n):
+    # Two backward-stable factorizations of one g agree to about cond(g)*eps,
+    # so every tolerance scales with the condition number.
+    d1 = np.concatenate([spd_jets(n, 16, cond, seed=n) for cond in (1.0, 1e4, 1e8)])
+    g, L, sqrt_det = _metric_factor(d1, None)
+    cond = np.linalg.cond(g)
+    eye = np.abs(L @ g @ L.transpose(0, 2, 1) - np.eye(n)).max(axis=(1, 2))
+    assert np.all(eye <= 1e-12 * cond)
+    ref = np.linalg.inv(np.linalg.cholesky(g))
+    assert np.all(np.abs(L - ref).max(axis=(1, 2)) <= 1e-13 * cond * np.abs(ref).max(axis=(1, 2)))
+    sign, logdet = np.linalg.slogdet(g)
+    assert np.all(sign == 1.0)
+    assert np.all(np.abs(sqrt_det / np.exp(0.5 * logdet) - 1.0) <= 1e-13 * cond)
+    for p in range(d1.shape[0]):      # a point's factor does not depend on its batch
+        gp, Lp, sp = _metric_factor(d1[p:p + 1], None)
+        assert np.array_equal(gp[0], g[p]) and np.array_equal(Lp[0], L[p]) and sp[0] == sqrt_det[p]
+
+
+def test_metric_factor_mixed_batches():
+    thetas = np.arange(12.0).reshape(6, 2)
+    d1 = spd_jets(3, 6, 1e3, seed=9)
+    clean = _metric_factor(d1, thetas)
+    d1[2, 0, 0] = np.nan               # g[2] is NaN in row and column 0
+    g, L, sqrt_det = _metric_factor(d1, thetas)
+    lower = np.tril_indices(3)
+    assert np.isnan(L[2][lower]).all() and np.isnan(sqrt_det[2])
+    others = np.arange(6) != 2
+    for got, want in zip((g, L, sqrt_det), clean):
+        assert np.array_equal(got[others], want[others])
+    d1[4, 2] = d1[4, 0]               # rank 2: lambda_min(g) is 0 to roundoff
+    with pytest.raises(DegenerateMetric, match=r"theta=\[8\.0, 9\.0\]"):
+        _metric_factor(d1, thetas)
 
 
 # ---------------------------------------------------------------- frame
@@ -446,6 +492,18 @@ def test_grid_fields_match_pointwise(wavy2):
         assert abs(fields.r[idx] - np.linalg.norm(jet.value)) < 1e-12
         assert abs(fields.norm_H[idx] - math.sqrt(H2)) < 1e-12
         assert abs(fields.zh[idx] - invariants_at(jet).zh) < 1e-12
+
+
+def test_certified_grid_pass_makes_no_lapack_call(monkeypatch):
+    # The metric factor comes from elementwise column sweeps; a grid whose
+    # batches are certified never reaches an eigensolve.
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("per-point LAPACK call in the grid pass")
+
+    for name in ("cholesky", "solve", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, no_lapack)
+    grid_fields(subtorus_immersion(builtin_design("d4")), TorusGrid((6,) * 4))
+    grid_fields(perturbed_clifford(2, seed=5), TorusGrid((16, 16)))
 
 
 def test_weighted_average_constant_is_exact(clifford2, grid16):

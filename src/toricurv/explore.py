@@ -101,19 +101,12 @@ def _initial_immersion(config: SearchConfig) -> FourierImmersion:
 
 
 def _coefficients(imm: FourierImmersion, freqs: list[tuple[int, ...]], q: int) -> np.ndarray:
-    """Coefficient vector over the canonical frequency slots, scale folded in."""
+    """Coefficient vector over the canonical frequency slots, scale folded in;
+    every frequency of imm is one of freqs."""
     x = np.zeros((len(freqs), 2, q))
     index = {k: i for i, k in enumerate(freqs)}
     for t in imm.terms:
-        k = t.k
-        sign = 1.0
-        if k not in index:
-            k = tuple(-c for c in k)
-            sign = -1.0
-            if k not in index:
-                raise ValueError(f"fixture frequency {t.k} exceeds fmax")
-        x[index[k], 0] += imm.scale * t.a
-        x[index[k], 1] += sign * imm.scale * t.b
+        x[index[t.k]] += imm.scale * np.stack([t.a, t.b])
     return x.reshape(-1)
 
 

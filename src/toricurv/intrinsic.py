@@ -11,6 +11,10 @@ mean curvature; no discretized elliptic operator is involved.
 The third-order (Christoffel) path is the independent check of the closed
 forms: it serves single points, seeded samples and curvature_grid, while
 conformal_grid reads the closed forms from the cached second-order fields.
+The two paths share only the metric factor L of pointwise._metric_factor
+(g^-1 = L'L), and with it the one degeneracy rule; the Christoffel path
+builds everything else from dg and ddg, the closed forms from the normal
+projection of d2.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateMetric, DimensionTooLow, OriginPoint, ZeroMeanCurvature
+from .errors import DimensionTooLow, OriginPoint, ZeroMeanCurvature
 from .immersion import FourierImmersion, jets_at
 from .pointwise import _metric_factor, _scalar_invariants, _second_form, grid_fields
 from .quadrature import TorusGrid
@@ -63,27 +67,23 @@ def metric_jets(imm: FourierImmersion, theta) -> MetricJets:
     return MetricJets(g=g[0], dg=dg[0], ddg=ddg[0])
 
 
-def _curvature_arrays(g, dg, ddg):
-    """Batched Christoffel symbols, scalar curvature, and max |Riemann|."""
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError:
-        raise DegenerateMetric("induced metric is singular; curvature is undefined") from None
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    gam = 0.5 * (
-        np.einsum("pkl,pijl->pkij", ginv, dg, optimize=True)
-        + np.einsum("pkl,pjil->pkij", ginv, dg, optimize=True)
-        - np.einsum("pkl,plij->pkij", ginv, dg, optimize=True)
-    )
-    dginv = -np.einsum("pac,pmcd,pdb->pmab", ginv, dg, ginv, optimize=True)
-    dgam = 0.5 * (
-        np.einsum("pmkl,pijl->pmkij", dginv, dg, optimize=True)
-        + np.einsum("pmkl,pjil->pmkij", dginv, dg, optimize=True)
-        - np.einsum("pmkl,plij->pmkij", dginv, dg, optimize=True)
-        + np.einsum("pkl,pmijl->pmkij", ginv, ddg, optimize=True)
-        + np.einsum("pkl,pmjil->pmkij", ginv, ddg, optimize=True)
-        - np.einsum("pkl,pmlij->pmkij", ginv, ddg, optimize=True)
-    )
+def _curvature_arrays(L, dg, ddg):
+    """Batched g^-1 = L'L, Christoffel symbols, scalar curvature and max
+    |Riemann| from the metric factor L of _metric_factor and the metric's
+    derivatives.
+
+    L is all this path shares with the closed forms.  Gamma^k_ij = g^kl
+    Gamma_l,ij comes from the lowered symbols Gamma_l,ij = 1/2 (d_i g_jl +
+    d_j g_il - d_l g_ij), and d_m Gamma^k_ij = g^kl (d_m Gamma_l,ij -
+    d_m g_lb Gamma^b_ij), since d_m g^kl = -g^ka d_m g_ab g^bl.
+    """
+    P, n = L.shape[:2]
+    ginv = L.transpose(0, 2, 1) @ L
+    low = 0.5 * (dg.transpose(0, 3, 1, 2) + dg.transpose(0, 3, 2, 1) - dg)
+    gam = (ginv @ low.reshape(P, n, n * n)).reshape(P, n, n, n)
+    dlow = 0.5 * (ddg.transpose(0, 1, 4, 2, 3) + ddg.transpose(0, 1, 4, 3, 2) - ddg)
+    shift = (dg.reshape(P, n * n, n) @ gam.reshape(P, n, n * n)).reshape(P, n, n, n * n)
+    dgam = (ginv[:, None] @ (dlow.reshape(P, n, n, n * n) - shift)).reshape(P, n, n, n, n)
     # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
     #             + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}
     gamgam = np.einsum("pace,pedb->pabcd", gam, gam, optimize=True)
@@ -98,17 +98,19 @@ def _curvature_arrays(g, dg, ddg):
     return ginv, gam, sc, np.max(np.abs(riem), axis=(1, 2, 3, 4))
 
 
+def _point_curvature(mj: MetricJets):
+    L, _ = _metric_factor(mj.g[None], None)
+    return _curvature_arrays(L, mj.dg[None], mj.ddg[None])
+
+
 def scalar_curvature(mj: MetricJets) -> float:
     """Intrinsic scalar curvature (full Riemann trace) at one point."""
-    g = mj.g[None]
-    _, _, sc, _ = _curvature_arrays(g, mj.dg[None], mj.ddg[None])
-    return float(sc[0])
+    return float(_point_curvature(mj)[2][0])
 
 
 def riemann_max_abs(mj: MetricJets) -> float:
     """Largest |R^a_bcd| component; zero for a flat metric."""
-    _, _, _, rmax = _curvature_arrays(mj.g[None], mj.dg[None], mj.ddg[None])
-    return float(rmax[0])
+    return float(_point_curvature(mj)[3][0])
 
 
 def gauss_residual(imm: FourierImmersion, theta) -> float:
@@ -124,8 +126,9 @@ def gauss_residuals(imm: FourierImmersion, thetas: np.ndarray) -> np.ndarray:
     """Batched version of gauss_residual over a (P, n) array of points."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     _, d1, d2, d3 = jets_at(imm, thetas, order=3)
-    _, _, sc, _ = _curvature_arrays(*_metric_jet_arrays(d1, d2, d3))
-    _, L, _ = _metric_factor(d1, thetas)
+    g, dg, ddg = _metric_jet_arrays(d1, d2, d3)
+    L, _ = _metric_factor(g, thetas)
+    sc = _curvature_arrays(L, dg, ddg)[2]
     _, H2, _, zh, _ = _scalar_invariants(_second_form(L, d1, d2)[1])
     n = imm.n
     return sc - (1.5 * H2 - 0.5 * n * (n + 2) * zh)
@@ -193,7 +196,8 @@ def conformal_trace(imm: FourierImmersion, theta, k: float | Fraction) -> Confor
     n = imm.n
     value, d1, d2, d3 = jets_at(imm, theta, order=3)
     g, dg, ddg = _metric_jet_arrays(d1, d2, d3)
-    ginv, gam, sc, _ = _curvature_arrays(g, dg, ddg)
+    L, _ = _metric_factor(g, theta)
+    ginv, gam, sc, _ = _curvature_arrays(L, dg, ddg)
     x = value[0]
     r0 = float(np.linalg.norm(value, axis=1)[0])
     if r0 < 1e-12:
@@ -212,7 +216,7 @@ def conformal_trace(imm: FourierImmersion, theta, k: float | Fraction) -> Confor
         alpha = None
     else:
         alpha = float(math.acos(np.clip(float(H @ x) / (normH * r0), -1.0, 1.0)))
-    E = _metric_factor(d1, theta)[1][0] @ d1[0]
+    E = L[0] @ d1[0]
     tangential = float(np.linalg.norm(E @ x))
     beta = math.asin(min(tangential / r0, 1.0))
     conformal = None
@@ -232,8 +236,9 @@ def curvature_grid(imm: FourierImmersion, grid: TorusGrid) -> np.ndarray:
     analyze reports next to the closed form."""
     sc = np.empty(grid.npoints)
     for start, thetas in grid.iter_points(512):
-        _, d1, d2, d3 = jets_at(imm, thetas, order=3)
-        sc[start:start + thetas.shape[0]] = _curvature_arrays(*_metric_jet_arrays(d1, d2, d3))[2]
+        g, dg, ddg = _metric_jet_arrays(*jets_at(imm, thetas, order=3)[1:])
+        L, _ = _metric_factor(g, thetas)
+        sc[start:start + thetas.shape[0]] = _curvature_arrays(L, dg, ddg)[2]
     return sc
 
 

@@ -81,9 +81,9 @@ class PointInvariants:
 # from _metric_factor and _second_form, with P = 1 for single points.
 # ---------------------------------------------------------------------------
 
-def _metric_factor(d1: np.ndarray, thetas: np.ndarray | None):
-    """Metric g = d1 d1', its inverse Cholesky factor L (L g L' = I) and
-    sqrt(det g) for a (P, n, q) batch of first derivatives.
+def _metric_factor(g: np.ndarray, thetas: np.ndarray | None):
+    """Inverse Cholesky factor L (L g L' = I) and sqrt(det g) for a (P, n, n)
+    batch of metrics g = d1 d1'.
 
     C and L come from column sweeps over (n, n, P) arrays held points-last,
     each step one elementwise numpy operation over all P points, so a point's
@@ -102,7 +102,6 @@ def _metric_factor(d1: np.ndarray, thetas: np.ndarray | None):
     not > 0.  Non-finite input is not degenerate: it flows through as NaN for
     the checks to report.
     """
-    g = d1 @ d1.transpose(0, 2, 1)
     P, n, _ = g.shape
     A = g.transpose(1, 2, 0).copy()
     C = np.zeros_like(A)
@@ -128,7 +127,7 @@ def _metric_factor(d1: np.ndarray, thetas: np.ndarray | None):
             why = f"< {_DEGENERATE_EIG}" if eigs[i] < _DEGENERATE_EIG else "and a pivot <= 0"
             raise DegenerateMetric(f"metric eigenvalue {eigs[i]:.3e} {why}{where}")
     sqrt_det = np.prod(np.einsum("iip->ip", C), axis=0)
-    return g, np.ascontiguousarray(L.transpose(2, 0, 1)), sqrt_det
+    return np.ascontiguousarray(L.transpose(2, 0, 1)), sqrt_det
 
 
 class _PairLayout(NamedTuple):
@@ -216,7 +215,9 @@ def metric_at(jet: Jet) -> MetricPoint:
     if jet.d1 is None:
         raise ValueError("metric_at needs a jet of order >= 1")
     theta = None if jet.theta is None else jet.theta[None]
-    g, L, sqrt_det = _metric_factor(jet.d1[None], theta)
+    d1 = jet.d1[None]
+    g = d1 @ d1.transpose(0, 2, 1)
+    L, sqrt_det = _metric_factor(g, theta)
     return MetricPoint(g=g[0], g_inv=L[0].T @ L[0], L=L[0], sqrt_det=float(sqrt_det[0]))
 
 
@@ -523,7 +524,7 @@ def _chunk_core(imm: FourierImmersion, thetas: np.ndarray):
     """Kernel over one chunk of grid points: position, frame, II in the pair
     layout and sqrt(det g)."""
     value, d1, d2, _ = jets_at(imm, thetas, order=2)
-    _, L, sqrt_det = _metric_factor(d1, thetas)
+    L, sqrt_det = _metric_factor(d1 @ d1.transpose(0, 2, 1), thetas)
     E, S = _second_form(L, d1, d2)
     return value, E, S, sqrt_det
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from toricurv.designs import clifford
-from toricurv.errors import DimensionTooLow, OriginPoint
+from toricurv.errors import DegenerateMetric, DimensionTooLow, OriginPoint
 from toricurv.fixtures import ball_immersion, perturbed_clifford, round_sphere
 from toricurv.immersion import FourierImmersion, FourierTerm, Signature, evaluate_jet, transform
 from toricurv.intrinsic import (
@@ -82,11 +82,29 @@ def test_flat_fixtures_have_zero_curvature(clifford3, hexagonal, d4):
 
 
 def test_round_sphere_pins_the_convention():
-    for radius in (1.0, 2.0):
+    # On the chart (t, p), |R^p_tpt| = 1 >= |R^t_ptp| = sin^2 t at every radius.
+    for radius in (1.0, 2.0, 0.5):
         sph = round_sphere(radius)
         for theta in ([1.2, 0.5], [2.0, 3.1], [0.9, 4.4]):
-            sc = scalar_curvature(metric_jets(sph, theta))
-            assert abs(sc - 2.0 / radius**2) < 1e-9
+            mj = metric_jets(sph, theta)
+            assert abs(scalar_curvature(mj) - 2.0 / radius**2) < 1e-9
+            assert abs(riemann_max_abs(mj) - 1.0) < 1e-12
+
+
+def test_christoffel_path_applies_the_degeneracy_rule():
+    # lambda_min(g) = sin^2(1e-7) = 1e-14 < 1e-12, yet g inverts: Sc would read 1.9457...
+    with pytest.raises(DegenerateMetric, match=r"eigenvalue 1\.000e-14 < 1e-12"):
+        scalar_curvature(metric_jets(round_sphere(), [1e-7, 0.3]))
+
+
+def test_christoffel_path_names_the_degenerate_point():
+    sph = round_sphere()
+    with pytest.raises(DegenerateMetric, match=r"theta=\[0\.0, 0\.3\]"):
+        gauss_residuals(sph, np.array([[0.0, 0.3]]))
+    with pytest.raises(DegenerateMetric, match=r"theta=\[0\.0, 0\.3\]"):
+        conformal_trace(sph, [0.0, 0.3], 1.0)
+    with pytest.raises(DegenerateMetric, match=r"theta=\[0\.0, 0\.0\]"):
+        curvature_grid(sph, TorusGrid((8, 8)))
 
 
 def test_graph_perturbed_torus_matches_extrinsic_form():

@@ -109,7 +109,8 @@ def test_metric_factor_against_lapack(n):
     # Two backward-stable factorizations of one g agree to about cond(g)*eps,
     # so every tolerance scales with the condition number.
     d1 = np.concatenate([spd_jets(n, 16, cond, seed=n) for cond in (1.0, 1e4, 1e8)])
-    g, L, sqrt_det = _metric_factor(d1, None)
+    g = d1 @ d1.transpose(0, 2, 1)
+    L, sqrt_det = _metric_factor(g, None)
     cond = np.linalg.cond(g)
     eye = np.abs(L @ g @ L.transpose(0, 2, 1) - np.eye(n)).max(axis=(1, 2))
     assert np.all(eye <= 1e-12 * cond)
@@ -119,16 +120,19 @@ def test_metric_factor_against_lapack(n):
     assert np.all(sign == 1.0)
     assert np.all(np.abs(sqrt_det / np.exp(0.5 * logdet) - 1.0) <= 1e-13 * cond)
     for p in range(d1.shape[0]):      # a point's factor does not depend on its batch
-        gp, Lp, sp = _metric_factor(d1[p:p + 1], None)
+        gp = d1[p:p + 1] @ d1[p:p + 1].transpose(0, 2, 1)
+        Lp, sp = _metric_factor(gp, None)
         assert np.array_equal(gp[0], g[p]) and np.array_equal(Lp[0], L[p]) and sp[0] == sqrt_det[p]
 
 
 def test_metric_factor_mixed_batches():
     thetas = np.arange(12.0).reshape(6, 2)
     d1 = spd_jets(3, 6, 1e3, seed=9)
-    clean = _metric_factor(d1, thetas)
+    clean_g = d1 @ d1.transpose(0, 2, 1)
+    clean = (clean_g, *_metric_factor(clean_g, thetas))
     d1[2, 0, 0] = np.nan               # g[2] is NaN in row and column 0
-    g, L, sqrt_det = _metric_factor(d1, thetas)
+    g = d1 @ d1.transpose(0, 2, 1)
+    L, sqrt_det = _metric_factor(g, thetas)
     lower = np.tril_indices(3)
     assert np.isnan(L[2][lower]).all() and np.isnan(sqrt_det[2])
     others = np.arange(6) != 2
@@ -136,7 +140,18 @@ def test_metric_factor_mixed_batches():
         assert np.array_equal(got[others], want[others])
     d1[4, 2] = d1[4, 0]               # rank 2: lambda_min(g) is 0 to roundoff
     with pytest.raises(DegenerateMetric, match=r"theta=\[8\.0, 9\.0\]"):
-        _metric_factor(d1, thetas)
+        _metric_factor(d1 @ d1.transpose(0, 2, 1), thetas)
+
+
+def test_metric_factor_pivot_rule():
+    # lambda_min(g) = ulp(3e4) = 3.638e-12 passes the eigenvalue test, but the
+    # swept pivot 3e4 - (b / sqrt(3e4))^2 rounds to exactly 0.
+    b = np.nextafter(3e4, 0.0)
+    g = np.array([[[3e4, b], [b, 3e4]]])
+    assert np.linalg.eigvalsh(g)[0, 0] > 1e-12
+    with pytest.raises(DegenerateMetric,
+                       match=r"metric eigenvalue 3\.638e-12 and a pivot <= 0 at theta=\[0\.1, 0\.2\]"):
+        _metric_factor(g, np.array([[0.1, 0.2]]))
 
 
 # ---------------------------------------------------------------- frame

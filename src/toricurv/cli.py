@@ -11,6 +11,7 @@ byte-reproducible for identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -53,29 +54,43 @@ def _jsonable(value):
     return value
 
 
-def _dump_json(obj, path: str | None) -> None:
-    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
+def _write(lines, path: str | None) -> None:
+    """Write an iterable of strings to stdout, or to the --out file."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+        sys.stdout.writelines(lines)
+        return
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.writelines(lines)
+    except OSError as exc:
+        raise ParseError(f"--out: cannot write {path}: {exc}") from None
+
+
+def _dump_json(obj, path: str | None) -> None:
+    _write([json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"], path)
 
 
 def _parse_grid(spec: str | None, n: int) -> TorusGrid:
     if spec is None:
-        return TorusGrid.default(n)
+        grid = TorusGrid.default(n)
+    else:
+        try:
+            sizes = tuple(int(tok) for tok in spec.split(","))
+        except ValueError:
+            raise ParseError(f"--grid: expected comma-separated integers, got {spec!r}") from None
+        if len(sizes) == 1 and n > 1:
+            sizes = sizes * n
+        if len(sizes) != n:
+            raise ParseError(f"--grid: expected {n} sizes, got {len(sizes)}")
+        try:
+            grid = TorusGrid(sizes)
+        except ValueError as exc:
+            raise ParseError(f"--grid: {exc}") from None
     try:
-        sizes = tuple(int(tok) for tok in spec.split(","))
-    except ValueError:
-        raise ParseError(f"--grid: expected comma-separated integers, got {spec!r}") from None
-    if len(sizes) == 1 and n > 1:
-        sizes = sizes * n
-    if len(sizes) != n:
-        raise ParseError(f"--grid: expected {n} sizes, got {len(sizes)}")
-    try:
-        return TorusGrid(sizes)
-    except ValueError as exc:
-        raise ParseError(f"--grid: {exc}") from None
+        np.empty(grid.doubled().npoints)     # one field on the grid the checks refine on
+    except (MemoryError, ValueError) as exc:
+        raise ParseError(f"--grid: {list(grid.sizes)} is too large to hold: {exc}") from None
+    return grid
 
 
 def _input_config(path: str, digest: str, grid: TorusGrid | None, seed: int,
@@ -123,9 +138,8 @@ def cmd_analyze(args) -> int:
                              k_min, k_max, beta])
     # Row by row: the whole table as Python floats and strings at once took
     # analyze's peak RSS from 49 to 70 MB on a 32^3 grid.
-    with csv_path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in table)
+    rows = (",".join(map(repr, row.tolist())) + "\r\n" for row in table)
+    _write(itertools.chain([",".join(header) + "\r\n"], rows), str(csv_path))
 
     summary = {
         "config": _input_config(args.input, digest, grid, args.seed),
@@ -163,11 +177,8 @@ def cmd_verify(args) -> int:
         for rep in reports:
             lines.append([rep["name"], rep["status"], rep["pass"],
                           rep["margin"], rep["tolerance"]])
-        text = "\n".join(",".join("" if v is None else str(v) for v in row) for row in lines) + "\n"
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _write([",".join("" if v is None else str(v) for v in row) + "\n" for row in lines],
+               args.out)
     else:
         _dump_json(reports, args.out)
     for rep in reports:
@@ -182,7 +193,11 @@ def cmd_design(args) -> int:
     try:
         B = builtin_design(name_or_path)
     except ToricurvError:
-        B = parse_frame_matrix(Path(name_or_path).read_text())
+        try:
+            text = Path(name_or_path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"matrix: cannot read {name_or_path}: {exc}") from None
+        B = parse_frame_matrix(text)
     if args.action == "validate":
         report = validate_design(B)
         payload = asdict(report)
@@ -196,6 +211,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    if args.n < 1:
+        raise ParseError(f"--n: expected a positive torus dimension, got {args.n}")
     grid = _parse_grid(args.grid, args.n)
     try:
         config = SearchConfig(

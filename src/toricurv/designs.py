@@ -8,9 +8,13 @@ whose image lies on the unit sphere and whose induced metric is the constant
 matrix B'B / m.  The squared normal curvature in a coordinate direction v
 with v'Gv = m (G = B'B) is (1/m) * sum_j (b_j . v)^4, so the subtorus has
 constant normal curvature exactly when the quartic sum_j (b_j . v)^4 is
-proportional to (v'Gv)^2.  That proportionality is a polynomial identity
-with integer coefficients, so it is certified here in exact rational
-arithmetic; no floating-point test is involved.
+proportional to (v'Gv)^2.  Two quartic forms are equal exactly when their
+symmetric coefficient tensors are, so this is the integer identity
+
+    3 G_00^2 sum_r b_ri b_rj b_rk b_rl == s4 (G_ij G_kl + G_ik G_jl + G_il G_jk)
+
+between fourth-moment tensors at every i <= j <= k <= l, with
+s4 = sum_r b_r0^4; no floating-point test is involved.
 """
 
 from __future__ import annotations
@@ -109,31 +113,14 @@ def _fraction_inverse(G: tuple[tuple[int, ...], ...]) -> list[list[Fraction]]:
     return [row[n:] for row in a]
 
 
-def _poly_mul(p: dict, q: dict, n: int) -> dict:
-    out: dict[tuple[int, ...], Fraction] = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, Fraction(0)) + c1 * c2
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _linear_power4(b: tuple[int, ...]) -> dict:
-    """Expansion of (b . v)^4 over the degree-4 monomial basis, exactly."""
-    n = len(b)
-    lin = {tuple(int(i == j) for j in range(n)): Fraction(b[i]) for i in range(n) if b[i] != 0}
-    if not lin:
-        return {}
-    sq = _poly_mul(lin, lin, n)
-    return _poly_mul(sq, sq, n)
-
-
 def validate_design(B: FrameMatrix) -> DesignReport:
     """Certify constancy and optimality of the normal curvature, exactly.
 
-    Constancy: sum_j (b_j . v)^4 == c * (v'Gv)^2 coefficient-wise, with
-    c = sum_j b_j[0]^4 / G[0][0]^2.  Then K^2 = c*m.  Optimality: all row
-    weights b_j' G^{-1} b_j equal (equivalently K^2 == 3n/(n+2)); the two
+    Constancy: 3 G_00^2 T_ijkl == s4 (G_ij G_kl + G_ik G_jl + G_il G_jk) at
+    every i <= j <= k <= l, in integers, where T_ijkl = sum_r b_ri b_rj b_rk b_rl
+    and s4 = T_0000; that is sum_j (b_j . v)^4 == c (v'Gv)^2 with
+    c = s4 / G_00^2, and then K^2 = c*m.  Optimality: all row weights
+    b_j' G^{-1} b_j equal (equivalently K^2 == 3n/(n+2)); the two
     formulations are cross-checked against each other.
     """
     n, m = B.n, B.m
@@ -146,21 +133,13 @@ def validate_design(B: FrameMatrix) -> DesignReport:
         for row in B.rows
     )
 
-    quartic: dict[tuple[int, ...], Fraction] = {}
-    for row in B.rows:
-        for e, c in _linear_power4(row).items():
-            quartic[e] = quartic.get(e, Fraction(0)) + c
-    quartic = {e: c for e, c in quartic.items() if c != 0}
-
-    quad = {}
-    for i in range(n):
-        for j in range(n):
-            e = tuple((int(i == a) + int(j == a)) for a in range(n))
-            quad[e] = quad.get(e, Fraction(0)) + Fraction(G[i][j])
-    gram_sq = _poly_mul(quad, quad, n)
-
-    c = Fraction(sum(row[0] ** 4 for row in B.rows), G[0][0] ** 2)
-    is_constant = quartic == {e: c * v for e, v in gram_sq.items() if c * v != 0}
+    s4 = sum(row[0] ** 4 for row in B.rows)
+    is_constant = all(
+        3 * G[0][0] ** 2 * sum(row[i] * row[j] * row[k] * row[l] for row in B.rows)
+        == s4 * (G[i][j] * G[k][l] + G[i][k] * G[j][l] + G[i][l] * G[j][k])
+        for i, j, k, l in itertools.combinations_with_replacement(range(n), 4)
+    )
+    c = Fraction(s4, G[0][0] ** 2)
 
     K2 = c * m if is_constant else None
     K = float(np.sqrt(float(K2))) if K2 is not None else None

@@ -25,19 +25,19 @@ def canonical_frequencies(n: int, fmax: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _into_ball(imm: FourierImmersion, margin: float) -> FourierImmersion:
+def _into_ball(imm: FourierImmersion) -> FourierImmersion:
     """imm rescaled so its largest norm on the doubled default grid, the grid
-    the ball check reads at the default grid, is margin."""
+    the ball check reads at the default grid, is 0.999."""
     top = max(float(np.max(np.linalg.norm(jets_at(imm, thetas, 0)[0], axis=1)))
               for _, thetas in TorusGrid.default(imm.n).doubled().iter_points())
     return FourierImmersion(
         signature=imm.signature, terms=imm.terms,
-        scale=imm.scale * margin / top, translate=imm.translate,
+        scale=imm.scale * 0.999 / top, translate=imm.translate,
     )
 
 
-def random_immersion(n: int, q: int, seed: int, terms: int = 6, fmax: int = 2,
-                     amplitude: float = 1.0) -> FourierImmersion:
+def random_immersion(n: int, q: int, seed: int, terms: int = 6,
+                     fmax: int = 2) -> FourierImmersion:
     """Random trigonometric immersion in general position (not ball-normalized).
 
     Retries with derived seeds until the differential has full rank on a
@@ -51,26 +51,26 @@ def random_immersion(n: int, q: int, seed: int, terms: int = 6, fmax: int = 2,
         built = []
         for idx in sorted(int(i) for i in chosen):
             k = freqs[idx]
-            damp = amplitude / (1.0 + float(np.dot(k, k)))
+            damp = 1.0 / (1.0 + float(np.dot(k, k)))
             built.append(FourierTerm(
                 k=k,
                 a=damp * rng.standard_normal(q),
                 b=damp * rng.standard_normal(q),
             ))
         imm = FourierImmersion(signature=Signature(n=n, q=q), terms=tuple(built))
-        if immersion_rank_check(imm, check_grid) > 1e-3 * amplitude:
+        if immersion_rank_check(imm, check_grid) > 1e-3:
             return imm
     raise RuntimeError(f"could not build a full-rank random immersion for n={n}, q={q}, seed={seed}")
 
 
-def ball_immersion(n: int, q: int, seed: int, terms: int = 6, fmax: int = 2,
-                   margin: float = 0.999) -> FourierImmersion:
+def ball_immersion(n: int, q: int, seed: int, terms: int = 6,
+                   fmax: int = 2) -> FourierImmersion:
     """Random immersion rescaled so its image lies strictly inside the unit ball."""
-    return _into_ball(random_immersion(n, q, seed, terms=terms, fmax=fmax), margin)
+    return _into_ball(random_immersion(n, q, seed, terms=terms, fmax=fmax))
 
 
-def perturbed_clifford(n: int, seed: int, eps: float = 0.05, fmax: int = 2,
-                       extra_terms: int = 4, margin: float = 0.999) -> FourierImmersion:
+def perturbed_clifford(n: int, seed: int, eps: float = 0.05,
+                       fmax: int = 2) -> FourierImmersion:
     """Clifford torus plus a small seeded perturbation, rescaled into the ball.
 
     Stays close to the equality case of the torus bounds while breaking every
@@ -80,14 +80,14 @@ def perturbed_clifford(n: int, seed: int, eps: float = 0.05, fmax: int = 2,
     q = base.q
     freqs = canonical_frequencies(n, fmax)
     rng = _philox(seed * 9_176_911 + 13)
-    chosen = rng.choice(len(freqs), size=min(extra_terms, len(freqs)), replace=False)
+    chosen = rng.choice(len(freqs), size=min(4, len(freqs)), replace=False)
     terms = [FourierTerm(t.k, base.scale * t.a, base.scale * t.b) for t in base.terms]
     for idx in sorted(int(i) for i in chosen):
         k = freqs[idx]
         damp = eps / (1.0 + float(np.dot(k, k)))
         terms.append(FourierTerm(k=k, a=damp * rng.standard_normal(q),
                                  b=damp * rng.standard_normal(q)))
-    return _into_ball(FourierImmersion(signature=base.signature, terms=tuple(terms)), margin)
+    return _into_ball(FourierImmersion(signature=base.signature, terms=tuple(terms)))
 
 
 def round_sphere(radius: float = 1.0) -> FourierImmersion:

@@ -41,7 +41,7 @@ class TorusGrid:
 
     @property
     def npoints(self) -> int:
-        return int(np.prod(self.sizes))
+        return math.prod(self.sizes)
 
     def theta_at(self, flat_index) -> np.ndarray:
         """Parameter point(s) for flat C-order indices."""

@@ -305,7 +305,7 @@ def _trace_diagnostics(imm: FourierImmersion, grid: TorusGrid) -> tuple[dict, di
         alpha = None
         if r > 1e-12 and norm_H > 1e-12:
             alpha = math.acos(max(-1.0, min(1.0, float(fields.hx[idx]) / (norm_H * r))))
-    if alpha is not None:
+    if alpha is not None and n >= 2:      # the chain's sin term divides by n - 1
         cos_alpha = math.cos(alpha)
         chain = _chain_terms(n, float(fields.zh[idx]), float(fields.norm_H[idx]),
                              r, cos_alpha, sin_beta)

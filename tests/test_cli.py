@@ -10,6 +10,7 @@ import pytest
 
 import toricurv.cli as cli
 from toricurv.cli import main
+from toricurv.designs import builtin_design
 from toricurv.formats import (
     immersion_to_obj,
     load_immersion,
@@ -304,6 +305,53 @@ def test_verify_grid_too_small_exit_2(hex_file, capsys):
 def test_explore_unsupported_q_exit_2(q, capsys):
     assert main(["explore", "--n", "3", "--q", q, "--iterations", "1", "--restarts", "1"]) == 2
     assert f"q={q}" in capsys.readouterr().err
+
+
+def test_verify_unit_circle_passes(tmp_path):
+    # m = 1 clifford is the unit circle: n = 1, where the trace chain's
+    # (n - 2)/(n - 1) term is undefined and must not be evaluated.
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps({"type": "clifford", "m": 1}))
+    out = tmp_path / "rep.json"
+    assert main(["verify", str(path), "--seed", "1", "--out", str(out)]) == 0
+    statuses = {rep["name"]: rep["status"] for rep in json.loads(out.read_text())}
+    assert statuses.pop("2d") == "skipped"
+    assert set(statuses.values()) == {"pass"}
+
+
+def test_design_validate_missing_matrix_file_exit_2(tmp_path, capsys):
+    assert main(["design", "validate", str(tmp_path / "no_such_matrix.txt")]) == 2
+    assert "matrix: cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{circle}", "--checks", "ball"],
+    ["verify", "{circle}", "--checks", "ball", "--format", "csv"],
+    ["analyze", "{circle}", "--grid", "16"],
+    ["design", "validate", "hex2"],
+    ["explore", "--n", "2", "--q", "4", "--grid", "8", "--iterations", "2", "--restarts", "1"],
+], ids=["verify-json", "verify-csv", "analyze", "design", "explore"])
+def test_unwritable_out_exit_2(tmp_path, capsys, argv):
+    circle = tmp_path / "circle.json"
+    circle.write_text(json.dumps({"type": "clifford", "m": 1}))
+    argv = [a.format(circle=circle) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "no_such_dir" / "out")]) == 2
+    assert "--out: cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", ["65536", "3000"])
+def test_verify_grid_too_large_exit_2(tmp_path, capsys, size):
+    # 65536^4 points wrap int64 to 0, and the doubled 3000^4 grid needs 9.21 PiB
+    # per field; both exceed any user address space, so the refusal is immediate.
+    path = tmp_path / "d4.json"
+    path.write_text(json.dumps({"type": "gromov", "B": [list(r) for r in builtin_design("d4").rows]}))
+    assert main(["verify", str(path), "--grid", size]) == 2
+    assert "--grid" in capsys.readouterr().err
+
+
+def test_explore_zero_dimension_exit_2(capsys):
+    assert main(["explore", "--n", "0", "--q", "2"]) == 2
+    assert "--n" in capsys.readouterr().err
 
 
 def test_perfbench_trace_targets_resolve():

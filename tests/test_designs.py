@@ -174,3 +174,49 @@ def test_matrix_file_errors():
         parse_frame_matrix("1 0\n1\n")
     with pytest.raises(ParseError):
         parse_frame_matrix("# only comments\n")
+
+
+# ---------------------------------------------------------------- certificate invariance and oracle
+
+def _unimodular(n: int, rng) -> np.ndarray:
+    """A product of eight elementary shears E_ij(+-1): an integer matrix of determinant 1."""
+    U = np.eye(n, dtype=np.int64)
+    for _ in range(8):
+        i, j = rng.choice(n, size=2, replace=False)
+        U[:, j] += int(rng.choice([-1, 1])) * U[:, i]
+    return U
+
+
+@pytest.mark.parametrize("name", ["hex2", "d4", "axdiag3"])
+def test_certificate_invariant_under_reparametrization(name):
+    # phi -> U phi with U unimodular is the same subtorus, so only the Gram
+    # matrix may change, and it must become U'GU.
+    B = builtin_design(name)
+    base = validate_design(B)
+    G = np.array(base.gram)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(2024)))
+    for _ in range(5):
+        U = _unimodular(B.n, rng)
+        rep = validate_design(FrameMatrix(tuple(map(tuple, (np.array(B.rows) @ U).tolist()))))
+        assert np.array_equal(np.array(rep.gram), U.T @ G @ U)
+        assert {**vars(rep), "gram": None} == {**vars(base), "gram": None}
+
+
+def test_certificate_matches_quartic_ratio_oracle():
+    # Constancy means sum_j (b_j . v)^4 / (v'Gv)^2 is the same in every direction;
+    # in floating point the ratio's spread is either roundoff or of order 0.1.
+    frames = np.random.Generator(np.random.Philox(key=np.uint64(7)))
+    directions = np.random.Generator(np.random.Philox(key=np.uint64(8)))
+    verdicts = []
+    while len(verdicts) < 385:
+        n = int(frames.integers(2, 5))
+        B = frames.integers(-2, 3, size=(int(frames.integers(n, 9)), n))
+        if np.linalg.matrix_rank(B) < n:
+            continue
+        V = directions.standard_normal((2000, n))
+        ratio = np.sum((V @ B.T) ** 4, axis=1) / np.einsum("di,di->d", V @ B.T, V @ B.T) ** 2
+        spread = (ratio.max() - ratio.min()) / ratio.mean()
+        constant = validate_design(FrameMatrix(tuple(map(tuple, B.tolist())))).is_constant_curvature
+        assert constant == (spread < 1e-9), (B.tolist(), spread)
+        verdicts.append(constant)
+    assert 0 < sum(verdicts) < len(verdicts)

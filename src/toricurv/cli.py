@@ -14,6 +14,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -66,6 +67,26 @@ def _write(lines, path: str | None) -> None:
         raise ParseError(f"--out: cannot write {path}: {exc}") from None
 
 
+def _check_out(*paths) -> None:
+    """Refuse --out paths that cannot be written, before any grid work and
+    without creating or truncating them: the path is not a directory, its
+    directory exists, and the file (if present) or else the directory is
+    writable.  _write still reports a later failure."""
+    for path in paths:
+        if path is None:
+            continue
+        target = Path(path)
+        if target.is_dir():
+            why = "it is a directory"
+        elif not target.parent.is_dir():
+            why = f"no directory {target.parent}"
+        elif not os.access(target if target.exists() else target.parent, os.W_OK):
+            why = "permission denied"
+        else:
+            continue
+        raise ParseError(f"--out: cannot write {path}: {why}")
+
+
 def _dump_json(obj, path: str | None) -> None:
     _write([json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"], path)
 
@@ -93,6 +114,19 @@ def _parse_grid(spec: str | None, n: int) -> TorusGrid:
     return grid
 
 
+def _check_search_table(config: SearchConfig) -> None:
+    """Refuse a search whose trial table (P grid points x 2F cos/sin columns)
+    or coefficient array (F x 2 x q) cannot be held, before any of the
+    F = ((2 fmax + 1)^n - 1)/2 canonical frequencies is enumerated."""
+    F = ((2 * config.fmax + 1) ** config.n - 1) // 2
+    try:
+        np.empty((config.grid.npoints, 2 * F))
+        np.empty((F, 2, config.q))
+    except (MemoryError, ValueError) as exc:
+        raise ParseError(f"--fmax {config.fmax} with --grid {list(config.grid.sizes)}: the search "
+                         f"table over {F} frequencies is too large to hold: {exc}") from None
+
+
 def _input_config(path: str, digest: str, grid: TorusGrid | None, seed: int,
                   extra: dict | None = None) -> dict:
     config = {"input": str(path), "input_sha256": digest, "seed": seed,
@@ -115,6 +149,12 @@ def _expected_design_K(obj: dict):
 
 
 def cmd_analyze(args) -> int:
+    out_base = Path(args.out if args.out else "analyze_report")
+    if out_base.suffix in (".csv", ".json"):
+        out_base = out_base.with_suffix("")
+    csv_path = out_base.with_suffix(".csv")
+    json_path = out_base.with_suffix(".json")
+    _check_out(csv_path, json_path)
     obj, digest = read_input(args.input)
     imm = parse_immersion(obj)
     grid = _parse_grid(args.grid, imm.n)
@@ -124,12 +164,6 @@ def cmd_analyze(args) -> int:
     k_min, k_max = pointwise.grid_K_estimates(imm, grid, seed=args.seed)
     n = imm.n
     residual = sc - (1.5 * fields.H2 - 0.5 * n * (n + 2) * fields.zh)
-
-    out_base = Path(args.out if args.out else "analyze_report")
-    if out_base.suffix in (".csv", ".json"):
-        out_base = out_base.with_suffix("")
-    csv_path = out_base.with_suffix(".csv")
-    json_path = out_base.with_suffix(".json")
 
     header = [f"theta_{i + 1}" for i in range(n)] + \
         ["norm_f", "norm_H", "zh", "sc", "k_min", "k_max", "beta"]
@@ -162,6 +196,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_out(args.out)
     obj, digest = read_input(args.input)
     imm = parse_immersion(obj)
     grid = _parse_grid(args.grid, imm.n)
@@ -189,6 +224,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_design(args) -> int:
+    _check_out(args.out)
     name_or_path = args.matrix
     try:
         B = builtin_design(name_or_path)
@@ -213,6 +249,7 @@ def cmd_design(args) -> int:
 def cmd_explore(args) -> int:
     if args.n < 1:
         raise ParseError(f"--n: expected a positive torus dimension, got {args.n}")
+    _check_out(args.out)
     grid = _parse_grid(args.grid, args.n)
     try:
         config = SearchConfig(
@@ -222,6 +259,7 @@ def cmd_explore(args) -> int:
         )
     except ValueError as exc:
         raise ParseError(f"explore: {exc}") from None
+    _check_search_table(config)
     result = optimize(config)
     payload = {
         "config": {

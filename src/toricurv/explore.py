@@ -6,20 +6,28 @@ penalty.  Descent uses derivative-free coordinate pattern search: the
 objective's sup structure has subgradient kinks wherever the maximizing grid
 point swaps, which makes analytic gradients brittle.  Smoothing is for the
 descent only; reported suprema are always the exact grid maxima.
+
+Trials differ only in their coefficients, so one search shares one table:
+the grid points in the chunks grid_fields uses and [cos | sin] of their
+phases at the F canonical frequencies, P * 2F doubles for P grid points.  A
+trial is scored from its coefficient vector through that table and the
+field kernel, with no immersion built and no cos/sin recomputed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .designs import builtin_design, clifford, subtorus_immersion
 from .errors import DegenerateMetric
 from .fixtures import canonical_frequencies
-from .immersion import FourierImmersion, FourierTerm, Signature, immersion_rank_check
-from .pointwise import grid_fields
+from .immersion import (FourierImmersion, FourierTerm, Signature, _jet_basis, _split_jets, _trig,
+                        immersion_rank_check)
+from .pointwise import _GRID_CHUNK, _jet_core, _scalar_invariants, grid_fields
 from .quadrature import TorusGrid
 
 DEGENERATE_PENALTY = 1e9
@@ -70,14 +78,50 @@ def _soft_max(values: np.ndarray, temperature: float) -> float:
     return top + temperature * math.log(float(np.mean(np.exp((values - top) / temperature))))
 
 
-def objective(imm: FourierImmersion, config: SearchConfig) -> float:
-    """Smoothed sup of zh plus the ball penalty; large but finite when degenerate."""
+class TrialTable(NamedTuple):
+    """What every trial of one search shares: the canonical frequency slots,
+    their (F, n) matrix K, and for each chunk of _GRID_CHUNK grid points (the
+    chunks grid_fields uses) its start, its points and [cos | sin](theta K'),
+    P * 2F doubles in all."""
+
+    config: SearchConfig
+    freqs: list[tuple[int, ...]]
+    K: np.ndarray
+    chunks: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+
+
+def trial_table(config: SearchConfig) -> TrialTable:
+    freqs = canonical_frequencies(config.n, config.fmax)
+    K = np.array(freqs, dtype=float).reshape(-1, config.n)
+    chunks = tuple((start, thetas, _trig(thetas, K))
+                   for start, thetas in config.grid.iter_points(_GRID_CHUNK))
+    return TrialTable(config, freqs, K, chunks)
+
+
+def objective(x: np.ndarray, trials: TrialTable) -> float:
+    """Smoothed sup of zh plus the ball penalty of the immersion with
+    coefficient vector x over trials.freqs; large but finite when degenerate.
+
+    The jets are trig @ _jet_basis per chunk, bit-equal to those of
+    _immersion_from(x) when every frequency slot is nonzero, and the fields
+    come from the kernel grid_fields runs."""
+    config = trials.config
+    n, q = config.n, config.q
+    coef = x.reshape(-1, 2, q)
+    basis = _jet_basis(trials.K, coef[:, 0], coef[:, 1], 2)
+    zh = np.empty(config.grid.npoints)
+    r = np.empty(config.grid.npoints)
     try:
-        fields = grid_fields(imm, config.grid)
+        for start, thetas, trig in trials.chunks:
+            value, d1, d2, _ = _split_jets(trig @ basis, n, q, 2)
+            S = _jet_core(d1, d2, thetas)[1]
+            stop = start + thetas.shape[0]
+            zh[start:stop] = _scalar_invariants(S)[3]
+            r[start:stop] = np.linalg.norm(value, axis=1)
     except DegenerateMetric:
         return DEGENERATE_PENALTY
-    soft = _soft_max(fields.zh, config.smoothing)
-    overshoot = max(0.0, float(np.max(fields.r)) - 1.0)
+    soft = _soft_max(zh, config.smoothing)
+    overshoot = max(0.0, float(np.max(r)) - 1.0)
     return soft + config.penalty_weight * overshoot * overshoot
 
 
@@ -167,11 +211,11 @@ def optimize(config: SearchConfig) -> SearchResult:
     every size doubled, whose field pass also certifies the metric there
     (lambda_min(g) >= 1e-12, or it raises DegenerateMetric).
     """
-    freqs = canonical_frequencies(config.n, config.fmax)
-    x_init = _coefficients(_initial_immersion(config), freqs, config.q)
+    trials = trial_table(config)
+    x_init = _coefficients(_initial_immersion(config), trials.freqs, config.q)
 
     def evaluate(x: np.ndarray) -> float:
-        return objective(_immersion_from(x, freqs, config), config)
+        return objective(x, trials)
 
     history: list[float] = []
     running_best = math.inf
@@ -185,7 +229,7 @@ def optimize(config: SearchConfig) -> SearchResult:
         if f < best_f:   # strict: ties keep the lowest restart index
             best_x, best_f, best_restart = x, f, restart
 
-    best = _immersion_from(best_x, freqs, config)
+    best = _immersion_from(best_x, trials.freqs, config)
     fine = config.grid.doubled()
     fields = grid_fields(best, fine)
     sup_zh = float(np.max(fields.zh))

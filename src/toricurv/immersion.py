@@ -110,27 +110,61 @@ class FourierImmersion:
     def _bmat(self) -> np.ndarray:  # (T, q)
         return np.array([t.b for t in self.terms], dtype=float).reshape(-1, self.q)
 
-    # Stacked jet basis: column block o of _basis(order) holds the order-o
-    # derivative coefficients, (frequency product x coefficient) per term,
-    # with the cos rows over the sin rows, the derivative signs and the scale
-    # folded in, so that [cos | sin] @ _basis(order) is every jet up to order.
     def _basis(self, order: int) -> np.ndarray:
+        """_jet_basis of this series up to order, cached per order."""
         cache = self.__dict__.setdefault("_basis_cache", {})
         if order not in cache:
-            K, A, B = self._kmat, self._amat, self._bmat
-            T, n, q = K.shape[0], self.n, self.q
-            kprod = np.ones((T, 1))
-            cos_rows, sin_rows = [], []
-            for o in range(order + 1):
-                ka = (kprod[:, :, None] * A[:, None, :]).reshape(T, n ** o * q)
-                kb = (kprod[:, :, None] * B[:, None, :]).reshape(T, n ** o * q)
-                # d/dphase maps a*cos + b*sin to b*cos - a*sin
-                c_coef, s_coef = ((ka, kb), (kb, -ka), (-ka, -kb), (-kb, ka))[o]
-                cos_rows.append(c_coef)
-                sin_rows.append(s_coef)
-                kprod = (kprod[:, :, None] * K[:, None, :]).reshape(T, n ** (o + 1))
-            cache[order] = self.scale * np.vstack([np.hstack(cos_rows), np.hstack(sin_rows)])
+            cache[order] = _jet_basis(self._kmat, self._amat, self._bmat, order, self.scale)
         return cache[order]
+
+
+def _jet_basis(K: np.ndarray, A: np.ndarray, B: np.ndarray, order: int,
+               scale: float = 1.0) -> np.ndarray:
+    """Stacked jet basis of the series sum_t a_t cos(k_t . theta) + b_t sin(k_t . theta)
+    with frequencies K (T, n) and coefficients A, B (T, q).
+
+    Column block o holds the order-o derivative coefficients, (frequency
+    product x coefficient) per term, with the cos rows over the sin rows, the
+    derivative signs and the scale folded in, so that [cos | sin] @ basis is
+    every jet up to order (split by _split_jets)."""
+    (T, n), q = K.shape, A.shape[1]
+    kprod = np.ones((T, 1))
+    cos_rows, sin_rows = [], []
+    for o in range(order + 1):
+        ka = (kprod[:, :, None] * A[:, None, :]).reshape(T, n ** o * q)
+        kb = (kprod[:, :, None] * B[:, None, :]).reshape(T, n ** o * q)
+        # d/dphase maps a*cos + b*sin to b*cos - a*sin
+        c_coef, s_coef = ((ka, kb), (kb, -ka), (-ka, -kb), (-kb, ka))[o]
+        cos_rows.append(c_coef)
+        sin_rows.append(s_coef)
+        kprod = (kprod[:, :, None] * K[:, None, :]).reshape(T, n ** (o + 1))
+    return scale * np.vstack([np.hstack(cos_rows), np.hstack(sin_rows)])
+
+
+def _trig(thetas: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """[cos | sin](thetas @ K') for (P, n) points and (T, n) frequencies, (P, 2T)."""
+    phases = thetas @ K.T
+    T = K.shape[0]
+    trig = np.empty((thetas.shape[0], 2 * T))
+    np.cos(phases, out=trig[:, :T])
+    np.sin(phases, out=trig[:, T:])
+    return trig
+
+
+def _split_jets(out: np.ndarray, n: int, q: int, order: int):
+    """(value, d1, d2, d3) views of a (P, q(1 + n + ... + n^order)) product
+    [cos | sin] @ _jet_basis(..., order), with None beyond order; value holds
+    no translation."""
+    P = out.shape[0]
+    value = out[:, :q]
+    d1 = d2 = d3 = None
+    if order >= 1:
+        d1 = out[:, q:q * (1 + n)].reshape(P, n, q)
+    if order >= 2:
+        d2 = out[:, q * (1 + n):q * (1 + n + n * n)].reshape(P, n, n, q)
+    if order >= 3:
+        d3 = out[:, q * (1 + n + n * n):].reshape(P, n, n, n, q)
+    return value, d1, d2, d3
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,22 +203,9 @@ def jets_at(imm: FourierImmersion, thetas: np.ndarray, order: int):
     n, q = imm.n, imm.q
     if thetas.shape[1] != n:
         raise ValueError(f"theta must have {n} components, got {thetas.shape[1]}")
-    P, T = thetas.shape[0], imm._kmat.shape[0]
-
-    phases = thetas @ imm._kmat.T              # (P, T)
-    trig = np.empty((P, 2 * T))
-    np.cos(phases, out=trig[:, :T])
-    np.sin(phases, out=trig[:, T:])
-    out = trig @ imm._basis(order)             # one GEMM for every order
-    value = out[:, :q] + imm.translate
-    d1 = d2 = d3 = None
-    if order >= 1:
-        d1 = out[:, q:q * (1 + n)].reshape(P, n, q)
-    if order >= 2:
-        d2 = out[:, q * (1 + n):q * (1 + n + n * n)].reshape(P, n, n, q)
-    if order >= 3:
-        d3 = out[:, q * (1 + n + n * n):].reshape(P, n, n, n, q)
-    return value, d1, d2, d3
+    trig = _trig(thetas, imm._kmat)
+    value, d1, d2, d3 = _split_jets(trig @ imm._basis(order), n, q, order)   # one GEMM for every order
+    return value + imm.translate, d1, d2, d3
 
 
 def evaluate_jet(imm: FourierImmersion, theta, order: int = 3) -> Jet:

@@ -524,9 +524,15 @@ def _chunk_core(imm: FourierImmersion, thetas: np.ndarray):
     """Kernel over one chunk of grid points: position, frame, II in the pair
     layout and sqrt(det g)."""
     value, d1, d2, _ = jets_at(imm, thetas, order=2)
+    return (value, *_jet_core(d1, d2, thetas))
+
+
+def _jet_core(d1: np.ndarray, d2: np.ndarray, thetas: np.ndarray):
+    """The kernel after the jets: frame, II in the pair layout and sqrt(det g)
+    from the (P, n, q) and (P, n, n, q) derivatives at the points thetas."""
     L, sqrt_det = _metric_factor(d1 @ d1.transpose(0, 2, 1), thetas)
     E, S = _second_form(L, d1, d2)
-    return value, E, S, sqrt_det
+    return E, S, sqrt_det
 
 
 _grid_cache: "weakref.WeakKeyDictionary[FourierImmersion, dict]" = weakref.WeakKeyDictionary()

@@ -331,12 +331,36 @@ def test_design_validate_missing_matrix_file_exit_2(tmp_path, capsys):
     ["design", "validate", "hex2"],
     ["explore", "--n", "2", "--q", "4", "--grid", "8", "--iterations", "2", "--restarts", "1"],
 ], ids=["verify-json", "verify-csv", "analyze", "design", "explore"])
-def test_unwritable_out_exit_2(tmp_path, capsys, argv):
+def test_unwritable_out_exit_2(tmp_path, capsys, monkeypatch, argv):
+    # The path is refused before any grid work: none of these may run.
+    def boom(*args, **kwargs):
+        raise AssertionError("grid work ran before the --out check")
+
+    monkeypatch.setattr(cli.verify, "run_checks", boom)
+    monkeypatch.setattr(cli.pointwise, "grid_fields", boom)
+    monkeypatch.setattr(cli, "optimize", boom)
     circle = tmp_path / "circle.json"
     circle.write_text(json.dumps({"type": "clifford", "m": 1}))
     argv = [a.format(circle=circle) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "no_such_dir" / "out")]) == 2
     assert "--out: cannot write" in capsys.readouterr().err
+
+
+def test_analyze_out_checks_both_files_first(tmp_path, capsys):
+    circle = tmp_path / "circle.json"
+    circle.write_text(json.dumps({"type": "clifford", "m": 1}))
+    (tmp_path / "report.json").mkdir()
+    assert main(["analyze", str(circle), "--grid", "16", "--out", str(tmp_path / "report")]) == 2
+    assert "--out: cannot write" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_explore_table_too_large_exit_2(capsys):
+    # F = ((2 * 10^6 + 1)^2 - 1)/2 frequencies make a 64 x 2F table of about
+    # 1.8 PiB, beyond any user address space, so the refusal is immediate.
+    assert main(["explore", "--n", "2", "--q", "6", "--grid", "8", "--fmax", "1000000"]) == 2
+    err = capsys.readouterr().err
+    assert "--fmax" in err and "--grid" in err
 
 
 @pytest.mark.parametrize("size", ["65536", "3000"])

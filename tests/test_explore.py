@@ -3,8 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from toricurv.explore import SearchConfig, objective, optimize, _initial_immersion
+from toricurv import pointwise
+from toricurv.explore import (
+    DEGENERATE_PENALTY,
+    SearchConfig,
+    _coefficients,
+    _immersion_from,
+    _initial_immersion,
+    objective,
+    optimize,
+    trial_table,
+)
 from toricurv.immersion import FourierImmersion, Signature, transform
+from toricurv.pointwise import grid_fields
 from toricurv.quadrature import TorusGrid
 
 
@@ -15,27 +26,65 @@ def config(**kw):
     return SearchConfig(**base)
 
 
+def score_of(imm, cfg):
+    """objective of an immersion whose frequencies are canonical slots of cfg."""
+    trials = trial_table(cfg)
+    return objective(_coefficients(imm, trials.freqs, cfg.q), trials)
+
+
 def test_objective_softmax_limit(hexagonal):
     # zh is constant 1.5 on the hexagonal torus, so every temperature gives 1.5.
     cfg = config(smoothing=1e-3)
-    assert abs(objective(hexagonal, cfg) - 1.5) < 1e-9
+    assert abs(score_of(hexagonal, cfg) - 1.5) < 1e-9
 
 
 def test_objective_penalty_arithmetic(clifford2):
     grown = transform(clifford2, np.eye(4), None, 1.1)
-    cfg_free = config(penalty_weight=0.0, smoothing=1e-4, grid=TorusGrid((8, 8)))
-    cfg_pen = config(penalty_weight=100.0, smoothing=1e-4, grid=TorusGrid((8, 8)))
-    base = objective(grown, cfg_free)
-    with_pen = objective(grown, cfg_pen)
+    cfg_free = config(q=4, penalty_weight=0.0, smoothing=1e-4, grid=TorusGrid((8, 8)))
+    cfg_pen = config(q=4, penalty_weight=100.0, smoothing=1e-4, grid=TorusGrid((8, 8)))
+    base = score_of(grown, cfg_free)
+    with_pen = score_of(grown, cfg_pen)
     overshoot = 1.1 - 1.0
     assert abs(with_pen - base - 100.0 * overshoot**2) < 1e-9
 
 
 def test_objective_degenerate_is_finite():
     zero = FourierImmersion(Signature(2, 6), ())
-    val = objective(zero, config())
+    val = score_of(zero, config())
     assert math.isfinite(val)
     assert val >= 1e9
+
+
+def test_objective_zero_vector_scores_degenerate_penalty():
+    trials = trial_table(config())
+    assert objective(np.zeros(len(trials.freqs) * 2 * 6), trials) == DEGENERATE_PENALTY
+
+
+@pytest.mark.parametrize("size", [16, 48])     # one kernel chunk; 2,304 points in three
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_objective_equals_score_of_grid_fields(size, seed):
+    cfg = config(grid=TorusGrid((size, size)), penalty_weight=1e3, smoothing=0.05)
+    trials = trial_table(cfg)
+    x_init = _coefficients(_initial_immersion(cfg), trials.freqs, cfg.q)
+    x = x_init + 0.01 * np.random.default_rng(seed).standard_normal(x_init.shape)
+    fields = grid_fields(_immersion_from(x, trials.freqs, cfg), cfg.grid)
+    top = float(np.max(fields.zh))
+    soft = top + cfg.smoothing * math.log(float(np.mean(np.exp((fields.zh - top) / cfg.smoothing))))
+    overshoot = max(0.0, float(np.max(fields.r)) - 1.0)
+    assert objective(x, trials) == soft + cfg.penalty_weight * overshoot * overshoot
+
+
+def test_optimize_calls_grid_fields_once(monkeypatch):
+    calls = []
+
+    def counted(imm, grid):
+        calls.append(grid.sizes)
+        return grid_fields(imm, grid)
+
+    monkeypatch.setattr(pointwise, "grid_fields", counted)
+    monkeypatch.setattr("toricurv.explore.grid_fields", counted)
+    optimize(config())
+    assert calls == [(24, 24)]
 
 
 def test_initial_fixture_selection():

@@ -29,32 +29,8 @@ from .immersion import (
     immersion_rank_check,
     transform,
 )
-from .intrinsic import (
-    ConformalTrace,
-    MetricJets,
-    conformal_rate,
-    conformal_trace,
-    gauss_residual,
-    metric_jets,
-    scalar_curvature,
-)
-from .pointwise import (
-    ExtremalCurvature,
-    MetricPoint,
-    PointInvariants,
-    SecondForm,
-    TangentNormalFrame,
-    extremal_normal_curvature,
-    frame_at,
-    invariants_at,
-    mean_curvature,
-    metric_at,
-    normal_curvature,
-    principal_values,
-    second_form_at,
-    second_form_inner,
-    zh_at,
-)
+from .intrinsic import ConformalTrace, conformal_rate, conformal_trace
+from .pointwise import PointInvariants, extremal_normal_curvature, invariants_at
 from .quadrature import (
     SphereSampler,
     TorusGrid,

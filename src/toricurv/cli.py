@@ -149,6 +149,9 @@ def _expected_design_K(obj: dict):
 
 
 def cmd_analyze(args) -> int:
+    if args.out and args.out.endswith(tuple(filter(None, (os.sep, os.altsep)))):
+        # Path would drop the separator and write BASE.csv beside the directory
+        raise ParseError(f"--out: {args.out} ends in a path separator; give a base name")
     out_base = Path(args.out if args.out else "analyze_report")
     if out_base.suffix in (".csv", ".json"):
         out_base = out_base.with_suffix("")

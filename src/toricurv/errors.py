@@ -13,14 +13,6 @@ class DegenerateMetric(ToricurvError):
     """The induced metric is singular (or nearly so) at a point."""
 
 
-class NotUnit(ToricurvError):
-    """A direction vector that must be unit length is not."""
-
-
-class NotNormal(ToricurvError):
-    """A vector that must lie in the normal space has a tangential part."""
-
-
 class OriginPoint(ToricurvError):
     """The evaluation point sits at the origin, so radial angles are undefined."""
 

@@ -9,12 +9,13 @@ u = phi(|x|^2 / 2), evaluated by the chain rule from the metric and the
 mean curvature; no discretized elliptic operator is involved.
 
 The third-order (Christoffel) path is the independent check of the closed
-forms: it serves single points, seeded samples and curvature_grid, while
-conformal_grid reads the closed forms from the cached second-order fields.
-The two paths share only the metric factor L of pointwise._metric_factor
-(g^-1 = L'L), and with it the one degeneracy rule; the Christoffel path
-builds everything else from dg and ddg, the closed forms from the normal
-projection of d2.
+forms: _christoffel runs it on a batch of points for gauss_residuals,
+conformal_trace and curvature_grid, while conformal_grid reads the closed
+forms from the cached second-order fields.  The two paths share only the
+metric factor L of pointwise._metric_factor (g^-1 = L'L), and with it the one
+degeneracy rule, which names the point theta; the Christoffel path builds
+everything else from dg and ddg, the closed forms from the normal projection
+of d2.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,15 +31,6 @@ from .errors import DimensionTooLow, OriginPoint, ZeroMeanCurvature
 from .immersion import FourierImmersion, jets_at
 from .pointwise import _metric_factor, _scalar_invariants, _second_form, grid_fields
 from .quadrature import TorusGrid
-
-
-@dataclass(frozen=True, eq=False)
-class MetricJets:
-    """Metric with its first and second parameter derivatives at a point."""
-
-    g: np.ndarray     # (n, n)
-    dg: np.ndarray    # (n, n, n), dg[k, i, j] = d_k g_ij
-    ddg: np.ndarray   # (n, n, n, n), ddg[l, k, i, j] = d_l d_k g_ij
 
 
 def _metric_jet_arrays(d1, d2, d3):
@@ -57,14 +50,6 @@ def _metric_jet_arrays(d1, d2, d3):
     cross = cross.transpose(0, 3, 1, 2, 4)                       # -> <f_ki, f_lj> at (l,k,i,j)
     ddg = dd + dd.transpose(0, 1, 2, 4, 3) + cross + cross.transpose(0, 2, 1, 3, 4)
     return g, dg, ddg
-
-
-def metric_jets(imm: FourierImmersion, theta) -> MetricJets:
-    """Exact metric jets at one parameter point."""
-    theta = np.asarray(theta, dtype=float).reshape(1, -1)
-    _, d1, d2, d3 = jets_at(imm, theta, order=3)
-    g, dg, ddg = _metric_jet_arrays(d1, d2, d3)
-    return MetricJets(g=g[0], dg=dg[0], ddg=ddg[0])
 
 
 def _curvature_arrays(L, dg, ddg):
@@ -98,40 +83,44 @@ def _curvature_arrays(L, dg, ddg):
     return ginv, gam, sc, np.max(np.abs(riem), axis=(1, 2, 3, 4))
 
 
-def _point_curvature(mj: MetricJets):
-    L, _ = _metric_factor(mj.g[None], None)
-    return _curvature_arrays(L, mj.dg[None], mj.ddg[None])
+class _Christoffel(NamedTuple):
+    """The third-order path at a (P, n) batch of points: jets, metric jets,
+    the metric factor L, and what _curvature_arrays derives from them."""
+
+    value: np.ndarray     # (P, q)
+    d1: np.ndarray        # (P, n, q)
+    d2: np.ndarray        # (P, n, n, q)
+    g: np.ndarray         # (P, n, n)
+    dg: np.ndarray        # (P, n, n, n), dg[p, k, i, j] = d_k g_ij
+    ddg: np.ndarray       # (P, n, n, n, n), ddg[p, l, k, i, j] = d_l d_k g_ij
+    L: np.ndarray         # (P, n, n), L g L' = I
+    ginv: np.ndarray      # (P, n, n)
+    gam: np.ndarray       # (P, n, n, n), gam[p, k, i, j] = Gamma^k_ij
+    sc: np.ndarray        # (P,) scalar curvature
+    riem_max: np.ndarray  # (P,) largest |R^a_bcd|, zero for a flat metric
 
 
-def scalar_curvature(mj: MetricJets) -> float:
-    """Intrinsic scalar curvature (full Riemann trace) at one point."""
-    return float(_point_curvature(mj)[2][0])
+def _christoffel(imm: FourierImmersion, thetas: np.ndarray) -> _Christoffel:
+    """Third-order jets -> metric jets -> metric factor (which raises
+    DegenerateMetric naming theta) -> Christoffel symbols and curvature."""
+    value, d1, d2, d3 = jets_at(imm, thetas, order=3)
+    g, dg, ddg = _metric_jet_arrays(d1, d2, d3)
+    L, _ = _metric_factor(g, thetas)
+    return _Christoffel(value, d1, d2, g, dg, ddg, L, *_curvature_arrays(L, dg, ddg))
 
 
-def riemann_max_abs(mj: MetricJets) -> float:
-    """Largest |R^a_bcd| component; zero for a flat metric."""
-    return float(_point_curvature(mj)[3][0])
-
-
-def gauss_residual(imm: FourierImmersion, theta) -> float:
-    """Intrinsic Sc minus the extrinsic closed form 3/2*|H|^2 - n(n+2)/2*zh.
+def gauss_residuals(imm: FourierImmersion, thetas: np.ndarray) -> np.ndarray:
+    """Intrinsic Sc minus the extrinsic closed form 3/2*|H|^2 - n(n+2)/2*zh
+    over a (P, n) array of points.
 
     Zero (to roundoff) for every immersed manifold; computed through two
     fully independent paths so it is a falsifiable residual.
     """
-    return float(gauss_residuals(imm, np.asarray(theta, dtype=float).reshape(1, -1))[0])
-
-
-def gauss_residuals(imm: FourierImmersion, thetas: np.ndarray) -> np.ndarray:
-    """Batched version of gauss_residual over a (P, n) array of points."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    _, d1, d2, d3 = jets_at(imm, thetas, order=3)
-    g, dg, ddg = _metric_jet_arrays(d1, d2, d3)
-    L, _ = _metric_factor(g, thetas)
-    sc = _curvature_arrays(L, dg, ddg)[2]
-    _, H2, _, zh, _ = _scalar_invariants(_second_form(L, d1, d2)[1])
+    path = _christoffel(imm, thetas)
+    _, H2, _, zh, _ = _scalar_invariants(_second_form(path.L, path.d1, path.d2)[1])
     n = imm.n
-    return sc - (1.5 * H2 - 0.5 * n * (n + 2) * zh)
+    return path.sc - (1.5 * H2 - 0.5 * n * (n + 2) * zh)
 
 
 def conformal_rate(n: int) -> Fraction:
@@ -194,10 +183,7 @@ def conformal_trace(imm: FourierImmersion, theta, k: float | Fraction) -> Confor
     k = float(k)
     theta = np.asarray(theta, dtype=float).reshape(1, -1)
     n = imm.n
-    value, d1, d2, d3 = jets_at(imm, theta, order=3)
-    g, dg, ddg = _metric_jet_arrays(d1, d2, d3)
-    L, _ = _metric_factor(g, theta)
-    ginv, gam, sc, _ = _curvature_arrays(L, dg, ddg)
+    value, d1, d2, g, _, _, L, ginv, gam, sc, _ = _christoffel(imm, theta)
     x = value[0]
     r0 = float(np.linalg.norm(value, axis=1)[0])
     if r0 < 1e-12:
@@ -236,9 +222,7 @@ def curvature_grid(imm: FourierImmersion, grid: TorusGrid) -> np.ndarray:
     analyze reports next to the closed form."""
     sc = np.empty(grid.npoints)
     for start, thetas in grid.iter_points(512):
-        g, dg, ddg = _metric_jet_arrays(*jets_at(imm, thetas, order=3)[1:])
-        L, _ = _metric_factor(g, thetas)
-        sc[start:start + thetas.shape[0]] = _curvature_arrays(L, dg, ddg)[2]
+        sc[start:start + thetas.shape[0]] = _christoffel(imm, thetas).sc
     return sc
 
 

@@ -21,45 +21,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateMetric, NotNormal, NotUnit
+from .errors import DegenerateMetric
 from .immersion import FourierImmersion, Jet, jets_at
 from .quadrature import SphereSampler, TorusGrid
 
 _DEGENERATE_EIG = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class MetricPoint:
-    """Induced metric data at one point: g, its inverse, and L with L g L' = I."""
-
-    g: np.ndarray        # (n, n)
-    g_inv: np.ndarray    # (n, n)
-    L: np.ndarray        # (n, n) lower triangular, inverse of the Cholesky factor
-    sqrt_det: float
-
-
-@dataclass(frozen=True, eq=False)
-class TangentNormalFrame:
-    """Orthonormal tangent frame rows e_i; the normal projector is I - E'E."""
-
-    E: np.ndarray        # (n, q)
-
-    def project_normal(self, v: np.ndarray) -> np.ndarray:
-        """Component of an ambient vector orthogonal to the tangent space."""
-        v = np.asarray(v, dtype=float)
-        return v - self.E.T @ (self.E @ v)
-
-
-@dataclass(frozen=True, eq=False)
-class SecondForm:
-    """Vector-valued second fundamental form in an orthonormal tangent frame."""
-
-    S: np.ndarray                  # (n, n, q), S[i, j] = II(e_i, e_j)
-    frame: TangentNormalFrame
-
-    @property
-    def n(self) -> int:
-        return self.S.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +44,7 @@ class PointInvariants:
 
 # ---------------------------------------------------------------------------
 # The batched kernel: every metric factor and every II in the package comes
-# from _metric_factor and _second_form, with P = 1 for single points.
+# from _metric_factor and _second_form, with P = 1 in invariants_at.
 # ---------------------------------------------------------------------------
 
 def _metric_factor(g: np.ndarray, thetas: np.ndarray | None):
@@ -183,12 +149,6 @@ def _full_form(S: np.ndarray) -> np.ndarray:
     return S[..., _pairs(_n_of_pairs(S.shape[-2])).full, :]
 
 
-def _pair_form(S: np.ndarray) -> np.ndarray:
-    """(..., m, q) pair layout of symmetric (..., n, n, q) second forms."""
-    layout = _pairs(S.shape[-3])
-    return S[..., layout.I, layout.J, :]
-
-
 def _zh(H2, II2, n: int):
     """zh = (2|II|^2 + |H|^2)/(n(n+2)), the sphere average of K(u)^2."""
     return (2.0 * II2 + H2) / (n * (n + 2))
@@ -208,98 +168,6 @@ def _scalar_invariants(S: np.ndarray):
     H2 = np.einsum("pq,pq->p", H, H)
     II2 = np.einsum("pkq,pkq->pk", S, S) @ layout.w
     return H, H2, II2, _zh(H2, II2, n), _sc_ext(H2, II2)
-
-
-def metric_at(jet: Jet) -> MetricPoint:
-    """Induced metric and its factorizations from an order >= 1 jet."""
-    if jet.d1 is None:
-        raise ValueError("metric_at needs a jet of order >= 1")
-    theta = None if jet.theta is None else jet.theta[None]
-    d1 = jet.d1[None]
-    g = d1 @ d1.transpose(0, 2, 1)
-    L, sqrt_det = _metric_factor(g, theta)
-    return MetricPoint(g=g[0], g_inv=L[0].T @ L[0], L=L[0], sqrt_det=float(sqrt_det[0]))
-
-
-def frame_at(jet: Jet, metric: MetricPoint | None = None) -> TangentNormalFrame:
-    """Orthonormal tangent frame e_i = sum_a L_ia * df_a."""
-    metric = metric_at(jet) if metric is None else metric
-    return TangentNormalFrame(E=metric.L @ jet.d1)
-
-
-def _pair_form_at(jet: Jet, metric: MetricPoint | None = None):
-    """Frame E (n, q) and II (m, q) in the pair layout at one point."""
-    if jet.d2 is None:
-        raise ValueError("second_form_at needs a jet of order >= 2")
-    metric = metric_at(jet) if metric is None else metric
-    E, S = _second_form(metric.L[None], jet.d1[None], jet.d2[None])
-    return E[0], S[0]
-
-
-def second_form_at(jet: Jet, metric: MetricPoint | None = None,
-                   frame: TangentNormalFrame | None = None) -> SecondForm:
-    """Second fundamental form S_ij = P_N(sum_ab L_ia L_jb d2f_ab).
-
-    An explicit frame may be supplied (e.g. a rotated one) to exercise frame
-    independence; it must be orthonormal and span the same tangent space.
-    The result is then R S R' with the rotation R = F E' between the frames.
-    """
-    E, S = _pair_form_at(jet, metric)
-    S = _full_form(S)
-    if frame is None:
-        return SecondForm(S=S, frame=TangentNormalFrame(E=E))
-    R = frame.E @ E.T
-    S = np.einsum("ia,jb,abq->ijq", R, R, S)
-    return SecondForm(S=0.5 * (S + S.transpose(1, 0, 2)), frame=frame)
-
-
-def mean_curvature(S: SecondForm) -> np.ndarray:
-    """Unnormalized mean curvature vector H = sum_i II(e_i, e_i)."""
-    return np.einsum("iiq->q", S.S)
-
-
-def zh_at(S: SecondForm) -> float:
-    """Closed form of the sphere average of |II(u,u)|^2."""
-    return float(_scalar_invariants(_pair_form(S.S[None]))[3][0])
-
-
-def normal_curvature(S: SecondForm, u) -> float:
-    """K(u) = |II(u, u)| for a unit direction in frame coordinates."""
-    u = np.asarray(u, dtype=float)
-    nrm = float(np.linalg.norm(u))
-    if abs(nrm - 1.0) > 1e-10:
-        raise NotUnit(f"|u| = {nrm!r} deviates from 1 beyond 1e-10")
-    v = np.einsum("i,j,ijq->q", u, u, S.S)
-    return float(np.linalg.norm(v))
-
-
-def second_form_inner(S: SecondForm, x, y, v, w) -> float:
-    """Four-argument curvature pairing <II(x,y), II(v,w)> by bilinear extension."""
-    x, y, v, w = (np.asarray(t, dtype=float) for t in (x, y, v, w))
-    left = np.einsum("i,j,ijq->q", x, y, S.S)
-    right = np.einsum("i,j,ijq->q", v, w, S.S)
-    return float(left @ right)
-
-
-def principal_values(S: SecondForm, nu) -> np.ndarray:
-    """Eigenvalues (ascending) of the scalar form <II, nu> for a unit normal nu."""
-    nu = np.asarray(nu, dtype=float)
-    nrm = float(np.linalg.norm(nu))
-    if abs(nrm - 1.0) > 1e-8:
-        raise NotUnit(f"|nu| = {nrm!r} deviates from 1 beyond 1e-8")
-    tangential = float(np.max(np.abs(S.frame.E @ nu)))
-    if tangential > 1e-8:
-        raise NotNormal(f"nu has tangential component {tangential:.3e} > 1e-8")
-    A = np.einsum("ijq,q->ij", S.S, nu)
-    return np.linalg.eigvalsh(A)
-
-
-@dataclass(frozen=True)
-class ExtremalCurvature:
-    k_min: float
-    k_max: float
-    u_min: np.ndarray
-    u_max: np.ndarray
 
 
 def _directions(n: int, count: int, seed: int) -> np.ndarray:
@@ -411,15 +279,16 @@ def _power_climb(M: np.ndarray, D: np.ndarray) -> np.ndarray:
     return U.reshape(P, 2 * d, n)
 
 
-def _k_extremes(S: np.ndarray, seed: int = 0):
-    """K_min, K_max and unit directions attaining them at every point of a
-    (P, m, q) batch of second forms in the pair layout: (k_min, k_max,
-    u_min, u_max).
+def extremal_normal_curvature(S: np.ndarray, seed: int = 0):
+    """Extremes of the normal curvature K(u) = |II(u, u)| over unit directions
+    at every point of a (P, m, q) batch of second forms in the pair layout:
+    (k_min, k_max, u_min, u_max), with unit directions attaining them.
 
     Exact for n = 2: K^2 at every root of its derivative (_plane_candidates).
-    Otherwise the best the shifted power method finds, ascending and
-    descending from each of the 16n directions _directions(n, 16n, seed).
-    Points with non-finite entries give NaN."""
+    For n >= 3 the best values the shifted power method finds, ascending and
+    descending from each of the 16n seeded starts _directions(n, 16n, seed):
+    an inner bound on the true range.  Deterministic for a fixed seed; points
+    with non-finite entries give NaN."""
     P, n = S.shape[0], _n_of_pairs(S.shape[1])
     # the eigensolvers raise on NaN, so non-finite points search on II = 0
     S0 = np.where(np.isfinite(S).all(axis=(1, 2))[:, None, None], S, 0.0)
@@ -435,35 +304,23 @@ def _k_extremes(S: np.ndarray, seed: int = 0):
     return np.sqrt(K2[at, i_min]), np.sqrt(K2[at, i_max]), U[at, i_min], U[at, i_max]
 
 
-def extremal_normal_curvature(S: SecondForm, seed: int = 0) -> ExtremalCurvature:
-    """Extremes of the normal curvature K(u) = |II(u, u)| over unit directions.
-
-    Exact for n = 2 (K^2 at every root of its derivative); for n >= 3 the best
-    values the shifted power method finds from 16n seeded starts, an inner
-    bound on the true range.  Deterministic for a fixed seed."""
-    return _extremal(_pair_form(S.S[None]), seed)
-
-
-def _extremal(S: np.ndarray, seed: int) -> ExtremalCurvature:
-    """extremal_normal_curvature of a (1, m, q) pair-layout second form."""
-    k_min, k_max, u_min, u_max = _k_extremes(S, seed)
-    return ExtremalCurvature(float(k_min[0]), float(k_max[0]), u_min[0], u_max[0])
-
-
 def invariants_at(jet: Jet, seed: int = 0) -> PointInvariants:
     """All pointwise invariants at once; the two scalar-curvature closed forms
     (3/2*|H|^2 - n(n+2)/2*zh and |H|^2 - |II|^2) agree to roundoff by algebra,
     and both are evaluated so bookkeeping bugs cannot hide."""
-    S = _pair_form_at(jet)[1][None]
+    if jet.d2 is None:
+        raise ValueError("invariants_at needs a jet of order >= 2")
+    theta = None if jet.theta is None else jet.theta[None]
+    S = _jet_core(jet.d1[None], jet.d2[None], theta)[1]
     n = jet.d1.shape[0]
     H, H2, II2, zh, sc_b = (v[0] for v in _scalar_invariants(S))
     sc_a = 1.5 * H2 - 0.5 * n * (n + 2) * zh
     if abs(sc_a - sc_b) > 1e-10 * max(1.0, H2 + II2):
         raise AssertionError(f"scalar-curvature closed forms disagree: {sc_a!r} vs {sc_b!r}")
-    ext = _extremal(S, seed)
+    k_min, k_max = extremal_normal_curvature(S, seed)[:2]
     return PointInvariants(
         H=H, H2=float(H2), II2=float(II2), zh=float(zh), sc_ext=float(sc_b),
-        K_min=ext.k_min, K_max=ext.k_max,
+        K_min=float(k_min[0]), K_max=float(k_max[0]),
         r=float(np.linalg.norm(jet.value)),
     )
 
@@ -595,7 +452,7 @@ def grid_K_estimates(imm: FourierImmersion, grid: TorusGrid,
         for start, thetas in grid.iter_points(256):
             S = _chunk_core(imm, thetas)[2]
             if imm.n == 2:
-                lo, hi = _k_extremes(S)[:2]
+                lo, hi = extremal_normal_curvature(S)[:2]
             else:
                 swept = _k2_sweep(D, S)
                 lo, hi = np.sqrt(swept.min(axis=1)), np.sqrt(swept.max(axis=1))
@@ -611,7 +468,7 @@ def _best_found_K(imm: FourierImmersion, grid: TorusGrid, seed: int, highest: bo
     in one batched call."""
     K = grid_K_estimates(imm, grid, seed)[highest]
     picks = np.argsort(K)[-4:] if highest else np.argsort(K)[:4]
-    refined = _k_extremes(_chunk_core(imm, grid.theta_at(picks))[2], seed)[highest]
+    refined = extremal_normal_curvature(_chunk_core(imm, grid.theta_at(picks))[2], seed)[highest]
     values = np.append(K[picks], refined)
     return float(values.max() if highest else values.min())
 

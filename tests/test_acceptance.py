@@ -17,14 +17,14 @@ from toricurv.designs import builtin_design, clifford, subtorus_immersion, valid
 from toricurv.explore import SearchConfig, optimize
 from toricurv.fixtures import perturbed_clifford, random_immersion
 from toricurv.formats import save_immersion
-from toricurv.immersion import evaluate_jet
 from toricurv.intrinsic import conformal_grid, conformal_rate, curvature_grid, gauss_residuals
 from toricurv.pointwise import (
+    _chunk_core,
+    _full_form,
+    _scalar_invariants,
     extremal_normal_curvature,
     grid_fields,
-    second_form_at,
     weighted_average,
-    zh_at,
 )
 from toricurv.quadrature import SphereSampler, TorusGrid, monomial_selftest, sphere_average_mc
 from toricurv.verify import check_bow, check_main, run_checks
@@ -67,16 +67,17 @@ def test_criterion_01_gauss_formula():
 def test_criterion_02_zh_definition_vs_closed_form():
     worst_sigmas = 0.0
     for name, imm in _named_fixtures():
-        for i, theta in enumerate(random_points(imm.n, 20, seed=200)):
-            S = second_form_at(evaluate_jet(imm, theta, 2))
+        S = _chunk_core(imm, random_points(imm.n, 20, seed=200))[2]
+        zh = _scalar_invariants(S)[3]
+        for i, full in enumerate(_full_form(S)):
             sampler = SphereSampler(imm.n, 200_000, seed=300 + i)
 
             def ksq(dirs):
-                vals = np.einsum("da,db,abq->dq", dirs, dirs, S.S, optimize=True)
+                vals = np.einsum("da,db,abq->dq", dirs, dirs, full, optimize=True)
                 return np.einsum("dq,dq->d", vals, vals)
 
             mean, stderr = sphere_average_mc(ksq, sampler)
-            gap = abs(mean - zh_at(S))
+            gap = abs(mean - zh[i])
             worst_sigmas = max(worst_sigmas, gap / max(stderr, 1e-15))
     _criterion(2, worst_sigmas < 4.0,
                f"Monte-Carlo vs closed-form zh within {worst_sigmas:.2f} standard errors (< 4)")
@@ -93,9 +94,9 @@ def test_criterion_03_monomial_identities():
 def test_criterion_04_clifford_curvature_range():
     worst = 0.0
     for m in (2, 3, 4):
-        S = second_form_at(evaluate_jet(clifford(m), np.linspace(0.2, 1.7, m), 2))
-        ext = extremal_normal_curvature(S, seed=4)
-        worst = max(worst, abs(ext.k_min - 1.0), abs(ext.k_max - math.sqrt(m)))
+        S = _chunk_core(clifford(m), np.linspace(0.2, 1.7, m)[None])[2]
+        k_min, k_max = extremal_normal_curvature(S, seed=4)[:2]
+        worst = max(worst, abs(k_min[0] - 1.0), abs(k_max[0] - math.sqrt(m)))
     _criterion(4, worst < 1e-8, f"clifford(m) curvature range is [1, sqrt(m)] within {worst:.2e} (< 1e-8)")
 
 
@@ -117,10 +118,10 @@ def test_criterion_05_optimal_fixtures_sharp():
         rng = np.random.Generator(np.random.Philox(key=np.uint64(50)))
         k_dev = 0.0
         for theta in rng.uniform(0, 2 * math.pi, (4, n)):
-            S = second_form_at(evaluate_jet(imm, theta, 2))
+            S = _full_form(_chunk_core(imm, theta[None])[2])[0]
             dirs = rng.standard_normal((256, n))
             dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-            vals = np.einsum("da,db,abq->dq", dirs, dirs, S.S, optimize=True)
+            vals = np.einsum("da,db,abq->dq", dirs, dirs, S, optimize=True)
             K = np.sqrt(np.einsum("dq,dq->d", vals, vals))
             k_dev = max(k_dev, float(np.max(np.abs(K - cert.K))))
         ok &= zh_dev < 1e-10 and sc_dev < 1e-9 and h_dev < 1e-9 and k_dev < 1e-9

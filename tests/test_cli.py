@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,22 @@ def test_analyze_out_checks_both_files_first(tmp_path, capsys):
     assert not (tmp_path / "report.csv").exists()
 
 
+def test_analyze_refuses_out_ending_in_separator(tmp_path, capsys, monkeypatch):
+    # Path("some_dir/") drops the separator, so BASE.csv would land beside the
+    # directory; the refusal comes before any grid work.
+    def boom(*args, **kwargs):
+        raise AssertionError("grid work ran before the --out check")
+
+    monkeypatch.setattr(cli.pointwise, "grid_fields", boom)
+    circle = tmp_path / "circle.json"
+    circle.write_text(json.dumps({"type": "clifford", "m": 1}))
+    some_dir = tmp_path / "some_dir"
+    some_dir.mkdir()
+    assert main(["analyze", str(circle), "--grid", "8", "--out", str(some_dir) + os.sep]) == 2
+    assert capsys.readouterr().err.startswith("error: --out:")
+    assert not list(tmp_path.glob("some_dir.*")) and not list(some_dir.iterdir())
+
+
 def test_explore_table_too_large_exit_2(capsys):
     # F = ((2 * 10^6 + 1)^2 - 1)/2 frequencies make a 64 x 2F table of about
     # 1.8 PiB, beyond any user address space, so the refusal is immediate.
@@ -378,13 +395,32 @@ def test_explore_zero_dimension_exit_2(capsys):
     assert "--n" in capsys.readouterr().err
 
 
-def test_perfbench_trace_targets_resolve():
-    # perfbench/tracer.py wraps toricurv functions by (module, name); each
-    # one must still exist, or a traced benchmark run breaks.
+def _load_tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_perfbench_trace_targets_resolve():
+    # perfbench/tracer.py wraps toricurv functions by (module, name); each
+    # one must still exist, or a traced benchmark run breaks.
+    tracer = _load_tracer()
     for module, name in tracer.TARGETS:
         assert callable(getattr(importlib.import_module(f"toricurv.{module}"), name, None)), \
             f"toricurv.{module}.{name}"
+
+
+def test_trace_span_records_the_batched_extremizer():
+    # The K <= 2 gate polishes its four best grid points in one batched
+    # extremizer call, which the tracer records as one span.
+    tracer = _load_tracer()
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        global_normal_curvature_max(perturbed_clifford(3, seed=1), TorusGrid((8,) * 3))
+    finally:
+        trace.remove()
+    names = [span[tracer.NAME] for span in trace.spans]
+    assert names.count("pointwise.extremal_normal_curvature") == 1

@@ -7,19 +7,16 @@ import pytest
 from toricurv.designs import clifford
 from toricurv.errors import DegenerateMetric, DimensionTooLow, OriginPoint
 from toricurv.fixtures import ball_immersion, perturbed_clifford, round_sphere
-from toricurv.immersion import FourierImmersion, FourierTerm, Signature, evaluate_jet, transform
+from toricurv.immersion import FourierImmersion, FourierTerm, Signature, transform
 from toricurv.intrinsic import (
+    _christoffel,
     conformal_grid,
     conformal_rate,
     conformal_trace,
     curvature_grid,
-    gauss_residual,
     gauss_residuals,
-    metric_jets,
-    riemann_max_abs,
-    scalar_curvature,
 )
-from toricurv.pointwise import mean_curvature, second_form_at
+from toricurv.pointwise import _chunk_core, _scalar_invariants
 from toricurv.quadrature import TorusGrid
 
 from conftest import random_points
@@ -35,40 +32,46 @@ def bumped_clifford2(eps=0.05):
     return FourierImmersion(Signature(2, 4), terms)
 
 
+def christoffel_at(imm, theta):
+    """The third-order path at one point, as a batch of one."""
+    return _christoffel(imm, np.asarray(theta, dtype=float).reshape(1, -1))
+
+
 # ---------------------------------------------------------------- metric jets
 
 def test_metric_jets_constant_for_clifford(clifford2):
-    mj = metric_jets(clifford2, [0.7, 1.9])
-    assert np.max(np.abs(mj.dg)) < 1e-14
-    assert np.max(np.abs(mj.ddg)) < 1e-14
+    mj = christoffel_at(clifford2, [0.7, 1.9])
+    assert np.max(np.abs(mj.dg[0])) < 1e-14
+    assert np.max(np.abs(mj.ddg[0])) < 1e-14
 
 
 def test_metric_jets_constant_for_hexagonal(hexagonal):
-    mj = metric_jets(hexagonal, [2.2, 0.4])
-    assert np.max(np.abs(mj.dg)) < 1e-14
+    mj = christoffel_at(hexagonal, [2.2, 0.4])
+    assert np.max(np.abs(mj.dg[0])) < 1e-14
 
 
 def test_metric_jets_match_finite_differences(wavy2):
     # Oracle: central differences of the metric itself.
     h = 1e-5
     theta = np.array([1.3, 0.8])
-    mj = metric_jets(wavy2, theta)
+    mj = christoffel_at(wavy2, theta)
 
     def metric(t):
-        return metric_jets(wavy2, t).g
+        return christoffel_at(wavy2, t).g[0]
 
     for k in range(2):
         step = np.zeros(2)
         step[k] = h
         fd = (metric(theta + step) - metric(theta - step)) / (2 * h)
-        np.testing.assert_allclose(mj.dg[k], fd, atol=1e-6)
+        np.testing.assert_allclose(mj.dg[0, k], fd, atol=1e-6)
 
 
 def test_metric_jets_symmetries(wavy2):
-    mj = metric_jets(wavy2, [0.1, 2.6])
-    assert np.max(np.abs(mj.dg - mj.dg.transpose(0, 2, 1))) < 1e-12
-    assert np.max(np.abs(mj.ddg - mj.ddg.transpose(1, 0, 2, 3))) < 1e-12
-    assert np.max(np.abs(mj.ddg - mj.ddg.transpose(0, 1, 3, 2))) < 1e-12
+    mj = christoffel_at(wavy2, [0.1, 2.6])
+    dg, ddg = mj.dg[0], mj.ddg[0]
+    assert np.max(np.abs(dg - dg.transpose(0, 2, 1))) < 1e-12
+    assert np.max(np.abs(ddg - ddg.transpose(1, 0, 2, 3))) < 1e-12
+    assert np.max(np.abs(ddg - ddg.transpose(0, 1, 3, 2))) < 1e-12
 
 
 # ---------------------------------------------------------------- scalar curvature
@@ -76,9 +79,9 @@ def test_metric_jets_symmetries(wavy2):
 def test_flat_fixtures_have_zero_curvature(clifford3, hexagonal, d4):
     for imm in (clifford3, hexagonal, d4):
         theta = np.linspace(0.2, 1.1, imm.n)
-        mj = metric_jets(imm, theta)
-        assert abs(scalar_curvature(mj)) < 1e-9
-        assert riemann_max_abs(mj) < 1e-9
+        mj = christoffel_at(imm, theta)
+        assert abs(mj.sc[0]) < 1e-9
+        assert mj.riem_max[0] < 1e-9
 
 
 def test_round_sphere_pins_the_convention():
@@ -86,15 +89,16 @@ def test_round_sphere_pins_the_convention():
     for radius in (1.0, 2.0, 0.5):
         sph = round_sphere(radius)
         for theta in ([1.2, 0.5], [2.0, 3.1], [0.9, 4.4]):
-            mj = metric_jets(sph, theta)
-            assert abs(scalar_curvature(mj) - 2.0 / radius**2) < 1e-9
-            assert abs(riemann_max_abs(mj) - 1.0) < 1e-12
+            mj = christoffel_at(sph, theta)
+            assert abs(mj.sc[0] - 2.0 / radius**2) < 1e-9
+            assert abs(mj.riem_max[0] - 1.0) < 1e-12
 
 
 def test_christoffel_path_applies_the_degeneracy_rule():
     # lambda_min(g) = sin^2(1e-7) = 1e-14 < 1e-12, yet g inverts: Sc would read 1.9457...
-    with pytest.raises(DegenerateMetric, match=r"eigenvalue 1\.000e-14 < 1e-12"):
-        scalar_curvature(metric_jets(round_sphere(), [1e-7, 0.3]))
+    # The point is named, as on every path.
+    with pytest.raises(DegenerateMetric, match=r"eigenvalue 1\.000e-14 < 1e-12 at theta=\[1e-07, 0\.3\]"):
+        christoffel_at(round_sphere(), [1e-7, 0.3])
 
 
 def test_christoffel_path_names_the_degenerate_point():
@@ -116,8 +120,8 @@ def test_graph_perturbed_torus_matches_extrinsic_form():
 # ---------------------------------------------------------------- Gauss residual
 
 def test_gauss_residual_clifford3(clifford3):
-    for theta in random_points(3, 10, seed=14):
-        assert abs(gauss_residual(clifford3, theta)) < 1e-9
+    for residual in gauss_residuals(clifford3, random_points(3, 10, seed=14)):
+        assert abs(residual) < 1e-9
 
 
 def test_gauss_residual_random_general_position(random25):
@@ -168,9 +172,9 @@ def test_laplace_identity_on_moved_clifford3(clifford3):
     moved = transform(clifford3, np.eye(6), c, 0.4)
     for theta in random_points(3, 8, seed=61):
         tr = conformal_trace(moved, theta, conformal_rate(3))
-        jet = evaluate_jet(moved, theta, order=2)
-        H = mean_curvature(second_form_at(jet))
-        expected = 3.0 + float(H @ jet.value)
+        value, _, S, _ = _chunk_core(moved, theta[None])
+        H = _scalar_invariants(S)[0][0]
+        expected = 3.0 + float(H @ value[0])
         assert abs(tr.lap_f - expected) < 1e-8
 
 
@@ -232,4 +236,4 @@ def test_curvature_grid_matches_pointwise(wavy2):
     sc = curvature_grid(wavy2, grid)
     pts = grid.points()
     for idx in (0, 17, 40):
-        assert abs(sc[idx] - scalar_curvature(metric_jets(wavy2, pts[idx]))) < 1e-12
+        assert abs(sc[idx] - christoffel_at(wavy2, pts[idx]).sc[0]) < 1e-12

@@ -7,24 +7,14 @@ from hypothesis import strategies as st
 
 from toricurv.designs import builtin_design, clifford, subtorus_immersion
 from toricurv.fixtures import ball_immersion, perturbed_clifford
-from toricurv.errors import DegenerateMetric, NotNormal, NotUnit
+from toricurv.errors import DegenerateMetric
 from toricurv.immersion import FourierImmersion, FourierTerm, Signature, evaluate_jet, transform
 from toricurv.pointwise import (
-    TangentNormalFrame,
-    SecondForm,
     extremal_normal_curvature,
-    frame_at,
     grid_K_estimates,
     grid_fields,
     invariants_at,
-    mean_curvature,
-    metric_at,
-    normal_curvature,
-    principal_values,
-    second_form_at,
-    second_form_inner,
     weighted_average,
-    zh_at,
 )
 from toricurv.pointwise import (
     _chunk_core,
@@ -32,6 +22,7 @@ from toricurv.pointwise import (
     _full_form,
     _k2_sweep,
     _metric_factor,
+    _pairs,
     _power_climb,
     _scalar_invariants,
 )
@@ -50,38 +41,76 @@ def jet_of(imm, theta, order=2):
     return evaluate_jet(imm, theta, order=order)
 
 
+def points(theta):
+    return np.asarray(theta, dtype=float).reshape(1, -1)
+
+
+def form_at(imm, theta):
+    """II at one point from the batched kernel, as a (1, m, q) pair-layout batch."""
+    return _chunk_core(imm, points(theta))[2]
+
+
+def full_at(imm, theta):
+    """II at one point from the batched kernel, mirrored out to (n, n, q)."""
+    return _full_form(form_at(imm, theta))[0]
+
+
+def metric_of(imm, theta):
+    """g = d1 d1' at one point, its factor L (L g L' = I) and sqrt(det g)."""
+    d1 = jet_of(imm, theta, order=1).d1[None]
+    g = d1 @ d1.transpose(0, 2, 1)
+    L, sqrt_det = _metric_factor(g, points(theta))
+    return g[0], L[0], float(sqrt_det[0])
+
+
+def k_of(full, u):
+    """K(u) = |II(u, u)| for a direction in frame coordinates."""
+    return float(np.linalg.norm(np.einsum("i,j,ijq->q", u, u, full)))
+
+
+def pairing(full, x, y, v, w):
+    """<II(x, y), II(v, w)> by bilinear extension."""
+    return float(np.einsum("i,j,ijq->q", x, y, full) @ np.einsum("i,j,ijq->q", v, w, full))
+
+
+def extremes(S, seed=0):
+    """The batched extremizer at the one point of a (1, m, q) batch."""
+    k_min, k_max, u_min, u_max = extremal_normal_curvature(S, seed)
+    return float(k_min[0]), float(k_max[0]), u_min[0], u_max[0]
+
+
 # ---------------------------------------------------------------- metric
 
 def test_metric_clifford(clifford2):
-    mp = metric_at(jet_of(clifford2, [0.4, 2.2]))
-    np.testing.assert_allclose(mp.g, 0.5 * np.eye(2), atol=1e-14)
-    np.testing.assert_allclose(mp.g @ mp.g_inv, np.eye(2), atol=1e-10)
-    np.testing.assert_allclose(mp.L @ mp.g @ mp.L.T, np.eye(2), atol=1e-10)
-    assert abs(mp.sqrt_det - 0.5) < 1e-14
+    g, L, sqrt_det = metric_of(clifford2, [0.4, 2.2])
+    np.testing.assert_allclose(g, 0.5 * np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(g @ (L.T @ L), np.eye(2), atol=1e-10)
+    np.testing.assert_allclose(L @ g @ L.T, np.eye(2), atol=1e-10)
+    assert abs(sqrt_det - 0.5) < 1e-14
 
 
 def test_metric_hexagonal(hexagonal):
-    mp = metric_at(jet_of(hexagonal, [1.0, 0.3]))
-    np.testing.assert_allclose(mp.g, np.array([[2, 1], [1, 2]]) / 3.0, atol=1e-14)
+    g = metric_of(hexagonal, [1.0, 0.3])[0]
+    np.testing.assert_allclose(g, np.array([[2, 1], [1, 2]]) / 3.0, atol=1e-14)
 
 
 def test_metric_unit_circle():
-    mp = metric_at(jet_of(clifford(1), [1.7]))
-    np.testing.assert_allclose(mp.g, [[1.0]], atol=1e-14)
+    g = metric_of(clifford(1), [1.7])[0]
+    np.testing.assert_allclose(g, [[1.0]], atol=1e-14)
 
 
 def test_metric_degenerate_for_constant_map():
     constant = FourierImmersion(Signature(2, 4), (), translate=[0.5, 0, 0, 0])
     with pytest.raises(DegenerateMetric):
-        metric_at(jet_of(constant, [0.0, 0.0]))
+        metric_of(constant, [0.0, 0.0])
     with pytest.raises(DegenerateMetric):
-        second_form_at(jet_of(constant, [0.0, 0.0]))
+        form_at(constant, [0.0, 0.0])
 
 
 def test_degeneracy_policy_below_cholesky_failure():
     # f = (cos t1, sin t1, 1e-7 sin t2): lambda_min(g) = 1e-14 cos^2 t2 < 1e-12
-    # everywhere, yet Cholesky succeeds.  Both entry points apply one policy
-    # and name the point.
+    # everywhere, yet Cholesky succeeds.  The point kernel and the grid pass
+    # apply one policy and name the point.
     thin = FourierImmersion(Signature(2, 3), (
         FourierTerm(k=(1, 0), a=[1.0, 0.0, 0.0], b=[0.0, 1.0, 0.0]),
         FourierTerm(k=(0, 1), a=[0.0, 0.0, 0.0], b=[0.0, 0.0, 1e-7]),
@@ -89,7 +118,7 @@ def test_degeneracy_policy_below_cholesky_failure():
     jet = jet_of(thin, [0.3, 0.0], order=1)
     np.linalg.cholesky(jet.d1 @ jet.d1.T)
     with pytest.raises(DegenerateMetric, match=r"theta=\[0\.3, 0\.0\]"):
-        metric_at(jet)
+        form_at(thin, [0.3, 0.0])
     with pytest.raises(DegenerateMetric, match=r"theta=\[0\.0, 0\.0\]"):
         grid_fields(thin, TorusGrid((8, 8)))
 
@@ -157,32 +186,33 @@ def test_metric_factor_pivot_rule():
 # ---------------------------------------------------------------- frame
 
 def test_frame_orthonormal_and_projector(wavy2):
-    for theta in random_points(2, 5, seed=2):
+    thetas = random_points(2, 5, seed=2)
+    _, frames, _, _ = _chunk_core(wavy2, thetas)
+    for theta, E in zip(thetas, frames):
         jet = jet_of(wavy2, theta)
-        frame = frame_at(jet)
-        np.testing.assert_allclose(frame.E @ frame.E.T, np.eye(2), atol=1e-10)
+        np.testing.assert_allclose(E @ E.T, np.eye(2), atol=1e-10)
         for a in range(2):
-            assert np.linalg.norm(frame.project_normal(jet.d1[a])) < 1e-9
+            assert np.linalg.norm(jet.d1[a] - E.T @ (E @ jet.d1[a])) < 1e-9
 
 
 # ---------------------------------------------------------------- second form
 
 def test_second_form_clifford_values(clifford2):
     t1, t2 = 0.8, 2.5
-    S = second_form_at(jet_of(clifford2, [t1, t2]))
+    S = full_at(clifford2, [t1, t2])
     expected_S11 = -math.sqrt(2) * np.array([math.cos(t1), math.sin(t1), 0, 0])
-    np.testing.assert_allclose(S.S[0, 0], expected_S11, atol=1e-12)
-    np.testing.assert_allclose(S.S[0, 1], np.zeros(4), atol=1e-12)
-    assert abs(np.linalg.norm(S.S[0, 0]) - math.sqrt(2)) < 1e-12
+    np.testing.assert_allclose(S[0, 0], expected_S11, atol=1e-12)
+    np.testing.assert_allclose(S[0, 1], np.zeros(4), atol=1e-12)
+    assert abs(np.linalg.norm(S[0, 0]) - math.sqrt(2)) < 1e-12
 
 
 def test_second_form_symmetry_and_normality(wavy2):
-    jet = jet_of(wavy2, [0.6, 1.9])
-    S = second_form_at(jet)
-    assert np.array_equal(S.S, S.S.transpose(1, 0, 2))
+    _, E, S, _ = _chunk_core(wavy2, points([0.6, 1.9]))
+    S = _full_form(S)[0]
+    assert np.array_equal(S, S.transpose(1, 0, 2))
     for i in range(2):
         for j in range(2):
-            assert np.max(np.abs(S.frame.E @ S.S[i, j])) < 1e-9
+            assert np.max(np.abs(E[0] @ S[i, j])) < 1e-9
 
 
 @pytest.mark.parametrize("make", [
@@ -202,108 +232,116 @@ def test_pair_kernel_matches_reference(make):
         jet = jet_of(imm, theta)
         ref, _ = reference_second_form(jet)
         size = float(np.linalg.norm(ref))
-        np.testing.assert_allclose(_full_form(S[p]), ref, rtol=0, atol=1e-12 * size)
-        public = second_form_at(jet).S
-        assert np.array_equal(public, public.swapaxes(0, 1))
+        full = _full_form(S[p])
+        np.testing.assert_allclose(full, ref, rtol=0, atol=1e-12 * size)
+        assert np.array_equal(full, full.swapaxes(0, 1))
     D = _directions(imm.n, 64, seed=5)
     expected = reference_k2_sweep(D, _full_form(S))
     np.testing.assert_allclose(_k2_sweep(D, S), expected, rtol=1e-13, atol=0)
 
 
 def test_second_form_hexagonal_constant_curvature(hexagonal):
-    S = second_form_at(jet_of(hexagonal, [0.2, 1.4]))
+    S = form_at(hexagonal, [0.2, 1.4])
     rng = np.random.Generator(np.random.Philox(key=np.uint64(77)))
     for _ in range(64):
         u = rng.standard_normal(2)
         u /= np.linalg.norm(u)
-        assert abs(normal_curvature(S, u) - math.sqrt(1.5)) < 1e-10
+        assert abs(math.sqrt(_k2_sweep(u[None], S)[0, 0]) - math.sqrt(1.5)) < 1e-10
 
 
 # ---------------------------------------------------------------- H, zh, K
 
+def mean_curvature(imm, theta):
+    return _scalar_invariants(form_at(imm, theta))[0][0]
+
+
+def zh_at(imm, theta):
+    return float(_scalar_invariants(form_at(imm, theta))[3][0])
+
+
 def test_mean_curvature_clifford(clifford2):
     jet = jet_of(clifford2, [1.1, 0.7])
-    H = mean_curvature(second_form_at(jet))
+    H = mean_curvature(clifford2, [1.1, 0.7])
     np.testing.assert_allclose(H, -2.0 * jet.value, atol=1e-12)
     assert abs(float(H @ jet.value) + 2.0) < 1e-12
 
 
 def test_mean_curvature_norms():
-    assert abs(np.linalg.norm(mean_curvature(second_form_at(jet_of(clifford(3), [0.1, 2, 4])))) - 3) < 1e-12
+    assert abs(np.linalg.norm(mean_curvature(clifford(3), [0.1, 2, 4])) - 3) < 1e-12
 
 
 def test_mean_curvature_hexagonal(hexagonal):
-    H = mean_curvature(second_form_at(jet_of(hexagonal, [2.0, 0.5])))
+    H = mean_curvature(hexagonal, [2.0, 0.5])
     assert abs(np.linalg.norm(H) - 2.0) < 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_zh_clifford_family(m):
-    S = second_form_at(jet_of(clifford(m), np.linspace(0.3, 1.8, m)))
-    assert abs(zh_at(S) - 3.0 * m / (m + 2)) < 1e-12
+    assert abs(zh_at(clifford(m), np.linspace(0.3, 1.8, m)) - 3.0 * m / (m + 2)) < 1e-12
 
 
 def test_zh_hexagonal(hexagonal):
-    S = second_form_at(jet_of(hexagonal, [0.9, 2.7]))
-    assert abs(zh_at(S) - 1.5) < 1e-12
+    assert abs(zh_at(hexagonal, [0.9, 2.7]) - 1.5) < 1e-12
 
 
 def test_zh_matches_sphere_average(wavy2, hexagonal):
     # Bridge between the definition (average of K^2) and the closed form.
     for imm, seed in ((wavy2, 5), (hexagonal, 6)):
-        for i, theta in enumerate(random_points(2, 3, seed=40 + seed)):
-            S = second_form_at(jet_of(imm, theta))
+        thetas = random_points(2, 3, seed=40 + seed)
+        S = _chunk_core(imm, thetas)[2]
+        zh = _scalar_invariants(S)[3]
+        for i, full in enumerate(_full_form(S)):
             sampler = SphereSampler(2, 200_000, seed=seed * 10 + i)
 
             def ksq(dirs):
-                vals = np.einsum("da,db,abq->dq", dirs, dirs, S.S, optimize=True)
+                vals = np.einsum("da,db,abq->dq", dirs, dirs, full, optimize=True)
                 return np.einsum("dq,dq->d", vals, vals)
 
             mean, stderr = sphere_average_mc(ksq, sampler)
-            assert abs(mean - zh_at(S)) < 4.0 * max(stderr, 1e-12)
+            assert abs(mean - zh[i]) < 4.0 * max(stderr, 1e-12)
 
 
 def test_normal_curvature_clifford_directions(clifford2):
-    S = second_form_at(jet_of(clifford2, [0.8, 1.2]))
-    assert abs(normal_curvature(S, [1.0, 0.0]) - math.sqrt(2)) < 1e-12
+    S = form_at(clifford2, [0.8, 1.2])
     diag = np.array([1.0, 1.0]) / math.sqrt(2)
-    assert abs(normal_curvature(S, diag) - 1.0) < 1e-12
-    with pytest.raises(NotUnit):
-        normal_curvature(S, [1.0, 1.0])
+    K = np.sqrt(_k2_sweep(np.array([[1.0, 0.0], diag]), S)[0])
+    assert abs(K[0] - math.sqrt(2)) < 1e-12
+    assert abs(K[1] - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_extremal_clifford_range(m):
-    S = second_form_at(jet_of(clifford(m), np.linspace(0.0, 2.0, m)))
-    ext = extremal_normal_curvature(S, seed=1)
-    assert abs(ext.k_min - 1.0) < 1e-9
-    assert abs(ext.k_max - math.sqrt(m)) < 1e-9
+    k_min, k_max = extremes(form_at(clifford(m), np.linspace(0.0, 2.0, m)), seed=1)[:2]
+    assert abs(k_min - 1.0) < 1e-9
+    assert abs(k_max - math.sqrt(m)) < 1e-9
 
 
 def test_extremal_constant_designs(hexagonal, d4):
-    S = second_form_at(jet_of(hexagonal, [1.3, 0.4]))
-    ext = extremal_normal_curvature(S, seed=2)
-    assert abs(ext.k_min - math.sqrt(1.5)) < 1e-9
-    assert abs(ext.k_max - math.sqrt(1.5)) < 1e-9
-    S = second_form_at(jet_of(d4, [0.1, 0.9, 1.7, 2.5]))
-    ext = extremal_normal_curvature(S, seed=3)
-    assert abs(ext.k_min - math.sqrt(2)) < 1e-8
-    assert abs(ext.k_max - math.sqrt(2)) < 1e-8
+    k_min, k_max = extremes(form_at(hexagonal, [1.3, 0.4]), seed=2)[:2]
+    assert abs(k_min - math.sqrt(1.5)) < 1e-9
+    assert abs(k_max - math.sqrt(1.5)) < 1e-9
+    k_min, k_max = extremes(form_at(d4, [0.1, 0.9, 1.7, 2.5]), seed=3)[:2]
+    assert abs(k_min - math.sqrt(2)) < 1e-8
+    assert abs(k_max - math.sqrt(2)) < 1e-8
 
 
-def _check_extremes(S, ext):
-    """The extremizer's values bracket a dense scan, its directions reproduce
-    its values and, for n >= 3, are stationary on the sphere."""
-    scale = max(1.0, float(np.einsum("ijq,ijq->", S.S, S.S)))
-    lo, hi = reference_k2_range(S.S)
-    assert ext.k_max ** 2 >= hi - 1e-12 * scale
-    assert ext.k_min ** 2 <= lo + 1e-12 * scale
-    for k, u in ((ext.k_min, ext.u_min), (ext.k_max, ext.u_max)):
-        assert abs(normal_curvature(S, u) - k) <= 1e-12 * math.sqrt(scale)
-        if S.n >= 3:
-            v = np.einsum("i,j,ijq->q", u, u, S.S)
-            g = np.einsum("ijq,j,q->i", S.S, u, v)
+def _check_extremes(S, seed=0):
+    """For a (1, m, q) batch: the extremizer's values bracket a dense scan,
+    its directions reproduce its values and, for n >= 3, are stationary on
+    the sphere.  Returns the extremes."""
+    k_min, k_max, u_min, u_max = ext = extremes(S, seed)
+    full = _full_form(S)[0]
+    scale = max(1.0, float(np.einsum("ijq,ijq->", full, full)))
+    lo, hi = reference_k2_range(full)
+    assert k_max ** 2 >= hi - 1e-12 * scale
+    assert k_min ** 2 <= lo + 1e-12 * scale
+    for k, u in ((k_min, u_min), (k_max, u_max)):
+        assert abs(k_of(full, u) - k) <= 1e-12 * math.sqrt(scale)
+        if full.shape[0] >= 3:
+            v = np.einsum("i,j,ijq->q", u, u, full)
+            g = np.einsum("ijq,j,q->i", full, u, v)
             assert np.linalg.norm(g - (g @ u) * u) <= 1e-8 * scale
+    return ext
 
 
 @pytest.mark.parametrize("make", [
@@ -316,8 +354,7 @@ def _check_extremes(S, ext):
 def test_extremizer_against_dense_scan(make):
     imm = make()
     for theta in random_points(imm.n, 3, seed=61):
-        S = second_form_at(jet_of(imm, theta))
-        _check_extremes(S, extremal_normal_curvature(S, seed=1))
+        _check_extremes(form_at(imm, theta), seed=1)
 
 
 def test_power_climb_keeps_one_live_row_per_cluster():
@@ -342,69 +379,63 @@ def test_extremizer_degree_one_derivative():
     a = np.array([0.0, 0.0, 0.4, 0.2, 1.0])
     b = np.array([0.0, 0.0, 0.7, 0.0, 0.0])
     c = np.array([0.0, 0.0, 0.0, 0.7, 0.0])
-    S = SecondForm(S=np.array([[a + b, c], [c, a - b]]),
-                   frame=TangentNormalFrame(E=np.eye(5)[:2]))
-    ext = extremal_normal_curvature(S)
+    k_min, k_max = _check_extremes(np.array([[a + b, c, a - b]]))[:2]   # pairs 00, 01, 11
     mid, amp = a @ a + b @ b, 2.0 * math.hypot(a @ b, a @ c)
-    assert abs(ext.k_max ** 2 - (mid + amp)) < 1e-14
-    assert abs(ext.k_min ** 2 - (mid - amp)) < 1e-14
-    _check_extremes(S, ext)
+    assert abs(k_max ** 2 - (mid + amp)) < 1e-14
+    assert abs(k_min ** 2 - (mid - amp)) < 1e-14
 
 
 def test_grid_K_estimates_exact_for_surfaces(wavy2):
     grid = TorusGrid((8, 8))
     k_min, k_max = grid_K_estimates(wavy2, grid)
     for idx in (0, 21, 50):
-        lo, hi = reference_k2_range(second_form_at(jet_of(wavy2, grid.theta_at(idx))).S)
+        lo, hi = reference_k2_range(full_at(wavy2, grid.theta_at(idx)))
         assert k_max[idx] ** 2 >= hi - 1e-12 and k_min[idx] ** 2 <= lo + 1e-12
         assert k_max[idx] ** 2 <= hi + 1e-8 and k_min[idx] ** 2 >= lo - 1e-8
 
 
 # ---------------------------------------------------------------- principal values
 
+def principal_values(full, nu):
+    """Eigenvalues (ascending) of the scalar form <II, nu> for a unit normal nu."""
+    return np.linalg.eigvalsh(np.einsum("ijq,q->ij", full, nu))
+
+
 def test_principal_values_clifford(clifford2):
     jet = jet_of(clifford2, [0.5, 1.6])
-    S = second_form_at(jet)
+    S = full_at(clifford2, [0.5, 1.6])
     np.testing.assert_allclose(principal_values(S, -jet.value), [1.0, 1.0], atol=1e-12)
-
-
-def test_principal_values_rejects_tangential(clifford2):
-    jet = jet_of(clifford2, [0.5, 1.6])
-    S = second_form_at(jet)
-    tangent = jet.d1[0] / np.linalg.norm(jet.d1[0])
-    with pytest.raises(NotNormal):
-        principal_values(S, tangent)
 
 
 def test_principal_values_unit_circle():
     jet = jet_of(clifford(1), [0.4])
-    S = second_form_at(jet)
+    S = full_at(clifford(1), [0.4])
     np.testing.assert_allclose(principal_values(S, -jet.value), [1.0], atol=1e-12)
 
 
 # ---------------------------------------------------------------- 4-tensor
 
 def test_inner_tensor_diagonal_is_k_squared(wavy2):
-    S = second_form_at(jet_of(wavy2, [1.0, 2.0]))
+    S = form_at(wavy2, [1.0, 2.0])
     u = np.array([0.6, 0.8])
-    assert abs(second_form_inner(S, u, u, u, u) - normal_curvature(S, u) ** 2) < 1e-12
+    assert abs(pairing(_full_form(S)[0], u, u, u, u) - _k2_sweep(u[None], S)[0, 0]) < 1e-12
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**16))
 def test_inner_tensor_symmetries(seed):
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    S = second_form_at(jet_of(clifford(2), rng.uniform(0, 2 * math.pi, 2)))
+    S = full_at(clifford(2), rng.uniform(0, 2 * math.pi, 2))
     x, y, v, w = rng.standard_normal((4, 2))
-    a = second_form_inner(S, x, y, v, w)
-    assert abs(a - second_form_inner(S, v, w, x, y)) < 1e-12
-    assert abs(a - second_form_inner(S, y, x, v, w)) < 1e-12
+    a = pairing(S, x, y, v, w)
+    assert abs(a - pairing(S, v, w, x, y)) < 1e-12
+    assert abs(a - pairing(S, y, x, v, w)) < 1e-12
 
 
 def test_inner_tensor_clifford_blocks(clifford2):
-    S = second_form_at(jet_of(clifford2, [0.3, 0.9]))
+    S = full_at(clifford2, [0.3, 0.9])
     e1, e2 = np.eye(2)
-    assert abs(second_form_inner(S, e1, e1, e2, e2)) < 1e-12
+    assert abs(pairing(S, e1, e1, e2, e2)) < 1e-12
 
 
 # ---------------------------------------------------------------- invariants bundle
@@ -448,24 +479,23 @@ def test_range_sandwich(wavy2):
 def test_frame_independence(wavy2):
     theta = [1.4, 0.2]
     jet = jet_of(wavy2, theta)
-    metric = metric_at(jet)
-    default = second_form_at(jet, metric)
+    _, E, default, _ = _chunk_core(wavy2, points(theta))
+    layout = _pairs(2)
     # A 2x2 reflection is symmetric, so a proper rotation is needed as well to
     # tell R S R' from R' S R.
     rotation = np.array([[math.cos(0.7), -math.sin(0.7)], [math.sin(0.7), math.cos(0.7)]])
     for R in (random_orthogonal(2, seed=17), rotation):
-        rotated_frame = TangentNormalFrame(E=R @ metric.L @ jet.d1)
-        rotated = second_form_at(jet, metric, frame=rotated_frame)
-        # The rotation of the kernel's II matches II built directly in the rotated frame.
-        np.testing.assert_allclose(rotated.S, reference_second_form(jet, rotated_frame.E)[0],
-                                   atol=1e-12)
-        for fn in (lambda s: np.linalg.norm(mean_curvature(s)), zh_at,
-                   lambda s: float(np.einsum("ijq,ijq->", s.S, s.S))):
+        # II in the frame R E is R S R'; it matches II built directly in that frame.
+        full = np.einsum("ia,jb,abq->ijq", R, R, _full_form(default)[0])
+        np.testing.assert_allclose(full, reference_second_form(jet, R @ E[0])[0], atol=1e-12)
+        rotated = full[None, layout.I, layout.J]
+        for fn in (lambda s: math.sqrt(_scalar_invariants(s)[1][0]),    # |H|
+                   lambda s: _scalar_invariants(s)[3][0],               # zh
+                   lambda s: _scalar_invariants(s)[2][0]):              # |II|^2
             assert abs(fn(default) - fn(rotated)) < 1e-9
-        a = extremal_normal_curvature(default, seed=0)
-        b = extremal_normal_curvature(rotated, seed=0)
-        assert abs(a.k_min - b.k_min) < 1e-9
-        assert abs(a.k_max - b.k_max) < 1e-9
+        a, b = extremes(default, seed=0), extremes(rotated, seed=0)
+        assert abs(a[0] - b[0]) < 1e-9
+        assert abs(a[1] - b[1]) < 1e-9
 
 
 def test_euclidean_invariance(wavy2):

@@ -221,7 +221,7 @@ def test_gate_memo_shared_by_main_and_bow(monkeypatch):
     # The n >= 5 main gate and the bow gate read one memoized K sweep of the
     # base grid and one batched extremizer call at no more than four points.
     swept, refined = [], []
-    sweep, extremes = pointwise._k2_sweep, pointwise._k_extremes
+    sweep, extremes = pointwise._k2_sweep, pointwise.extremal_normal_curvature
 
     def counting_sweep(D, S):
         swept.append(S.shape[0])
@@ -232,7 +232,7 @@ def test_gate_memo_shared_by_main_and_bow(monkeypatch):
         return extremes(S, seed)
 
     monkeypatch.setattr(pointwise, "_k2_sweep", counting_sweep)
-    monkeypatch.setattr(pointwise, "_k_extremes", counting_extremes)
+    monkeypatch.setattr(pointwise, "extremal_normal_curvature", counting_extremes)
     grid = TorusGrid((4,) * 5)
     reports = run_checks(clifford(5), grid, checks="main,bow")
     assert [r["status"] for r in reports] == ["skipped", "skipped"]     # K_max = sqrt(5) > 2

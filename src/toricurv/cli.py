@@ -166,7 +166,7 @@ def cmd_analyze(args) -> int:
     sc = intrinsic.curvature_grid(imm, grid)
     k_min, k_max = pointwise.grid_K_estimates(imm, grid, seed=args.seed)
     n = imm.n
-    residual = sc - (1.5 * fields.H2 - 0.5 * n * (n + 2) * fields.zh)
+    residual = sc - pointwise._sc_from_zh(fields.H2, fields.zh, n)
 
     header = [f"theta_{i + 1}" for i in range(n)] + \
         ["norm_f", "norm_H", "zh", "sc", "k_min", "k_max", "beta"]
@@ -326,6 +326,26 @@ def cmd_selftest(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _seed(text: str) -> int:
+    """--seed: a non-negative integer, refused at parse time otherwise."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
+def _checks(text: str) -> str:
+    """--checks: refused at parse time unless run_checks accepts the selection."""
+    try:
+        verify.select_checks(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toricurv",
@@ -336,16 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="per-point invariants table plus a summary")
     p.add_argument("input", help="immersion description file (JSON)")
     p.add_argument("--grid", help="comma-separated grid sizes, e.g. 64,64")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="output base path (writes .csv and .json)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="run the bound checks and report margins")
     p.add_argument("input")
-    p.add_argument("--checks", default="all",
+    p.add_argument("--checks", type=_checks, default="all",
                    help="'all' or comma-separated subset of: " + ",".join(verify.ALL_CHECKS))
     p.add_argument("--grid")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_verify)
@@ -361,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--fmax", type=int, default=1)
     p.add_argument("--grid")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--iterations", type=int, default=500)
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--penalty-weight", type=float, default=1e3)
@@ -370,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("selftest", help="built-in health suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_selftest)
     return parser
 

@@ -55,10 +55,12 @@ class SearchConfig:
             raise ValueError("iterations must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if not (self.penalty_weight >= 0):
-            raise ValueError("penalty_weight must be nonnegative")
-        if not (self.smoothing > 0):
-            raise ValueError("smoothing must be positive")
+        # Non-finite values would score every trial NaN and keep no restart.
+        if not (math.isfinite(self.penalty_weight) and self.penalty_weight >= 0):
+            raise ValueError(f"penalty_weight must be finite and nonnegative, "
+                             f"got {self.penalty_weight!r}")
+        if not (math.isfinite(self.smoothing) and self.smoothing > 0):
+            raise ValueError(f"smoothing must be finite and positive, got {self.smoothing!r}")
 
 
 @dataclass(frozen=True, eq=False)

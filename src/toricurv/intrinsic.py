@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DimensionTooLow, OriginPoint, ZeroMeanCurvature
 from .immersion import FourierImmersion, jets_at
-from .pointwise import _metric_factor, _scalar_invariants, _second_form, grid_fields
+from .pointwise import _metric_factor, _sc_from_zh, _scalar_invariants, _second_form, grid_fields
 from .quadrature import TorusGrid
 
 
@@ -119,8 +119,7 @@ def gauss_residuals(imm: FourierImmersion, thetas: np.ndarray) -> np.ndarray:
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     path = _christoffel(imm, thetas)
     _, H2, _, zh, _ = _scalar_invariants(_second_form(path.L, path.d1, path.d2)[1])
-    n = imm.n
-    return path.sc - (1.5 * H2 - 0.5 * n * (n + 2) * zh)
+    return path.sc - _sc_from_zh(H2, zh, imm.n)
 
 
 def conformal_rate(n: int) -> Fraction:

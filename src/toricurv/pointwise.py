@@ -159,6 +159,11 @@ def _sc_ext(H2, II2):
     return H2 - II2
 
 
+def _sc_from_zh(H2, zh, n: int):
+    """The same scalar curvature through zh, 3/2*|H|^2 - n(n+2)/2*zh."""
+    return 1.5 * H2 - 0.5 * n * (n + 2) * zh
+
+
 def _scalar_invariants(S: np.ndarray):
     """H, |H|^2, |II|^2, zh and the extrinsic scalar curvature |H|^2 - |II|^2
     of a (P, m, q) batch of second forms in the pair layout."""
@@ -314,7 +319,7 @@ def invariants_at(jet: Jet, seed: int = 0) -> PointInvariants:
     S = _jet_core(jet.d1[None], jet.d2[None], theta)[1]
     n = jet.d1.shape[0]
     H, H2, II2, zh, sc_b = (v[0] for v in _scalar_invariants(S))
-    sc_a = 1.5 * H2 - 0.5 * n * (n + 2) * zh
+    sc_a = _sc_from_zh(H2, zh, n)
     if abs(sc_a - sc_b) > 1e-10 * max(1.0, H2 + II2):
         raise AssertionError(f"scalar-curvature closed forms disagree: {sc_a!r} vs {sc_b!r}")
     k_min, k_max = extremal_normal_curvature(S, seed)[:2]

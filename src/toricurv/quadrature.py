@@ -18,7 +18,8 @@ import numpy as np
 
 
 def _philox(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    """Philox generator keyed by the seed modulo 2^64, so every integer seed runs."""
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed % 2 ** 64)))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ unresolved (a negative margin still wins and marks a failure).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -260,59 +260,50 @@ def _chain_terms(n: int, zh: float, norm_H: float, r: float,
 
 
 def _trace_diagnostics(imm: FourierImmersion, grid: TorusGrid) -> tuple[dict, dict | None]:
-    """Radial-trace diagnostics at the most informative grid point.
+    """Radial-trace diagnostics at the most informative grid point off the
+    origin (where the radial angles are undefined).
 
-    For n >= 3 that is the minimizer of the conformal operator value among
-    points off the origin (where the radial angles are undefined); for n = 2
-    (where the operator is undefined) it is the zh maximizer.  Returns
-    (diagnostics, witness)."""
+    For n >= 3 that is the minimizer of the conformal operator value; for
+    n < 3 (where the operator is undefined) it is the zh maximizer, traced at
+    rate k = 0.  r, alpha and beta come from the one conformal_trace in every
+    dimension.  Returns (diagnostics, witness); the witness is None for n < 3."""
     n = imm.n
     fields = grid_fields(imm, grid)
+    origin = fields.r < 1e-12
+    diag: dict = {}
     if n >= 3:
         k = intrinsic.conformal_rate(n)
-        cg = intrinsic.conformal_grid(imm, grid, k)
-        idx = int(np.argmin(np.where(fields.r < 1e-12, np.inf, cg["conformal"])))
-        conformal_min = float(cg["conformal"][idx])
-    else:
-        k = None
-        idx = int(np.argmax(fields.zh))
-        conformal_min = None
-    theta = grid.theta_at(idx)
-
-    diag: dict = {"trace_theta": theta.tolist()}
-    witness = None
-    if k is not None:
-        trace = intrinsic.conformal_trace(imm, theta, k)
-        diag["conformal_min"] = conformal_min
+        conformal = intrinsic.conformal_grid(imm, grid, k)["conformal"]
+        idx = int(np.argmin(np.where(origin, np.inf, conformal)))
+        diag["conformal_min"] = float(conformal[idx])
         diag["conformal_rate"] = float(k)
+    else:
+        k = 0
+        idx = int(np.argmax(np.where(origin, -np.inf, fields.zh)))
+    theta = grid.theta_at(idx)
+    trace = intrinsic.conformal_trace(imm, theta, k)
+    diag["trace_theta"] = theta.tolist()
+    diag["lap_identity_residual"] = abs(trace.lap_f - (n + float(fields.hx[idx])))
+    diag["grad_identity_residual"] = abs(trace.grad_f_norm - trace.r * math.sin(trace.beta))
+    witness = None
+    if n >= 3:
         witness = {"theta": theta.tolist(), "values": {
             "r": trace.r, "alpha": trace.alpha, "beta": trace.beta,
             "u": trace.u, "lap_f": trace.lap_f, "grad_f_norm": trace.grad_f_norm,
             "lap_u": trace.lap_u, "sc": trace.sc,
             "conformal_value": trace.conformal_value,
         }}
-        diag["lap_identity_residual"] = abs(trace.lap_f - (n + float(fields.hx[idx])))
-        diag["grad_identity_residual"] = abs(trace.grad_f_norm - trace.r * math.sin(trace.beta))
-        if trace.alpha is not None:
-            diag["angle_sandwich_slack"] = min(trace.alpha - trace.beta,
-                                               math.pi - trace.beta - trace.alpha)
-        r, sin_beta = trace.r, math.sin(trace.beta)
-        alpha = trace.alpha
-    else:
-        r = float(fields.r[idx])
-        sin_beta = float(fields.sin_beta[idx])
-        norm_H = float(fields.norm_H[idx])
-        alpha = None
-        if r > 1e-12 and norm_H > 1e-12:
-            alpha = math.acos(max(-1.0, min(1.0, float(fields.hx[idx]) / (norm_H * r))))
-    if alpha is not None and n >= 2:      # the chain's sin term divides by n - 1
-        cos_alpha = math.cos(alpha)
-        chain = _chain_terms(n, float(fields.zh[idx]), float(fields.norm_H[idx]),
-                             r, cos_alpha, sin_beta)
-        diag["chain"] = chain
-        diag["trig_budget_slack"] = 1.0 - chain["trig_budget"]
-        if n >= 5:
-            diag["ball_budget_slack"] = 1.0 - (r * r + sin_beta * sin_beta)
+    if trace.alpha is not None:
+        diag["angle_sandwich_slack"] = min(trace.alpha - trace.beta,
+                                           math.pi - trace.beta - trace.alpha)
+        if n >= 2:      # the chain's sin term divides by n - 1
+            r, sin_beta = trace.r, math.sin(trace.beta)
+            chain = _chain_terms(n, float(fields.zh[idx]), float(fields.norm_H[idx]),
+                                 r, math.cos(trace.alpha), sin_beta)
+            diag["chain"] = chain
+            diag["trig_budget_slack"] = 1.0 - chain["trig_budget"]
+            if n >= 5:
+                diag["ball_budget_slack"] = 1.0 - (r * r + sin_beta * sin_beta)
     return diag, witness
 
 
@@ -336,12 +327,8 @@ def check_main(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> CheckRe
     if n == 2:
         inner = check_2d(imm, grid)
         diag, _ = _trace_diagnostics(imm, grid)
-        merged = dict(inner.diagnostics)
-        merged.update(diag)
-        merged["delegated_to"] = "2d"
-        return CheckReport(name="main", passed=inner.passed, margin=inner.margin,
-                           tolerance=inner.tolerance, status=inner.status,
-                           witness=inner.witness, diagnostics=merged)
+        return replace(inner, name="main",
+                       diagnostics={**inner.diagnostics, **diag, "delegated_to": "2d"})
     if n >= 5:
         _gate_K(imm, grid, seed, "pointwise")
     bound = 3.0 * n / (n + 2)
@@ -430,17 +417,23 @@ def conjecture_probe(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     )
 
 
+def select_checks(checks=None) -> list[str]:
+    """The check names a selection names: None or "all", a comma-separated
+    string, or an iterable of names.  Unknown or empty names raise ValueError."""
+    if checks is None or checks == "all":
+        return list(ALL_CHECKS)
+    selected = [c.strip() for c in (checks.split(",") if isinstance(checks, str) else checks)]
+    unknown = [c for c in selected if c not in ALL_CHECKS]
+    if unknown:
+        raise ValueError(f"unknown checks {unknown}; available: {list(ALL_CHECKS)}")
+    return selected
+
+
 def run_checks(imm: FourierImmersion, grid: TorusGrid | None = None, seed: int = 0,
                checks=None, expected_K: float | None = None) -> list[dict]:
     """Run the selected checks in a fixed order; inapplicable ones are skipped."""
     grid = TorusGrid.default(imm.n) if grid is None else grid
-    if checks is None or checks == "all":
-        selected = list(ALL_CHECKS)
-    else:
-        selected = [c.strip() for c in (checks.split(",") if isinstance(checks, str) else checks)]
-        unknown = [c for c in selected if c not in ALL_CHECKS]
-        if unknown:
-            raise ValueError(f"unknown checks {unknown}; available: {list(ALL_CHECKS)}")
+    selected = select_checks(checks)
 
     dispatch = {
         "ball": lambda: check_ball_containment(imm, grid),

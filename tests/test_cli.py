@@ -395,6 +395,99 @@ def test_explore_zero_dimension_exit_2(capsys):
     assert "--n" in capsys.readouterr().err
 
 
+def _exit_status(argv):
+    """main's return value, or the exit code of a refusal at parse time."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+EXPLORE = ["explore", "--n", "2", "--q", "4", "--grid", "8", "--iterations", "2",
+           "--restarts", "1"]
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["verify", "{circle}", "--seed", "-1"], "--seed"),
+    (["analyze", "{circle}", "--seed", "-1"], "--seed"),
+    (EXPLORE + ["--seed", "-1"], "--seed"),
+    (["selftest", "--seed", "-1"], "--seed"),
+    (["verify", "{circle}", "--seed", "1.5"], "--seed"),
+    (["verify", "{circle}", "--checks", "foo"], "--checks"),
+    (["verify", "{circle}", "--checks", "ball,,main"], "--checks"),
+    (EXPLORE + ["--smoothing", "inf"], "smoothing"),
+    (EXPLORE + ["--penalty-weight", "inf"], "penalty_weight"),
+    (["verify", "{circle}", "--grid", "2"], "--grid"),
+    (["verify", "{d4}", "--grid", "65536"], "--grid"),
+    (["verify", "{nan_scale}"], "clifford.scale"),
+    (["verify", "{rank1}", "--grid", "8,8"], "theta="),
+    (["analyze", "{rank1}", "--grid", "8,8"], "theta="),
+    (["design", "validate", "{missing}"], "matrix: cannot read"),
+    (["explore", "--n", "0", "--q", "2"], "--n"),
+    (["explore", "--n", "3", "--q", "4"], "q=4"),
+    (EXPLORE[:5] + ["--grid", "8", "--fmax", "1000000"], "--fmax"),
+])
+def test_refused_arguments_exit_2_and_write_nothing(tmp_path, capsys, argv, fragment):
+    inputs = {
+        "circle": {"type": "clifford", "m": 1},
+        "d4": {"type": "gromov", "B": [list(r) for r in builtin_design("d4").rows]},
+        "rank1": {"type": "fourier", "n": 2, "q": 4, "terms": [
+            {"k": [1, 0], "a": [0.5, 0, 0, 0], "b": [0, 0.5, 0, 0]}]},
+    }
+    names = {"missing": str(tmp_path / "no_such_matrix.txt")}
+    for name, obj in inputs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        names[name] = str(tmp_path / f"{name}.json")
+    (tmp_path / "nan_scale.json").write_text('{"type": "clifford", "m": 2, "scale": NaN}')
+    names["nan_scale"] = str(tmp_path / "nan_scale.json")
+    before = sorted(tmp_path.iterdir())
+    argv = [a.format(**names) for a in argv]
+    if argv[0] != "selftest":
+        argv += ["--out", str(tmp_path / "out")]
+    assert _exit_status(argv) == 2
+    assert fragment in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{circle}", "--seed", "-1"],
+    ["analyze", "{circle}", "--seed", "-1"],
+    ["verify", "{circle}", "--checks", "foo"],
+    ["verify", "{circle}", "--checks", "ball,,main"],
+])
+def test_seed_and_checks_refused_before_the_input_is_read(monkeypatch, argv):
+    def boom(*args, **kwargs):
+        raise AssertionError("the input was read before the argument check")
+
+    monkeypatch.setattr(cli, "read_input", boom)
+    assert _exit_status([a.format(circle="never_read.json") for a in argv]) == 2
+
+
+def test_seed_beyond_64_bits_runs(tmp_path):
+    # The Philox key is the seed modulo 2^64, so every non-negative seed runs.
+    seed = str(2 ** 64 + 1)
+    circle = tmp_path / "circle.json"
+    circle.write_text(json.dumps({"type": "clifford", "m": 1}))
+    out = tmp_path / "rep.json"
+    assert main(["verify", str(circle), "--seed", seed, "--checks", "bow,constant_k",
+                 "--out", str(out)]) == 0
+    assert [r["config"]["seed"] for r in json.loads(out.read_text())] == [2 ** 64 + 1] * 2
+    assert main(EXPLORE + ["--seed", seed, "--out", str(tmp_path / "e.json")]) == 0
+
+
+def test_analyze_gauss_residual_is_the_one_closed_form(tmp_path):
+    wavy = perturbed_clifford(2, seed=5)
+    path = tmp_path / "wavy.json"
+    save_immersion(wavy, path)
+    assert main(["analyze", str(path), "--grid", "16", "--out", str(tmp_path / "rep")]) == 0
+    grid = TorusGrid((16, 16))
+    fields = cli.pointwise.grid_fields(wavy, grid)
+    residual = cli.intrinsic.curvature_grid(wavy, grid) - \
+        cli.pointwise._sc_from_zh(fields.H2, fields.zh, 2)
+    summary = json.loads((tmp_path / "rep.json").read_text())
+    assert summary["max_gauss_residual"] == float(np.max(np.abs(residual)))
+
+
 def _load_tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)

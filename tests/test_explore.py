@@ -95,6 +95,15 @@ def test_initial_fixture_selection():
         _initial_immersion(config(n=3, q=4))
 
 
+@pytest.mark.parametrize("setting", ["smoothing", "penalty_weight"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+def test_search_settings_must_be_finite(setting, value):
+    # An infinite temperature or penalty scores every trial NaN, so no
+    # restart is kept; the config refuses it before any trial.
+    with pytest.raises(ValueError, match=setting):
+        config(**{setting: value})
+
+
 def test_optimize_deterministic():
     a = optimize(config())
     b = optimize(config())

@@ -24,6 +24,7 @@ from toricurv.pointwise import (
     _metric_factor,
     _pairs,
     _power_climb,
+    _sc_from_zh,
     _scalar_invariants,
 )
 from toricurv.quadrature import SphereSampler, TorusGrid, sphere_average_mc
@@ -278,6 +279,14 @@ def test_mean_curvature_hexagonal(hexagonal):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_zh_clifford_family(m):
     assert abs(zh_at(clifford(m), np.linspace(0.3, 1.8, m)) - 3.0 * m / (m + 2)) < 1e-12
+
+
+def test_sc_from_zh_is_the_gauss_equation(random25):
+    # 3/2|H|^2 - n(n+2)/2 zh and |H|^2 - |II|^2 are one closed form by algebra.
+    fields = grid_fields(random25, TorusGrid((16, 16)))
+    scale = float(np.max(fields.H2 + fields.II2))
+    np.testing.assert_allclose(_sc_from_zh(fields.H2, fields.zh, 2), fields.sc_ext,
+                               rtol=0, atol=1e-12 * scale)
 
 
 def test_zh_hexagonal(hexagonal):

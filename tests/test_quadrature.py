@@ -12,6 +12,7 @@ from toricurv.quadrature import (
     MonomialReport,
     SphereSampler,
     TorusGrid,
+    _philox,
     monomial_selftest,
     sphere_average_mc,
 )
@@ -151,6 +152,15 @@ def test_sampler_unit_norm_and_determinism():
     np.testing.assert_allclose(np.linalg.norm(d1, axis=1), 1.0, atol=1e-12)
     d3 = SphereSampler(3, 5000, seed=13).directions()
     assert not np.array_equal(d1, d3)
+
+
+def test_philox_key_wraps_modulo_2_64():
+    # Every integer seed keys a generator; seeds below 2^64 keep their stream.
+    draws = _philox(5).standard_normal(8)
+    assert np.array_equal(_philox(2 ** 64 + 5).standard_normal(8), draws)
+    assert np.array_equal(np.random.Generator(np.random.Philox(key=np.uint64(5))).standard_normal(8),
+                          draws)
+    assert np.array_equal(_philox(-1).standard_normal(8), _philox(2 ** 64 - 1).standard_normal(8))
 
 
 def test_sphere_average_constant():

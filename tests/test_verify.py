@@ -179,11 +179,31 @@ def test_main_clifford4(clifford4):
 
 def test_main_delegates_for_n2(hexagonal):
     rep = check_main(hexagonal, GRID2)
+    inner = check_2d(hexagonal, GRID2)
     assert rep.diagnostics.get("delegated_to") == "2d"
+    assert (rep.name, rep.status, rep.margin, rep.witness) == ("main", inner.status,
+                                                               inner.margin, inner.witness)
     assert abs(rep.margin) < 1e-8
     chain = rep.diagnostics["chain"]
     assert abs(chain["lhs"] - chain["mid"]) < 1e-8
     assert abs(chain["mid"] - chain["rhs"]) < 1e-8
+    assert rep.diagnostics["lap_identity_residual"] < 1e-12
+    assert rep.diagnostics["grad_identity_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("name", ["circle", "clifford2", "hexagonal", "wavy2"])
+def test_main_trace_residuals_below_n3(name, request):
+    # For n < 3 the trace point is the zh maximizer, traced at rate 0 through
+    # the same intrinsic path as n >= 3, so both identities are cross-checked.
+    imm = clifford(1) if name == "circle" else request.getfixturevalue(name)
+    grid = TorusGrid((16,) * imm.n)
+    diag = check_main(imm, grid).diagnostics
+    fields = pointwise.grid_fields(imm, grid)
+    assert diag["trace_theta"] == grid.theta_at(int(np.argmax(fields.zh))).tolist()
+    assert diag["lap_identity_residual"] < 1e-12
+    assert diag["grad_identity_residual"] < 1e-12
+    assert diag["angle_sandwich_slack"] > -1e-12
+    assert "conformal_min" not in diag
 
 
 def test_main_scaled_clifford4(clifford4):
@@ -310,8 +330,9 @@ def test_run_checks_failure_exit(clifford2):
 def test_run_checks_subset_and_unknown(clifford2):
     reports = run_checks(clifford2, grid=GRID2, checks="ball,bow")
     assert [r["name"] for r in reports] == ["ball", "bow"]
-    with pytest.raises(ValueError):
-        run_checks(clifford2, grid=GRID2, checks="nope")
+    for bad in ("nope", "ball,,main", ["ball", ""]):
+        with pytest.raises(ValueError, match="unknown checks"):
+            run_checks(clifford2, grid=GRID2, checks=bad)
 
 
 def test_run_checks_deterministic(hexagonal):
@@ -468,6 +489,23 @@ def test_no_third_order_pass_over_the_grid(monkeypatch):
             monkeypatch.setattr(module, "jets_at", counting)
     run_checks(d4, GRID4)
     assert batches and max(batches) <= 64
+
+
+def test_n2_trace_point_skips_the_origin(wavy2):
+    # The zh maximizer moved to the origin: the n = 2 trace takes the maximizer
+    # among the other points, where the radial angles are defined.
+    grid = TorusGrid((16, 16))
+    top = int(np.argmax(pointwise.grid_fields(wavy2, grid).zh))
+    half = scaled(wavy2, 0.5)
+    moved = translated(half, -evaluate_jet(half, grid.theta_at(top), order=0).value)
+    fields = pointwise.grid_fields(moved, grid)
+    assert fields.r[top] < 1e-12 and int(np.argmax(fields.zh)) == top
+    (report,) = run_checks(moved, grid, checks="main")
+    diag = report["diagnostics"]
+    assert diag["trace_theta"] == grid.theta_at(
+        int(np.argmax(np.where(fields.r < 1e-12, -np.inf, fields.zh)))).tolist()
+    assert diag["lap_identity_residual"] < 1e-12
+    assert diag["grad_identity_residual"] < 1e-12
 
 
 def test_trace_point_skips_the_origin():

@@ -31,11 +31,10 @@ from .designs import (
     subtorus_immersion,
     validate_design,
 )
-from .errors import DegenerateMetric, ParseError, RankDeficient, ToricurvError
+from .errors import DegenerateMetric, NonFiniteValue, ParseError, RankDeficient, ToricurvError
 from .explore import SearchConfig, optimize
 from .fixtures import ball_immersion
 from .formats import immersion_to_obj, parse_immersion, read_input
-from .immersion import immersion_rank_check
 from .quadrature import TorusGrid, monomial_selftest, _philox
 
 
@@ -67,16 +66,19 @@ def _write(lines, path: str | None) -> None:
         raise ParseError(f"--out: cannot write {path}: {exc}") from None
 
 
-def _check_out(*paths) -> None:
+def _check_out(*paths, source: str | None = None) -> None:
     """Refuse --out paths that cannot be written, before any grid work and
-    without creating or truncating them: the path is not a directory, its
-    directory exists, and the file (if present) or else the directory is
-    writable.  _write still reports a later failure."""
+    without creating or truncating them: the path is not the input file
+    source (the same file, however named), is not a directory, its directory
+    exists, and the file (if present) or else the directory is writable.
+    _write still reports a later failure."""
     for path in paths:
         if path is None:
             continue
         target = Path(path)
-        if target.is_dir():
+        if source is not None and _same_file(target, source):
+            why = "it is the input file"
+        elif target.is_dir():
             why = "it is a directory"
         elif not target.parent.is_dir():
             why = f"no directory {target.parent}"
@@ -85,6 +87,31 @@ def _check_out(*paths) -> None:
         else:
             continue
         raise ParseError(f"--out: cannot write {path}: {why}")
+
+
+def _same_file(a, b) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:       # either one does not exist
+        return False
+
+
+def _require_finite(grid: TorusGrid, columns: dict, undefined: dict) -> None:
+    """Refuse a report with a value that is not finite: NonFiniteValue names
+    the first grid point (flat C order) holding one and its first such
+    column.  A column may be NaN where undefined[name] is true."""
+    first = None
+    for name, values in columns.items():
+        bad = ~np.isfinite(values)
+        if name in undefined:
+            bad &= ~undefined[name]
+        hits = np.flatnonzero(bad)
+        if hits.size and (first is None or hits[0] < first[0]):
+            first = (int(hits[0]), name)
+    if first is not None:
+        i, name = first
+        raise NonFiniteValue(f"{name} is {float(columns[name][i])!r} at "
+                             f"theta={grid.theta_at(i).tolist()}, not a finite number")
 
 
 def _dump_json(obj, path: str | None) -> None:
@@ -157,25 +184,29 @@ def cmd_analyze(args) -> int:
         out_base = out_base.with_suffix("")
     csv_path = out_base.with_suffix(".csv")
     json_path = out_base.with_suffix(".json")
-    _check_out(csv_path, json_path)
+    _check_out(csv_path, json_path, source=args.input)
     obj, digest = read_input(args.input)
     imm = parse_immersion(obj)
     grid = _parse_grid(args.grid, imm.n)
-    sigma = immersion_rank_check(imm, grid)
-    fields = pointwise.grid_fields(imm, grid)     # raises DegenerateMetric, naming theta
-    sc = intrinsic.curvature_grid(imm, grid)
-    k_min, k_max = pointwise.grid_K_estimates(imm, grid, seed=args.seed)
+    grid_pass = intrinsic.analysis_grid(imm, grid, args.seed)     # raises DegenerateMetric, naming theta
+    fields, sc = grid_pass.fields, grid_pass.sc
+    columns = {"norm_f": fields.r, "norm_H": fields.norm_H, "zh": fields.zh, "sc": sc,
+               "k_min": grid_pass.k_min, "k_max": grid_pass.k_max,
+               "beta": np.arcsin(np.clip(fields.sin_beta, 0.0, 1.0))}
+    _require_finite(grid, {**columns, "sqrt_det": fields.sqrt_det},
+                    undefined={"beta": fields.r < 1e-12})
     n = imm.n
     residual = sc - pointwise._sc_from_zh(fields.H2, fields.zh, n)
 
-    header = [f"theta_{i + 1}" for i in range(n)] + \
-        ["norm_f", "norm_H", "zh", "sc", "k_min", "k_max", "beta"]
-    beta = np.arcsin(np.clip(fields.sin_beta, 0.0, 1.0))
-    table = np.column_stack([grid.points(), fields.r, fields.norm_H, fields.zh, sc,
-                             k_min, k_max, beta])
+    header = [f"theta_{i + 1}" for i in range(n)] + list(columns)
+    table = np.column_stack(list(columns.values()))
     # Row by row: the whole table as Python floats and strings at once took
-    # analyze's peak RSS from 49 to 70 MB on a 32^3 grid.
-    rows = (",".join(map(repr, row.tolist())) + "\r\n" for row in table)
+    # analyze's peak RSS from 49 to 70 MB on a 32^3 grid.  Each theta value is
+    # formatted once per axis (repr is the CSV's main cost) and the rows'
+    # theta prefixes are joined from those strings, in flat C order.
+    axes = [[repr(v) + "," for v in axis.tolist()] for axis in grid.axes()]
+    prefixes = map("".join, itertools.product(*axes))
+    rows = (prefix + ",".join(map(repr, row.tolist())) + "\r\n" for prefix, row in zip(prefixes, table))
     _write(itertools.chain([",".join(header) + "\r\n"], rows), str(csv_path))
 
     summary = {
@@ -191,7 +222,7 @@ def cmd_analyze(args) -> int:
         "K_min": pointwise._best_found_K(imm, grid, args.seed, highest=False),
         "K_max": verify.global_normal_curvature_max(imm, grid, seed=args.seed),
         "max_gauss_residual": float(np.max(np.abs(residual))),
-        "min_singular_value": float(sigma),
+        "min_singular_value": grid_pass.min_singular_value,
     }
     _dump_json(summary, str(json_path))
     print(f"analyze: wrote {csv_path} and {json_path}")
@@ -199,7 +230,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_out(args.out)
+    _check_out(args.out, source=args.input)
     obj, digest = read_input(args.input)
     imm = parse_immersion(obj)
     grid = _parse_grid(args.grid, imm.n)
@@ -399,7 +430,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, RankDeficient, DegenerateMetric) as exc:
+    except (ParseError, RankDeficient, DegenerateMetric, NonFiniteValue) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,10 @@ class DegenerateMetric(ToricurvError):
     """The induced metric is singular (or nearly so) at a point."""
 
 
+class NonFiniteValue(ToricurvError):
+    """A computed report value is not a finite number (the input overflows)."""
+
+
 class OriginPoint(ToricurvError):
     """The evaluation point sits at the origin, so radial angles are undefined."""
 

@@ -260,5 +260,12 @@ def immersion_rank_check(imm: FourierImmersion, grid) -> float:
     smallest = np.inf
     for _, thetas in grid.iter_points(_RANK_CHUNK):
         _, d1, _, _ = jets_at(imm, thetas, order=1)
-        smallest = min(smallest, float(np.linalg.eigvalsh(d1 @ d1.transpose(0, 2, 1))[:, 0].min()))
+        smallest = min(smallest, _smallest_metric_eigenvalue(d1 @ d1.transpose(0, 2, 1)))
     return float(np.sqrt(max(0.0, smallest)))
+
+
+def _smallest_metric_eigenvalue(g: np.ndarray) -> float:
+    """Smallest eigenvalue of the finite metrics in a (P, n, n) batch (inf if
+    none is finite), from eigvalsh: min(lambda_min(g)) over the batch."""
+    finite = np.isfinite(g).all(axis=(1, 2))
+    return float(np.linalg.eigvalsh(g[finite])[:, 0].min(initial=np.inf))

@@ -9,13 +9,15 @@ u = phi(|x|^2 / 2), evaluated by the chain rule from the metric and the
 mean curvature; no discretized elliptic operator is involved.
 
 The third-order (Christoffel) path is the independent check of the closed
-forms: _christoffel runs it on a batch of points for gauss_residuals,
-conformal_trace and curvature_grid, while conformal_grid reads the closed
-forms from the cached second-order fields.  The two paths share only the
-metric factor L of pointwise._metric_factor (g^-1 = L'L), and with it the one
-degeneracy rule, which names the point theta; the Christoffel path builds
-everything else from dg and ddg, the closed forms from the normal projection
-of d2.
+forms: _christoffel runs it on a batch of points for gauss_residuals and
+conformal_trace, and once per chunk of analysis_grid, analyze's one grid
+pass, which reads from that same call the second-order fields, the K range
+and the smallest metric eigenvalue as well (curvature_grid reads the pass's
+Sc).  conformal_grid reads the closed forms from the cached second-order
+fields.  The two paths share only the metric factor L of
+pointwise._metric_factor (g^-1 = L'L), and with it the one degeneracy rule,
+which names the point theta; the Christoffel path builds Sc from dg and ddg,
+the closed forms from the normal projection of d2.
 """
 
 from __future__ import annotations
@@ -28,8 +30,22 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionTooLow, OriginPoint, ZeroMeanCurvature
-from .immersion import FourierImmersion, jets_at
-from .pointwise import _metric_factor, _sc_from_zh, _scalar_invariants, _second_form, grid_fields
+from .immersion import FourierImmersion, _smallest_metric_eigenvalue, jets_at
+from .pointwise import (
+    _FIELD_NAMES,
+    _K_CHUNK,
+    GridFields,
+    _field_columns,
+    _grid_cache,
+    _K_range,
+    _metric_factor,
+    _read_only_K,
+    _sc_from_zh,
+    _scalar_invariants,
+    _second_form,
+    _sweep_directions,
+    grid_fields,
+)
 from .quadrature import TorusGrid
 
 
@@ -94,6 +110,7 @@ class _Christoffel(NamedTuple):
     dg: np.ndarray        # (P, n, n, n), dg[p, k, i, j] = d_k g_ij
     ddg: np.ndarray       # (P, n, n, n, n), ddg[p, l, k, i, j] = d_l d_k g_ij
     L: np.ndarray         # (P, n, n), L g L' = I
+    sqrt_det: np.ndarray  # (P,) sqrt(det g)
     ginv: np.ndarray      # (P, n, n)
     gam: np.ndarray       # (P, n, n, n), gam[p, k, i, j] = Gamma^k_ij
     sc: np.ndarray        # (P,) scalar curvature
@@ -105,8 +122,8 @@ def _christoffel(imm: FourierImmersion, thetas: np.ndarray) -> _Christoffel:
     DegenerateMetric naming theta) -> Christoffel symbols and curvature."""
     value, d1, d2, d3 = jets_at(imm, thetas, order=3)
     g, dg, ddg = _metric_jet_arrays(d1, d2, d3)
-    L, _ = _metric_factor(g, thetas)
-    return _Christoffel(value, d1, d2, g, dg, ddg, L, *_curvature_arrays(L, dg, ddg))
+    L, sqrt_det = _metric_factor(g, thetas)
+    return _Christoffel(value, d1, d2, g, dg, ddg, L, sqrt_det, *_curvature_arrays(L, dg, ddg))
 
 
 def gauss_residuals(imm: FourierImmersion, thetas: np.ndarray) -> np.ndarray:
@@ -182,7 +199,7 @@ def conformal_trace(imm: FourierImmersion, theta, k: float | Fraction) -> Confor
     k = float(k)
     theta = np.asarray(theta, dtype=float).reshape(1, -1)
     n = imm.n
-    value, d1, d2, g, _, _, L, ginv, gam, sc, _ = _christoffel(imm, theta)
+    value, d1, d2, g, _, _, L, _, ginv, gam, sc, _ = _christoffel(imm, theta)
     x = value[0]
     r0 = float(np.linalg.norm(value, axis=1)[0])
     if r0 < 1e-12:
@@ -215,14 +232,87 @@ def conformal_trace(imm: FourierImmersion, theta, k: float | Fraction) -> Confor
     )
 
 
+class AnalysisGrid(NamedTuple):
+    """What analyze tabulates over a grid, from analysis_grid's one pass."""
+
+    fields: GridFields
+    sc: np.ndarray             # intrinsic scalar curvature (Christoffel path)
+    k_min: np.ndarray          # grid_K_estimates' per-point range
+    k_max: np.ndarray
+    min_singular_value: float  # sqrt(max(min lambda_min(g), 0)), as immersion_rank_check
+
+
+# Points per third-order chunk.  Sc's last contraction, einsum("pbd,pbd->p",
+# ginv, ricci), rounds differently at other batch sizes (256-point chunks move
+# Sc by up to 5e-13 relative), so the chunk stays at 512 points.
+_PASS_CHUNK = 512
+
+
+def analysis_grid(imm: FourierImmersion, grid: TorusGrid, seed: int) -> AnalysisGrid:
+    """GridFields, intrinsic Sc, grid_K_estimates' K range and the smallest
+    singular value of the differential over every grid point, from one
+    third-order jet evaluation per point.
+
+    Each 512-point chunk runs _christoffel once (which raises DegenerateMetric,
+    naming theta); the fields, Sc and lambda_min(g) come from that call, and
+    its II is swept for the K range in 256-point slices after the chunk's
+    third-order arrays are released.  Each result is memoized in the grid
+    cache under the key its own reader uses (grid_fields, curvature_grid,
+    grid_K_estimates), so those readers, the best-found K range included, hit
+    the cache; a key already present keeps its value."""
+    per_imm = _grid_cache.setdefault(imm, {})
+    keys = (("fields", grid.sizes), ("sc", grid.sizes), ("K", grid.sizes, seed),
+            ("sigma", grid.sizes))
+    if not all(key in per_imm for key in keys):
+        for key, value in zip(keys, _analysis_pass(imm, grid, seed)):
+            per_imm.setdefault(key, value)
+    fields, sc, (k_min, k_max), sigma = (per_imm[key] for key in keys)
+    return AnalysisGrid(fields, sc, k_min, k_max, sigma)
+
+
+def _analysis_pass(imm: FourierImmersion, grid: TorusGrid, seed: int):
+    """(GridFields, Sc, (K_min, K_max), sigma_min) over a grid, uncached."""
+    D = _sweep_directions(imm.n, seed)
+    columns = {name: np.empty(grid.npoints) for name in _FIELD_NAMES}
+    sc = np.empty(grid.npoints)
+    K = np.empty((2, grid.npoints))
+    smallest = np.inf
+    # an input whose jets overflow flows through as inf and NaN, for the
+    # caller to report by point
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start, thetas in grid.iter_points(_PASS_CHUNK):
+            stop = start + thetas.shape[0]
+            chunk_columns, sc[start:stop], S, chunk_smallest = _pass_chunk(imm, thetas)
+            for name, column in zip(_FIELD_NAMES, chunk_columns):
+                columns[name][start:stop] = column
+            smallest = min(smallest, chunk_smallest)
+            for lo in range(0, S.shape[0], _K_CHUNK):
+                part = S[lo:lo + _K_CHUNK]
+                K[:, start + lo:start + lo + part.shape[0]] = _K_range(part, D)
+    sc.flags.writeable = False
+    return (GridFields(grid=grid, **columns), sc, _read_only_K(K),
+            float(np.sqrt(max(0.0, smallest))))
+
+
+def _pass_chunk(imm: FourierImmersion, thetas: np.ndarray):
+    """One chunk's six field columns, Sc, II (pair layout) and smallest metric
+    eigenvalue from a single _christoffel call.  The third-order arrays die
+    with this frame, before the caller's sweep."""
+    path = _christoffel(imm, thetas)
+    E, S = _second_form(path.L, path.d1, path.d2)
+    return (_field_columns(path.value, E, S, path.sqrt_det), path.sc, S,
+            _smallest_metric_eigenvalue(path.g))
+
+
 def curvature_grid(imm: FourierImmersion, grid: TorusGrid) -> np.ndarray:
     """Intrinsic scalar curvature at every grid point (flat C order), from
     third-order jets and Christoffel symbols: the independent path that
-    analyze reports next to the closed form."""
-    sc = np.empty(grid.npoints)
-    for start, thetas in grid.iter_points(512):
-        sc[start:start + thetas.shape[0]] = _christoffel(imm, thetas).sc
-    return sc
+    analyze reports next to the closed form.  Read from analysis_grid's pass,
+    which runs (at seed 0) if no pass over this grid has."""
+    per_imm = _grid_cache.setdefault(imm, {})
+    if ("sc", grid.sizes) not in per_imm:
+        analysis_grid(imm, grid, 0)
+    return per_imm[("sc", grid.sizes)]
 
 
 def conformal_grid(imm: FourierImmersion, grid: TorusGrid, k: float | Fraction) -> dict[str, np.ndarray]:

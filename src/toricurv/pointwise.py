@@ -420,26 +420,51 @@ def grid_fields(imm: FourierImmersion, grid: TorusGrid) -> GridFields:
     return per_imm[key]
 
 
+def _field_columns(value: np.ndarray, E: np.ndarray, S: np.ndarray, sqrt_det: np.ndarray):
+    """The six GridFields columns, in _FIELD_NAMES order, at a batch of points
+    from the position, the frame E, II in the pair layout and sqrt(det g)."""
+    H, H2, II2 = _scalar_invariants(S)[:3]
+    xt = np.einsum("piq,pq->pi", E, value)
+    return (np.linalg.norm(value, axis=1), sqrt_det, np.einsum("pq,pq->p", H, value),
+            H2, II2, np.einsum("pi,pi->p", xt, xt))
+
+
 def _evaluate_fields(imm: FourierImmersion, grid: TorusGrid) -> GridFields:
     """One kernel pass over every point of a grid."""
     out = {name: np.empty(grid.npoints) for name in _FIELD_NAMES}
     for start, thetas in grid.iter_points(_GRID_CHUNK):
         stop = start + thetas.shape[0]
-        value, E, S, sqrt_det = _chunk_core(imm, thetas)
-        H, H2, II2 = _scalar_invariants(S)[:3]
-        xt = np.einsum("piq,pq->pi", E, value)
-        out["r"][start:stop] = np.linalg.norm(value, axis=1)
-        out["sqrt_det"][start:stop] = sqrt_det
-        out["hx"][start:stop] = np.einsum("pq,pq->p", H, value)
-        out["H2"][start:stop] = H2
-        out["II2"][start:stop] = II2
-        out["xt2"][start:stop] = np.einsum("pi,pi->p", xt, xt)
+        for name, column in zip(_FIELD_NAMES, _field_columns(*_chunk_core(imm, thetas))):
+            out[name][start:stop] = column
     return GridFields(grid=grid, **out)
 
 
 def weighted_average(fields: GridFields, values: np.ndarray) -> float:
     """Induced-volume average of precomputed per-point values."""
     return float(np.sum(values * fields.sqrt_det) / np.sum(fields.sqrt_det))
+
+
+_K_CHUNK = 256          # grid points per K-range call
+
+
+def _sweep_directions(n: int, seed: int) -> np.ndarray:
+    """The 256 fixed directions of the n >= 3 K sweep for a seed."""
+    return _directions(n, 256, seed * 2713 + 5)
+
+
+def _K_range(S: np.ndarray, D: np.ndarray):
+    """(K_min, K_max) at each point of a (P, m, q) batch in the pair layout:
+    the extremizer's exact root solve for n = 2, otherwise K over the rows of
+    the (d, n) direction set D."""
+    if D.shape[1] == 2:
+        return extremal_normal_curvature(S)[:2]
+    swept = _k2_sweep(D, S)
+    return np.sqrt(swept.min(axis=1)), np.sqrt(swept.max(axis=1))
+
+
+def _read_only_K(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    K.flags.writeable = False
+    return K[0], K[1]
 
 
 def grid_K_estimates(imm: FourierImmersion, grid: TorusGrid,
@@ -452,18 +477,11 @@ def grid_K_estimates(imm: FourierImmersion, grid: TorusGrid,
     per_imm = _grid_cache.setdefault(imm, {})
     key = ("K", grid.sizes, seed)
     if key not in per_imm:
-        D = _directions(imm.n, 256, seed * 2713 + 5)
+        D = _sweep_directions(imm.n, seed)
         K = np.empty((2, grid.npoints))
-        for start, thetas in grid.iter_points(256):
-            S = _chunk_core(imm, thetas)[2]
-            if imm.n == 2:
-                lo, hi = extremal_normal_curvature(S)[:2]
-            else:
-                swept = _k2_sweep(D, S)
-                lo, hi = np.sqrt(swept.min(axis=1)), np.sqrt(swept.max(axis=1))
-            K[:, start:start + S.shape[0]] = lo, hi
-        K.flags.writeable = False
-        per_imm[key] = (K[0], K[1])
+        for start, thetas in grid.iter_points(_K_CHUNK):
+            K[:, start:start + thetas.shape[0]] = _K_range(_chunk_core(imm, thetas)[2], D)
+        per_imm[key] = _read_only_K(K)
     return per_imm[key]
 
 

@@ -22,6 +22,11 @@ def _philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed % 2 ** 64)))
 
 
+def _coordinate(j, N: int) -> np.ndarray:
+    """Grid coordinate(s) 2*pi*j/N of integer index(es) j on an axis of N points."""
+    return 2.0 * math.pi * np.asarray(j, dtype=float) / N
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Equispaced grid theta_j = 2*pi*(j_1/N_1, ..., j_n/N_n) on the torus."""
@@ -47,8 +52,13 @@ class TorusGrid:
     def theta_at(self, flat_index) -> np.ndarray:
         """Parameter point(s) for flat C-order indices."""
         idx = np.unravel_index(np.asarray(flat_index), self.sizes)
-        coords = [2.0 * math.pi * np.asarray(j, dtype=float) / N for j, N in zip(idx, self.sizes)]
-        return np.stack(coords, axis=-1)
+        return np.stack([_coordinate(j, N) for j, N in zip(idx, self.sizes)], axis=-1)
+
+    def axes(self) -> list[np.ndarray]:
+        """Each axis's coordinates 2*pi*j/N_i, j = 0..N_i - 1, by theta_at's
+        arithmetic, so theta_at of a flat index is these values at its
+        multi-index."""
+        return [_coordinate(np.arange(N), N) for N in self.sizes]
 
     def iter_points(self, chunk: int = 4096):
         """Yield (start, thetas) batches in flat C order."""

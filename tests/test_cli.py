@@ -178,6 +178,97 @@ def test_analyze_K_max_is_the_gate_value(tmp_path):
     assert summary["K_min"] <= min(float(row["k_min"]) for row in rows)
 
 
+def test_analyze_byte_identical_reruns(tmp_path):
+    path = tmp_path / "wavy3.json"
+    save_immersion(perturbed_clifford(3, seed=1), path)
+    for base in ("a", "b"):
+        assert main(["analyze", str(path), "--grid", "8", "--seed", "2",
+                     "--out", str(tmp_path / base)]) == 0
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+
+
+def test_analyze_evaluates_each_grid_point_once(tmp_path, monkeypatch):
+    # One third-order pass serves the fields, Sc, the K range and the rank
+    # check; only the two best-found K polishes (4 points each) add jets.
+    path = tmp_path / "wavy3.json"
+    save_immersion(perturbed_clifford(3, seed=1), path)
+    points = []
+    for module in (cli.intrinsic, cli.pointwise):
+        original = module.jets_at
+
+        def counting(imm, thetas, order, original=original):
+            points.append(np.atleast_2d(thetas).shape[0])
+            return original(imm, thetas, order)
+        monkeypatch.setattr(module, "jets_at", counting)
+    assert main(["analyze", str(path), "--grid", "8", "--out", str(tmp_path / "rep")]) == 0
+    assert sum(points) == 8 ** 3 + 8
+
+
+def test_analyze_overflowing_jets_exit_2(tmp_path, capsys):
+    # A finite input whose jets overflow: |f| and the metric are inf at every
+    # point.  The report would read inf and nan, so analyze refuses it, names
+    # the first point and column, and writes nothing.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"type": "fourier", "n": 2, "q": 4, "terms": [
+        {"k": [1, 0], "a": [1e200, 0, 0, 0], "b": [0, 1e200, 0, 0]},
+        {"k": [0, 1], "a": [0, 0, 1e200, 0], "b": [0, 0, 0, 1e200]}]}))
+    base = tmp_path / "rep"
+    assert main(["analyze", str(path), "--out", str(base)]) == 2
+    err = capsys.readouterr().err
+    assert "norm_f is inf at theta=[0.0, 0.0]" in err
+    assert not list(tmp_path.glob("rep.*"))
+
+
+def test_analyze_origin_beta_stays_nan(tmp_path):
+    # beta is undefined where f = 0; that NaN alone does not refuse the report.
+    path = tmp_path / "through0.json"
+    path.write_text(json.dumps({"type": "fourier", "n": 1, "q": 2,
+                                "terms": [{"k": [1], "a": [1, 0], "b": [0, 1]}],
+                                "translate": [-1, 0]}))
+    assert main(["analyze", str(path), "--grid", "16", "--out", str(tmp_path / "rep")]) == 0
+    with (tmp_path / "rep.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["norm_f"] == "0.0" and rows[0]["beta"] == "nan"
+    assert all(math.isfinite(float(row["beta"])) for row in rows[1:])
+
+
+@pytest.mark.parametrize("command,out", [
+    ("analyze", "{input}"),
+    ("analyze", "circle"),                   # BASE.json is the input
+    ("analyze", "../{dir}/circle.csv"),
+    ("verify", "{input}"),
+    ("verify", "./circle.json"),
+])
+def test_out_refuses_to_overwrite_the_input(tmp_path, capsys, monkeypatch, command, out):
+    def boom(*args, **kwargs):
+        raise AssertionError("grid work ran before the --out check")
+
+    monkeypatch.setattr(cli.verify, "run_checks", boom)
+    monkeypatch.setattr(cli.intrinsic, "analysis_grid", boom)
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps({"type": "clifford", "m": 1}))
+    before = path.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    out = out.format(input=path, dir=tmp_path.name)
+    assert main([command, str(path), "--grid", "16", "--out", out]) == 2
+    assert "is the input file" in capsys.readouterr().err
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["circle.json"]
+
+
+def test_analyze_passes_the_benchmark_check(tmp_path):
+    # The benchmark's own analyze input and correctness check, loaded
+    # read-only from perfbench/: a failure there shows here first.
+    inputs, checks = _load_perfbench("inputs"), _load_perfbench("checks")
+    path, _ = inputs.write_inputs(["wavy3"], 1, tmp_path)["wavy3"]
+    base = tmp_path / "analyze"
+    code = main(["analyze", str(path), "--seed", "1", "--out", str(base)])
+    summary = json.loads((tmp_path / "analyze.json").read_text())
+    with (tmp_path / "analyze.csv").open(newline="") as fh:
+        assert checks.analyze_wavy3(code, summary, fh) == []
+
+
 def test_analyze_rejects_degenerate(tmp_path, capsys):
     path = tmp_path / "flat.json"
     path.write_text(json.dumps({"type": "fourier", "n": 2, "q": 4,
@@ -339,6 +430,7 @@ def test_unwritable_out_exit_2(tmp_path, capsys, monkeypatch, argv):
 
     monkeypatch.setattr(cli.verify, "run_checks", boom)
     monkeypatch.setattr(cli.pointwise, "grid_fields", boom)
+    monkeypatch.setattr(cli.intrinsic, "analysis_grid", boom)
     monkeypatch.setattr(cli, "optimize", boom)
     circle = tmp_path / "circle.json"
     circle.write_text(json.dumps({"type": "clifford", "m": 1}))
@@ -363,6 +455,7 @@ def test_analyze_refuses_out_ending_in_separator(tmp_path, capsys, monkeypatch):
         raise AssertionError("grid work ran before the --out check")
 
     monkeypatch.setattr(cli.pointwise, "grid_fields", boom)
+    monkeypatch.setattr(cli.intrinsic, "analysis_grid", boom)
     circle = tmp_path / "circle.json"
     circle.write_text(json.dumps({"type": "clifford", "m": 1}))
     some_dir = tmp_path / "some_dir"
@@ -488,12 +581,17 @@ def test_analyze_gauss_residual_is_the_one_closed_form(tmp_path):
     assert summary["max_gauss_residual"] == float(np.max(np.abs(residual)))
 
 
+def _load_perfbench(name: str):
+    """A module of perfbench/, loaded read-only from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _load_tracer():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    return _load_perfbench("tracer")
 
 
 def test_perfbench_trace_targets_resolve():

@@ -7,16 +7,18 @@ import pytest
 from toricurv.designs import clifford
 from toricurv.errors import DegenerateMetric, DimensionTooLow, OriginPoint
 from toricurv.fixtures import ball_immersion, perturbed_clifford, round_sphere
-from toricurv.immersion import FourierImmersion, FourierTerm, Signature, transform
+from toricurv import pointwise
+from toricurv.immersion import FourierImmersion, FourierTerm, Signature, immersion_rank_check, transform
 from toricurv.intrinsic import (
     _christoffel,
+    analysis_grid,
     conformal_grid,
     conformal_rate,
     conformal_trace,
     curvature_grid,
     gauss_residuals,
 )
-from toricurv.pointwise import _chunk_core, _scalar_invariants
+from toricurv.pointwise import _FIELD_NAMES, _chunk_core, _scalar_invariants, grid_fields, grid_K_estimates
 from toricurv.quadrature import TorusGrid
 
 from conftest import random_points
@@ -237,3 +239,51 @@ def test_curvature_grid_matches_pointwise(wavy2):
     pts = grid.points()
     for idx in (0, 17, 40):
         assert abs(sc[idx] - christoffel_at(wavy2, pts[idx]).sc[0]) < 1e-12
+
+
+@pytest.mark.parametrize("make,sizes,seed", [
+    (lambda: perturbed_clifford(2, seed=5), (16, 16), 0),
+    (lambda: perturbed_clifford(3, seed=1), (8, 8, 8), 3),
+    (lambda: clifford(1), (64,), 0),
+], ids=["n2", "n3", "circle"])
+def test_analysis_grid_matches_the_separate_passes(make, sizes, seed):
+    # One third-order pass gives, bit for bit, what the four separate passes
+    # gave: second-order fields, the Christoffel Sc in 512-point chunks, the
+    # K range in 256-point chunks and the rank check.
+    grid = TorusGrid(sizes)
+    imm = make()
+    result = analysis_grid(imm, grid, seed)
+    fields = pointwise._evaluate_fields(imm, grid)
+    for name in _FIELD_NAMES:
+        assert np.array_equal(getattr(result.fields, name), getattr(fields, name)), name
+    sc = np.concatenate([_christoffel(imm, thetas).sc for _, thetas in grid.iter_points(512)])
+    assert np.array_equal(result.sc, sc)
+    fresh = make()          # an immersion with an empty grid cache
+    k_min, k_max = grid_K_estimates(fresh, grid, seed)
+    assert np.array_equal(result.k_min, k_min) and np.array_equal(result.k_max, k_max)
+    assert result.min_singular_value == immersion_rank_check(fresh, grid)
+
+
+def test_analysis_grid_feeds_the_cached_readers():
+    # Each result sits under its own reader's key, so those readers do no work.
+    imm = perturbed_clifford(2, seed=9)
+    grid = TorusGrid((8, 8))
+    result = analysis_grid(imm, grid, 2)
+    assert grid_fields(imm, grid) is result.fields
+    assert curvature_grid(imm, grid) is result.sc
+    k_min, k_max = grid_K_estimates(imm, grid, 2)
+    assert k_min is result.k_min and k_max is result.k_max
+    assert analysis_grid(imm, grid, 2).fields is result.fields
+    assert not result.sc.flags.writeable
+
+
+def test_analysis_grid_fields_n5_within_roundoff():
+    # For n >= 5 the jet GEMM's d2 columns depend on its shape, so the
+    # third-order pass and grid_fields agree to roundoff rather than bitwise.
+    imm = ball_immersion(5, 11, seed=3)
+    grid = TorusGrid((4,) * 5)
+    result = analysis_grid(imm, grid, 0)
+    fields = pointwise._evaluate_fields(imm, grid)
+    for name in _FIELD_NAMES:
+        got, want = getattr(result.fields, name), getattr(fields, name)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name

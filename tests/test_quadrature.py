@@ -198,3 +198,14 @@ def test_monomials_converge(n, seed):
     assert rep.worst_sigmas < 5.0
     labels = [e.label for e in rep.entries]
     assert len(labels) == n + n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("sizes", [(512,), (6, 10), (4, 5, 7)])
+def test_axes_give_the_points_coordinates(sizes):
+    # analyze formats each axis value once; the C-order product of the axes
+    # must be points() bit for bit.
+    grid = TorusGrid(sizes)
+    axes = grid.axes()
+    assert [a.shape[0] for a in axes] == list(sizes)
+    product = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(sizes))
+    assert np.array_equal(product, grid.points())

@@ -66,7 +66,7 @@ def _write(lines, path: str | None) -> None:
         raise ParseError(f"--out: cannot write {path}: {exc}") from None
 
 
-def _check_out(*paths, source: str | None = None) -> None:
+def _check_out(*paths, source: str | None) -> None:
     """Refuse --out paths that cannot be written, before any grid work and
     without creating or truncating them: the path is not the input file
     source (the same file, however named), is not a directory, its directory
@@ -258,7 +258,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_design(args) -> int:
-    _check_out(args.out)
+    _check_out(args.out, source=None)
     name_or_path = args.matrix
     try:
         B = builtin_design(name_or_path)
@@ -283,7 +283,7 @@ def cmd_design(args) -> int:
 def cmd_explore(args) -> int:
     if args.n < 1:
         raise ParseError(f"--n: expected a positive torus dimension, got {args.n}")
-    _check_out(args.out)
+    _check_out(args.out, source=None)
     grid = _parse_grid(args.grid, args.n)
     try:
         config = SearchConfig(

@@ -55,3 +55,7 @@ class NoNonpositiveScalarPoint(ToricurvError):
 
 class ParseError(ToricurvError):
     """An input file does not conform to its documented format."""
+
+
+class SearchFailed(ToricurvError):
+    """A restart of the explore search did not finish: its worker process died."""

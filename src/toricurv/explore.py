@@ -12,18 +12,26 @@ the grid points in the chunks grid_fields uses and [cos | sin] of their
 phases at the F canonical frequencies, P * 2F doubles for P grid points.  A
 trial is scored from its coefficient vector through that table and the
 field kernel, with no immersion built and no cos/sin recomputed.
+
+Restarts are independent: each starts from its own sub-seed and returns its
+own best-so-far history.  optimize runs them in up to min(restarts, usable
+CPUs) processes forked after the table is built, so the workers inherit it,
+and in-process when one CPU is usable or the platform cannot fork.  The
+parent merges the restarts in order, so the result does not depend on the
+number of processes.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .designs import builtin_design, clifford, subtorus_immersion
-from .errors import DegenerateMetric
+from .errors import DegenerateMetric, SearchFailed
 from .fixtures import canonical_frequencies
 from .immersion import (FourierImmersion, FourierTerm, Signature, _jet_basis, _split_jets, _trig,
                         immersion_rank_check)
@@ -166,10 +174,12 @@ def _immersion_from(x: np.ndarray, freqs: list[tuple[int, ...]], config: SearchC
     return FourierImmersion(Signature(config.n, config.q), terms)
 
 
-def _pattern_search(x0: np.ndarray, evaluate, budget: int, history: list[float],
-                    running_best: float) -> tuple[np.ndarray, float, float]:
+def _pattern_search(x0: np.ndarray, evaluate, budget: int) -> tuple[np.ndarray, float, list[float]]:
     """Coordinate pattern search with expansion on success, halving on a
-    stalled sweep.  Appends the global best-so-far after every evaluation."""
+    stalled sweep.  Returns the final point, its score and the best score so
+    far after every evaluation."""
+    history: list[float] = []
+    running_best = math.inf
     x = x0.copy()
     f = evaluate(x)
     running_best = min(running_best, f)
@@ -201,33 +211,106 @@ def _pattern_search(x0: np.ndarray, evaluate, budget: int, history: list[float],
             step = min(step * 1.6, 0.5)
         else:
             step *= 0.5
-    return x, f, running_best
+    return x, f, history
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _start(x_init: np.ndarray, seed: int, restart: int) -> np.ndarray:
+    """A restart's starting coefficients: x_init perturbed by draws from the
+    sub-seed (seed, restart)."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(restart,))
+    rng = np.random.Generator(np.random.Philox(seq))
+    return x_init + 0.01 * rng.standard_normal(x_init.shape)
+
+
+# The search optimize is running, (trial table, initial coefficients).  It is
+# set before the restart pool forks, so every worker inherits it instead of
+# receiving it pickled; two threads must therefore not run optimize at once.
+_search: tuple[TrialTable, np.ndarray] | None = None
+
+
+def _restart(restart: int) -> tuple[np.ndarray, float, list[float]]:
+    """One restart of the running search: its final coefficients, their score
+    and its own best-so-far history."""
+    trials, x_init = _search
+    config = trials.config
+    return _pattern_search(_start(x_init, config.seed, restart),
+                           lambda x: objective(x, trials), config.iterations)
+
+
+def _die_with_parent(parent: int) -> None:
+    """Pool initializer: have the kernel kill this worker when its parent
+    dies (Linux's PR_SET_PDEATHSIG), so that a search ended by a signal
+    leaves no worker waiting for tasks; elsewhere it does nothing."""
+    import ctypes
+    import signal
+
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is None:
+        return
+    prctl(1, signal.SIGKILL)        # PR_SET_PDEATHSIG
+    if os.getppid() != parent:      # the parent died before the call
+        os._exit(1)
+
+
+def _run_restarts(count: int) -> list[tuple[np.ndarray, float, list[float]]]:
+    """_restart for restarts 0 .. count - 1, in order: in a pool of
+    min(count, usable CPUs) forked workers, or in this process when that is
+    one or the platform cannot fork.  A worker's exception is re-raised here
+    as itself; a worker that dies raises SearchFailed.  No worker outlives
+    the call, nor, on Linux, this process."""
+    workers = min(count, _usable_cpus())
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_die_with_parent, initargs=(os.getpid(),))
+            try:
+                return list(pool.map(_restart, range(count)))
+            except BrokenProcessPool as exc:
+                raise SearchFailed(f"explore: a restart's worker process died: {exc}") from None
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+    return [_restart(restart) for restart in range(count)]
 
 
 def optimize(config: SearchConfig) -> SearchResult:
     """Multi-restart search for immersions with small sup zh inside the ball.
 
     Deterministic for a fixed config; restarts use sub-seeds derived from
-    (seed, restart index), so their outcomes do not depend on scheduling.
-    The counterexample flag is set only after re-verification on a grid with
-    every size doubled, whose field pass also certifies the metric there
-    (lambda_min(g) >= 1e-12, or it raises DegenerateMetric).
+    (seed, restart index) and run in up to min(restarts, usable CPUs) forked
+    processes (in this process when that is one, or without fork).  The
+    history is rebuilt in restart order as min(best of the earlier restarts,
+    each restart's own best-so-far), which min makes exact, so the result is
+    the same for any number of processes.  The counterexample flag is set
+    only after re-verification on a grid with every size doubled, whose
+    field pass also certifies the metric there (lambda_min(g) >= 1e-12, or
+    it raises DegenerateMetric).
     """
+    global _search
     trials = trial_table(config)
-    x_init = _coefficients(_initial_immersion(config), trials.freqs, config.q)
-
-    def evaluate(x: np.ndarray) -> float:
-        return objective(x, trials)
+    _search = (trials, _coefficients(_initial_immersion(config), trials.freqs, config.q))
+    try:
+        outcomes = _run_restarts(config.restarts)
+    finally:
+        _search = None
 
     history: list[float] = []
     running_best = math.inf
     best_x, best_f, best_restart = None, math.inf, 0
-    for restart in range(config.restarts):
-        seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(restart,))
-        rng = np.random.Generator(np.random.Philox(seq))
-        x0 = x_init + 0.01 * rng.standard_normal(x_init.shape)
-        x, f, running_best = _pattern_search(x0, evaluate, config.iterations,
-                                             history, running_best)
+    for restart, (x, f, own) in enumerate(outcomes):
+        history.extend(min(running_best, h) for h in own)
+        running_best = history[-1]
         if f < best_f:   # strict: ties keep the lowest restart index
             best_x, best_f, best_restart = x, f, restart
 

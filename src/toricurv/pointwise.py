@@ -195,11 +195,18 @@ def _sweep_coefficients(U: np.ndarray) -> np.ndarray:
 def _k2_sweep(D: np.ndarray, S: np.ndarray) -> np.ndarray:
     """K(u)^2 = |II(u, u)|^2 for every row u of D at every point of a
     (P, m, q) batch in the pair layout, as a (P, len(D)) array: one matrix
-    product of the shared coefficients C[d, m] with every point's II."""
-    P, m, q = S.shape
-    # points last, so that the sum over q runs along rows of length P
-    vals = (_sweep_coefficients(D) @ S.transpose(1, 2, 0).reshape(m, q * P)).reshape(-1, q, P)
-    return np.einsum("dqp,dqp->pd", vals, vals)
+    product of every point's II with the shared coefficients C[d, m] per
+    ambient component, squared and summed in component order into one
+    preallocated (P, len(D)) buffer, so no temporary grows with q."""
+    P = S.shape[0]
+    Ct = _sweep_coefficients(D).T
+    term = np.empty((P, Ct.shape[1]))
+    k2 = np.zeros_like(term)
+    for component in S.transpose(2, 0, 1).copy():     # (P, m) each, contiguous
+        np.matmul(component, Ct, out=term)
+        term *= term
+        k2 += term
+    return k2
 
 
 _POWER_STEPS = 5000      # cap on shifted power steps per (point, start, sign)

@@ -1,15 +1,24 @@
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from toricurv import pointwise
+from toricurv import explore, pointwise
+from toricurv.cli import main
 from toricurv.explore import (
     DEGENERATE_PENALTY,
     SearchConfig,
     _coefficients,
     _immersion_from,
     _initial_immersion,
+    _start,
     objective,
     optimize,
     trial_table,
@@ -140,3 +149,126 @@ def test_optimize_penalty_off_escapes_ball():
     assert res.max_norm > 1.0
     assert res.sup_zh < 1.5
     assert not res.counterexample_candidate   # not inside the ball
+
+
+# ---------------------------------------------------------------- restart pool
+
+def optimize_on(monkeypatch, cpus, cfg):
+    """optimize with the usable CPU count patched to cpus (None: this machine's)."""
+    if cpus is not None:
+        monkeypatch.setattr(explore, "_usable_cpus", lambda: cpus)
+    return optimize(cfg)
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 3])
+def test_optimize_independent_of_worker_count(monkeypatch, restarts):
+    # 3 restarts on 2 workers: a count that does not divide the restarts.
+    cfg = config(restarts=restarts)
+    serial = optimize_on(monkeypatch, 1, cfg)
+    for cpus in (None, 2):
+        pooled = optimize_on(monkeypatch, cpus, cfg)
+        assert pooled.objective_history == serial.objective_history
+        assert [t.k for t in pooled.best.terms] == [t.k for t in serial.best.terms]
+        np.testing.assert_array_equal(pooled.best._amat, serial.best._amat)
+        np.testing.assert_array_equal(pooled.best._bmat, serial.best._bmat)
+        assert pooled.best_restart == serial.best_restart
+        assert pooled.sup_zh == serial.sup_zh
+        assert pooled.max_norm == serial.max_norm
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus, in_parent", [(1, True), (2, False)])
+def test_restarts_run_in_workers_when_cpus_allow(monkeypatch, cpus, in_parent):
+    scored = []
+
+    def counted(x, trials):
+        scored.append(os.getpid())      # a forked worker appends to its own copy
+        return objective(x, trials)
+
+    monkeypatch.setattr(explore, "objective", counted)
+    optimize_on(monkeypatch, cpus, config())
+    assert bool(scored) == in_parent
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_restart_exception_reaches_caller(monkeypatch, cpus):
+    cfg = config(restarts=3)
+    trials = trial_table(cfg)
+    failing_start = _start(_coefficients(_initial_immersion(cfg), trials.freqs, cfg.q), cfg.seed, 1)
+
+    def fails_on_restart_1(x, trials):
+        if np.array_equal(x, failing_start):
+            raise ArithmeticError("restart 1 failed")
+        return objective(x, trials)
+
+    monkeypatch.setattr(explore, "objective", fails_on_restart_1)
+    with pytest.raises(ArithmeticError, match="restart 1 failed"):
+        optimize_on(monkeypatch, cpus, cfg)
+    assert multiprocessing.active_children() == []
+
+
+def _dies_in_worker(restart):
+    """_restart, except that a pool worker running it dies at once."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    raise AssertionError("the restarts ran in the parent process")
+
+
+def test_dead_worker_exits_2(monkeypatch, capsys):
+    # optimize raises SearchFailed, which the CLI reports with exit 2: exit 1
+    # is reserved for a proven bound that fails.
+    monkeypatch.setattr(explore, "_restart", _dies_in_worker)
+    monkeypatch.setattr(explore, "_usable_cpus", lambda: 2)
+    assert main(["explore", "--n", "2", "--q", "6", "--grid", "8", "--iterations", "5",
+                 "--restarts", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: explore: ")
+    assert multiprocessing.active_children() == []
+
+
+def _alive(pid):
+    """Whether pid names a process that has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                    reason="lists a process's children through Linux's /proc")
+def test_killed_search_leaves_no_worker():
+    # A search ended by SIGKILL (a deadline, timeout(1)) cannot shut its pool
+    # down; its workers must still not wait for tasks forever.
+    code = ("import toricurv.explore as e; e._usable_cpus = lambda: 2; from toricurv.cli import main; "
+            "main(['explore', '--n', '2', '--q', '6', '--grid', '8', '--iterations', '1000000', "
+            "'--restarts', '2'])")
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    workers = []
+    try:
+        end = time.monotonic() + 60
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < end:
+            time.sleep(0.02)
+            workers = children.read_text().split()
+        assert len(workers) == 2 and proc.poll() is None    # killed mid-search
+    finally:
+        proc.kill()
+        proc.wait()
+    end = time.monotonic() + 10
+    while any(_alive(pid) for pid in workers) and time.monotonic() < end:
+        time.sleep(0.02)
+    left = [pid for pid in workers if _alive(pid)]
+    for pid in left:
+        os.kill(int(pid), signal.SIGKILL)
+    assert left == []
+
+
+def test_cli_import_loads_no_pool_modules():
+    # The pool's modules load inside optimize only, so they cost the other
+    # commands no import time.
+    code = ("import sys, toricurv.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.strip() == "[]"

@@ -3,8 +3,9 @@ validate/emit designs, run the search probe, and self-test.
 
 Exit codes: 0 success / all applicable checks pass; 1 a proven bound fails;
 2 input could not be parsed or is out of range, the map is degenerate, a
-check margin is not a finite number, or a worker process of the explore
-search died; 3 only the open-conjecture probe flags a finding.  All
+check margin is not a finite number, or a forked worker process (of an
+explore restart or of a grid pass in verify, analyze or explore) died; 3
+only the open-conjecture probe flags a finding.  All
 randomness flows from --seed and all outputs are byte-reproducible for
 identical inputs and seeds.
 """
@@ -32,8 +33,8 @@ from .designs import (
     subtorus_immersion,
     validate_design,
 )
-from .errors import (DegenerateMetric, NonFiniteValue, ParseError, RankDeficient, SearchFailed,
-                     ToricurvError)
+from .errors import (DegenerateMetric, NonFiniteValue, ParseError, RankDeficient, ToricurvError,
+                     WorkerDied)
 from .explore import SearchConfig, optimize
 from .fixtures import ball_immersion
 from .formats import immersion_to_obj, parse_immersion, read_input
@@ -432,7 +433,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, RankDeficient, DegenerateMetric, NonFiniteValue, SearchFailed) as exc:
+    except (ParseError, RankDeficient, DegenerateMetric, NonFiniteValue, WorkerDied) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

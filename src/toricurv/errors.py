@@ -57,5 +57,6 @@ class ParseError(ToricurvError):
     """An input file does not conform to its documented format."""
 
 
-class SearchFailed(ToricurvError):
-    """A restart of the explore search did not finish: its worker process died."""
+class WorkerDied(ToricurvError):
+    """A forked worker process (an explore restart's or a grid pass's) died
+    before returning its result."""

@@ -14,24 +14,25 @@ trial is scored from its coefficient vector through that table and the
 field kernel, with no immersion built and no cos/sin recomputed.
 
 Restarts are independent: each starts from its own sub-seed and returns its
-own best-so-far history.  optimize runs them in up to min(restarts, usable
-CPUs) processes forked after the table is built, so the workers inherit it,
-and in-process when one CPU is usable or the platform cannot fork.  The
-parent merges the restarts in order, so the result does not depend on the
-number of processes.
+own best-so-far history.  optimize runs them through forked.fork_map in up
+to min(restarts, usable CPUs) processes forked after the table is built, so
+the workers inherit it, and in-process when one CPU is usable or the
+platform cannot fork.  The parent merges the restarts in order, so the
+result does not depend on the number of processes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import forked
 from .designs import builtin_design, clifford, subtorus_immersion
-from .errors import DegenerateMetric, SearchFailed
+from .errors import DegenerateMetric
 from .fixtures import canonical_frequencies
 from .immersion import (FourierImmersion, FourierTerm, Signature, _jet_basis, _split_jets, _trig,
                         immersion_rank_check)
@@ -214,13 +215,6 @@ def _pattern_search(x0: np.ndarray, evaluate, budget: int) -> tuple[np.ndarray, 
     return x, f, history
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _start(x_init: np.ndarray, seed: int, restart: int) -> np.ndarray:
     """A restart's starting coefficients: x_init perturbed by draws from the
     sub-seed (seed, restart)."""
@@ -229,59 +223,12 @@ def _start(x_init: np.ndarray, seed: int, restart: int) -> np.ndarray:
     return x_init + 0.01 * rng.standard_normal(x_init.shape)
 
 
-# The search optimize is running, (trial table, initial coefficients).  It is
-# set before the restart pool forks, so every worker inherits it instead of
-# receiving it pickled; two threads must therefore not run optimize at once.
-_search: tuple[TrialTable, np.ndarray] | None = None
-
-
-def _restart(restart: int) -> tuple[np.ndarray, float, list[float]]:
-    """One restart of the running search: its final coefficients, their score
-    and its own best-so-far history."""
-    trials, x_init = _search
+def _restart(trials: TrialTable, x_init: np.ndarray, restart: int) -> tuple[np.ndarray, float, list[float]]:
+    """One restart of the search over trials from x_init: its final
+    coefficients, their score and its own best-so-far history."""
     config = trials.config
     return _pattern_search(_start(x_init, config.seed, restart),
                            lambda x: objective(x, trials), config.iterations)
-
-
-def _die_with_parent(parent: int) -> None:
-    """Pool initializer: have the kernel kill this worker when its parent
-    dies (Linux's PR_SET_PDEATHSIG), so that a search ended by a signal
-    leaves no worker waiting for tasks; elsewhere it does nothing."""
-    import ctypes
-    import signal
-
-    prctl = getattr(ctypes.CDLL(None), "prctl", None)
-    if prctl is None:
-        return
-    prctl(1, signal.SIGKILL)        # PR_SET_PDEATHSIG
-    if os.getppid() != parent:      # the parent died before the call
-        os._exit(1)
-
-
-def _run_restarts(count: int) -> list[tuple[np.ndarray, float, list[float]]]:
-    """_restart for restarts 0 .. count - 1, in order: in a pool of
-    min(count, usable CPUs) forked workers, or in this process when that is
-    one or the platform cannot fork.  A worker's exception is re-raised here
-    as itself; a worker that dies raises SearchFailed.  No worker outlives
-    the call, nor, on Linux, this process."""
-    workers = min(count, _usable_cpus())
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
-
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_die_with_parent, initargs=(os.getpid(),))
-            try:
-                return list(pool.map(_restart, range(count)))
-            except BrokenProcessPool as exc:
-                raise SearchFailed(f"explore: a restart's worker process died: {exc}") from None
-            finally:
-                pool.shutdown(wait=True, cancel_futures=True)
-    return [_restart(restart) for restart in range(count)]
 
 
 def optimize(config: SearchConfig) -> SearchResult:
@@ -297,13 +244,10 @@ def optimize(config: SearchConfig) -> SearchResult:
     field pass also certifies the metric there (lambda_min(g) >= 1e-12, or
     it raises DegenerateMetric).
     """
-    global _search
     trials = trial_table(config)
-    _search = (trials, _coefficients(_initial_immersion(config), trials.freqs, config.q))
-    try:
-        outcomes = _run_restarts(config.restarts)
-    finally:
-        _search = None
+    x_init = _coefficients(_initial_immersion(config), trials.freqs, config.q)
+    outcomes = forked.fork_map(functools.partial(_restart, trials, x_init), range(config.restarts),
+                               forked.usable_cpus(), "explore")
 
     history: list[float] = []
     running_best = math.inf

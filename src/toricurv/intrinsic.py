@@ -30,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionTooLow, OriginPoint, ZeroMeanCurvature
+from .forked import grid_pass
 from .immersion import FourierImmersion, _smallest_metric_eigenvalue, jets_at
 from .pointwise import (
     _FIELD_NAMES,
@@ -271,27 +272,34 @@ def analysis_grid(imm: FourierImmersion, grid: TorusGrid, seed: int) -> Analysis
 
 
 def _analysis_pass(imm: FourierImmersion, grid: TorusGrid, seed: int):
-    """(GridFields, Sc, (K_min, K_max), sigma_min) over a grid, uncached."""
+    """(GridFields, Sc, (K_min, K_max), sigma_min) over a grid, uncached,
+    split over forked workers by grid_pass: rows 0-5 of its output hold the
+    fields, row 6 Sc and rows 7-8 the K range, and each run returns its
+    smallest metric eigenvalue."""
     D = _sweep_directions(imm.n, seed)
-    columns = {name: np.empty(grid.npoints) for name in _FIELD_NAMES}
-    sc = np.empty(grid.npoints)
-    K = np.empty((2, grid.npoints))
-    smallest = np.inf
-    # an input whose jets overflow flows through as inf and NaN, for the
-    # caller to report by point
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start, thetas in grid.iter_points(_PASS_CHUNK):
-            stop = start + thetas.shape[0]
-            chunk_columns, sc[start:stop], S, chunk_smallest = _pass_chunk(imm, thetas)
-            for name, column in zip(_FIELD_NAMES, chunk_columns):
-                columns[name][start:stop] = column
-            smallest = min(smallest, chunk_smallest)
-            for lo in range(0, S.shape[0], _K_CHUNK):
-                part = S[lo:lo + _K_CHUNK]
-                K[:, start + lo:start + lo + part.shape[0]] = _K_range(part, D)
+    sc_row = len(_FIELD_NAMES)
+
+    def run(out, chunks):
+        smallest = np.inf
+        # an input whose jets overflow flows through as inf and NaN, for the
+        # caller to report by point
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for start, thetas in chunks:
+                stop = start + thetas.shape[0]
+                chunk_columns, out[sc_row, start:stop], S, chunk_smallest = _pass_chunk(imm, thetas)
+                for row, column in zip(out, chunk_columns):
+                    row[start:stop] = column
+                smallest = min(smallest, chunk_smallest)
+                for lo in range(0, S.shape[0], _K_CHUNK):
+                    part = S[lo:lo + _K_CHUNK]
+                    out[sc_row + 1:, start + lo:start + lo + part.shape[0]] = _K_range(part, D)
+        return smallest
+
+    out, smallest = grid_pass(grid, _PASS_CHUNK, sc_row + 3, run, "analysis pass")
+    sc = out[sc_row]
     sc.flags.writeable = False
-    return (GridFields(grid=grid, **columns), sc, _read_only_K(K),
-            float(np.sqrt(max(0.0, smallest))))
+    return (GridFields(grid=grid, **dict(zip(_FIELD_NAMES, out))), sc,
+            _read_only_K(out[sc_row + 1:]), float(np.sqrt(max(0.0, min(smallest)))))
 
 
 def _pass_chunk(imm: FourierImmersion, thetas: np.ndarray):

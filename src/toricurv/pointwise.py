@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateMetric
+from .forked import grid_pass
 from .immersion import FourierImmersion, Jet, jets_at
 from .quadrature import SphereSampler, TorusGrid
 
@@ -437,18 +438,21 @@ def _field_columns(value: np.ndarray, E: np.ndarray, S: np.ndarray, sqrt_det: np
 
 
 def _evaluate_fields(imm: FourierImmersion, grid: TorusGrid) -> GridFields:
-    """One kernel pass over every point of a grid."""
-    out = {name: np.empty(grid.npoints) for name in _FIELD_NAMES}
-    for start, thetas in grid.iter_points(_GRID_CHUNK):
-        stop = start + thetas.shape[0]
-        # the chunk's arrays stay bound until the next chunk replaces them:
-        # dropping them at the end of each iteration let glibc hand the memory
-        # back and fault it in again per chunk (75x the page faults, and
-        # verify-d4 at 12^4 took 4.0 s instead of 2.4 s)
-        value, E, S, sqrt_det = _chunk_core(imm, thetas)
-        for name, column in zip(_FIELD_NAMES, _field_columns(value, E, S, sqrt_det)):
-            out[name][start:stop] = column
-    return GridFields(grid=grid, **out)
+    """One kernel pass over every point of a grid, split over forked workers
+    by grid_pass."""
+    def run(out, chunks):
+        for start, thetas in chunks:
+            stop = start + thetas.shape[0]
+            # the chunk's arrays stay bound until the next chunk replaces them:
+            # dropping them at the end of each iteration let glibc hand the memory
+            # back and fault it in again per chunk (75x the page faults, and
+            # verify-d4 at 12^4 took 4.0 s instead of 2.4 s)
+            value, E, S, sqrt_det = _chunk_core(imm, thetas)
+            for row, column in zip(out, _field_columns(value, E, S, sqrt_det)):
+                row[start:stop] = column
+
+    out = grid_pass(grid, _GRID_CHUNK, len(_FIELD_NAMES), run, "grid fields")[0]
+    return GridFields(grid=grid, **dict(zip(_FIELD_NAMES, out)))
 
 
 def weighted_average(fields: GridFields, values: np.ndarray) -> float:
@@ -485,15 +489,18 @@ def grid_K_estimates(imm: FourierImmersion, grid: TorusGrid,
     read-only arrays memoized per (immersion, sizes, seed): exact for n = 2
     (the extremizer's root solve at every point), otherwise K over 256 fixed
     directions (axes, the diagonal and seeded draws), an inner bound on the
-    true range, since the power method at every point costs seconds."""
+    true range, since the power method at every point costs seconds.  The
+    pass is split over forked workers by grid_pass."""
     per_imm = _grid_cache.setdefault(imm, {})
     key = ("K", grid.sizes, seed)
     if key not in per_imm:
         D = _sweep_directions(imm.n, seed)
-        K = np.empty((2, grid.npoints))
-        for start, thetas in grid.iter_points(_K_CHUNK):
-            K[:, start:start + thetas.shape[0]] = _K_range(_chunk_core(imm, thetas)[2], D)
-        per_imm[key] = _read_only_K(K)
+
+        def run(K, chunks):
+            for start, thetas in chunks:
+                K[:, start:start + thetas.shape[0]] = _K_range(_chunk_core(imm, thetas)[2], D)
+
+        per_imm[key] = _read_only_K(grid_pass(grid, _K_CHUNK, 2, run, "K estimates")[0])
     return per_imm[key]
 
 

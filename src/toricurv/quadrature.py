@@ -60,12 +60,12 @@ class TorusGrid:
         multi-index."""
         return [_coordinate(np.arange(N), N) for N in self.sizes]
 
-    def iter_points(self, chunk: int = 4096):
-        """Yield (start, thetas) batches in flat C order."""
-        P = self.npoints
-        for start in range(0, P, chunk):
-            stop = min(start + chunk, P)
-            yield start, self.theta_at(np.arange(start, stop))
+    def iter_points(self, chunk: int = 4096, start: int = 0, stop: int | None = None):
+        """Yield (start, thetas) batches of up to chunk points in flat C order,
+        over the flat indices start .. stop - 1 (the whole grid by default)."""
+        stop = self.npoints if stop is None else stop
+        for lo in range(start, stop, chunk):
+            yield lo, self.theta_at(np.arange(lo, min(lo + chunk, stop)))
 
     def points(self) -> np.ndarray:
         """All grid points as a (P, n) array (only sensible for small grids)."""

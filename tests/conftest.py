@@ -1,3 +1,10 @@
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -106,3 +113,64 @@ def reference_k2_range(S):
     v = np.einsum("da,db,abq->dq", D, D, S, optimize=True)
     K2 = np.einsum("dq,dq->d", v, v)
     return float(K2.min()), float(K2.max())
+
+
+# ---------------------------------------------------------------- processes
+
+needs_child_list = pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="lists a process's children through Linux's /proc")
+
+
+def no_children() -> bool:
+    """Whether this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _alive(pid) -> bool:
+    """Whether pid names a process that has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+def signal_mid_run(code: str, signum: int, workers: int = 2):
+    """Run `python -c code`, send signum to that process alone once it has
+    `workers` children, and return (seconds from the signal until it exited,
+    its return code, the children still alive 2 s after it exited).  Python
+    raises KeyboardInterrupt on SIGINT even where the caller ignores it."""
+    code = "import signal; signal.signal(signal.SIGINT, signal.default_int_handler); " + code
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL,
+                            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    pids = []
+    try:
+        end = time.monotonic() + 60
+        while len(pids) < workers and proc.poll() is None and time.monotonic() < end:
+            time.sleep(0.02)
+            pids = children.read_text().split()
+        assert len(pids) == workers and proc.poll() is None    # signalled mid-run
+        sent = time.monotonic()
+        proc.send_signal(signum)
+        try:
+            proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            pass
+        exit_s = time.monotonic() - sent
+    finally:
+        proc.kill()
+        proc.wait()
+    end = time.monotonic() + 2
+    while any(_alive(pid) for pid in pids) and time.monotonic() < end:
+        time.sleep(0.02)
+    left = [pid for pid in pids if _alive(pid)]
+    for pid in left:
+        os.kill(int(pid), signal.SIGKILL)
+    return exit_s, proc.returncode, left

@@ -1,16 +1,13 @@
 import math
-import multiprocessing
 import os
 import signal
 import subprocess
 import sys
-import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from toricurv import explore, pointwise
+from toricurv import explore, forked, pointwise
 from toricurv.cli import main
 from toricurv.explore import (
     DEGENERATE_PENALTY,
@@ -26,6 +23,8 @@ from toricurv.explore import (
 from toricurv.immersion import FourierImmersion, Signature, transform
 from toricurv.pointwise import grid_fields
 from toricurv.quadrature import TorusGrid
+
+from conftest import needs_child_list, no_children, signal_mid_run
 
 
 def config(**kw):
@@ -153,10 +152,15 @@ def test_optimize_penalty_off_escapes_ball():
 
 # ---------------------------------------------------------------- restart pool
 
+# A two-worker search that runs for minutes unless it is signalled.
+SEARCH = ("import toricurv.forked as f; f.usable_cpus = lambda: 2; from toricurv.cli import main; "
+          "main(['explore', '--n', '2', '--q', '6', '--grid', '8', '--iterations', '1000000', "
+          "'--restarts', '2'])")
+
 def optimize_on(monkeypatch, cpus, cfg):
     """optimize with the usable CPU count patched to cpus (None: this machine's)."""
     if cpus is not None:
-        monkeypatch.setattr(explore, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(forked, "usable_cpus", lambda: cpus)
     return optimize(cfg)
 
 
@@ -174,7 +178,7 @@ def test_optimize_independent_of_worker_count(monkeypatch, restarts):
         assert pooled.best_restart == serial.best_restart
         assert pooled.sup_zh == serial.sup_zh
         assert pooled.max_norm == serial.max_norm
-    assert multiprocessing.active_children() == []
+    assert no_children()
 
 
 @pytest.mark.parametrize("cpus, in_parent", [(1, True), (2, False)])
@@ -204,69 +208,44 @@ def test_restart_exception_reaches_caller(monkeypatch, cpus):
     monkeypatch.setattr(explore, "objective", fails_on_restart_1)
     with pytest.raises(ArithmeticError, match="restart 1 failed"):
         optimize_on(monkeypatch, cpus, cfg)
-    assert multiprocessing.active_children() == []
+    assert no_children()
 
 
-def _dies_in_worker(restart):
-    """_restart, except that a pool worker running it dies at once."""
-    if multiprocessing.parent_process() is not None:
+def _dies_in_worker(*args):
+    """_restart, except that a forked worker running it dies at once."""
+    if forked._in_worker:
         os._exit(1)
     raise AssertionError("the restarts ran in the parent process")
 
 
 def test_dead_worker_exits_2(monkeypatch, capsys):
-    # optimize raises SearchFailed, which the CLI reports with exit 2: exit 1
+    # optimize raises WorkerDied, which the CLI reports with exit 2: exit 1
     # is reserved for a proven bound that fails.
     monkeypatch.setattr(explore, "_restart", _dies_in_worker)
-    monkeypatch.setattr(explore, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
     assert main(["explore", "--n", "2", "--q", "6", "--grid", "8", "--iterations", "5",
                  "--restarts", "2"]) == 2
-    assert capsys.readouterr().err.startswith("error: explore: ")
-    assert multiprocessing.active_children() == []
+    assert capsys.readouterr().err.startswith("error: explore: a worker process died")
+    assert no_children()
 
 
-def _alive(pid):
-    """Whether pid names a process that has not exited (a zombie has)."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except FileNotFoundError:
-        return False
-    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
-
-
-@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
-                    reason="lists a process's children through Linux's /proc")
+@needs_child_list
 def test_killed_search_leaves_no_worker():
-    # A search ended by SIGKILL (a deadline, timeout(1)) cannot shut its pool
-    # down; its workers must still not wait for tasks forever.
-    code = ("import toricurv.explore as e; e._usable_cpus = lambda: 2; from toricurv.cli import main; "
-            "main(['explore', '--n', '2', '--q', '6', '--grid', '8', '--iterations', '1000000', "
-            "'--restarts', '2'])")
-    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
-    workers = []
-    try:
-        end = time.monotonic() + 60
-        while len(workers) < 2 and proc.poll() is None and time.monotonic() < end:
-            time.sleep(0.02)
-            workers = children.read_text().split()
-        assert len(workers) == 2 and proc.poll() is None    # killed mid-search
-    finally:
-        proc.kill()
-        proc.wait()
-    end = time.monotonic() + 10
-    while any(_alive(pid) for pid in workers) and time.monotonic() < end:
-        time.sleep(0.02)
-    left = [pid for pid in workers if _alive(pid)]
-    for pid in left:
-        os.kill(int(pid), signal.SIGKILL)
-    assert left == []
+    # A search ended by SIGKILL (a deadline, timeout(1)) cannot end its
+    # workers; they must still not run on.
+    assert signal_mid_run(SEARCH, signal.SIGKILL)[2] == []
+
+
+@needs_child_list
+def test_interrupted_search_ends_its_workers():
+    # Ctrl-C kills the workers instead of waiting for their restarts.
+    exit_s, code, left = signal_mid_run(SEARCH, signal.SIGINT)
+    assert code == -signal.SIGINT and exit_s < 2.0 and left == []
 
 
 def test_cli_import_loads_no_pool_modules():
-    # The pool's modules load inside optimize only, so they cost the other
-    # commands no import time.
+    # Workers are forked by os.fork, so no command pays for importing
+    # multiprocessing or concurrent.futures.
     code = ("import sys, toricurv.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,

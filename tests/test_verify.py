@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from toricurv import intrinsic, pointwise, verify
+from toricurv import forked, intrinsic, pointwise, verify
 from toricurv.designs import builtin_design, clifford, subtorus_immersion
 from toricurv.errors import InapplicableHypothesis, NotInBall, WrongDimension
 from toricurv.fixtures import ball_immersion, perturbed_clifford
@@ -240,6 +240,8 @@ def test_global_curvature_max(clifford2, hexagonal):
 def test_gate_memo_shared_by_main_and_bow(monkeypatch):
     # The n >= 5 main gate and the bow gate read one memoized K sweep of the
     # base grid and one batched extremizer call at no more than four points.
+    # The calls are counted in this process, so the sweep runs in it.
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 1)
     swept, refined = [], []
     sweep, extremes = pointwise._k2_sweep, pointwise.extremal_normal_curvature
 
@@ -253,11 +255,18 @@ def test_gate_memo_shared_by_main_and_bow(monkeypatch):
 
     monkeypatch.setattr(pointwise, "_k2_sweep", counting_sweep)
     monkeypatch.setattr(pointwise, "extremal_normal_curvature", counting_extremes)
-    grid = TorusGrid((4,) * 5)
-    reports = run_checks(clifford(5), grid, checks="main,bow")
+    grid, imm = TorusGrid((4,) * 5), clifford(5)
+    reports = run_checks(imm, grid, checks="main,bow")
     assert [r["status"] for r in reports] == ["skipped", "skipped"]     # K_max = sqrt(5) > 2
     assert sum(swept) == grid.npoints
     assert len(refined) == 1 and refined[0] <= 4
+    # Split over two forked workers, the sweep gives the gate the same K.
+    gate = pointwise.global_normal_curvature_max(imm, grid)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(forked, "_MIN_CHUNKS_PER_WORKER", 1)
+    swept.clear()
+    assert pointwise.global_normal_curvature_max(clifford(5), grid) == gate
+    assert swept == []          # counted in the workers' memory only
 
 
 # ---------------------------------------------------------------- constant K

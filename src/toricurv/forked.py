@@ -1,13 +1,14 @@
 """Forked workers: explore's restarts and the chunked grid passes.
 
-fork_map maps a callable over a list of items in forked worker processes,
-each worker taking a contiguous run of the items, and returns the results
-in item order.  Fork copies the callable into the workers instead of
-pickling it, so it may be any callable, a closure over large arrays
-included; only each worker's results come back pickled, through a pipe.
-The first exception in item order is re-raised here as itself, and a
-worker that exits without its results raises WorkerDied.  On any exception
-here, KeyboardInterrupt included, the workers still running are killed, not
+fork_map maps a callable over a list of items in forked worker processes
+and returns the results in item order.  Fork copies the callable into the
+workers instead of pickling it, so it may be any callable, a closure over
+large arrays included.  The workers claim item indices one at a time from
+a pipe, so a slow item holds up only its own worker, and each worker's
+results come back pickled through a pipe of its own.  The exception of the
+first failing item is re-raised here as itself, and a worker that exits
+without its results raises WorkerDied.  On any exception here,
+KeyboardInterrupt included, the workers still running are killed, not
 waited for; on Linux a worker also dies with its parent, so no worker
 outlives the call.
 
@@ -104,63 +105,78 @@ def _die_with_parent(parent: int) -> None:
         os._exit(1)
 
 
-def _work(task, items: list, pipe_fd: int, parent: int):
-    """A worker's life after the fork: map task over items in order, stopping
-    at the first exception, pickle (results, exception or None) into the
-    pipe and exit; it never returns into the caller's frames."""
+def _work(task, items: list, claims: int, pipe_fd: int, parent: int):
+    """A worker's life after the fork: claim 4-byte item indices from the
+    claims pipe until it is empty, run task on each item, and pickle (the
+    (index, result) pairs, the first (index, exception) or None) into the
+    result pipe.  After an exception it empties the claims pipe, so that the
+    other workers stop after their current item.  It exits without
+    returning into the caller's frames."""
     global _in_worker
     code = 1
     try:
         _in_worker = True
         _die_with_parent(parent)
-        results = []
-        try:
-            for item in items:
-                results.append(task(item))
-            outcome = (results, None)
-        except Exception as exc:    # the parent re-raises it
-            outcome = (results, exc)
+        done, failure = [], None
+        while failure is None and (claim := os.read(claims, 4)):
+            index = int.from_bytes(claim, "little")
+            try:
+                done.append((index, task(items[index])))
+            except Exception as exc:    # the parent re-raises it
+                failure = (index, exc)
+                while os.read(claims, 4096):
+                    pass
         with open(pipe_fd, "wb") as pipe:
-            pickle.dump(outcome, pipe)
+            pickle.dump((done, failure), pipe)
         code = 0
     finally:
         os._exit(code)
 
 
-def _fork_worker(task, items: list, parent: int):
-    """Fork a worker for items: (its pid, the read end of its result pipe)."""
+def _fork_worker(task, items: list, claims: int, queue: int, parent: int):
+    """Fork a worker that claims items through the claims pipe, whose write
+    end queue it closes: (its pid, the read end of its result pipe)."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         os.close(read_fd)
-        _work(task, items, write_fd, parent)
+        os.close(queue)
+        _work(task, items, claims, write_fd, parent)
     os.close(write_fd)
     return pid, open(read_fd, "rb")
 
 
 def fork_map(task, items, workers: int, what: str) -> list:
     """[task(item) for item in items], in order: in min(workers, items)
-    forked processes, each mapping a contiguous run of the items, or in this
+    forked processes, which claim the items one at a time, or in this
     process when that is one, the platform cannot fork, or this process is
-    itself a worker.  The first exception in item order is re-raised here
-    as itself; a worker that exits without its results raises WorkerDied,
-    whose message starts with `what`.  Workers still running when this call
-    raises are killed; none outlives it."""
+    itself a worker.  The exception of the first failing item is re-raised
+    here as itself; a worker that exits without its results raises
+    WorkerDied, whose message starts with `what`.  Workers still running
+    when this call raises are killed; none outlives it."""
     items = list(items)
     workers = min(workers, len(items))
     if workers < 2 or _in_worker or not hasattr(os, "fork"):
         return [task(item) for item in items]
-    bounds = [len(items) * w // workers for w in range(workers + 1)]
     parent = os.getpid()
     children = []       # (pid, result pipe) of each worker not yet reaped
+    claims_fd, queue_fd = os.pipe()
     # The workers inherit a BLAS thread count of 1: OpenBLAS stops its
     # threads before a fork, and a worker that set its own count would start
     # a thread that spins for CPU while the workers compute.
-    with _one_blas_thread():
+    with _one_blas_thread(), open(claims_fd, "rb", buffering=0) as claims, \
+            open(queue_fd, "wb", buffering=0) as queue:
         try:
-            for lo, hi in zip(bounds, bounds[1:]):
-                children.append(_fork_worker(task, items[lo:hi], parent))
-            results = []
+            for _ in range(workers):
+                children.append(_fork_worker(task, items, claims_fd, queue_fd, parent))
+            claims.close()
+            try:
+                for index in range(len(items)):
+                    queue.write(index.to_bytes(4, "little"))
+            except BrokenPipeError:     # no worker is left; its result pipe says why
+                pass
+            queue.close()
+            results, failures = {}, []
             while children:
                 pid, pipe = children[0]
                 with pipe:
@@ -170,11 +186,13 @@ def fork_map(task, items, workers: int, what: str) -> list:
                 if not payload:
                     raise WorkerDied(f"{what}: a worker process died "
                                      f"(exit status {os.waitstatus_to_exitcode(status)})")
-                done, exc = pickle.loads(payload)
-                if exc is not None:
-                    raise exc
-                results += done
-            return results
+                done, failure = pickle.loads(payload)
+                results.update(done)
+                if failure is not None:
+                    failures.append(failure)
+            if failures:
+                raise min(failures, key=lambda failure: failure[0])[1]
+            return [results[index] for index in range(len(items))]
         finally:
             for pid, pipe in children:
                 os.kill(pid, signal.SIGKILL)

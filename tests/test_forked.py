@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -24,13 +25,13 @@ FLOOR = forked._MIN_CHUNKS_PER_WORKER
 @pytest.fixture
 def workers(monkeypatch):
     """use(cpus): make cpus CPUs usable and let every multi-chunk pass fork;
-    returns the list of the item counts handed to each worker forked since."""
+    returns a list that gets one entry per worker forked since."""
     forks = []
     fork_worker = forked._fork_worker
 
-    def counted(task, items, parent):
-        forks.append(len(items))
-        return fork_worker(task, items, parent)
+    def counted(*args):
+        forks.append(args[1])
+        return fork_worker(*args)
 
     def use(cpus):
         monkeypatch.setattr(forked, "usable_cpus", lambda: cpus)
@@ -52,16 +53,42 @@ def test_fork_map_keeps_item_order():
     assert no_children()
 
 
+def test_fork_map_hands_out_items_one_at_a_time():
+    # While one worker sleeps on item 0, the other takes every later item.
+    def pid_after(x):
+        time.sleep(0.5 if x == 0 else 0.0)
+        return os.getpid()
+
+    pids = forked.fork_map(pid_after, range(6), 2, "t")
+    assert pids[0] != os.getpid() and set(pids[1:]) == {pids[1]} != {pids[0]}
+
+
 def test_fork_map_raises_the_first_failure_in_item_order():
-    def fails_on_odd(x):
-        if x % 2:
+    # Item 2 fails at once, item 1 later; serially item 1 fails first.
+    def fails(x):
+        if x == 1:
+            time.sleep(0.3)
+        if x in (1, 2):
             raise ArithmeticError(f"item {x}")
         return x
 
-    # items 1 and 3 fail in different workers; serially item 1 fails first
     with pytest.raises(ArithmeticError, match="item 1"):
-        forked.fork_map(fails_on_odd, range(4), 2, "t")
+        forked.fork_map(fails, range(4), 2, "t")
     assert no_children()
+
+
+def test_a_failure_stops_the_other_workers():
+    # Once item 0 fails, the other worker ends its current item and claims
+    # no more; running all 20 others would take 2 s.
+    def fails_first(x):
+        if x == 0:
+            raise ArithmeticError("item 0")
+        time.sleep(0.1)
+
+    start = time.monotonic()
+    with pytest.raises(ArithmeticError, match="item 0"):
+        forked.fork_map(fails_first, range(21), 2, "t")
+    assert time.monotonic() - start < 1.0
 
 
 def test_workers_do_not_fork():
@@ -90,7 +117,7 @@ def test_pass_forks_from_the_floor_up(workers, monkeypatch):
     pointwise._evaluate_fields(imm, TorusGrid((pointwise._GRID_CHUNK, 2 * FLOOR - 1)))
     assert forks == []
     pointwise._evaluate_fields(imm, TorusGrid((pointwise._GRID_CHUNK, 2 * FLOOR)))
-    assert forks == [1, 1]
+    assert len(forks) == 2
 
 
 # For each n, one grid per pass (fields, K estimates, analysis) of 5 or 7
@@ -182,6 +209,12 @@ def test_degenerate_point_named_as_in_one_process(workers, run):
     assert no_children()
 
 
+def _clifford_input(tmp_path):
+    path = tmp_path / "clifford.json"
+    path.write_text(json.dumps({"type": "clifford", "m": 2}))
+    return str(path)
+
+
 @pytest.mark.parametrize("command, patched", [
     ("verify", (pointwise, "_chunk_core")),
     ("analyze", (intrinsic, "_pass_chunk")),
@@ -197,9 +230,7 @@ def test_dead_pass_worker_exits_2(workers, monkeypatch, capsys, tmp_path, comman
 
     workers(2)
     monkeypatch.setattr(*patched, dies_in_worker)
-    path = tmp_path / "clifford.json"
-    path.write_text(json.dumps({"type": "clifford", "m": 2}))
-    argv = [command, str(path), "--grid", "64,64", "--out", str(tmp_path / "out")]
+    argv = [command, _clifford_input(tmp_path), "--grid", "64,64", "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert "a worker process died" in capsys.readouterr().err
     assert no_children()
@@ -207,12 +238,10 @@ def test_dead_pass_worker_exits_2(workers, monkeypatch, capsys, tmp_path, comman
 
 def _slow_verify(tmp_path):
     """Code for a verify whose first pass, split over 2 workers, takes 4 s."""
-    path = tmp_path / "clifford.json"
-    path.write_text(json.dumps({"type": "clifford", "m": 2}))
     return ("import time, toricurv.forked as f, toricurv.pointwise as p; "
             "f.usable_cpus = lambda: 2; f._MIN_CHUNKS_PER_WORKER = 1; "
             "core = p._chunk_core; p._chunk_core = lambda imm, t: (time.sleep(0.5), core(imm, t))[1]; "
-            f"from toricurv.cli import main; main(['verify', {str(path)!r}, '--grid', '64,64'])")
+            f"from toricurv.cli import main; main(['verify', {_clifford_input(tmp_path)!r}, '--grid', '64,64'])")
 
 
 @needs_child_list
@@ -226,17 +255,16 @@ def test_interrupted_verify_ends_its_workers(tmp_path):
     assert code == -signal.SIGINT and exit_s < 2.0 and left == []
 
 
-def test_one_chunk_verify_runs_in_process(monkeypatch, tmp_path, capsys):
-    # A grid of one chunk per pass forks nothing.
+def test_one_chunk_verify_runs_in_process(monkeypatch, tmp_path):
+    # A grid of one chunk per pass forks nothing and loads no pool module.
     def no_fork(*args):
         raise AssertionError("forked a worker")
 
     monkeypatch.setattr(forked, "_fork_worker", no_fork)
-    path = tmp_path / "clifford.json"
-    path.write_text(json.dumps({"type": "clifford", "m": 2}))
-    assert main(["verify", str(path), "--grid", "8,8"]) in (0, 1)
+    path = _clifford_input(tmp_path)
+    assert main(["verify", path, "--grid", "8,8"]) in (0, 1)
     code = ("import sys; from toricurv.cli import main; "
-            f"main(['verify', {str(path)!r}, '--grid', '8,8']); "
+            f"main(['verify', {path!r}, '--grid', '8,8']); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))

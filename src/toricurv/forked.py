@@ -100,6 +100,7 @@ def _die_with_parent(parent: int) -> None:
     prctl = getattr(ctypes.CDLL(None), "prctl", None)
     if prctl is None:
         return
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
     prctl(1, signal.SIGKILL)        # PR_SET_PDEATHSIG
     if os.getppid() != parent:      # the parent died before the call
         os._exit(1)

@@ -30,7 +30,7 @@ def workers(monkeypatch):
     fork_worker = forked._fork_worker
 
     def counted(*args):
-        forks.append(args[1])
+        forks.append(1)
         return fork_worker(*args)
 
     def use(cpus):
@@ -262,7 +262,7 @@ def test_one_chunk_verify_runs_in_process(monkeypatch, tmp_path):
 
     monkeypatch.setattr(forked, "_fork_worker", no_fork)
     path = _clifford_input(tmp_path)
-    assert main(["verify", path, "--grid", "8,8"]) in (0, 1)
+    assert main(["verify", path, "--grid", "8,8"]) == 0
     code = ("import sys; from toricurv.cli import main; "
             f"main(['verify', {path!r}, '--grid', '8,8']); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))")

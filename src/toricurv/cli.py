@@ -222,8 +222,8 @@ def cmd_analyze(args) -> int:
         "min_norm_f": float(np.min(fields.r)),
         "ball_margin": 1.0 - float(np.max(fields.r)),
         "zh_range": [float(np.min(fields.zh)), float(np.max(fields.zh))],
-        "K_min": pointwise._best_found_K(imm, grid, args.seed, highest=False),
-        "K_max": verify.global_normal_curvature_max(imm, grid, seed=args.seed),
+        "K_min": pointwise._best_found_K(imm, grid, grid_pass.k_min, args.seed, highest=False),
+        "K_max": pointwise._best_found_K(imm, grid, grid_pass.k_max, args.seed, highest=True),
         "max_gauss_residual": float(np.max(np.abs(residual))),
         "min_singular_value": grid_pass.min_singular_value,
     }

@@ -7,10 +7,11 @@ large arrays included.  The workers claim item indices one at a time from
 a pipe, so a slow item holds up only its own worker, and each worker's
 results come back pickled through a pipe of its own.  The exception of the
 first failing item is re-raised here as itself, and a worker that exits
-without its results raises WorkerDied.  On any exception here,
+without all of its results raises WorkerDied.  On any exception here,
 KeyboardInterrupt included, the workers still running are killed, not
 waited for; on Linux a worker also dies with its parent, so no worker
-outlives the call.
+outlives the call.  Where a fork fails (no process or memory left), the
+workers already forked are killed and the items run in this process.
 
 grid_pass splits a grid's chunks into contiguous runs of whole chunks, one
 per worker, so every chunk holds the same points as in one process and its
@@ -138,7 +139,12 @@ def _fork_worker(task, items: list, claims: int, queue: int, parent: int):
     """Fork a worker that claims items through the claims pipe, whose write
     end queue it closes: (its pid, the read end of its result pipe)."""
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
     if pid == 0:
         os.close(read_fd)
         os.close(queue)
@@ -150,15 +156,22 @@ def _fork_worker(task, items: list, claims: int, queue: int, parent: int):
 def fork_map(task, items, workers: int, what: str) -> list:
     """[task(item) for item in items], in order: in min(workers, items)
     forked processes, which claim the items one at a time, or in this
-    process when that is one, the platform cannot fork, or this process is
-    itself a worker.  The exception of the first failing item is re-raised
-    here as itself; a worker that exits without its results raises
-    WorkerDied, whose message starts with `what`.  Workers still running
-    when this call raises are killed; none outlives it."""
+    process when that is one, the platform cannot fork, this process is
+    itself a worker, or a fork fails.  The exception of the first failing
+    item is re-raised here as itself; a worker that exits without all of its
+    results raises WorkerDied, whose message starts with `what`.  Workers
+    still running when this call raises are killed; none outlives it."""
     items = list(items)
     workers = min(workers, len(items))
-    if workers < 2 or _in_worker or not hasattr(os, "fork"):
-        return [task(item) for item in items]
+    results = None
+    if workers >= 2 and not _in_worker and hasattr(os, "fork"):
+        results = _map_in_workers(task, items, workers, what)
+    return [task(item) for item in items] if results is None else results
+
+
+def _map_in_workers(task, items: list, workers: int, what: str) -> list | None:
+    """fork_map in `workers` forked workers, or None once a fork fails and
+    the workers forked before it are killed."""
     parent = os.getpid()
     children = []       # (pid, result pipe) of each worker not yet reaped
     claims_fd, queue_fd = os.pipe()
@@ -168,8 +181,11 @@ def fork_map(task, items, workers: int, what: str) -> list:
     with _one_blas_thread(), open(claims_fd, "rb", buffering=0) as claims, \
             open(queue_fd, "wb", buffering=0) as queue:
         try:
-            for _ in range(workers):
-                children.append(_fork_worker(task, items, claims_fd, queue_fd, parent))
+            try:
+                for _ in range(workers):
+                    children.append(_fork_worker(task, items, claims_fd, queue_fd, parent))
+            except OSError:     # EAGAIN or ENOMEM; the finally kills those forked
+                return None
             claims.close()
             try:
                 for index in range(len(items)):
@@ -184,7 +200,7 @@ def fork_map(task, items, workers: int, what: str) -> list:
                     payload = pipe.read()
                 status = os.waitpid(pid, 0)[1]
                 children.pop(0)
-                if not payload:
+                if status or not payload:   # a killed worker may have written part of its results
                     raise WorkerDied(f"{what}: a worker process died "
                                      f"(exit status {os.waitstatus_to_exitcode(status)})")
                 done, failure = pickle.loads(payload)
@@ -211,7 +227,7 @@ def grid_pass(grid, chunk: int, rows: int, run, what: str):
     there are usable CPUs, each run in a forked worker, but into fewer where
     that leaves a worker under _MIN_CHUNKS_PER_WORKER chunks; one run covers
     the grid in this process when that leaves one worker or numpy's BLAS
-    cannot be held to one thread per worker."""
+    cannot be held to one thread per worker.  out is returned read-only."""
     P = grid.npoints
     chunks = -(-P // chunk)
     workers = min(usable_cpus(), chunks // _MIN_CHUNKS_PER_WORKER)
@@ -227,4 +243,5 @@ def grid_pass(grid, chunk: int, rows: int, run, what: str):
     with _one_blas_thread():
         results = fork_map(lambda span: run(out, grid.iter_points(chunk, *span)),
                            zip(bounds, bounds[1:]), workers, what)
+    out.flags.writeable = False
     return out, results

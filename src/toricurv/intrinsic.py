@@ -12,8 +12,9 @@ The third-order (Christoffel) path is the independent check of the closed
 forms: _christoffel runs it on a batch of points for gauss_residuals and
 conformal_trace, and once per chunk of analysis_grid, analyze's one grid
 pass, which reads from that same call the second-order fields, the K range
-and the smallest metric eigenvalue as well (curvature_grid reads the pass's
-Sc).  conformal_grid reads the closed forms from the cached second-order
+and the smallest metric eigenvalue as well.  The pass keeps its results to
+itself, in the grid cache under its own key; curvature_grid is its Sc.
+conformal_grid reads the closed forms from grid_fields' second-order
 fields.  The two paths share only the metric factor L of
 pointwise._metric_factor (g^-1 = L'L), and with it the one degeneracy rule,
 which names the point theta; the Christoffel path builds Sc from dg and ddg,
@@ -37,10 +38,9 @@ from .pointwise import (
     _K_CHUNK,
     GridFields,
     _field_columns,
-    _grid_cache,
     _K_range,
+    _memo,
     _metric_factor,
-    _read_only_K,
     _sc_from_zh,
     _scalar_invariants,
     _second_form,
@@ -252,30 +252,17 @@ _PASS_CHUNK = 512
 def analysis_grid(imm: FourierImmersion, grid: TorusGrid, seed: int) -> AnalysisGrid:
     """GridFields, intrinsic Sc, grid_K_estimates' K range and the smallest
     singular value of the differential over every grid point, from one
-    third-order jet evaluation per point.
+    third-order jet evaluation per point, memoized per (immersion, sizes, seed).
 
     Each 512-point chunk runs _christoffel once (which raises DegenerateMetric,
     naming theta); the fields, Sc and lambda_min(g) come from that call, and
     its II is swept for the K range in 256-point slices after the chunk's
-    third-order arrays are released.  Each result is memoized in the grid
-    cache under the key its own reader uses (grid_fields, curvature_grid,
-    grid_K_estimates), so those readers, the best-found K range included, hit
-    the cache; a key already present keeps its value."""
-    per_imm = _grid_cache.setdefault(imm, {})
-    keys = (("fields", grid.sizes), ("sc", grid.sizes), ("K", grid.sizes, seed),
-            ("sigma", grid.sizes))
-    if not all(key in per_imm for key in keys):
-        for key, value in zip(keys, _analysis_pass(imm, grid, seed)):
-            per_imm.setdefault(key, value)
-    fields, sc, (k_min, k_max), sigma = (per_imm[key] for key in keys)
-    return AnalysisGrid(fields, sc, k_min, k_max, sigma)
+    third-order arrays are released.  In grid_pass's output rows 0-5 hold the
+    fields, row 6 Sc and rows 7-8 the K range."""
+    return _memo(imm, ("analysis", grid.sizes, seed), lambda: _analysis_pass(imm, grid, seed))
 
 
-def _analysis_pass(imm: FourierImmersion, grid: TorusGrid, seed: int):
-    """(GridFields, Sc, (K_min, K_max), sigma_min) over a grid, uncached,
-    split over forked workers by grid_pass: rows 0-5 of its output hold the
-    fields, row 6 Sc and rows 7-8 the K range, and each run returns its
-    smallest metric eigenvalue."""
+def _analysis_pass(imm: FourierImmersion, grid: TorusGrid, seed: int) -> AnalysisGrid:
     D = _sweep_directions(imm.n, seed)
     sc_row = len(_FIELD_NAMES)
 
@@ -296,10 +283,8 @@ def _analysis_pass(imm: FourierImmersion, grid: TorusGrid, seed: int):
         return smallest
 
     out, smallest = grid_pass(grid, _PASS_CHUNK, sc_row + 3, run, "analysis pass")
-    sc = out[sc_row]
-    sc.flags.writeable = False
-    return (GridFields(grid=grid, **dict(zip(_FIELD_NAMES, out))), sc,
-            _read_only_K(out[sc_row + 1:]), float(np.sqrt(max(0.0, min(smallest)))))
+    return AnalysisGrid(GridFields(grid=grid, **dict(zip(_FIELD_NAMES, out))), *out[sc_row:],
+                        float(np.sqrt(max(0.0, min(smallest)))))
 
 
 def _pass_chunk(imm: FourierImmersion, thetas: np.ndarray):
@@ -315,12 +300,9 @@ def _pass_chunk(imm: FourierImmersion, thetas: np.ndarray):
 def curvature_grid(imm: FourierImmersion, grid: TorusGrid) -> np.ndarray:
     """Intrinsic scalar curvature at every grid point (flat C order), from
     third-order jets and Christoffel symbols: the independent path that
-    analyze reports next to the closed form.  Read from analysis_grid's pass,
-    which runs (at seed 0) if no pass over this grid has."""
-    per_imm = _grid_cache.setdefault(imm, {})
-    if ("sc", grid.sizes) not in per_imm:
-        analysis_grid(imm, grid, 0)
-    return per_imm[("sc", grid.sizes)]
+    analyze reports next to the closed form, read from analysis_grid's pass
+    at seed 0."""
+    return analysis_grid(imm, grid, 0).sc
 
 
 def conformal_grid(imm: FourierImmersion, grid: TorusGrid, k: float | Fraction) -> dict[str, np.ndarray]:

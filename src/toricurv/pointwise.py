@@ -408,24 +408,32 @@ def _jet_core(d1: np.ndarray, d2: np.ndarray, thetas: np.ndarray):
 _grid_cache: "weakref.WeakKeyDictionary[FourierImmersion, dict]" = weakref.WeakKeyDictionary()
 
 
+def _memo(imm: FourierImmersion, key: tuple, compute=None):
+    """imm's grid-cache entry under key, made by compute() if missing (None
+    without compute).  One function writes each key: grid_fields,
+    global_normal_curvature_max or intrinsic.analysis_grid."""
+    per_imm = _grid_cache.setdefault(imm, {})
+    if key not in per_imm and compute is not None:
+        per_imm[key] = compute()
+    return per_imm.get(key)
+
+
 def grid_fields(imm: FourierImmersion, grid: TorusGrid) -> GridFields:
     """Pointwise invariant fields over a grid, memoized per (immersion, sizes).
 
     A grid whose doubled grid is already cached is the stride-2 slice of it:
     the same points, since 2*pi*j/N == 2*pi*(2j)/(2N) in binary floating point,
     so a check that reads both grids evaluates only the doubled one."""
-    per_imm = _grid_cache.setdefault(imm, {})
-    key = ("fields", grid.sizes)
-    if key not in per_imm:
-        fine = per_imm.get(("fields", grid.doubled().sizes))
+    def compute():
+        fine = _memo(imm, ("fields", grid.doubled().sizes))
         if fine is None:
-            per_imm[key] = _evaluate_fields(imm, grid)
-        else:
-            every_other = (slice(None, None, 2),) * grid.n
-            per_imm[key] = GridFields(grid=grid, **{
-                name: getattr(fine, name).reshape(fine.grid.sizes)[every_other].ravel()
-                for name in _FIELD_NAMES})
-    return per_imm[key]
+            return _evaluate_fields(imm, grid)
+        every_other = (slice(None, None, 2),) * grid.n
+        return GridFields(grid=grid, **{
+            name: getattr(fine, name).reshape(fine.grid.sizes)[every_other].ravel()
+            for name in _FIELD_NAMES})
+
+    return _memo(imm, ("fields", grid.sizes), compute)
 
 
 def _field_columns(value: np.ndarray, E: np.ndarray, S: np.ndarray, sqrt_det: np.ndarray):
@@ -478,37 +486,28 @@ def _K_range(S: np.ndarray, D: np.ndarray):
     return np.sqrt(swept.min(axis=1)), np.sqrt(swept.max(axis=1))
 
 
-def _read_only_K(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    K.flags.writeable = False
-    return K[0], K[1]
-
-
 def grid_K_estimates(imm: FourierImmersion, grid: TorusGrid,
                      seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Per-point normal-curvature extremes (K_min, K_max) over a grid, as
-    read-only arrays memoized per (immersion, sizes, seed): exact for n = 2
-    (the extremizer's root solve at every point), otherwise K over 256 fixed
-    directions (axes, the diagonal and seeded draws), an inner bound on the
-    true range, since the power method at every point costs seconds.  The
-    pass is split over forked workers by grid_pass."""
-    per_imm = _grid_cache.setdefault(imm, {})
-    key = ("K", grid.sizes, seed)
-    if key not in per_imm:
-        D = _sweep_directions(imm.n, seed)
+    read-only arrays: exact for n = 2 (the extremizer's root solve at every
+    point), otherwise K over 256 fixed directions (axes, the diagonal and
+    seeded draws), an inner bound on the true range, since the power method
+    at every point costs seconds.  The pass is split over forked workers by
+    grid_pass."""
+    D = _sweep_directions(imm.n, seed)
 
-        def run(K, chunks):
-            for start, thetas in chunks:
-                K[:, start:start + thetas.shape[0]] = _K_range(_chunk_core(imm, thetas)[2], D)
+    def run(K, chunks):
+        for start, thetas in chunks:
+            K[:, start:start + thetas.shape[0]] = _K_range(_chunk_core(imm, thetas)[2], D)
 
-        per_imm[key] = _read_only_K(grid_pass(grid, _K_CHUNK, 2, run, "K estimates")[0])
-    return per_imm[key]
+    return tuple(grid_pass(grid, _K_CHUNK, 2, run, "K estimates")[0])
 
 
-def _best_found_K(imm: FourierImmersion, grid: TorusGrid, seed: int, highest: bool) -> float:
-    """grid_K_estimates' K_max (highest) or K_min, pushed outward by the
-    extremizer at the four grid points where that estimate is most extreme,
-    in one batched call."""
-    K = grid_K_estimates(imm, grid, seed)[highest]
+def _best_found_K(imm: FourierImmersion, grid: TorusGrid, K: np.ndarray, seed: int,
+                  highest: bool) -> float:
+    """The largest (highest) or smallest of a per-point K_max or K_min array
+    over a grid, pushed outward by the extremizer at the four grid points
+    where K is most extreme, in one batched call."""
     picks = np.argsort(K)[-4:] if highest else np.argsort(K)[:4]
     refined = extremal_normal_curvature(_chunk_core(imm, grid.theta_at(picks))[2], seed)[highest]
     values = np.append(K[picks], refined)
@@ -522,9 +521,6 @@ def global_normal_curvature_max(imm: FourierImmersion, grid: TorusGrid, seed: in
     starts above) at the four grid points where that estimate is highest.
     Values between grid points are not seen, so, like every grid-sampled
     supremum, it can fall short of the true maximum.  Memoized per
-    (immersion, sizes, seed) with the sweep."""
-    per_imm = _grid_cache.setdefault(imm, {})
-    key = ("K_max", grid.sizes, seed)
-    if key not in per_imm:
-        per_imm[key] = _best_found_K(imm, grid, seed, highest=True)
-    return per_imm[key]
+    (immersion, sizes, seed)."""
+    return _memo(imm, ("K_max", grid.sizes, seed), lambda: _best_found_K(
+        imm, grid, grid_K_estimates(imm, grid, seed)[1], seed, highest=True))

@@ -269,6 +269,24 @@ def test_analyze_passes_the_benchmark_check(tmp_path):
         assert checks.analyze_wavy3(code, summary, fh) == []
 
 
+def test_verify_passes_the_benchmark_check(tmp_path):
+    # verify-d4's input and check, on the 6^4 grid rather than 12^4.
+    inputs, checks = _load_perfbench("inputs"), _load_perfbench("checks")
+    path, _ = inputs.write_inputs(["d4"], 5, tmp_path)["d4"]
+    out = tmp_path / "verify.json"
+    code = main(["verify", str(path), "--grid", "6", "--seed", "5", "--out", str(out)])
+    assert checks.verify_d4(code, json.loads(out.read_text())) == []
+
+
+def test_explore_passes_the_benchmark_check(tmp_path):
+    # explore-n2's check, on a smaller grid and a shorter search.
+    checks = _load_perfbench("checks")
+    out = tmp_path / "explore.json"
+    code = main(["explore", "--n", "2", "--q", "6", "--grid", "8", "--iterations", "20",
+                 "--restarts", "2", "--out", str(out)])
+    assert checks.explore_n2(code, json.loads(out.read_text()), 20, 2) == []
+
+
 def test_analyze_rejects_degenerate(tmp_path, capsys):
     path = tmp_path / "flat.json"
     path.write_text(json.dumps({"type": "fourier", "n": 2, "q": 4,

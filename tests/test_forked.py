@@ -1,5 +1,6 @@
 """Forked workers: fork_map's contract, and the grid passes split over workers."""
 
+import errno
 import json
 import os
 import signal
@@ -13,7 +14,7 @@ import pytest
 from toricurv import forked, intrinsic, pointwise
 from toricurv.cli import main
 from toricurv.designs import clifford
-from toricurv.errors import DegenerateMetric
+from toricurv.errors import DegenerateMetric, WorkerDied
 from toricurv.immersion import FourierImmersion, FourierTerm, Signature
 from toricurv.quadrature import TorusGrid
 
@@ -91,6 +92,44 @@ def test_a_failure_stops_the_other_workers():
     assert time.monotonic() - start < 1.0
 
 
+class _KillsItsWorker:
+    """Pickling it SIGKILLs the process that pickles it."""
+
+    def __reduce__(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_worker_killed_mid_result_raises_worker_died():
+    # The worker writes 200 kB of its pickled results, then dies: the part
+    # it wrote is not unpickled.
+    def result(x):
+        return (bytes(200_000), _KillsItsWorker()) if x == 1 else x
+
+    with pytest.raises(WorkerDied, match="^t: a worker process died"):
+        forked.fork_map(result, range(4), 2, "t")
+    assert no_children()
+
+
+@needs_child_list
+def test_failed_fork_maps_in_process(monkeypatch):
+    # The second fork fails: the first worker is killed, no pipe is left
+    # open, and the items run here with the results of a serial map.
+    fork, forks = os.fork, []
+
+    def fork_once():
+        forks.append(1)
+        if len(forks) > 1:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    parent = os.getpid()
+    fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", fork_once)
+    got = forked.fork_map(lambda x: (x, os.getpid()), range(5), 3, "t")
+    assert len(forks) == 2 and got == [(x, parent) for x in range(5)]
+    assert no_children() and len(os.listdir("/proc/self/fd")) == fds
+
+
 def test_workers_do_not_fork():
     outer = forked.fork_map(lambda _: (os.getpid(), forked.fork_map(lambda _: os.getpid(), [0, 1], 2, "inner")),
                             [0, 1], 2, "outer")
@@ -164,8 +203,8 @@ def test_passes_bit_equal_for_any_worker_count(workers, n):
         assert len(forks) == 3 * cpus
         for want, got in zip(serial[0] + list(serial[1]), split[0] + list(split[1])):
             assert np.array_equal(want, got)
-        fields, sc, (k_min, k_max), sigma = split[2]
-        want_fields, want_sc, (want_min, want_max), want_sigma = serial[2]
+        fields, sc, k_min, k_max, sigma = split[2]
+        want_fields, want_sc, want_min, want_max, want_sigma = serial[2]
         for name in pointwise._FIELD_NAMES:
             assert np.array_equal(getattr(fields, name), getattr(want_fields, name))
         for got, want in ((sc, want_sc), (k_min, want_min), (k_max, want_max)):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from toricurv.intrinsic import (
 )
 from toricurv.pointwise import _FIELD_NAMES, _chunk_core, _scalar_invariants, grid_fields, grid_K_estimates
 from toricurv.quadrature import TorusGrid
+from toricurv.verify import run_checks
 
 from conftest import random_points
 
@@ -264,17 +266,42 @@ def test_analysis_grid_matches_the_separate_passes(make, sizes, seed):
     assert result.min_singular_value == immersion_rank_check(fresh, grid)
 
 
-def test_analysis_grid_feeds_the_cached_readers():
-    # Each result sits under its own reader's key, so those readers do no work.
+def test_analysis_grid_does_not_depend_on_earlier_passes():
+    # For n >= 5 the second-order passes round d2 differently from the
+    # third-order pass; analysis_grid returns its own bits whether or not
+    # grid_fields and grid_K_estimates ran first on the same immersion.
+    grid = TorusGrid((4,) * 5)
+    first = ball_immersion(5, 11, seed=3)
+    alone = analysis_grid(first, grid, 1)
+    imm = dataclasses.replace(first)      # the same series, with an empty grid cache
+    grid_fields(imm, grid)
+    grid_K_estimates(imm, grid, 1)
+    after = analysis_grid(imm, grid, 1)
+    for name in _FIELD_NAMES:
+        assert np.array_equal(getattr(after.fields, name), getattr(alone.fields, name)), name
+    for got, want in ((after.sc, alone.sc), (after.k_min, alone.k_min), (after.k_max, alone.k_max)):
+        assert np.array_equal(got, want)
+
+
+def test_grid_cache_holds_one_entry_per_writer():
+    # verify's fields and K gate and analyze's pass each keep their own key.
+    imm = perturbed_clifford(2, seed=9)
+    grid = TorusGrid((8, 8))
+    run_checks(imm, grid, seed=2)
+    analysis_grid(imm, grid, 2)
+    assert set(pointwise._grid_cache[imm]) == {
+        ("fields", (8, 8)), ("fields", (16, 16)), ("K_max", (8, 8), 2), ("analysis", (8, 8), 2)}
+
+
+def test_analysis_grid_memoized_read_only():
     imm = perturbed_clifford(2, seed=9)
     grid = TorusGrid((8, 8))
     result = analysis_grid(imm, grid, 2)
-    assert grid_fields(imm, grid) is result.fields
-    assert curvature_grid(imm, grid) is result.sc
-    k_min, k_max = grid_K_estimates(imm, grid, 2)
-    assert k_min is result.k_min and k_max is result.k_max
-    assert analysis_grid(imm, grid, 2).fields is result.fields
-    assert not result.sc.flags.writeable
+    assert analysis_grid(imm, grid, 2) is result
+    assert np.array_equal(curvature_grid(imm, grid), result.sc)     # Sc does not depend on the seed
+    for values in (*(getattr(result.fields, name) for name in _FIELD_NAMES),
+                   result.sc, result.k_min, result.k_max):
+        assert not values.flags.writeable
 
 
 def test_analysis_grid_fields_n5_within_roundoff():

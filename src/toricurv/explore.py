@@ -36,7 +36,7 @@ from .errors import DegenerateMetric
 from .fixtures import canonical_frequencies
 from .immersion import (FourierImmersion, FourierTerm, Signature, _jet_basis, _split_jets, _trig,
                         immersion_rank_check)
-from .pointwise import _GRID_CHUNK, _jet_core, _scalar_invariants, grid_fields
+from .pointwise import _jet_core, _scalar_invariants, grid_fields
 from .quadrature import TorusGrid
 
 DEGENERATE_PENALTY = 1e9
@@ -91,8 +91,8 @@ def _soft_max(values: np.ndarray, temperature: float) -> float:
 
 class TrialTable(NamedTuple):
     """What every trial of one search shares: the canonical frequency slots,
-    their (F, n) matrix K, and for each chunk of _GRID_CHUNK grid points (the
-    chunks grid_fields uses) its start, its points and [cos | sin](theta K'),
+    their (F, n) matrix K, and for each chunk of forked._CHUNK grid points
+    (the chunks of every grid pass) its start, its points and [cos | sin](theta K'),
     P * 2F doubles in all."""
 
     config: SearchConfig
@@ -105,7 +105,7 @@ def trial_table(config: SearchConfig) -> TrialTable:
     freqs = canonical_frequencies(config.n, config.fmax)
     K = np.array(freqs, dtype=float).reshape(-1, config.n)
     chunks = tuple((start, thetas, _trig(thetas, K))
-                   for start, thetas in config.grid.iter_points(_GRID_CHUNK))
+                   for start, thetas in config.grid.iter_points(forked._CHUNK))
     return TrialTable(config, freqs, K, chunks)
 
 

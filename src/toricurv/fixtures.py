@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 
 from .designs import clifford
+from .forked import grid_pass
 from .immersion import FourierImmersion, FourierTerm, Signature, immersion_rank_check, jets_at
 from .quadrature import TorusGrid, _philox
 
@@ -28,12 +29,17 @@ def canonical_frequencies(n: int, fmax: int) -> list[tuple[int, ...]]:
 def _into_ball(imm: FourierImmersion) -> FourierImmersion:
     """imm rescaled so its largest norm on the doubled default grid, the grid
     the ball check reads at the default grid, is 0.999."""
-    top = max(float(np.max(np.linalg.norm(jets_at(imm, thetas, 0)[0], axis=1)))
-              for _, thetas in TorusGrid.default(imm.n).doubled().iter_points())
+    top = _max_norm(imm, TorusGrid.default(imm.n).doubled())
     return FourierImmersion(
         signature=imm.signature, terms=imm.terms,
         scale=imm.scale * 0.999 / top, translate=imm.translate,
     )
+
+
+def _max_norm(imm: FourierImmersion, grid: TorusGrid) -> float:
+    """The largest |f| over the points of a grid, from the order-0 jets."""
+    return float(grid_pass(grid, 1, lambda thetas: np.linalg.norm(jets_at(imm, thetas, 0)[0], axis=1),
+                           "ball scale").max())
 
 
 def random_immersion(n: int, q: int, seed: int, terms: int = 6,

@@ -13,12 +13,14 @@ waited for; on Linux a worker also dies with its parent, so no worker
 outlives the call.  Where a fork fails (no process or memory left), the
 workers already forked are killed and the items run in this process.
 
-grid_pass splits a grid's chunks into contiguous runs of whole chunks, one
-per worker, so every chunk holds the same points as in one process and its
-bits do not change.  The runs write their columns into one shared anonymous
-mapping made before the fork.  The workers run BLAS on one thread: forked
-workers that each keep OpenBLAS's own threads contend for the CPUs, and ran
-verify on the d4 design slower than one process.
+grid_pass runs a kernel over every chunk of _CHUNK grid points, the one
+chunk loop of the package, in contiguous runs of whole chunks, one per
+worker, so every chunk holds the same points as in one process and its
+bits do not change.  The runs write into one shared anonymous mapping made
+before the fork, and run BLAS on one thread: workers that each keep
+OpenBLAS's threads contend for the CPUs, and ran verify on the d4 design
+slower than one process.  The first pass sets glibc's allocator to keep
+freed memory, so that each chunk reuses the heap the last one freed.
 """
 
 from __future__ import annotations
@@ -34,11 +36,17 @@ import numpy as np
 
 from .errors import WorkerDied
 
+# Points per chunk of every grid pass.  The analysis pass's Sc rounds
+# differently at other batch sizes (256 points move it by up to 5e-13).
+_CHUNK = 512
+
 # A grid pass forks only when every worker gets at least this many chunks.
-# Forking the workers and collecting their results costs a few ms; a chunk
-# costs about 1 ms at the cheapest (the n = 2 field pass, 1024 points) and
-# 3-6 ms on the d4 design, so 16 chunks per worker repay the fork even on
-# the cheapest inputs and leave the small grids of most calls in-process.
+# Forking two workers and collecting their results costs about 6.5 ms; a
+# field chunk costs about 0.8 ms on Clifford(2) and 4 ms on the d4 design, a
+# K chunk 8.6 ms there, so 16 chunks per worker repay the fork on the field
+# pass's cheapest inputs and leave the small grids of most calls in-process.
+# Only the ball-scale pass, at 0.12 ms a chunk on Clifford(2), loses by it
+# (about 6 ms at its 128^2 grid).
 _MIN_CHUNKS_PER_WORKER = 16
 
 # True in a forked worker, which maps its items in-process: workers do not fork.
@@ -217,31 +225,48 @@ def _map_in_workers(task, items: list, workers: int, what: str) -> list | None:
                 pipe.close()
 
 
-def grid_pass(grid, chunk: int, rows: int, run, what: str):
-    """A pass over every point of a grid in chunks of `chunk` points.
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Where glibc's mallopt exists, have it serve blocks up to 32 MB from
+    the heap and trim the heap only above 1 GB free, so that each chunk
+    reuses the memory the last one freed: handed back, it was faulted in
+    again per chunk (850k page faults instead of 40k on verify of d4)."""
+    import ctypes
 
-    run(out, chunks) runs over a contiguous run of whole chunks, which
-    chunks yields as grid.iter_points(chunk) does, and writes the columns of
-    their points into out, a (rows, grid.npoints) array.  Returns out and the
-    runs' results in grid order.  The chunks are split into as many runs as
-    there are usable CPUs, each run in a forked worker, but into fewer where
-    that leaves a worker under _MIN_CHUNKS_PER_WORKER chunks; one run covers
-    the grid in this process when that leaves one worker or numpy's BLAS
-    cannot be held to one thread per worker.  out is returned read-only."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD
+        mallopt(-1, 1 << 30)        # M_TRIM_THRESHOLD
+
+
+def grid_pass(grid, rows: int, kernel, what: str) -> np.ndarray:
+    """The read-only (rows, grid.npoints) array whose columns at each chunk of
+    _CHUNK grid points, in flat order, are kernel(thetas) of its points.
+
+    The chunks are split into as many contiguous runs as there are usable
+    CPUs, each run in a forked worker, but into fewer where that leaves a
+    worker under _MIN_CHUNKS_PER_WORKER chunks; one run covers the grid in
+    this process when that leaves one worker or numpy's BLAS cannot be held
+    to one thread per worker."""
+    _keep_freed_memory()
     P = grid.npoints
-    chunks = -(-P // chunk)
+    chunks = -(-P // _CHUNK)
     workers = min(usable_cpus(), chunks // _MIN_CHUNKS_PER_WORKER)
     if workers < 2 or _blas_threads() is None:
         workers = 1
     # one shared anonymous mapping for any worker count, made before the
     # fork, so that the workers' writes land in this process's array
     out = np.frombuffer(mmap.mmap(-1, rows * P * 8), dtype=float).reshape(rows, P)
-    bounds = [min(P, chunk * (i * chunks // workers)) for i in range(workers + 1)]
+    bounds = [min(P, _CHUNK * (i * chunks // workers)) for i in range(workers + 1)]
+
+    def run(span):
+        for start, thetas in grid.iter_points(_CHUNK, *span):
+            out[:, start:start + thetas.shape[0]] = kernel(thetas)
+
     # BLAS results can depend on its thread count (threaded OpenBLAS rounds
     # the third-order jets' GEMM differently for n >= 4), so the pass runs on
     # one BLAS thread in this process too, and no bit depends on the workers
     with _one_blas_thread():
-        results = fork_map(lambda span: run(out, grid.iter_points(chunk, *span)),
-                           zip(bounds, bounds[1:]), workers, what)
+        fork_map(run, zip(bounds, bounds[1:]), workers, what)
     out.flags.writeable = False
-    return out, results
+    return out

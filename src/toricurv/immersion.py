@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonOrthogonal
+from .forked import grid_pass
 
 
 @dataclass(frozen=True)
@@ -248,24 +249,23 @@ def transform(imm: FourierImmersion, Q: np.ndarray, c=None, lam: float = 1.0) ->
     )
 
 
-_RANK_CHUNK = 4096      # points per rank-check batch
-
-
 def immersion_rank_check(imm: FourierImmersion, grid) -> float:
     """Smallest singular value of the differential over the points of a
     TorusGrid, as sqrt(max(lambda_min(g), 0)) from the n x n metric
     g = d1 d1'.  The caller decides what threshold makes the map count as an
     immersion; a constant map returns exactly 0.
     """
-    smallest = np.inf
-    for _, thetas in grid.iter_points(_RANK_CHUNK):
-        _, d1, _, _ = jets_at(imm, thetas, order=1)
-        smallest = min(smallest, _smallest_metric_eigenvalue(d1 @ d1.transpose(0, 2, 1)))
-    return float(np.sqrt(max(0.0, smallest)))
+    def kernel(thetas):
+        d1 = jets_at(imm, thetas, order=1)[1]
+        return _metric_eigenvalues(d1 @ d1.transpose(0, 2, 1))
+
+    return float(np.sqrt(max(0.0, grid_pass(grid, 1, kernel, "rank check").min())))
 
 
-def _smallest_metric_eigenvalue(g: np.ndarray) -> float:
-    """Smallest eigenvalue of the finite metrics in a (P, n, n) batch (inf if
-    none is finite), from eigvalsh: min(lambda_min(g)) over the batch."""
+def _metric_eigenvalues(g: np.ndarray) -> np.ndarray:
+    """lambda_min of each metric in a (P, n, n) batch, from eigvalsh; inf
+    where the metric is not finite."""
     finite = np.isfinite(g).all(axis=(1, 2))
-    return float(np.linalg.eigvalsh(g[finite])[:, 0].min(initial=np.inf))
+    out = np.full(g.shape[0], np.inf)
+    out[finite] = np.linalg.eigvalsh(g[finite])[:, 0]
+    return out

@@ -10,9 +10,9 @@ mean curvature; no discretized elliptic operator is involved.
 
 The third-order (Christoffel) path is the independent check of the closed
 forms: _christoffel runs it on a batch of points for gauss_residuals and
-conformal_trace, and once per chunk of analysis_grid, analyze's one grid
-pass, which reads from that same call the second-order fields, the K range
-and the smallest metric eigenvalue as well.  The pass keeps its results to
+conformal_trace, and as the per-chunk kernel of analysis_grid, analyze's
+one grid pass, whose every row (the second-order fields, Sc, the K range
+and lambda_min(g)) comes from that call.  The pass keeps its results to
 itself, in the grid cache under its own key; curvature_grid is its Sc.
 conformal_grid reads the closed forms from grid_fields' second-order
 fields.  The two paths share only the metric factor L of
@@ -32,10 +32,9 @@ import numpy as np
 
 from .errors import DimensionTooLow, OriginPoint, ZeroMeanCurvature
 from .forked import grid_pass
-from .immersion import FourierImmersion, _smallest_metric_eigenvalue, jets_at
+from .immersion import FourierImmersion, _metric_eigenvalues, jets_at
 from .pointwise import (
     _FIELD_NAMES,
-    _K_CHUNK,
     GridFields,
     _field_columns,
     _K_range,
@@ -243,58 +242,29 @@ class AnalysisGrid(NamedTuple):
     min_singular_value: float  # sqrt(max(min lambda_min(g), 0)), as immersion_rank_check
 
 
-# Points per third-order chunk.  Sc's last contraction, einsum("pbd,pbd->p",
-# ginv, ricci), rounds differently at other batch sizes (256-point chunks move
-# Sc by up to 5e-13 relative), so the chunk stays at 512 points.
-_PASS_CHUNK = 512
-
-
 def analysis_grid(imm: FourierImmersion, grid: TorusGrid, seed: int) -> AnalysisGrid:
     """GridFields, intrinsic Sc, grid_K_estimates' K range and the smallest
     singular value of the differential over every grid point, from one
-    third-order jet evaluation per point, memoized per (immersion, sizes, seed).
-
-    Each 512-point chunk runs _christoffel once (which raises DegenerateMetric,
-    naming theta); the fields, Sc and lambda_min(g) come from that call, and
-    its II is swept for the K range in 256-point slices after the chunk's
-    third-order arrays are released.  In grid_pass's output rows 0-5 hold the
-    fields, row 6 Sc and rows 7-8 the K range."""
+    _christoffel call per chunk (which raises DegenerateMetric, naming theta),
+    memoized per (immersion, sizes, seed)."""
     return _memo(imm, ("analysis", grid.sizes, seed), lambda: _analysis_pass(imm, grid, seed))
 
 
 def _analysis_pass(imm: FourierImmersion, grid: TorusGrid, seed: int) -> AnalysisGrid:
     D = _sweep_directions(imm.n, seed)
-    sc_row = len(_FIELD_NAMES)
 
-    def run(out, chunks):
-        smallest = np.inf
+    def kernel(thetas):
         # an input whose jets overflow flows through as inf and NaN, for the
         # caller to report by point
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for start, thetas in chunks:
-                stop = start + thetas.shape[0]
-                chunk_columns, out[sc_row, start:stop], S, chunk_smallest = _pass_chunk(imm, thetas)
-                for row, column in zip(out, chunk_columns):
-                    row[start:stop] = column
-                smallest = min(smallest, chunk_smallest)
-                for lo in range(0, S.shape[0], _K_CHUNK):
-                    part = S[lo:lo + _K_CHUNK]
-                    out[sc_row + 1:, start + lo:start + lo + part.shape[0]] = _K_range(part, D)
-        return smallest
+            path = _christoffel(imm, thetas)
+            E, S = _second_form(path.L, path.d1, path.d2)
+            return (*_field_columns(path.value, E, S, path.sqrt_det), path.sc, *_K_range(S, D),
+                    _metric_eigenvalues(path.g))
 
-    out, smallest = grid_pass(grid, _PASS_CHUNK, sc_row + 3, run, "analysis pass")
-    return AnalysisGrid(GridFields(grid=grid, **dict(zip(_FIELD_NAMES, out))), *out[sc_row:],
-                        float(np.sqrt(max(0.0, min(smallest)))))
-
-
-def _pass_chunk(imm: FourierImmersion, thetas: np.ndarray):
-    """One chunk's six field columns, Sc, II (pair layout) and smallest metric
-    eigenvalue from a single _christoffel call.  The third-order arrays die
-    with this frame, before the caller's sweep."""
-    path = _christoffel(imm, thetas)
-    E, S = _second_form(path.L, path.d1, path.d2)
-    return (_field_columns(path.value, E, S, path.sqrt_det), path.sc, S,
-            _smallest_metric_eigenvalue(path.g))
+    *fields, sc, k_min, k_max, eigenvalues = grid_pass(grid, len(_FIELD_NAMES) + 4, kernel, "analysis pass")
+    return AnalysisGrid(GridFields(grid=grid, **dict(zip(_FIELD_NAMES, fields))), sc, k_min, k_max,
+                        float(np.sqrt(max(0.0, eigenvalues.min()))))
 
 
 def curvature_grid(imm: FourierImmersion, grid: TorusGrid) -> np.ndarray:

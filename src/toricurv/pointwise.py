@@ -195,18 +195,19 @@ def _sweep_coefficients(U: np.ndarray) -> np.ndarray:
 
 def _k2_sweep(D: np.ndarray, S: np.ndarray) -> np.ndarray:
     """K(u)^2 = |II(u, u)|^2 for every row u of D at every point of a
-    (P, m, q) batch in the pair layout, as a (P, len(D)) array: one matrix
-    product of every point's II with the shared coefficients C[d, m] per
-    ambient component, squared and summed in component order into one
-    preallocated (P, len(D)) buffer, so no temporary grows with q."""
-    P = S.shape[0]
+    (P, m, q) batch in the pair layout, as a (P, len(D)) array: per ambient
+    component, one matrix product of the points' II with the shared
+    coefficients C[d, m], squared and added in component order, 256 points
+    at a time, so no temporary grows with q or leaves a 2 MB L2 cache (at
+    512 points the K pass on d4 at 12^4 took 1.5x as long)."""
     Ct = _sweep_coefficients(D).T
-    term = np.empty((P, Ct.shape[1]))
-    k2 = np.zeros_like(term)
-    for component in S.transpose(2, 0, 1).copy():     # (P, m) each, contiguous
-        np.matmul(component, Ct, out=term)
-        term *= term
-        k2 += term
+    k2 = np.zeros((S.shape[0], Ct.shape[1]))
+    for lo in range(0, S.shape[0], 256):
+        rows, term = k2[lo:lo + 256], np.empty_like(k2[lo:lo + 256])
+        for component in S[lo:lo + 256].transpose(2, 0, 1).copy():     # (rows, m) each, contiguous
+            np.matmul(component, Ct, out=term)
+            term *= term
+            rows += term
     return k2
 
 
@@ -387,9 +388,6 @@ class GridFields:
 _FIELD_NAMES = ("r", "sqrt_det", "hx", "H2", "II2", "xt2")
 
 
-_GRID_CHUNK = 1024      # grid points per kernel call
-
-
 def _chunk_core(imm: FourierImmersion, thetas: np.ndarray):
     """Kernel over one chunk of grid points: position, frame, II in the pair
     layout and sqrt(det g)."""
@@ -429,9 +427,11 @@ def grid_fields(imm: FourierImmersion, grid: TorusGrid) -> GridFields:
         if fine is None:
             return _evaluate_fields(imm, grid)
         every_other = (slice(None, None, 2),) * grid.n
-        return GridFields(grid=grid, **{
-            name: getattr(fine, name).reshape(fine.grid.sizes)[every_other].ravel()
-            for name in _FIELD_NAMES})
+        columns = {name: getattr(fine, name).reshape(fine.grid.sizes)[every_other].ravel()
+                   for name in _FIELD_NAMES}
+        for column in columns.values():     # copies of a read-only pass's rows
+            column.flags.writeable = False
+        return GridFields(grid=grid, **columns)
 
     return _memo(imm, ("fields", grid.sizes), compute)
 
@@ -448,27 +448,14 @@ def _field_columns(value: np.ndarray, E: np.ndarray, S: np.ndarray, sqrt_det: np
 def _evaluate_fields(imm: FourierImmersion, grid: TorusGrid) -> GridFields:
     """One kernel pass over every point of a grid, split over forked workers
     by grid_pass."""
-    def run(out, chunks):
-        for start, thetas in chunks:
-            stop = start + thetas.shape[0]
-            # the chunk's arrays stay bound until the next chunk replaces them:
-            # dropping them at the end of each iteration let glibc hand the memory
-            # back and fault it in again per chunk (75x the page faults, and
-            # verify-d4 at 12^4 took 4.0 s instead of 2.4 s)
-            value, E, S, sqrt_det = _chunk_core(imm, thetas)
-            for row, column in zip(out, _field_columns(value, E, S, sqrt_det)):
-                row[start:stop] = column
-
-    out = grid_pass(grid, _GRID_CHUNK, len(_FIELD_NAMES), run, "grid fields")[0]
+    out = grid_pass(grid, len(_FIELD_NAMES), lambda thetas: _field_columns(*_chunk_core(imm, thetas)),
+                    "grid fields")
     return GridFields(grid=grid, **dict(zip(_FIELD_NAMES, out)))
 
 
 def weighted_average(fields: GridFields, values: np.ndarray) -> float:
     """Induced-volume average of precomputed per-point values."""
     return float(np.sum(values * fields.sqrt_det) / np.sum(fields.sqrt_det))
-
-
-_K_CHUNK = 256          # grid points per K-range call
 
 
 def _sweep_directions(n: int, seed: int) -> np.ndarray:
@@ -495,12 +482,8 @@ def grid_K_estimates(imm: FourierImmersion, grid: TorusGrid,
     at every point costs seconds.  The pass is split over forked workers by
     grid_pass."""
     D = _sweep_directions(imm.n, seed)
-
-    def run(K, chunks):
-        for start, thetas in chunks:
-            K[:, start:start + thetas.shape[0]] = _K_range(_chunk_core(imm, thetas)[2], D)
-
-    return tuple(grid_pass(grid, _K_CHUNK, 2, run, "K estimates")[0])
+    return tuple(grid_pass(grid, 2, lambda thetas: _K_range(_chunk_core(imm, thetas)[2], D),
+                           "K estimates"))
 
 
 def _best_found_K(imm: FourierImmersion, grid: TorusGrid, K: np.ndarray, seed: int,

@@ -1,5 +1,6 @@
 """Forked workers: fork_map's contract, and the grid passes split over workers."""
 
+import ast
 import errno
 import json
 import os
@@ -7,15 +8,16 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from toricurv import forked, intrinsic, pointwise
+from toricurv import fixtures, forked, intrinsic, pointwise
 from toricurv.cli import main
 from toricurv.designs import clifford
 from toricurv.errors import DegenerateMetric, WorkerDied
-from toricurv.immersion import FourierImmersion, FourierTerm, Signature
+from toricurv.immersion import FourierImmersion, FourierTerm, Signature, immersion_rank_check
 from toricurv.quadrature import TorusGrid
 
 from conftest import needs_child_list, no_children, signal_mid_run
@@ -153,21 +155,15 @@ def test_pass_forks_from_the_floor_up(workers, monkeypatch):
     imm = clifford(2)
     forks = workers(2)
     monkeypatch.setattr(forked, "_MIN_CHUNKS_PER_WORKER", FLOOR)
-    pointwise._evaluate_fields(imm, TorusGrid((pointwise._GRID_CHUNK, 2 * FLOOR - 1)))
+    pointwise._evaluate_fields(imm, TorusGrid((forked._CHUNK, 2 * FLOOR - 1)))
     assert forks == []
-    pointwise._evaluate_fields(imm, TorusGrid((pointwise._GRID_CHUNK, 2 * FLOOR)))
+    pointwise._evaluate_fields(imm, TorusGrid((forked._CHUNK, 2 * FLOOR)))
     assert len(forks) == 2
 
 
-# For each n, one grid per pass (fields, K estimates, analysis) of 5 or 7
-# chunks of the pass's size, a count neither 2 nor 3 workers divide, the
-# last chunk partial.
-SPLIT_GRIDS = {
-    2: ((65, 65), (33, 33), (48, 48)),
-    3: ((16, 16, 17), (10, 10, 11), (13, 13, 14)),
-    4: ((8, 8, 8, 9), (5, 5, 6, 7), (6, 7, 7, 8)),
-    5: ((5, 5, 5, 6, 6), (4, 4, 4, 5, 5), (4, 4, 5, 5, 6)),
-}
+# For each n, a grid of 5 chunks, a count neither 2 nor 3 workers divide,
+# the last chunk partial.
+SPLIT_GRIDS = {2: (48, 48), 3: (13, 13, 14), 4: (6, 7, 7, 8), 5: (4, 4, 5, 5, 6)}
 
 
 def _uneven(n):
@@ -184,23 +180,23 @@ def _uneven(n):
 @pytest.mark.parametrize("n", sorted(SPLIT_GRIDS))
 def test_passes_bit_equal_for_any_worker_count(workers, n):
     imm = _uneven(n)
-    grids = [TorusGrid(sizes) for sizes in SPLIT_GRIDS[n]]
-    for grid, chunk in zip(grids, (pointwise._GRID_CHUNK, pointwise._K_CHUNK, intrinsic._PASS_CHUNK)):
-        chunks = -(-grid.npoints // chunk)
-        assert grid.npoints % chunk and chunks % 2 and chunks % 3
+    grid = TorusGrid(SPLIT_GRIDS[n])
+    chunks = -(-grid.npoints // forked._CHUNK)
+    assert grid.npoints % forked._CHUNK and chunks % 2 and chunks % 3
 
     def passes():
         pointwise._grid_cache.pop(imm, None)
-        fields = pointwise._evaluate_fields(imm, grids[0])
+        fields = pointwise._evaluate_fields(imm, grid)
         return ([getattr(fields, name) for name in pointwise._FIELD_NAMES],
-                pointwise.grid_K_estimates(imm, grids[1], 1), intrinsic._analysis_pass(imm, grids[2], 1))
+                pointwise.grid_K_estimates(imm, grid, 1), intrinsic._analysis_pass(imm, grid, 1),
+                immersion_rank_check(imm, grid), fixtures._max_norm(imm, grid))
 
     assert not workers(1)
     serial = passes()
     for cpus in (2, 3):
         forks = workers(cpus)
         split = passes()
-        assert len(forks) == 3 * cpus
+        assert len(forks) == 5 * cpus
         for want, got in zip(serial[0] + list(serial[1]), split[0] + list(split[1])):
             assert np.array_equal(want, got)
         fields, sc, k_min, k_max, sigma = split[2]
@@ -209,8 +205,21 @@ def test_passes_bit_equal_for_any_worker_count(workers, n):
             assert np.array_equal(getattr(fields, name), getattr(want_fields, name))
         for got, want in ((sc, want_sc), (k_min, want_min), (k_max, want_max)):
             assert np.array_equal(got, want) and not got.flags.writeable
-        assert sigma == want_sigma
+        assert sigma == want_sigma and split[3:] == serial[3:]
     assert no_children()
+
+
+def test_only_grid_pass_loops_over_grid_chunks():
+    # Every grid pass is a kernel run by grid_pass; explore's trial table
+    # holds the same chunks.  No other function in the package walks a grid.
+    package = Path(forked.__file__).parent
+    callers = set()
+    for path in package.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            callers.update((path.stem, getattr(top, "name", None)) for node in ast.walk(top)
+                           if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                           and node.func.attr == "iter_points")
+    assert callers == {("forked", "grid_pass"), ("explore", "trial_table")}
 
 
 def _pinched():
@@ -256,7 +265,7 @@ def _clifford_input(tmp_path):
 
 @pytest.mark.parametrize("command, patched", [
     ("verify", (pointwise, "_chunk_core")),
-    ("analyze", (intrinsic, "_pass_chunk")),
+    ("analyze", (intrinsic, "_christoffel")),
 ])
 def test_dead_pass_worker_exits_2(workers, monkeypatch, capsys, tmp_path, command, patched):
     # WorkerDied is reported with exit 2 on every command, as on explore.
@@ -292,6 +301,25 @@ def test_killed_verify_leaves_no_worker(tmp_path):
 def test_interrupted_verify_ends_its_workers(tmp_path):
     exit_s, code, left = signal_mid_run(_slow_verify(tmp_path), signal.SIGINT)
     assert code == -signal.SIGINT and exit_s < 2.0 and left == []
+
+
+def test_repeated_pass_reuses_the_heap():
+    # A second field pass of the d4 design at 12^4 in one process faults in
+    # little more than its 1 MB output mapping (about 250 pages): the chunk
+    # temporaries reuse the memory the first pass freed.  Where the allocator
+    # hands that memory back, the second pass takes about 50k faults.
+    code = ("import resource, toricurv.forked as f, toricurv.pointwise as p; "
+            "from toricurv.designs import builtin_design, subtorus_immersion; "
+            "from toricurv.quadrature import TorusGrid; "
+            "f.usable_cpus = lambda: 1; "
+            "imm, grid = subtorus_immersion(builtin_design('d4')), TorusGrid((12,) * 4); "
+            "p._evaluate_fields(imm, grid); "
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+            "p._evaluate_fields(imm, grid); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert int(out.stdout) < 5000
 
 
 def test_one_chunk_verify_runs_in_process(monkeypatch, tmp_path):

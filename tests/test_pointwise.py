@@ -225,7 +225,8 @@ def test_second_form_symmetry_and_normality(wavy2):
 def test_pair_kernel_matches_reference(make):
     # The batched kernel holds II for the pairs i <= j only; mirrored out, it
     # must match the per-point construction, and the pair-layout sweep must
-    # match the sweep over all (i, j).
+    # match the sweep over all (i, j), here at 300 points, more than one of
+    # the sweep's 256-point blocks.
     imm = make()
     thetas = random_points(imm.n, 8, seed=71)
     S = _chunk_core(imm, thetas)[2]
@@ -237,6 +238,7 @@ def test_pair_kernel_matches_reference(make):
         np.testing.assert_allclose(full, ref, rtol=0, atol=1e-12 * size)
         assert np.array_equal(full, full.swapaxes(0, 1))
     D = _directions(imm.n, 64, seed=5)
+    S = _chunk_core(imm, random_points(imm.n, 300, seed=72))[2]
     expected = reference_k2_sweep(D, _full_form(S))
     np.testing.assert_allclose(_k2_sweep(D, S), expected, rtol=1e-13, atol=0)
 

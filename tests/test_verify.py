@@ -481,6 +481,20 @@ def test_base_grid_sliced_from_doubled_grid(monkeypatch):
                                        rtol=0, atol=1e-13, equal_nan=True, err_msg=name)
 
 
+def test_sliced_base_grid_fields_are_read_only():
+    # The stride-2 slice is a copy of the doubled grid's rows, and is cached:
+    # a write into it would reach every later reader of the base grid.
+    imm = clifford(2)
+    pointwise.grid_fields(imm, TorusGrid((16, 16)))
+    base = pointwise.grid_fields(imm, TorusGrid((8, 8)))
+    r0 = base.r[0]
+    for name in pointwise._FIELD_NAMES:
+        assert not getattr(base, name).flags.writeable, name
+    with pytest.raises(ValueError, match="read-only"):
+        base.r[0] = 5.0
+    assert pointwise.grid_fields(imm, TorusGrid((8, 8))).r[0] == r0
+
+
 def test_no_third_order_pass_over_the_grid(monkeypatch):
     # verify reads Sc, lap_f and |grad f|^2 from the order-2 fields; third-order
     # jets are evaluated only at the trace point and the flat gate's sample.

@@ -4,8 +4,9 @@ validate/emit designs, run the search probe, and self-test.
 Exit codes: 0 success / all applicable checks pass; 1 a proven bound fails;
 2 input could not be parsed or is out of range, the map is degenerate, a
 check margin is not a finite number, or a forked worker process (of an
-explore restart or of a grid pass in verify, analyze or explore) died; 3
-only the open-conjecture probe flags a finding.  All
+explore restart, of a grid pass in verify, analyze or explore, or of
+analyze's CSV writer) died; 3 only the open-conjecture probe flags a
+finding.  All
 randomness flows from --seed and all outputs are byte-reproducible for
 identical inputs and seeds.
 """
@@ -13,18 +14,22 @@ identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import itertools
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, intrinsic, pointwise, verify
+from . import __version__, forked, intrinsic, pointwise, verify
 from .designs import (
     FrameMatrix,
     builtin_design,
@@ -65,6 +70,54 @@ def _write(lines, path: str | None) -> None:
     try:
         with open(path, "w", newline="") as fh:
             fh.writelines(lines)
+    except OSError as exc:
+        raise ParseError(f"--out: cannot write {path}: {exc}") from None
+
+
+def _csv_rows(axes: list, table: np.ndarray, start: int, stop: int):
+    """The CSV lines of table rows start..stop-1, one at a time: the row's
+    theta prefix, joined from the per-axis strings axes at that row of their
+    product in flat C order, then repr of each value.  Row by row: the whole
+    table as Python floats and strings at once took analyze's peak RSS from
+    49 to 70 MB on a 32^3 grid."""
+    inner = len(table) // len(axes[0])      # rows per value of the first axis
+    first = start // inner
+    skip = first * inner
+    prefixes = itertools.islice(itertools.product(axes[0][first:], *axes[1:]), start - skip, stop - skip)
+    return (prefix + ",".join(map(repr, row.tolist())) + "\r\n"
+            for prefix, row in zip(map("".join, prefixes), table[start:stop]))
+
+
+def _write_csv(path: str, header: str, rows, npoints: int) -> None:
+    """Write header, then rows(start, stop) for start, stop in
+    forked.runs(npoints), to the --out file path: each run's lines in a
+    forked worker of its own.  The first run's worker writes through the
+    output's inherited descriptor, right after the header; each later run
+    goes to an unnamed temporary file beside the output, which this process
+    then appends in run order, so no line of text comes back through a pipe.
+    Where the temporary files cannot be made, one run covers the rows here."""
+    spans = forked.runs(npoints)
+    try:
+        with contextlib.ExitStack() as files:
+            try:
+                temps = [files.enter_context(tempfile.TemporaryFile(
+                    "w+", newline="", dir=os.path.dirname(path) or ".")) for _ in spans[1:]]
+            except OSError:
+                spans, temps = [(0, npoints)], []
+            out = files.enter_context(open(path, "w", newline=""))
+            out.write(header)
+            out.flush()     # before the fork: the first worker shares this file offset
+
+            def run(i):
+                target = temps[i - 1] if i else out
+                target.writelines(rows(*spans[i]))
+                target.flush()
+
+            forked.fork_map(run, range(len(spans)), len(spans), "CSV rows")
+            out.seek(0, os.SEEK_END)        # past the first worker's writes
+            for temp in temps:
+                temp.seek(0)
+                shutil.copyfileobj(temp.buffer, out.buffer)
     except OSError as exc:
         raise ParseError(f"--out: cannot write {path}: {exc}") from None
 
@@ -201,16 +254,11 @@ def cmd_analyze(args) -> int:
     n = imm.n
     residual = sc - pointwise._sc_from_zh(fields.H2, fields.zh, n)
 
-    header = [f"theta_{i + 1}" for i in range(n)] + list(columns)
+    header = ",".join([f"theta_{i + 1}" for i in range(n)] + list(columns)) + "\r\n"
     table = np.column_stack(list(columns.values()))
-    # Row by row: the whole table as Python floats and strings at once took
-    # analyze's peak RSS from 49 to 70 MB on a 32^3 grid.  Each theta value is
-    # formatted once per axis (repr is the CSV's main cost) and the rows'
-    # theta prefixes are joined from those strings, in flat C order.
+    # Each theta value is formatted once per axis (repr is the CSV's main cost)
     axes = [[repr(v) + "," for v in axis.tolist()] for axis in grid.axes()]
-    prefixes = map("".join, itertools.product(*axes))
-    rows = (prefix + ",".join(map(repr, row.tolist())) + "\r\n" for prefix, row in zip(prefixes, table))
-    _write(itertools.chain([",".join(header) + "\r\n"], rows), str(csv_path))
+    _write_csv(str(csv_path), header, functools.partial(_csv_rows, axes, table), grid.npoints)
 
     summary = {
         "config": _input_config(args.input, digest, grid, args.seed),

@@ -1,4 +1,5 @@
-"""Forked workers: explore's restarts and the chunked grid passes.
+"""Forked workers: explore's restarts, the chunked grid passes and
+analyze's CSV writer.
 
 fork_map maps a callable over a list of items in forked worker processes
 and returns the results in item order.  Fork copies the callable into the
@@ -16,7 +17,8 @@ workers already forked are killed and the items run in this process.
 grid_pass runs a kernel over every chunk of _CHUNK grid points, the one
 chunk loop of the package, in contiguous runs of whole chunks, one per
 worker, so every chunk holds the same points as in one process and its
-bits do not change.  The runs write into one shared anonymous mapping made
+bits do not change.  runs is the one rule for that split, and analyze's
+CSV writer formats its rows in the same runs, one per worker.  The runs write into one shared anonymous mapping made
 before the fork, and run BLAS on one thread: workers that each keep
 OpenBLAS's threads contend for the CPUs, and ran verify on the d4 design
 slower than one process.  The first pass sets glibc's allocator to keep
@@ -239,25 +241,30 @@ def _keep_freed_memory() -> None:
         mallopt(-1, 1 << 30)        # M_TRIM_THRESHOLD
 
 
-def grid_pass(grid, rows: int, kernel, what: str) -> np.ndarray:
-    """The read-only (rows, grid.npoints) array whose columns at each chunk of
-    _CHUNK grid points, in flat order, are kernel(thetas) of its points.
-
-    The chunks are split into as many contiguous runs as there are usable
-    CPUs, each run in a forked worker, but into fewer where that leaves a
-    worker under _MIN_CHUNKS_PER_WORKER chunks; one run covers the grid in
-    this process when that leaves one worker or numpy's BLAS cannot be held
-    to one thread per worker."""
-    _keep_freed_memory()
-    P = grid.npoints
-    chunks = -(-P // _CHUNK)
+def runs(npoints: int) -> list[tuple[int, int]]:
+    """The (start, stop) runs of whole _CHUNK-point chunks, contiguous in
+    flat order, into which a pass over npoints grid points splits, one per
+    forked worker: as many runs as there are usable CPUs, but fewer where
+    that leaves a worker under _MIN_CHUNKS_PER_WORKER chunks, and one run,
+    for this process, when that leaves one worker or numpy's BLAS cannot be
+    held to one thread per worker."""
+    chunks = -(-npoints // _CHUNK)
     workers = min(usable_cpus(), chunks // _MIN_CHUNKS_PER_WORKER)
     if workers < 2 or _blas_threads() is None:
         workers = 1
+    bounds = [min(npoints, _CHUNK * (i * chunks // workers)) for i in range(workers + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def grid_pass(grid, rows: int, kernel, what: str) -> np.ndarray:
+    """The read-only (rows, grid.npoints) array whose columns at each chunk of
+    _CHUNK grid points, in flat order, are kernel(thetas) of its points:
+    each of runs(grid.npoints) in a forked worker of its own."""
+    _keep_freed_memory()
+    P = grid.npoints
     # one shared anonymous mapping for any worker count, made before the
     # fork, so that the workers' writes land in this process's array
     out = np.frombuffer(mmap.mmap(-1, rows * P * 8), dtype=float).reshape(rows, P)
-    bounds = [min(P, _CHUNK * (i * chunks // workers)) for i in range(workers + 1)]
 
     def run(span):
         for start, thetas in grid.iter_points(_CHUNK, *span):
@@ -267,6 +274,7 @@ def grid_pass(grid, rows: int, kernel, what: str) -> np.ndarray:
     # the third-order jets' GEMM differently for n >= 4), so the pass runs on
     # one BLAS thread in this process too, and no bit depends on the workers
     with _one_blas_thread():
-        fork_map(run, zip(bounds, bounds[1:]), workers, what)
+        spans = runs(P)
+        fork_map(run, spans, len(spans), what)
     out.flags.writeable = False
     return out

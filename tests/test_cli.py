@@ -4,6 +4,8 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +269,36 @@ def test_analyze_passes_the_benchmark_check(tmp_path):
     summary = json.loads((tmp_path / "analyze.json").read_text())
     with (tmp_path / "analyze.csv").open(newline="") as fh:
         assert checks.analyze_wavy3(code, summary, fh) == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads a process's own peak from Linux's /proc")
+def test_analyze_csv_leaves_no_text_in_this_process(tmp_path):
+    # On the benchmark's analyze input, written by two workers, the CSV adds
+    # under 1 MB to the process's peak: its text never comes back here, where
+    # it would add about 9 MB.  The peak is VmHWM, the process's own: a
+    # process started by this larger one inherits its ru_maxrss.
+    inputs = _load_perfbench("inputs")
+    path, _ = inputs.write_inputs(["wavy3"], 1, tmp_path)["wavy3"]
+    code = f"""
+import toricurv.cli as cli, toricurv.forked as forked
+forked.usable_cpus = lambda: 2
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+write = cli._write_csv
+def watched(*args):
+    before = peak_kb()
+    write(*args)
+    print(len(forked.runs(32 ** 3)), peak_kb() - before)
+    raise SystemExit      # the summary's K polish is not measured
+cli._write_csv = watched
+cli.main(["analyze", {str(path)!r}, "--seed", "1", "--out", {str(tmp_path / "analyze")!r}])
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    blocks, rise_kb = map(int, out.stdout.split()[-2:])
+    assert blocks == 2 and rise_kb < 1024
 
 
 def test_verify_passes_the_benchmark_check(tmp_path):

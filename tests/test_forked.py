@@ -2,21 +2,24 @@
 
 import ast
 import errno
+import itertools
 import json
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from toricurv import fixtures, forked, intrinsic, pointwise
+from toricurv import cli, fixtures, forked, intrinsic, pointwise
 from toricurv.cli import main
 from toricurv.designs import clifford
 from toricurv.errors import DegenerateMetric, WorkerDied
+from toricurv.formats import save_immersion
 from toricurv.immersion import FourierImmersion, FourierTerm, Signature, immersion_rank_check
 from toricurv.quadrature import TorusGrid
 
@@ -266,9 +269,12 @@ def _clifford_input(tmp_path):
 @pytest.mark.parametrize("command, patched", [
     ("verify", (pointwise, "_chunk_core")),
     ("analyze", (intrinsic, "_christoffel")),
+    ("analyze", (cli, "_csv_rows")),
 ])
 def test_dead_pass_worker_exits_2(workers, monkeypatch, capsys, tmp_path, command, patched):
     # WorkerDied is reported with exit 2 on every command, as on explore.
+    # A worker that dies formatting analyze's CSV leaves the part-written
+    # BASE.csv and no temporary file.
     kernel = getattr(*patched)
 
     def dies_in_worker(*args):
@@ -278,10 +284,137 @@ def test_dead_pass_worker_exits_2(workers, monkeypatch, capsys, tmp_path, comman
 
     workers(2)
     monkeypatch.setattr(*patched, dies_in_worker)
-    argv = [command, _clifford_input(tmp_path), "--grid", "64,64", "--out", str(tmp_path / "out")]
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    argv = [command, _clifford_input(tmp_path), "--grid", "64,64", "--out", str(reports / "out")]
     assert main(argv) == 2
     assert "a worker process died" in capsys.readouterr().err
     assert no_children()
+    assert [p.name for p in reports.iterdir()] == (["out.csv"] if patched[0] is cli else [])
+
+
+def test_csv_write_error_in_a_worker_exits_2(workers, monkeypatch, capsys, tmp_path):
+    # A worker's write that fails for want of space is reported as the
+    # sequential writer reports it.
+    rows = cli._csv_rows
+
+    def full_in_worker(*args):
+        yield from itertools.islice(rows(*args), 10)
+        if forked._in_worker:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        yield from itertools.islice(rows(*args), 10, None)
+
+    workers(2)
+    monkeypatch.setattr(cli, "_csv_rows", full_in_worker)
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    argv = ["analyze", _clifford_input(tmp_path), "--grid", "64,64", "--out", str(reports / "out")]
+    assert main(argv) == 2
+    assert "--out: cannot write" in capsys.readouterr().err
+    assert no_children()
+    assert [p.name for p in reports.iterdir()] == ["out.csv"]
+
+
+def _through_origin(tmp_path):
+    """The circle of radius 1 through the origin, where beta is NaN."""
+    path = tmp_path / "through0.json"
+    path.write_text(json.dumps({"type": "fourier", "n": 1, "q": 2,
+                                "terms": [{"k": [1], "a": [1, 0], "b": [0, 1]}],
+                                "translate": [-1, 0]}))
+    return path
+
+
+def _uneven_input(tmp_path, n):
+    path = tmp_path / f"uneven{n}.json"
+    save_immersion(_uneven(n), path)
+    return path
+
+
+@pytest.fixture
+def polish_once(monkeypatch):
+    """Run analyze's best-found K polish once per pass column: it runs in
+    this process whatever the worker count, and is most of a small run."""
+    polish, done = pointwise._best_found_K, {}
+
+    def once(imm, grid, values, seed, highest):
+        key = (values.tobytes(), seed, highest)
+        if key not in done:
+            done[key] = polish(imm, grid, values, seed, highest=highest)
+        return done[key]
+
+    monkeypatch.setattr(pointwise, "_best_found_K", once)
+
+
+# Grids of 5 chunks, the last partial: 2 and 3 workers start blocks mid-row.
+CSV_GRIDS = {1: (2500,), 2: SPLIT_GRIDS[2], 3: SPLIT_GRIDS[3]}
+
+
+@pytest.mark.parametrize("n", sorted(CSV_GRIDS))
+def test_analyze_bytes_equal_for_any_worker_count(workers, polish_once, monkeypatch, tmp_path, n):
+    path = _through_origin(tmp_path) if n == 1 else _uneven_input(tmp_path, n)
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    rows = cli._csv_rows
+
+    def marked(axes, table, start, stop):
+        if forked._in_worker:
+            (marks / str(start)).touch()
+        return rows(axes, table, start, stop)
+
+    monkeypatch.setattr(cli, "_csv_rows", marked)
+    grid = ",".join(map(str, CSV_GRIDS[n]))
+    reports = {}
+    for cpus in (1, 2, 3):
+        workers(cpus)
+        base = tmp_path / f"w{cpus}"
+        assert main(["analyze", str(path), "--grid", grid, "--seed", "3", "--out", str(base)]) == 0
+        reports[cpus] = [base.with_suffix(suffix).read_bytes() for suffix in (".csv", ".json")]
+        assert reports[cpus] == reports[1]
+        if cpus == 1:
+            assert not list(marks.iterdir())
+    assert {p.name for p in marks.iterdir()} == {"0", "512", "1024", "1536"}
+    if n == 1:
+        assert reports[1][0].split(b"\r\n")[1].endswith(b",nan")
+    assert no_children()
+
+
+def test_csv_without_temporary_files_is_written_here(polish_once, monkeypatch, tmp_path):
+    # Where no temporary file can be made, the rows are formatted in this
+    # process, to the bytes that two workers write.  The analysis pass runs
+    # once for both.
+    path = tmp_path / "clifford3.json"
+    path.write_text(json.dumps({"type": "clifford", "m": 3}))
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+    analysis, passes = intrinsic.analysis_grid, []
+    monkeypatch.setattr(intrinsic, "analysis_grid",
+                        lambda *args: passes[0] if passes else passes.append(analysis(*args)) or passes[0])
+    rows, here = cli._csv_rows, []
+
+    def counted(axes, table, start, stop):
+        here.append((start, stop, forked._in_worker))
+        return rows(axes, table, start, stop)
+
+    def no_temporary_file(*args, **kwargs):
+        raise OSError(errno.EROFS, os.strerror(errno.EROFS))
+
+    monkeypatch.setattr(cli, "_csv_rows", counted)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "forked")]) == 0
+    assert here == []
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_temporary_file)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "here")]) == 0
+    assert here == [(0, 32 ** 3, False)]
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"here{suffix}").read_bytes() == (tmp_path / f"forked{suffix}").read_bytes()
+
+
+def test_small_analyze_forks_nothing(monkeypatch, tmp_path):
+    # 8^3 is one chunk: the pass and the CSV stay in this process.
+    def no_fork():
+        raise AssertionError("forked a worker")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    path = _uneven_input(tmp_path, 3)
+    assert main(["analyze", str(path), "--grid", "8", "--out", str(tmp_path / "rep")]) == 0
 
 
 def _slow_verify(tmp_path):

@@ -83,7 +83,8 @@ def _csv_rows(axes: list, table: np.ndarray, start: int, stop: int):
     inner = len(table) // len(axes[0])      # rows per value of the first axis
     first = start // inner
     skip = first * inner
-    prefixes = itertools.islice(itertools.product(axes[0][first:], *axes[1:]), start - skip, stop - skip)
+    prefixes = itertools.islice(itertools.product(axes[0][first:], *axes[1:]),
+                                start - skip, stop - skip)
     return (prefix + ",".join(map(repr, row.tolist())) + "\r\n"
             for prefix, row in zip(map("".join, prefixes), table[start:stop]))
 

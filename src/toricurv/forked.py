@@ -18,11 +18,12 @@ grid_pass runs a kernel over every chunk of _CHUNK grid points, the one
 chunk loop of the package, in contiguous runs of whole chunks, one per
 worker, so every chunk holds the same points as in one process and its
 bits do not change.  runs is the one rule for that split, and analyze's
-CSV writer formats its rows in the same runs, one per worker.  The runs write into one shared anonymous mapping made
-before the fork, and run BLAS on one thread: workers that each keep
-OpenBLAS's threads contend for the CPUs, and ran verify on the d4 design
-slower than one process.  The first pass sets glibc's allocator to keep
-freed memory, so that each chunk reuses the heap the last one freed.
+CSV writer formats its rows in the same runs, one per worker.  The runs
+write into one shared anonymous mapping made before the fork, and run BLAS
+on one thread: workers that each keep OpenBLAS's threads contend for the
+CPUs, and ran verify on the d4 design slower than one process.  The first
+pass sets glibc's allocator to keep freed memory, so that each chunk reuses
+the heap the last one freed.
 """
 
 from __future__ import annotations

@@ -2,7 +2,6 @@
 
 import ast
 import errno
-import itertools
 import json
 import os
 import signal
@@ -299,10 +298,10 @@ def test_csv_write_error_in_a_worker_exits_2(workers, monkeypatch, capsys, tmp_p
     rows = cli._csv_rows
 
     def full_in_worker(*args):
-        yield from itertools.islice(rows(*args), 10)
-        if forked._in_worker:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        yield from itertools.islice(rows(*args), 10, None)
+        for count, line in enumerate(rows(*args)):
+            if count == 10 and forked._in_worker:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            yield line
 
     workers(2)
     monkeypatch.setattr(cli, "_csv_rows", full_in_worker)
@@ -385,10 +384,12 @@ def test_csv_without_temporary_files_is_written_here(polish_once, monkeypatch, t
     path = tmp_path / "clifford3.json"
     path.write_text(json.dumps({"type": "clifford", "m": 3}))
     monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
-    analysis, passes = intrinsic.analysis_grid, []
-    monkeypatch.setattr(intrinsic, "analysis_grid",
-                        lambda *args: passes[0] if passes else passes.append(analysis(*args)) or passes[0])
-    rows, here = cli._csv_rows, []
+    analysis, passes, rows, here = intrinsic.analysis_grid, [], cli._csv_rows, []
+
+    def analysis_once(*args):
+        if not passes:
+            passes.append(analysis(*args))
+        return passes[0]
 
     def counted(axes, table, start, stop):
         here.append((start, stop, forked._in_worker))
@@ -397,6 +398,7 @@ def test_csv_without_temporary_files_is_written_here(polish_once, monkeypatch, t
     def no_temporary_file(*args, **kwargs):
         raise OSError(errno.EROFS, os.strerror(errno.EROFS))
 
+    monkeypatch.setattr(intrinsic, "analysis_grid", analysis_once)
     monkeypatch.setattr(cli, "_csv_rows", counted)
     assert main(["analyze", str(path), "--out", str(tmp_path / "forked")]) == 0
     assert here == []

@@ -252,8 +252,9 @@ def transform(imm: FourierImmersion, Q: np.ndarray, c=None, lam: float = 1.0) ->
 def immersion_rank_check(imm: FourierImmersion, grid) -> float:
     """Smallest singular value of the differential over the points of a
     TorusGrid, as sqrt(max(lambda_min(g), 0)) from the n x n metric
-    g = d1 d1'.  The caller decides what threshold makes the map count as an
-    immersion; a constant map returns exactly 0.
+    g = d1 d1', bracketed by _metric_eigenvalues' Gershgorin bound as in
+    analyze's pass.  The caller decides what threshold makes the map count as
+    an immersion; a constant map returns exactly 0.
     """
     def kernel(thetas):
         d1 = jets_at(imm, thetas, order=1)[1]
@@ -262,10 +263,32 @@ def immersion_rank_check(imm: FourierImmersion, grid) -> float:
     return float(np.sqrt(max(0.0, grid_pass(grid, 1, kernel, "rank check").min())))
 
 
-def _metric_eigenvalues(g: np.ndarray) -> np.ndarray:
-    """lambda_min of each metric in a (P, n, n) batch, from eigvalsh; inf
-    where the metric is not finite."""
+def _metric_eigenvalues(g: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
+    """lambda_min from eigvalsh at each point of a (P, n, n) batch of metrics
+    where it can be the batch's minimum, inf elsewhere and where the metric
+    is not finite, so the batch's minimum is the same bit for bit as from
+    eigvalsh at every point.
+
+    A lower bound on lambda_min brackets the minimum: the Gershgorin bound
+    min_i (g_ii - sum_{j != i} |g_ij|), or, given the inverse factor L of
+    g^-1 = L'L, the larger of it and 1/|L|_F^2 (since lambda_max(g^-1) <=
+    tr g^-1), less 1e-12 max|g| for roundoff.  eigvalsh runs at the point of
+    lowest bound, then only where the bound is at most that exact value.
+    """
     finite = np.isfinite(g).all(axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        size = np.abs(g)
+        diag = np.einsum("pii->pi", g)
+        bound = (2.0 * diag - size.sum(axis=2)).min(axis=1)
+        if L is not None:
+            bound = np.fmax(bound, 1.0 / np.einsum("pij,pij->p", L, L))
+        bound -= 1e-12 * size.max(axis=(1, 2))
+    bound[np.isnan(bound)] = -np.inf           # no bound: always solved
+    bound[~finite] = np.inf
     out = np.full(g.shape[0], np.inf)
-    out[finite] = np.linalg.eigvalsh(g[finite])[:, 0]
+    if finite.any():
+        lowest = np.argmin(bound)
+        solve = bound <= np.linalg.eigvalsh(g[lowest])[0]
+        solve[lowest] = True
+        out[solve] = np.linalg.eigvalsh(g[solve])[:, 0]
     return out

@@ -17,7 +17,8 @@ itself, in the grid cache under its own key; curvature_grid is its Sc.
 conformal_grid reads the closed forms from grid_fields' second-order
 fields.  The two paths share only the metric factor L of
 pointwise._metric_factor (g^-1 = L'L), and with it the one degeneracy rule,
-which names the point theta; the Christoffel path builds Sc from dg and ddg,
+which names the point theta; the Christoffel path builds Sc as the g^-1
+trace of the Ricci tensor from dg and ddg, with no Riemann tensor formed,
 the closed forms from the normal projection of d2.
 """
 
@@ -69,34 +70,34 @@ def _metric_jet_arrays(d1, d2, d3):
 
 
 def _curvature_arrays(L, dg, ddg):
-    """Batched g^-1 = L'L, Christoffel symbols, scalar curvature and max
-    |Riemann| from the metric factor L of _metric_factor and the metric's
+    """Batched g^-1 = L'L, Christoffel symbols, Ricci tensor and scalar
+    curvature from the metric factor L of _metric_factor and the metric's
     derivatives.
 
     L is all this path shares with the closed forms.  Gamma^k_ij = g^kl
     Gamma_l,ij comes from the lowered symbols Gamma_l,ij = 1/2 (d_i g_jl +
-    d_j g_il - d_l g_ij), and d_m Gamma^k_ij = g^kl (d_m Gamma_l,ij -
-    d_m g_lb Gamma^b_ij), since d_m g^kl = -g^ka d_m g_ab g^bl.
+    d_j g_il - d_l g_ij), and d_m Gamma^k_ij = g^kl X_ml,ij with X_ml,ij =
+    d_m Gamma_l,ij - d_m g_lb Gamma^b_ij, since d_m g^kl = -g^ka d_m g_ab g^bl.
+    Ric_db = d_a Gamma^a_db - d_d Gamma^a_ab + Gamma^a_ae Gamma^e_db
+    - Gamma^a_de Gamma^e_ab, the trace R^a_bad of the Riemann tensor, reads
+    only the two traces of d Gamma it needs, each one contraction of X with
+    g^-1, and Sc = g^db Ric_db.
     """
     P, n = L.shape[:2]
     ginv = L.transpose(0, 2, 1) @ L
     low = 0.5 * (dg.transpose(0, 3, 1, 2) + dg.transpose(0, 3, 2, 1) - dg)
     gam = (ginv @ low.reshape(P, n, n * n)).reshape(P, n, n, n)
     dlow = 0.5 * (ddg.transpose(0, 1, 4, 2, 3) + ddg.transpose(0, 1, 4, 3, 2) - ddg)
-    shift = (dg.reshape(P, n * n, n) @ gam.reshape(P, n, n * n)).reshape(P, n, n, n * n)
-    dgam = (ginv[:, None] @ (dlow.reshape(P, n, n, n * n) - shift)).reshape(P, n, n, n, n)
-    # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
-    #             + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}
-    gamgam = np.einsum("pace,pedb->pabcd", gam, gam, optimize=True)
-    riem = (
-        np.einsum("pcadb->pabcd", dgam)
-        - np.einsum("pdacb->pabcd", dgam)
-        + gamgam
-        - gamgam.transpose(0, 1, 2, 4, 3)
-    )
-    ricci = np.einsum("pabad->pbd", riem)
-    sc = np.einsum("pbd,pbd->p", ginv, ricci)
-    return ginv, gam, sc, np.max(np.abs(riem), axis=(1, 2, 3, 4))
+    shift = (dg.reshape(P, n * n, n) @ gam.reshape(P, n, n * n)).reshape(P, n, n, n, n)
+    X = dlow - shift                                     # X[p, m, l, i, j]
+    # d_a Gamma^a_db = g^al X_al,db and d_d Gamma^a_ab = g^al X_dl,ab
+    div = (ginv.reshape(P, 1, n * n) @ X.reshape(P, n * n, n * n)).reshape(P, n, n)
+    grad = (ginv.transpose(0, 2, 1).reshape(P, 1, 1, n * n) @ X.reshape(P, n, n * n, n))[:, :, 0]
+    trace = np.einsum("paae->pe", gam)                   # Gamma^a_ae
+    G = gam.transpose(0, 2, 1, 3).copy()                 # G[p, d, a, e] = Gamma^a_de
+    ricci = (div - grad + (trace[:, None] @ gam.reshape(P, n, n * n)).reshape(P, n, n)
+             - G.reshape(P, n, n * n) @ G.reshape(P, n * n, n))
+    return ginv, gam, ricci, np.einsum("pdb,pdb->p", ginv, ricci)
 
 
 class _Christoffel(NamedTuple):
@@ -113,8 +114,8 @@ class _Christoffel(NamedTuple):
     sqrt_det: np.ndarray  # (P,) sqrt(det g)
     ginv: np.ndarray      # (P, n, n)
     gam: np.ndarray       # (P, n, n, n), gam[p, k, i, j] = Gamma^k_ij
+    ricci: np.ndarray     # (P, n, n), ricci[p, d, b] = Ric_db
     sc: np.ndarray        # (P,) scalar curvature
-    riem_max: np.ndarray  # (P,) largest |R^a_bcd|, zero for a flat metric
 
 
 def _christoffel(imm: FourierImmersion, thetas: np.ndarray) -> _Christoffel:
@@ -199,35 +200,37 @@ def conformal_trace(imm: FourierImmersion, theta, k: float | Fraction) -> Confor
     k = float(k)
     theta = np.asarray(theta, dtype=float).reshape(1, -1)
     n = imm.n
-    value, d1, d2, g, _, _, L, _, ginv, gam, sc, _ = _christoffel(imm, theta)
-    x = value[0]
-    r0 = float(np.linalg.norm(value, axis=1)[0])
+    path = _christoffel(imm, theta)
+    x = path.value[0]
+    r0 = float(np.linalg.norm(path.value, axis=1)[0])
     if r0 < 1e-12:
         raise OriginPoint("f(theta) is at the origin; radial angles are undefined")
-    du = np.einsum("pq,piq->pi", value, d1, optimize=True)      # d_i (|f|^2/2)
-    hess = g + np.einsum("pq,pijq->pij", value, d2, optimize=True) \
-        - np.einsum("pkij,pk->pij", gam, du, optimize=True)
-    lap_f = float(np.einsum("pij,pij->p", ginv, hess)[0])
-    grad2 = float(np.einsum("pij,pi,pj->p", ginv, du, du, optimize=True)[0])
+    du = np.einsum("pq,piq->pi", path.value, path.d1, optimize=True)      # d_i (|f|^2/2)
+    hess = path.g + np.einsum("pq,pijq->pij", path.value, path.d2, optimize=True) \
+        - np.einsum("pkij,pk->pij", path.gam, du, optimize=True)
+    lap_f = float(np.einsum("pij,pij->p", path.ginv, hess)[0])
+    grad2 = float(np.einsum("pij,pi,pj->p", path.ginv, du, du, optimize=True)[0])
     u, lap_u = _radial_weight(k, r0, lap_f, grad2)
     # Mean curvature vector through the same Christoffel data.
-    H = np.einsum("ij,ijq->q", ginv[0], d2[0], optimize=True) \
-        - np.einsum("ij,kij,kq->q", ginv[0], gam[0], d1[0], optimize=True)
+    ginv, gam, d1 = path.ginv[0], path.gam[0], path.d1[0]
+    H = np.einsum("ij,ijq->q", ginv, path.d2[0], optimize=True) \
+        - np.einsum("ij,kij,kq->q", ginv, gam, d1, optimize=True)
     normH = float(np.linalg.norm(H))
     if normH < 1e-12:
         alpha = None
     else:
         alpha = float(math.acos(np.clip(float(H @ x) / (normH * r0), -1.0, 1.0)))
-    E = L[0] @ d1[0]
+    E = path.L[0] @ d1
     tangential = float(np.linalg.norm(E @ x))
     beta = math.asin(min(tangential / r0, 1.0))
+    sc = float(path.sc[0])
     conformal = None
     if n >= 3:
-        conformal = float(sc[0] * u - 4.0 * (n - 1) / (n - 2) * lap_u)
+        conformal = float(sc * u - 4.0 * (n - 1) / (n - 2) * lap_u)
     return ConformalTrace(
         r=r0, alpha=alpha, beta=beta, u=float(u),
         lap_f=lap_f, grad_f_norm=math.sqrt(max(grad2, 0.0)),
-        lap_u=float(lap_u), sc=float(sc[0]),
+        lap_u=float(lap_u), sc=sc,
         conformal_value=conformal, k=k,
     )
 
@@ -246,7 +249,8 @@ def analysis_grid(imm: FourierImmersion, grid: TorusGrid, seed: int) -> Analysis
     """GridFields, intrinsic Sc, grid_K_estimates' K range and the smallest
     singular value of the differential over every grid point, from one
     _christoffel call per chunk (which raises DegenerateMetric, naming theta),
-    memoized per (immersion, sizes, seed)."""
+    memoized per (immersion, sizes, seed).  lambda_min(g) is solved only where
+    _metric_eigenvalues' bracket, with L's bound, says it can be the minimum."""
     return _memo(imm, ("analysis", grid.sizes, seed), lambda: _analysis_pass(imm, grid, seed))
 
 
@@ -260,7 +264,7 @@ def _analysis_pass(imm: FourierImmersion, grid: TorusGrid, seed: int) -> Analysi
             path = _christoffel(imm, thetas)
             E, S = _second_form(path.L, path.d1, path.d2)
             return (*_field_columns(path.value, E, S, path.sqrt_det), path.sc, *_K_range(S, D),
-                    _metric_eigenvalues(path.g))
+                    _metric_eigenvalues(path.g, path.L))
 
     *fields, sc, k_min, k_max, eigenvalues = grid_pass(grid, len(_FIELD_NAMES) + 4, kernel, "analysis pass")
     return AnalysisGrid(GridFields(grid=grid, **dict(zip(_FIELD_NAMES, fields))), sc, k_min, k_max,

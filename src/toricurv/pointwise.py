@@ -240,23 +240,24 @@ def _plane_candidates(S: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(0.5 * s), np.sin(0.5 * s)], axis=2)
 
 
-def _power_climb(M: np.ndarray, D: np.ndarray) -> np.ndarray:
+def _power_climb(M: np.ndarray, D: np.ndarray, signs: tuple[float, ...] = (1.0, -1.0)) -> np.ndarray:
     """Shifted symmetric higher-order power method (Kolda & Mayo 2011, with
     the adaptive shift of 2014) on K^2(u) = M_ijkl u_i u_j u_k u_l, M_ijkl =
-    <II(e_i, e_j), II(e_k, e_l)>, ascending (sigma = +1) and descending
-    (sigma = -1) from every unit start in D at each of P points: (P, 2d, n)
-    directions, the d ascents first.  With v = II(u, u), g_i = <II(e_i, u), v>
-    and H_ik = 2<II(e_i, u), II(e_k, u)> + <II(e_i, e_k), v>, a step is
+    <II(e_i, e_j), II(e_k, e_l)>, ascending (sigma = +1) or descending
+    (sigma = -1) from every unit start in D at each of P points, once per
+    sigma in signs: (P, len(signs) d, n) directions, in the order of signs.
+    With v = II(u, u), g_i = <II(e_i, u), v> and
+    H_ik = 2<II(e_i, u), II(e_k, u)> + <II(e_i, e_k), v>, a step is
     u <- normalize(sigma g + alpha u), alpha = max(0, tau - lambda_min(sigma H)),
     monotone in K^2.  Each row stops on its own once it stops moving, once its
     K^2 stalls, or once it reaches a direction (up to sign) where a row of the
     same point and sign has already stopped or is live with a larger sigma K^2,
     since both end at that point."""
-    P, d, n = M.shape[0], D.shape[0], D.shape[1]
-    R = 2 * d * P
-    M = np.repeat(M, 2 * d, axis=0)
-    U = np.tile(D, (2 * P, 1))
-    sigma = np.tile(np.repeat([1.0, -1.0], d), P)
+    P, d, n, s = M.shape[0], D.shape[0], D.shape[1], len(signs)
+    R = s * d * P
+    M = np.repeat(M, s * d, axis=0)
+    U = np.tile(D, (s * P, 1))
+    sigma = np.tile(np.repeat(signs, d), P)
     group = np.arange(R) // d                   # one group per (point, sign)
     II2 = np.einsum("rijij->r", M)
     tau = _POWER_TAU * II2
@@ -290,10 +291,10 @@ def _power_climb(M: np.ndarray, D: np.ndarray) -> np.ndarray:
         live = live[keep]
         if live.size == 0:
             break
-    return U.reshape(P, 2 * d, n)
+    return U.reshape(P, s * d, n)
 
 
-def extremal_normal_curvature(S: np.ndarray, seed: int = 0):
+def extremal_normal_curvature(S: np.ndarray, seed: int = 0, side: str = "both"):
     """Extremes of the normal curvature K(u) = |II(u, u)| over unit directions
     at every point of a (P, m, q) batch of second forms in the pair layout:
     (k_min, k_max, u_min, u_max), with unit directions attaining them.
@@ -301,9 +302,15 @@ def extremal_normal_curvature(S: np.ndarray, seed: int = 0):
     Exact for n = 2: K^2 at every root of its derivative (_plane_candidates).
     For n >= 3 the best values the shifted power method finds, ascending and
     descending from each of the 16n seeded starts _directions(n, 16n, seed):
-    an inner bound on the true range.  Deterministic for a fixed seed; points
-    with non-finite entries give NaN."""
+    an inner bound on the true range.  side "max" runs only the ascents, for
+    k_max, and "min" only the descents, for k_min (the other extreme is then
+    the best over that side's rows): an ascent never ends below its start
+    and a descent never above it, so the other side can only tie, and beats
+    it by roundoff alone, where K is constant along a start's path (by one
+    ulp on constant-curvature designs).  Deterministic for a fixed seed;
+    points with non-finite entries give NaN."""
     P, n = S.shape[0], _n_of_pairs(S.shape[1])
+    signs = {"both": (1.0, -1.0), "max": (1.0,), "min": (-1.0,)}[side]
     # the eigensolvers raise on NaN, so non-finite points search on II = 0
     S0 = np.where(np.isfinite(S).all(axis=(1, 2))[:, None, None], S, 0.0)
     if n == 2:
@@ -311,7 +318,7 @@ def extremal_normal_curvature(S: np.ndarray, seed: int = 0):
     else:
         full = _full_form(S0)
         M = np.einsum("pijq,pklq->pijkl", full, full, optimize=True)
-        U = _power_climb(M, _directions(n, 16 * n, seed))
+        U = _power_climb(M, _directions(n, 16 * n, seed), signs)
     v = _sweep_coefficients(U) @ S
     K2 = np.einsum("pcq,pcq->pc", v, v)
     i_min, i_max, at = np.argmin(K2, axis=1), np.argmax(K2, axis=1), np.arange(P)
@@ -490,9 +497,10 @@ def _best_found_K(imm: FourierImmersion, grid: TorusGrid, K: np.ndarray, seed: i
                   highest: bool) -> float:
     """The largest (highest) or smallest of a per-point K_max or K_min array
     over a grid, pushed outward by the extremizer at the four grid points
-    where K is most extreme, in one batched call."""
+    where K is most extreme, in one batched call that climbs only that side."""
     picks = np.argsort(K)[-4:] if highest else np.argsort(K)[:4]
-    refined = extremal_normal_curvature(_chunk_core(imm, grid.theta_at(picks))[2], seed)[highest]
+    S = _chunk_core(imm, grid.theta_at(picks))[2]
+    refined = extremal_normal_curvature(S, seed, "max" if highest else "min")[highest]
     values = np.append(K[picks], refined)
     return float(values.max() if highest else values.min())
 

@@ -10,6 +10,7 @@ import pytest
 
 from toricurv.designs import builtin_design, clifford, subtorus_immersion
 from toricurv.fixtures import perturbed_clifford, random_immersion
+from toricurv.immersion import FourierImmersion, FourierTerm, Signature
 from toricurv.quadrature import TorusGrid
 
 
@@ -70,6 +71,19 @@ def random_orthogonal(q: int, seed: int) -> np.ndarray:
 def random_points(n: int, count: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     return rng.uniform(0.0, 2.0 * np.pi, size=(count, n))
+
+
+def pinched_torus():
+    """f = (cos t0, sin t0, (1 + cos 2 t0) cos t1, (1 + cos 2 t0) sin t1): the
+    t1 circle shrinks to a point at t0 = pi/2 and at t0 = 3 pi/2, where the
+    metric is degenerate."""
+    e = np.eye(4)
+    return FourierImmersion(Signature(2, 4), (
+        FourierTerm(k=(1, 0), a=e[0], b=e[1]),
+        FourierTerm(k=(0, 1), a=e[2], b=e[3]),
+        FourierTerm(k=(2, 1), a=0.5 * e[2], b=0.5 * e[3]),
+        FourierTerm(k=(2, -1), a=0.5 * e[2], b=-0.5 * e[3]),
+    ))
 
 
 def reference_second_form(jet, E=None):

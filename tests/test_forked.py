@@ -19,10 +19,10 @@ from toricurv.cli import main
 from toricurv.designs import clifford
 from toricurv.errors import DegenerateMetric, WorkerDied
 from toricurv.formats import save_immersion
-from toricurv.immersion import FourierImmersion, FourierTerm, Signature, immersion_rank_check
+from toricurv.immersion import FourierImmersion, FourierTerm, immersion_rank_check
 from toricurv.quadrature import TorusGrid
 
-from conftest import needs_child_list, no_children, signal_mid_run
+from conftest import needs_child_list, no_children, pinched_torus, signal_mid_run
 
 FLOOR = forked._MIN_CHUNKS_PER_WORKER
 
@@ -224,19 +224,6 @@ def test_only_grid_pass_loops_over_grid_chunks():
     assert callers == {("forked", "grid_pass"), ("explore", "trial_table")}
 
 
-def _pinched():
-    """f = (cos t0, sin t0, (1 + cos 2 t0) cos t1, (1 + cos 2 t0) sin t1): the
-    t1 circle shrinks to a point at t0 = pi/2 and at t0 = 3 pi/2, where the
-    metric is degenerate."""
-    e = np.eye(4)
-    return FourierImmersion(Signature(2, 4), (
-        FourierTerm(k=(1, 0), a=e[0], b=e[1]),
-        FourierTerm(k=(0, 1), a=e[2], b=e[3]),
-        FourierTerm(k=(2, 1), a=0.5 * e[2], b=0.5 * e[3]),
-        FourierTerm(k=(2, -1), a=0.5 * e[2], b=-0.5 * e[3]),
-    ))
-
-
 @pytest.mark.parametrize("run", [
     lambda imm, grid: pointwise._evaluate_fields(imm, grid),
     lambda imm, grid: pointwise.grid_K_estimates(imm, grid),
@@ -248,13 +235,13 @@ def test_degenerate_point_named_as_in_one_process(workers, run):
     grid = TorusGrid((64, 64))
     serial_forks = workers(1)
     with pytest.raises(DegenerateMetric) as serial:
-        run(_pinched(), grid)
+        run(pinched_torus(), grid)
     assert not serial_forks
     assert "theta=[1.5707963267948966, 0.0]" in str(serial.value)
     for cpus in (2, 3):
         forks = workers(cpus)
         with pytest.raises(DegenerateMetric) as split:
-            run(_pinched(), grid)
+            run(pinched_torus(), grid)
         assert len(forks) == cpus and str(split.value) == str(serial.value)
     assert no_children()
 

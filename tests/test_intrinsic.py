@@ -5,11 +5,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from toricurv.designs import clifford
+from toricurv.designs import builtin_design, clifford, subtorus_immersion
 from toricurv.errors import DegenerateMetric, DimensionTooLow, OriginPoint
 from toricurv.fixtures import ball_immersion, perturbed_clifford, round_sphere
 from toricurv import pointwise
-from toricurv.immersion import FourierImmersion, FourierTerm, Signature, immersion_rank_check, transform
+from toricurv.immersion import (
+    FourierImmersion,
+    FourierTerm,
+    Signature,
+    _metric_eigenvalues,
+    immersion_rank_check,
+    jets_at,
+    transform,
+)
 from toricurv.intrinsic import (
     _christoffel,
     analysis_grid,
@@ -23,7 +31,7 @@ from toricurv.pointwise import _FIELD_NAMES, _chunk_core, _scalar_invariants, gr
 from toricurv.quadrature import TorusGrid
 from toricurv.verify import run_checks
 
-from conftest import random_points
+from conftest import pinched_torus, random_points
 
 
 def bumped_clifford2(eps=0.05):
@@ -85,17 +93,54 @@ def test_flat_fixtures_have_zero_curvature(clifford3, hexagonal, d4):
         theta = np.linspace(0.2, 1.1, imm.n)
         mj = christoffel_at(imm, theta)
         assert abs(mj.sc[0]) < 1e-9
-        assert mj.riem_max[0] < 1e-9
+        assert np.max(np.abs(mj.ricci[0])) < 1e-9
 
 
 def test_round_sphere_pins_the_convention():
-    # On the chart (t, p), |R^p_tpt| = 1 >= |R^t_ptp| = sin^2 t at every radius.
+    # Ric = g / r^2 on the sphere of radius r: positive, as Sc = 2 / r^2.
     for radius in (1.0, 2.0, 0.5):
         sph = round_sphere(radius)
         for theta in ([1.2, 0.5], [2.0, 3.1], [0.9, 4.4]):
             mj = christoffel_at(sph, theta)
             assert abs(mj.sc[0] - 2.0 / radius**2) < 1e-9
-            assert abs(mj.riem_max[0] - 1.0) < 1e-12
+            assert np.max(np.abs(mj.ricci[0] - mj.g[0] / radius**2)) < 1e-12
+
+
+def _riemann_sc(path):
+    """Sc as the full contraction g^bd R^a_bad of the (P, n, n, n, n) Riemann
+    tensor R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma^a_ce Gamma^e_db
+    - Gamma^a_de Gamma^e_cb, from every d_m Gamma^k_ij, and the sum of the
+    absolute values of the terms that the contracted path adds up."""
+    ginv, gam, dg, ddg = path.ginv, path.gam, path.dg, path.ddg
+    dlow = 0.5 * (ddg.transpose(0, 1, 4, 2, 3) + ddg.transpose(0, 1, 4, 3, 2) - ddg)
+    X = dlow - np.einsum("pmlb,pbij->pmlij", dg, gam)
+    dgam = np.einsum("pkl,pmlij->pmkij", ginv, X)          # d_m Gamma^k_ij
+    gamgam = np.einsum("pace,pedb->pabcd", gam, gam)
+    riem = (np.einsum("pcadb->pabcd", dgam) - np.einsum("pdacb->pabcd", dgam)
+            + gamgam - gamgam.transpose(0, 1, 2, 4, 3))
+    sc = np.einsum("pbd,pabad->p", ginv, riem)
+    gi, ga, ax = np.abs(ginv), np.abs(gam), np.abs(X)
+    terms = (np.einsum("pal,paldb->pdb", gi, ax) + np.einsum("pal,pdlab->pdb", gi, ax)
+             + np.einsum("paae,pedb->pdb", ga, ga) + np.einsum("pade,peab->pdb", ga, ga))
+    return sc, np.einsum("pdb,pdb->p", gi, terms)
+
+
+@pytest.mark.parametrize("make,sizes", [
+    (lambda: clifford(3), (8, 8, 8)),
+    (lambda: perturbed_clifford(3, seed=1), (16, 16, 16)),
+    (lambda: ball_immersion(4, 9, seed=7), (6, 6, 6, 6)),
+    (lambda: ball_immersion(5, 11, seed=3), (4, 4, 4, 4, 6)),
+], ids=["clifford3", "wavy3", "ball4", "ball5"])
+def test_ricci_trace_matches_the_riemann_contraction(make, sizes):
+    # Sc from the Ricci trace, with no Riemann tensor formed, is the full
+    # contraction to roundoff in the sum of its terms' sizes, which on
+    # ball(5, 11, 3) reach 1e7 where g^-1 reaches 1e3.
+    imm = make()
+    for _, thetas in TorusGrid(sizes).iter_points(512):
+        path = _christoffel(imm, thetas)
+        sc, size = _riemann_sc(path)
+        assert np.all(np.abs(path.sc - sc) <= 1e-13 * np.maximum(1.0, size))
+        assert np.all(size >= np.abs(sc) * (1 - 1e-12))
 
 
 def test_christoffel_path_applies_the_degeneracy_rule():
@@ -281,6 +326,52 @@ def test_analysis_grid_does_not_depend_on_earlier_passes():
         assert np.array_equal(getattr(after.fields, name), getattr(alone.fields, name)), name
     for got, want in ((after.sc, alone.sc), (after.k_min, alone.k_min), (after.k_max, alone.k_max)):
         assert np.array_equal(got, want)
+
+
+def _overflowing_circle():
+    """A circle of radius 1e154 plus a half-size second harmonic: |f'|^2
+    overflows to inf at 22 of 64 points and stays finite at the rest."""
+    A = 1e154
+    return FourierImmersion(Signature(1, 2), (FourierTerm((1,), (A, 0), (0, A)),
+                                              FourierTerm((2,), (0.5 * A, 0), (0, 0))))
+
+
+def _smallest_singular_value(metrics):
+    """sqrt(max(0, min lambda_min)) from eigvalsh at every finite metric."""
+    g = np.concatenate(metrics)
+    low = np.linalg.eigvalsh(g[np.isfinite(g).all(axis=(1, 2))])[:, 0].min()
+    return float(np.sqrt(max(0.0, low)))
+
+
+@pytest.mark.parametrize("make,sizes,analyzed,solved_below", [
+    (lambda: perturbed_clifford(3, seed=1), (16, 16, 16), True, 0.25),
+    (lambda: subtorus_immersion(builtin_design("d4")), (6, 6, 6, 6), True, None),
+    (pinched_torus, (64, 64), False, None),
+    (_overflowing_circle, (64,), True, None),
+], ids=["wavy3", "d4", "pinched", "non-finite"])
+def test_bracketed_min_singular_value_is_every_points_minimum(make, sizes, analyzed, solved_below):
+    # eigvalsh runs only where the bracket leaves lambda_min(g) a candidate
+    # (on wavy3 at under solved_below of the points), yet the minimum is
+    # eigvalsh's over every point, bit for bit, in the analysis pass (from
+    # third-order jets, which raise DegenerateMetric on the pinched torus) and
+    # in the rank check (from first-order jets).
+    imm, grid = make(), TorusGrid(sizes)
+    with np.errstate(over="ignore", invalid="ignore"):     # the overflowing circle's jets
+        first = [jets_at(imm, thetas, order=1)[1] for _, thetas in grid.iter_points(512)]
+        assert immersion_rank_check(imm, grid) == _smallest_singular_value(
+            [d1 @ d1.transpose(0, 2, 1) for d1 in first])
+        paths = [_christoffel(imm, thetas) for _, thetas in grid.iter_points(512)] if analyzed else []
+    if analyzed:
+        assert analysis_grid(imm, grid, 0).min_singular_value == _smallest_singular_value(
+            [path.g for path in paths])
+    solved = 0
+    for path in paths:
+        bracketed = _metric_eigenvalues(path.g, path.L)
+        run = np.isfinite(bracketed)
+        assert np.array_equal(bracketed[run], np.linalg.eigvalsh(path.g[run])[:, 0])
+        solved += int(run.sum())
+    if solved_below is not None:
+        assert solved < solved_below * grid.npoints
 
 
 def test_grid_cache_holds_one_entry_per_writer():

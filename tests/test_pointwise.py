@@ -17,6 +17,7 @@ from toricurv.pointwise import (
     weighted_average,
 )
 from toricurv.pointwise import (
+    _best_found_K,
     _chunk_core,
     _directions,
     _full_form,
@@ -382,6 +383,24 @@ def test_power_climb_keeps_one_live_row_per_cluster():
     for first, repeat, sign in ((0, 8, 1.0), (9, 17, -1.0)):
         assert not np.array_equal(U[first], U[repeat])
         assert sign * (k2[first] - k2[repeat]) >= 0.0
+
+
+@pytest.mark.parametrize("make,sizes,seed", [
+    (lambda: perturbed_clifford(3, seed=1), (8, 8, 8), 0),
+    (lambda: ball_immersion(4, 9, seed=7), (4, 4, 4, 4), 1),
+    (lambda: perturbed_clifford(5, seed=2), (4, 4, 4, 4, 4), 3),
+], ids=["wavy3", "ball49", "wavy5"])
+def test_best_found_K_climbs_one_side_only(make, sizes, seed):
+    # Ascents alone give the best-found K_max, and descents alone K_min, bit
+    # for bit as climbing both ways from the same starts, where the climb
+    # beats the grid's value.
+    imm, grid = make(), TorusGrid(sizes)
+    for highest, K in enumerate(grid_K_estimates(imm, grid, seed)):
+        picks = np.argsort(K)[-4:] if highest else np.argsort(K)[:4]
+        both = extremal_normal_curvature(_chunk_core(imm, grid.theta_at(picks))[2], seed)[highest]
+        values = np.append(K[picks], both)
+        assert (values.argmax() if highest else values.argmin()) >= 4     # the climb wins
+        assert _best_found_K(imm, grid, K, seed, bool(highest)) == (values.max() if highest else values.min())
 
 
 def test_extremizer_degree_one_derivative():

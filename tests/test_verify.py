@@ -249,9 +249,9 @@ def test_gate_memo_shared_by_main_and_bow(monkeypatch):
         swept.append(S.shape[0])
         return sweep(D, S)
 
-    def counting_extremes(S, seed=0):
+    def counting_extremes(S, seed=0, side="both"):
         refined.append(S.shape[0])
-        return extremes(S, seed)
+        return extremes(S, seed, side)
 
     monkeypatch.setattr(pointwise, "_k2_sweep", counting_sweep)
     monkeypatch.setattr(pointwise, "extremal_normal_curvature", counting_extremes)

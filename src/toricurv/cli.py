@@ -348,13 +348,7 @@ def cmd_explore(args) -> int:
     _check_search_table(config)
     result = optimize(config)
     payload = {
-        "config": {
-            "n": config.n, "q": config.q, "fmax": config.fmax,
-            "grid": list(config.grid.sizes), "seed": config.seed,
-            "iterations": config.iterations, "restarts": config.restarts,
-            "penalty_weight": config.penalty_weight, "smoothing": config.smoothing,
-            "version": __version__,
-        },
+        "config": {**asdict(config), "grid": list(config.grid.sizes), "version": __version__},
         "best_immersion": immersion_to_obj(result.best),
         "sup_zh": result.sup_zh,
         "bound": 3.0 * config.n / (config.n + 2),

@@ -254,13 +254,18 @@ def immersion_rank_check(imm: FourierImmersion, grid) -> float:
     TorusGrid, as sqrt(max(lambda_min(g), 0)) from the n x n metric
     g = d1 d1', bracketed by _metric_eigenvalues' Gershgorin bound as in
     analyze's pass.  The caller decides what threshold makes the map count as
-    an immersion; a constant map returns exactly 0.
+    an immersion; a constant map returns exactly 0, and a metric with any
+    entry not finite (jets that overflow) returns NaN, not a value read from
+    the points that did not overflow.
     """
     def kernel(thetas):
-        d1 = jets_at(imm, thetas, order=1)[1]
-        return _metric_eigenvalues(d1 @ d1.transpose(0, 2, 1))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            d1 = jets_at(imm, thetas, order=1)[1]
+            g = d1 @ d1.transpose(0, 2, 1)
+        return np.where(np.isfinite(g).all(axis=(1, 2)), _metric_eigenvalues(g), np.nan)
 
-    return float(np.sqrt(max(0.0, grid_pass(grid, 1, kernel, "rank check").min())))
+    # np.maximum keeps a NaN minimum, where max(0.0, nan) would return 0.0
+    return float(np.sqrt(np.maximum(grid_pass(grid, 1, kernel, "rank check").min(), 0.0)))
 
 
 def _metric_eigenvalues(g: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:

@@ -7,14 +7,16 @@ raises an InapplicableHypothesis subclass and the runner reports it as
 skipped, never as failed, so vacuous passes cannot occur.
 
 Every quadrature-based margin is recomputed once on a grid with all sizes
-doubled; if the two values differ by 1e-6 or more the report is marked
-unresolved (a negative margin still wins and marks a failure).
+doubled, by the one reader _refined; if the two values differ by 1e-6 or more
+the report is marked unresolved (a negative margin still wins and marks a
+failure).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,9 +50,9 @@ class CheckReport:
 
     name: str
     passed: bool | None              # None when the margin is not a finite number
-    margin: float
-    tolerance: float
-    status: str                      # "pass" | "fail" | "unresolved" | "error"
+    margin: float | None             # None, as is the tolerance, for a check not run
+    tolerance: float | None
+    status: str                      # "pass" | "fail" | "unresolved" | "error" | "skipped"
     witness: dict | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -90,42 +92,53 @@ def _report(name: str, margin: float, tolerance: float, witness=None,
                        witness=witness, diagnostics=diagnostics)
 
 
-def _pair(imm: FourierImmersion, grid: TorusGrid) -> tuple[GridFields, GridFields]:
-    """Fields on the grid and on its doubling; the doubled grid comes first,
-    so the base grid is sliced out of it, not evaluated."""
-    fine = grid_fields(imm, grid.doubled())
-    return grid_fields(imm, grid), fine
+class _Refined(NamedTuple):
+    """A grid reading and its re-reading on the doubled grid."""
+
+    base: float                  # on the grid
+    value: float                 # on the doubled grid
+    delta: float                 # |value - base|
+    index: int | None            # the doubled grid's flat index of a max or min
+    fields: GridFields           # the doubled grid's
+    theta: list | None           # the doubled grid's theta at index
 
 
-def _max_pair(imm: FourierImmersion, grid: TorusGrid, name: str) -> tuple[float, float, int]:
-    """Max of a grid field on the grid and on its doubling, with the refined argmax."""
-    base, fine = (getattr(f, name) for f in _pair(imm, grid))
-    i_fine = int(np.argmax(fine))
-    return float(np.max(base)), float(fine[i_fine]), i_fine
+def _refined(imm: FourierImmersion, grid: TorusGrid,
+             read: Callable[[GridFields], np.ndarray], how: str) -> _Refined:
+    """The per-point values read(fields) reduced by how ("max", "min" or
+    "average", over the induced volume) on the grid and on its doubling.
+
+    The doubled grid is evaluated first, so the base grid is its stride-2
+    slice, not a second pass.  The only reader of the doubled grid."""
+    fine_grid = grid.doubled()
+    fine = grid_fields(imm, fine_grid)
+    base = grid_fields(imm, grid)
+    if how == "average":
+        at_base, at_fine = (weighted_average(f, read(f)) for f in (base, fine))
+        return _Refined(at_base, at_fine, abs(at_fine - at_base), None, fine, None)
+    pick = {"max": np.argmax, "min": np.argmin}[how]
+    base_values, values = read(base), read(fine)
+    index = int(pick(values))
+    at_base, at_fine = float(base_values[pick(base_values)]), float(values[index])
+    return _Refined(at_base, at_fine, abs(at_fine - at_base), index, fine,
+                    fine_grid.theta_at(index).tolist())
 
 
-def _average_pair(imm: FourierImmersion, grid: TorusGrid, name: str) -> tuple[float, float]:
-    """Volume average of a grid field on the grid and on its doubling."""
-    return tuple(weighted_average(f, getattr(f, name)) for f in _pair(imm, grid))
-
-
-def _ensure_ball(imm: FourierImmersion, grid: TorusGrid) -> float:
-    _, top, _ = _max_pair(imm, grid, "r")
+def _ensure_ball(imm: FourierImmersion, grid: TorusGrid) -> None:
+    top = _refined(imm, grid, lambda f: f.r, "max").value
     if top > 1.0 + BALL_SLACK:
         raise NotInBall(f"max |f| = {top!r} exceeds 1 (image leaves the unit ball)")
-    return top
 
 
 def check_ball_containment(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     """Image stays in the closed unit ball: margin = 1 - max |f|."""
-    base_top, fine_top, i_fine = _max_pair(imm, grid, "r")
-    theta = grid.doubled().theta_at(i_fine)
+    top = _refined(imm, grid, lambda f: f.r, "max")
     return _report(
-        "ball", margin=1.0 - fine_top, tolerance=BALL_SLACK,
-        witness={"theta": theta.tolist(), "values": {"norm_f": fine_top}},
-        diagnostics={"max_norm_base": base_top, "max_norm_refined": fine_top,
+        "ball", margin=1.0 - top.value, tolerance=BALL_SLACK,
+        witness={"theta": top.theta, "values": {"norm_f": top.value}},
+        diagnostics={"max_norm_base": top.base, "max_norm_refined": top.value,
                      "grid": list(grid.sizes)},
-        delta=abs(fine_top - base_top),
+        delta=top.delta,
     )
 
 
@@ -134,20 +147,18 @@ def check_avg_H(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     average<H, x> = -n recorded as a hard sub-check."""
     _ensure_ball(imm, grid)
     n = imm.n
-    avg_base, avg_fine = _average_pair(imm, grid, "norm_H")
-    div_base, div_fine = _average_pair(imm, grid, "hx")
-    div_dev = abs(div_fine + n)
+    avg = _refined(imm, grid, lambda f: f.norm_H, "average")
+    div = _refined(imm, grid, lambda f: f.hx, "average")
+    div_dev = abs(div.value + n)
     return _report(
-        "avg_h", margin=avg_fine - n, tolerance=1e-7,
+        "avg_h", margin=avg.value - n, tolerance=1e-7,
         diagnostics={
-            "average_norm_H": avg_fine,
+            "average_norm_H": avg.value,
             "divergence_deviation": div_dev,
-            "divergence_deviation_base": abs(div_base + n),
+            "divergence_deviation_base": abs(div.base + n),
             "grid": list(grid.sizes),
         },
-        extra_ok=div_dev < 1e-7,
-        delta=abs(avg_fine - avg_base),
-        extra_delta=abs(div_fine - div_base),
+        extra_ok=div_dev < 1e-7, delta=avg.delta, extra_delta=div.delta,
     )
 
 
@@ -156,19 +167,17 @@ def check_2d(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     if imm.n != 2:
         raise WrongDimension(f"check_2d needs n = 2, got n = {imm.n}")
     _ensure_ball(imm, grid)
-    avg_base, avg_fine = _average_pair(imm, grid, "zh")
-    avg_sc, avg_sc_fine = _average_pair(imm, grid, "sc_ext")
+    avg = _refined(imm, grid, lambda f: f.zh, "average")
+    sc = _refined(imm, grid, lambda f: f.sc_ext, "average")
     return _report(
-        "2d", margin=avg_fine - 1.5, tolerance=1e-7,
+        "2d", margin=avg.value - 1.5, tolerance=1e-7,
         diagnostics={
-            "average_zh": avg_fine,
-            "average_sc": avg_sc,
-            "average_sc_refined": avg_sc_fine,
+            "average_zh": avg.value,
+            "average_sc": sc.base,
+            "average_sc_refined": sc.value,
             "grid": list(grid.sizes),
         },
-        extra_ok=abs(avg_sc) < 1e-6,
-        delta=abs(avg_fine - avg_base),
-        extra_delta=abs(avg_sc_fine - avg_sc),
+        extra_ok=abs(sc.base) < 1e-6, delta=avg.delta, extra_delta=sc.delta,
     )
 
 
@@ -188,54 +197,40 @@ def check_flat(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
             f">= {FLAT_SC_TOL}")
     n = imm.n
     bound = 3.0 * n / (n + 2)
-    avg_base, avg_fine = _average_pair(imm, grid, "zh")
+    avg = _refined(imm, grid, lambda f: f.zh, "average")
     return _report(
-        "flat", margin=avg_fine - bound, tolerance=1e-8,
-        diagnostics={"average_zh": avg_fine, "bound": bound,
+        "flat", margin=avg.value - bound, tolerance=1e-8,
+        diagnostics={"average_zh": avg.value, "bound": bound,
                      "max_abs_sc": sc_max, "gauss_residual": residual,
                      "grid": list(grid.sizes)},
-        delta=abs(avg_fine - avg_base),
+        delta=avg.delta,
     )
-
-
-def _sphere_witness(imm: FourierImmersion, grid: TorusGrid):
-    """Best nonpositive-curvature witness: among grid points with Sc <= tol
-    (the closed form |H|^2 - |II|^2), the one with the largest zh (strongest
-    reportable point)."""
-    fields = grid_fields(imm, grid)
-    candidates = np.nonzero(fields.sc_ext <= NONPOS_SC_TOL)[0]
-    if candidates.size == 0:
-        raise NoNonpositiveScalarPoint(
-            f"no grid point with Sc <= {NONPOS_SC_TOL} on grid {grid.sizes}; "
-            "either under-resolved or a bug"
-        )
-    zh = fields.zh
-    pick = int(candidates[np.argmax(zh[candidates])])
-    return pick, float(zh[pick]), float(fields.sc_ext[pick])
 
 
 def check_sphere(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     """For an image on the unit sphere: zh >= 3n/(n+2) at some point.
 
-    The witness is a grid point with nonpositive scalar curvature (up to
-    tolerance), which must exist because no torus metric has positive scalar
-    curvature everywhere."""
-    base, _ = _pair(imm, grid)
-    off_sphere = float(np.max(np.abs(base.r - 1.0)))
+    The witness is the grid point of largest zh among those with nonpositive
+    scalar curvature (the closed form Sc <= NONPOS_SC_TOL), which must exist
+    because no torus metric has positive scalar curvature everywhere."""
+    off_sphere = _refined(imm, grid, lambda f: np.abs(f.r - 1.0), "max").base
     if off_sphere >= SPHERE_TOL:
         raise InapplicableHypothesis(
             f"image is not on the unit sphere: max ||f|-1| = {off_sphere!r} >= {SPHERE_TOL}")
     n = imm.n
     bound = 3.0 * n / (n + 2)
-    pick_base, zh_base, _ = _sphere_witness(imm, grid)
-    pick_fine, zh_fine, sc_fine = _sphere_witness(imm, grid.doubled())
-    theta = grid.doubled().theta_at(pick_fine)
+    top = _refined(imm, grid, lambda f: np.where(f.sc_ext <= NONPOS_SC_TOL, f.zh, -np.inf), "max")
+    for value, sizes in ((top.base, grid.sizes), (top.value, top.fields.grid.sizes)):
+        if value == -np.inf:
+            raise NoNonpositiveScalarPoint(
+                f"no grid point with Sc <= {NONPOS_SC_TOL} on grid {sizes}; "
+                "either under-resolved or a bug")
     return _report(
-        "sphere", margin=zh_fine - bound, tolerance=1e-8,
-        witness={"theta": theta.tolist(), "values": {"zh": zh_fine, "sc": sc_fine}},
-        diagnostics={"bound": bound, "witness_zh_base": zh_base,
-                     "grid": list(grid.sizes)},
-        delta=abs(zh_fine - zh_base),
+        "sphere", margin=top.value - bound, tolerance=1e-8,
+        witness={"theta": top.theta,
+                 "values": {"zh": top.value, "sc": float(top.fields.sc_ext[top.index])}},
+        diagnostics={"bound": bound, "witness_zh_base": top.base, "grid": list(grid.sizes)},
+        delta=top.delta,
     )
 
 
@@ -332,56 +327,41 @@ def check_main(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> CheckRe
     if n >= 5:
         _gate_K(imm, grid, seed, "pointwise")
     bound = 3.0 * n / (n + 2)
-    top_base, top_fine, i_fine = _max_pair(imm, grid, "zh")
+    top = _refined(imm, grid, lambda f: f.zh, "max")
     diag, witness = _trace_diagnostics(imm, grid)
-    diag.update({"max_zh": top_fine, "bound": bound, "grid": list(grid.sizes)})
-    if witness is None:
-        witness = {"theta": grid.doubled().theta_at(i_fine).tolist(),
-                   "values": {"zh": top_fine}}
+    diag.update({"max_zh": top.value, "bound": bound, "grid": list(grid.sizes)})
     return _report(
-        "main", margin=top_fine - bound, tolerance=1e-8,
-        witness=witness, diagnostics=diag,
-        delta=abs(top_fine - top_base),
+        "main", margin=top.value - bound, tolerance=1e-8,
+        witness=witness or {"theta": top.theta, "values": {"zh": top.value}},
+        diagnostics=diag, delta=top.delta,
     )
 
 
 def check_bow(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> CheckReport:
     """|x| <= cos(beta) wherever normal curvatures stay at most 2."""
     k_top = _gate_K(imm, grid, seed, "bow")
-
-    def slack(fields: GridFields) -> np.ndarray:
-        s = fields.cos_beta - fields.r
-        return np.where(fields.r < 1e-12, 1.0, s)   # origin points satisfy the bound trivially
-
-    base, fine = _pair(imm, grid)
-    m_base = float(np.min(slack(base)))
-    s_fine = slack(fine)
-    i_fine = int(np.argmin(s_fine))
-    m_fine = float(s_fine[i_fine])
-    theta = grid.doubled().theta_at(i_fine)
+    # origin points satisfy the bound trivially
+    low = _refined(imm, grid, lambda f: np.where(f.r < 1e-12, 1.0, f.cos_beta - f.r), "min")
+    fine, i = low.fields, low.index
     return _report(
-        "bow", margin=m_fine, tolerance=1e-8,
-        witness={"theta": theta.tolist(),
-                 "values": {"r": float(fine.r[i_fine]), "cos_beta": float(fine.cos_beta[i_fine])}},
+        "bow", margin=low.value, tolerance=1e-8,
+        witness={"theta": low.theta,
+                 "values": {"r": float(fine.r[i]), "cos_beta": float(fine.cos_beta[i])}},
         diagnostics={"k_max": k_top, "grid": list(grid.sizes)},
-        delta=abs(m_fine - m_base),
+        delta=low.delta,
     )
 
 
 def check_constant_K(imm: FourierImmersion, seed: int = 0,
                      expected_K: float | None = None) -> CheckReport:
-    """Sampled constancy of the normal curvature over 64 points and 256
-    directions.
+    """Sampled constancy of the normal curvature over 64 seeded points and
+    the 256 directions of the K sweep.
 
     The check is a hard 1e-10 constancy assertion against the expected value
     of an exact design certificate; without one it is skipped, naming the
     sampled K range."""
-    n = imm.n
-    rng = _philox(seed * 613 + 7)
-    thetas = rng.uniform(0.0, 2.0 * math.pi, size=(64, n))
-    dirs = rng.standard_normal((256, n))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-
+    thetas = _philox(seed * 613 + 7).uniform(0.0, 2.0 * math.pi, size=(64, imm.n))
+    dirs = pointwise._sweep_directions(imm.n, seed)
     K = np.sqrt(pointwise._k2_sweep(dirs, pointwise._chunk_core(imm, thetas)[2]))
     k_min, k_max = float(K.min()), float(K.max())
     mean = float(K.sum()) / K.size
@@ -389,7 +369,7 @@ def check_constant_K(imm: FourierImmersion, seed: int = 0,
         raise InapplicableHypothesis(
             f"no design certificate gives an expected K; sampled K ranges over [{k_min!r}, {k_max!r}]")
     diagnostics = {"mean_K": mean, "min_K": k_min, "max_K": k_max,
-                   "points": int(thetas.shape[0]), "directions": 256,
+                   "points": int(thetas.shape[0]), "directions": int(dirs.shape[0]),
                    "expected_K": float(expected_K), "mean_deviation": abs(mean - expected_K)}
     return _report("constant_k", margin=-(k_max - k_min), tolerance=1e-10,
                    diagnostics=diagnostics, extra_ok=abs(mean - expected_K) <= 1e-10)
@@ -404,16 +384,15 @@ def conjecture_probe(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     _ensure_ball(imm, grid)
     n = imm.n
     bound = 3.0 * n / (n + 2)
-    top_base, top_fine, i_fine = _max_pair(imm, grid, "zh")
-    margin = top_fine - bound
-    diagnostics = {"max_zh": top_fine, "bound": bound, "grid": list(grid.sizes)}
+    top = _refined(imm, grid, lambda f: f.zh, "max")
+    margin = top.value - bound
+    diagnostics = {"max_zh": top.value, "bound": bound, "grid": list(grid.sizes)}
     if margin < -1e-9:
         diagnostics["counterexample_candidate"] = immersion_to_obj(imm)
     return _report(
         "conjecture", margin=margin, tolerance=1e-9,
-        witness={"theta": grid.doubled().theta_at(i_fine).tolist(), "values": {"zh": top_fine}},
-        diagnostics=diagnostics,
-        delta=abs(top_fine - top_base),
+        witness={"theta": top.theta, "values": {"zh": top.value}},
+        diagnostics=diagnostics, delta=top.delta,
     )
 
 
@@ -454,9 +433,8 @@ def run_checks(imm: FourierImmersion, grid: TorusGrid | None = None, seed: int =
             reports.append(dispatch[name]().to_dict())
         except (InapplicableHypothesis, NoNonpositiveScalarPoint) as exc:
             status = "skipped" if isinstance(exc, InapplicableHypothesis) else "unresolved"
-            reports.append({"name": name, "status": status, "pass": None,
-                            "margin": None, "tolerance": None, "witness": None,
-                            "diagnostics": {"reason": str(exc), "error": type(exc).__name__}})
+            reports.append(CheckReport(name, passed=None, margin=None, tolerance=None, status=status,
+                                       diagnostics={"reason": str(exc), "error": type(exc).__name__}).to_dict())
     return reports
 
 

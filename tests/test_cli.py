@@ -394,6 +394,10 @@ def test_explore_cli_runs(tmp_path):
     assert payload["counterexample_candidate"] is False
     assert payload["sup_zh"] >= 1.5 - 1e-3
     assert payload["best_immersion"]["type"] == "fourier"
+    # the search's nine settings, the grid as its sizes, and the version
+    assert payload["config"] == {
+        "n": 2, "q": 6, "fmax": 1, "grid": [10, 10], "seed": 42, "iterations": 25, "restarts": 1,
+        "penalty_weight": 1000.0, "smoothing": 0.05, "version": cli.__version__}
 
 
 # ---------------------------------------------------------------- selftest failure path

@@ -175,6 +175,29 @@ def test_rank_check_hexagonal(hexagonal, grid16):
     assert abs(immersion_rank_check(hexagonal, grid16) - math.sqrt(1 / 3)) < 1e-12
 
 
+def _circle_with_second_harmonic(radius, same_plane):
+    """A circle of the given radius plus a half-size second harmonic, in the
+    circle's own plane (q = 2) or in the other two axes of R^4."""
+    R, h = radius, radius / 2
+    if same_plane:
+        terms = (FourierTerm((1,), (R, 0), (0, R)), FourierTerm((2,), (h, 0), (0, h)))
+    else:
+        terms = (FourierTerm((1,), (R, 0, 0, 0), (0, R, 0, 0)),
+                 FourierTerm((2,), (0, 0, h, 0), (0, 0, 0, h)))
+    return FourierImmersion(Signature(1, len(terms[0].a)), terms)
+
+
+@pytest.mark.parametrize("radius,same_plane", [(1e170, False), (1e154, False), (1e170, True)],
+                         ids=["other-axes-1e170", "other-axes-1e154", "same-plane-1e170"])
+def test_rank_check_fails_closed_on_overflow(radius, same_plane):
+    # |f'|^2 overflows at every point, or at all but a few: the rank check
+    # returns NaN, neither inf (read as full rank) nor the minimum over the
+    # points that stayed finite, and raises no overflow warning (the suite
+    # turns RuntimeWarning into an error).
+    imm = _circle_with_second_harmonic(radius, same_plane)
+    assert math.isnan(immersion_rank_check(imm, TorusGrid((64,))))
+
+
 def test_signature_validation():
     with pytest.raises(ValueError):
         Signature(0, 3)

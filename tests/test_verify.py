@@ -1,13 +1,15 @@
+import ast
 import dataclasses
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from toricurv import forked, intrinsic, pointwise, verify
 from toricurv.designs import builtin_design, clifford, subtorus_immersion
-from toricurv.errors import InapplicableHypothesis, NotInBall, WrongDimension
+from toricurv.errors import InapplicableHypothesis, NoNonpositiveScalarPoint, NotInBall, WrongDimension
 from toricurv.fixtures import ball_immersion, perturbed_clifford
 from toricurv.immersion import FourierImmersion, FourierTerm, evaluate_jet, transform
 from toricurv.quadrature import TorusGrid
@@ -284,8 +286,11 @@ def test_constant_k_clifford_spread(clifford2):
     assert abs(spread - (math.sqrt(2) - 1.0)) < 2e-3   # sampled range
     assert rep.status == "fail"
     # Without an exact expectation there is no claim to check: skipped, naming the range.
-    with pytest.raises(InapplicableHypothesis, match=r"K ranges over \[1\.0"):
+    # The sweep's directions include the axes (K = 1) and the diagonal (K = sqrt(2)).
+    with pytest.raises(InapplicableHypothesis, match=r"K ranges over \[") as skipped:
         check_constant_K(clifford2)
+    low, high = map(float, str(skipped.value).rsplit("[", 1)[1].rstrip("]").split(", "))
+    assert abs(low - 1.0) < 1e-12 and abs(high - math.sqrt(2)) < 1e-12
     by_name = {r["name"]: r for r in run_checks(clifford2, GRID2, checks="constant_k")}
     assert by_name["constant_k"]["status"] == "skipped"
 
@@ -439,6 +444,28 @@ def test_no_nonpositive_point_reported_not_failed(clifford3, monkeypatch):
     assert "error" in reports[0]["diagnostics"]
 
 
+@pytest.mark.parametrize("doubled_only", [False, True], ids=["both-grids", "doubled-grid-only"])
+def test_no_nonpositive_point_names_the_grid(clifford3, monkeypatch, doubled_only):
+    # With Sc > 0 at every point of both grids the base grid is named; with
+    # Sc > 0 on the doubled grid only (Clifford's flat base points remain),
+    # the doubled grid is.
+    fields = verify.grid_fields
+    doubled = GRID3.doubled().sizes
+
+    def positive(imm, grid):
+        f = fields(imm, grid)
+        if doubled_only and grid.sizes != doubled:
+            return f
+        return dataclasses.replace(f, H2=f.II2 + 1.0)     # Sc = |H|^2 - |II|^2 > 0
+
+    monkeypatch.setattr(verify, "grid_fields", positive)
+    with pytest.raises(NoNonpositiveScalarPoint) as exc:
+        check_sphere(clifford3, GRID3)
+    named = doubled if doubled_only else GRID3.sizes
+    assert str(exc.value) == (f"no grid point with Sc <= 1e-07 on grid {named}; "
+                              "either under-resolved or a bug")
+
+
 def test_flat_gate_adds_gauss_residual(clifford3, monkeypatch):
     # The flat hypothesis reads the closed-form Sc on the grid plus the Gauss
     # residual of the intrinsic path at seeded points; a residual alone skips it.
@@ -479,6 +506,22 @@ def test_base_grid_sliced_from_doubled_grid(monkeypatch):
         for name in pointwise._FIELD_NAMES + ("norm_H", "zh", "sc_ext", "sin_beta", "cos_beta"):
             np.testing.assert_allclose(getattr(sliced, name), getattr(direct, name),
                                        rtol=0, atol=1e-13, equal_nan=True, err_msg=name)
+
+
+def test_only_the_refinement_reader_reads_the_doubled_grid():
+    # Every grid verdict is re-read on the doubled grid by _refined alone;
+    # any other grid_fields call in verify reads the base grid.
+    doubling, other_reads = set(), set()
+    for top in ast.parse(Path(verify.__file__).read_text()).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "doubled":
+                doubling.add(top.name)
+            if getattr(node.func, "id", None) == "grid_fields" and top.name != "_refined":
+                other_reads.add(ast.unparse(node.args[1]))
+    assert doubling == {"_refined"}
+    assert other_reads == {"grid"}
 
 
 def test_sliced_base_grid_fields_are_read_only():

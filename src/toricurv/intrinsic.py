@@ -44,7 +44,6 @@ from .pointwise import (
     _sc_from_zh,
     _scalar_invariants,
     _second_form,
-    _sweep_directions,
     grid_fields,
 )
 from .quadrature import TorusGrid
@@ -255,15 +254,13 @@ def analysis_grid(imm: FourierImmersion, grid: TorusGrid, seed: int) -> Analysis
 
 
 def _analysis_pass(imm: FourierImmersion, grid: TorusGrid, seed: int) -> AnalysisGrid:
-    D = _sweep_directions(imm.n, seed)
-
     def kernel(thetas):
         # an input whose jets overflow flows through as inf and NaN, for the
         # caller to report by point
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             path = _christoffel(imm, thetas)
             E, S = _second_form(path.L, path.d1, path.d2)
-            return (*_field_columns(path.value, E, S, path.sqrt_det), path.sc, *_K_range(S, D),
+            return (*_field_columns(path.value, E, S, path.sqrt_det), path.sc, *_K_range(S, seed),
                     _metric_eigenvalues(path.g, path.L))
 
     *fields, sc, k_min, k_max, eigenvalues = grid_pass(grid, len(_FIELD_NAMES) + 4, kernel, "analysis pass")

@@ -176,14 +176,18 @@ def _scalar_invariants(S: np.ndarray):
     return H, H2, II2, _zh(H2, II2, n), _sc_ext(H2, II2)
 
 
+@functools.lru_cache(maxsize=None)
 def _directions(n: int, count: int, seed: int) -> np.ndarray:
-    """Deterministic direction set: coordinate axes, the diagonal, then
-    count - n - 1 seeded unit draws (never fewer than the n + 1 fixed rows)."""
-    fixed = np.vstack([np.eye(n), np.ones((1, n)) / math.sqrt(n)])
-    extra = count - n - 1
-    if extra <= 0:
-        return fixed
-    return np.vstack([fixed, SphereSampler(n, extra, seed).directions()])
+    """The seed's direction set, cached and read-only: coordinate axes, the
+    diagonal, then count - n - 1 unit draws from the Philox stream keyed
+    seed * 2713 + 5 (never fewer than the n + 1 fixed rows).  The stream is
+    sequential, so a shorter set is the first rows of a longer one: the
+    climb's 16n starts are the first 16n of the K sweep's 256 directions."""
+    D = np.vstack([np.eye(n), np.ones((1, n)) / math.sqrt(n)])
+    if count > n + 1:
+        D = np.vstack([D, SphereSampler(n, count - n - 1, seed * 2713 + 5).directions()])
+    D.flags.writeable = False     # shared by every caller through the cache
+    return D
 
 
 def _sweep_coefficients(U: np.ndarray) -> np.ndarray:
@@ -240,49 +244,47 @@ def _plane_candidates(S: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(0.5 * s), np.sin(0.5 * s)], axis=2)
 
 
-def _power_climb(M: np.ndarray, D: np.ndarray, signs: tuple[float, ...] = (1.0, -1.0)) -> np.ndarray:
+def _power_climb(M: np.ndarray, D: np.ndarray, sigma: float) -> np.ndarray:
     """Shifted symmetric higher-order power method (Kolda & Mayo 2011, with
     the adaptive shift of 2014) on K^2(u) = M_ijkl u_i u_j u_k u_l, M_ijkl =
     <II(e_i, e_j), II(e_k, e_l)>, ascending (sigma = +1) or descending
-    (sigma = -1) from every unit start in D at each of P points, once per
-    sigma in signs: (P, len(signs) d, n) directions, in the order of signs.
-    With v = II(u, u), g_i = <II(e_i, u), v> and
+    (sigma = -1) from every unit start in D at each of P points: (P, d, n)
+    directions.  With v = II(u, u), g_i = <II(e_i, u), v> and
     H_ik = 2<II(e_i, u), II(e_k, u)> + <II(e_i, e_k), v>, a step is
     u <- normalize(sigma g + alpha u), alpha = max(0, tau - lambda_min(sigma H)),
     monotone in K^2.  Each row stops on its own once it stops moving, once its
     K^2 stalls, or once it reaches a direction (up to sign) where a row of the
-    same point and sign has already stopped or is live with a larger sigma K^2,
-    since both end at that point."""
-    P, d, n, s = M.shape[0], D.shape[0], D.shape[1], len(signs)
-    R = s * d * P
-    M = np.repeat(M, s * d, axis=0)
-    U = np.tile(D, (s * P, 1))
-    sigma = np.tile(np.repeat(signs, d), P)
-    group = np.arange(R) // d                   # one group per (point, sign)
+    same point has already stopped or is live with a larger sigma K^2, since
+    both end at that point."""
+    P, d, n = M.shape[0], D.shape[0], D.shape[1]
+    R = d * P
+    M = np.repeat(M, d, axis=0)
+    U = np.tile(D, (P, 1))
+    group = np.arange(R) // d                   # one group per point
     II2 = np.einsum("rijij->r", M)
     tau = _POWER_TAU * II2
     mark = np.full(R, np.nan)                   # K^2 of each row _POWER_STALL steps ago
     live = np.arange(R)
     for step_no in range(_POWER_STEPS):
-        u, sg = U[live], sigma[live, None]
+        u = U[live]
         Mu = (M[live].reshape(-1, n ** 3, n) @ u[:, :, None]).reshape(-1, n * n, n)
         N = (Mu @ u[:, :, None]).reshape(-1, n, n)                          # <II(e_i, e_k), v>
         T = (u[:, None, :] @ Mu.reshape(-1, n, n * n)).reshape(-1, n, n)    # <II(e_i, u), II(e_k, u)>
-        alpha = np.maximum(0.0, tau[live] - np.linalg.eigvalsh(sg[:, :, None] * (2.0 * T + N))[:, 0])
+        alpha = np.maximum(0.0, tau[live] - np.linalg.eigvalsh(sigma * (2.0 * T + N))[:, 0])
         g = (N @ u[:, :, None])[:, :, 0]
-        step = sg * g + alpha[:, None] * u
+        step = sigma * g + alpha[:, None] * u
         norm = np.linalg.norm(step, axis=1, keepdims=True)
         U[live] = np.divide(step, norm, out=u.copy(), where=norm > 0.0)
         keep = np.linalg.norm(U[live] - u, axis=1) > _POWER_STILL
         if step_no % _POWER_STALL == 0:
             k2 = np.einsum("ri,ri->r", u, g)                                # K^2(u) = <v, v>
-            keep &= ~(sg[:, 0] * (k2 - mark[live]) < _POWER_GAIN * II2[live])
+            keep &= ~(sigma * (k2 - mark[live]) < _POWER_GAIN * II2[live])
             mark[live] = k2
-            peers = group[live]                  # the rows of each live row's (point, sign)
+            peers = group[live]                  # the rows of each live row's point
             # a peer ahead of a live row: stopped, or live with a larger sigma K^2
             # (ties to the lower row), so each cluster keeps one live row
             score = np.full(R, np.inf)
-            score[live] = sg[:, 0] * k2
+            score[live] = sigma * k2
             ahead = score.reshape(-1, d)[peers]
             ahead = (ahead > score[live, None]) | ((ahead == score[live, None])
                                                    & (np.arange(d) < live[:, None] % d))
@@ -291,7 +293,7 @@ def _power_climb(M: np.ndarray, D: np.ndarray, signs: tuple[float, ...] = (1.0, 
         live = live[keep]
         if live.size == 0:
             break
-    return U.reshape(P, s * d, n)
+    return U.reshape(P, d, n)
 
 
 def extremal_normal_curvature(S: np.ndarray, seed: int = 0, side: str = "both"):
@@ -300,9 +302,10 @@ def extremal_normal_curvature(S: np.ndarray, seed: int = 0, side: str = "both"):
     (k_min, k_max, u_min, u_max), with unit directions attaining them.
 
     Exact for n = 2: K^2 at every root of its derivative (_plane_candidates).
-    For n >= 3 the best values the shifted power method finds, ascending and
-    descending from each of the 16n seeded starts _directions(n, 16n, seed):
-    an inner bound on the true range.  side "max" runs only the ascents, for
+    For n >= 3 the best values the shifted power method finds, in one climb
+    ascending and one descending from each of the 16n seeded starts
+    _directions(n, 16n, seed), the first 16n directions of the K sweep: an
+    inner bound on the true range.  side "max" runs only the ascents, for
     k_max, and "min" only the descents, for k_min (the other extreme is then
     the best over that side's rows): an ascent never ends below its start
     and a descent never above it, so the other side can only tie, and beats
@@ -310,7 +313,6 @@ def extremal_normal_curvature(S: np.ndarray, seed: int = 0, side: str = "both"):
     ulp on constant-curvature designs).  Deterministic for a fixed seed;
     points with non-finite entries give NaN."""
     P, n = S.shape[0], _n_of_pairs(S.shape[1])
-    signs = {"both": (1.0, -1.0), "max": (1.0,), "min": (-1.0,)}[side]
     # the eigensolvers raise on NaN, so non-finite points search on II = 0
     S0 = np.where(np.isfinite(S).all(axis=(1, 2))[:, None, None], S, 0.0)
     if n == 2:
@@ -318,7 +320,9 @@ def extremal_normal_curvature(S: np.ndarray, seed: int = 0, side: str = "both"):
     else:
         full = _full_form(S0)
         M = np.einsum("pijq,pklq->pijkl", full, full, optimize=True)
-        U = _power_climb(M, _directions(n, 16 * n, seed), signs)
+        D = _directions(n, 16 * n, seed)
+        U = np.concatenate([_power_climb(M, D, sigma) for sigma in
+                            {"both": (1.0, -1.0), "max": (1.0,), "min": (-1.0,)}[side]], axis=1)
     v = _sweep_coefficients(U) @ S
     K2 = np.einsum("pcq,pcq->pc", v, v)
     i_min, i_max, at = np.argmin(K2, axis=1), np.argmax(K2, axis=1), np.arange(P)
@@ -465,31 +469,24 @@ def weighted_average(fields: GridFields, values: np.ndarray) -> float:
     return float(np.sum(values * fields.sqrt_det) / np.sum(fields.sqrt_det))
 
 
-def _sweep_directions(n: int, seed: int) -> np.ndarray:
-    """The 256 fixed directions of the n >= 3 K sweep for a seed."""
-    return _directions(n, 256, seed * 2713 + 5)
-
-
-def _K_range(S: np.ndarray, D: np.ndarray):
-    """(K_min, K_max) at each point of a (P, m, q) batch in the pair layout:
-    the extremizer's exact root solve for n = 2, otherwise K over the rows of
-    the (d, n) direction set D."""
-    if D.shape[1] == 2:
+def _K_range(S: np.ndarray, seed: int):
+    """(K_min, K_max) at each point of a (P, m, q) batch in the pair layout,
+    the one per-point K range: exact for n = 2 (the extremizer's root solve),
+    otherwise K over the 256 directions _directions(n, 256, seed) (the axes,
+    the diagonal and seeded draws), an inner bound on the true range, since
+    the power method at every point costs seconds."""
+    n = _n_of_pairs(S.shape[1])
+    if n == 2:
         return extremal_normal_curvature(S)[:2]
-    swept = _k2_sweep(D, S)
+    swept = _k2_sweep(_directions(n, 256, seed), S)
     return np.sqrt(swept.min(axis=1)), np.sqrt(swept.max(axis=1))
 
 
 def grid_K_estimates(imm: FourierImmersion, grid: TorusGrid,
                      seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point normal-curvature extremes (K_min, K_max) over a grid, as
-    read-only arrays: exact for n = 2 (the extremizer's root solve at every
-    point), otherwise K over 256 fixed directions (axes, the diagonal and
-    seeded draws), an inner bound on the true range, since the power method
-    at every point costs seconds.  The pass is split over forked workers by
-    grid_pass."""
-    D = _sweep_directions(imm.n, seed)
-    return tuple(grid_pass(grid, 2, lambda thetas: _K_range(_chunk_core(imm, thetas)[2], D),
+    """_K_range at every point of a grid, as read-only arrays.  The pass is
+    split over forked workers by grid_pass."""
+    return tuple(grid_pass(grid, 2, lambda thetas: _K_range(_chunk_core(imm, thetas)[2], seed),
                            "K estimates"))
 
 

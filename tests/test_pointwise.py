@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricurv import pointwise
 from toricurv.designs import builtin_design, clifford, subtorus_immersion
 from toricurv.fixtures import ball_immersion, perturbed_clifford
 from toricurv.errors import DegenerateMetric
@@ -377,12 +380,12 @@ def test_power_climb_keeps_one_live_row_per_cluster():
     full = _full_form(S)
     M = np.einsum("pijq,pklq->pijkl", full, full)
     D = _directions(3, 8, 0)
-    U = _power_climb(M, np.vstack([D, D[:1]]))[0]
-    v = np.einsum("ri,rj,ijq->rq", U, U, full[0])
-    k2 = np.einsum("rq,rq->r", v, v)
-    for first, repeat, sign in ((0, 8, 1.0), (9, 17, -1.0)):
-        assert not np.array_equal(U[first], U[repeat])
-        assert sign * (k2[first] - k2[repeat]) >= 0.0
+    for sign in (1.0, -1.0):
+        U = _power_climb(M, np.vstack([D, D[:1]]), sign)[0]
+        v = np.einsum("ri,rj,ijq->rq", U, U, full[0])
+        k2 = np.einsum("rq,rq->r", v, v)
+        assert not np.array_equal(U[0], U[8])
+        assert sign * (k2[0] - k2[8]) >= 0.0
 
 
 @pytest.mark.parametrize("make,sizes,seed", [
@@ -422,6 +425,29 @@ def test_grid_K_estimates_exact_for_surfaces(wavy2):
         lo, hi = reference_k2_range(full_at(wavy2, grid.theta_at(idx)))
         assert k_max[idx] ** 2 >= hi - 1e-12 and k_min[idx] ** 2 <= lo + 1e-12
         assert k_max[idx] ** 2 <= hi + 1e-8 and k_min[idx] ** 2 >= lo - 1e-8
+
+
+def test_only_pointwise_samples_K():
+    # Every per-point K range is pointwise._K_range: no other module builds a
+    # direction set or sweeps K.
+    package = Path(pointwise.__file__).parent
+    helpers = {"_directions", "_k2_sweep", "_sweep_coefficients"}
+    callers = set()
+    for path in package.glob("*.py"):
+        if path.stem == "pointwise":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            callers.update((path.stem, getattr(top, "name", None)) for node in ast.walk(top)
+                           if isinstance(node, ast.Call)
+                           and getattr(node.func, "attr", getattr(node.func, "id", None)) in helpers)
+    assert callers == set()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_climb_starts_are_the_sweeps_first_rows(n):
+    starts, sweep = _directions(n, 16 * n, 7), _directions(n, 256, 7)
+    assert np.array_equal(starts, sweep[:16 * n])
+    assert not starts.flags.writeable and not sweep.flags.writeable
 
 
 # ---------------------------------------------------------------- principal values

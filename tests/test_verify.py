@@ -11,7 +11,7 @@ from toricurv import forked, intrinsic, pointwise, verify
 from toricurv.designs import builtin_design, clifford, subtorus_immersion
 from toricurv.errors import InapplicableHypothesis, NoNonpositiveScalarPoint, NotInBall, WrongDimension
 from toricurv.fixtures import ball_immersion, perturbed_clifford
-from toricurv.immersion import FourierImmersion, FourierTerm, evaluate_jet, transform
+from toricurv.immersion import FourierImmersion, FourierTerm, Signature, evaluate_jet, transform
 from toricurv.quadrature import TorusGrid
 from toricurv.verify import (
     check_2d,
@@ -159,6 +159,24 @@ def test_sphere_gate(clifford2):
         check_sphere(scaled(clifford2, 0.9), GRID2)
 
 
+def test_sphere_gate_reads_the_doubled_grid():
+    # Clifford(2) whose first circle has radius (1 - a + a cos 16t)/sqrt(2):
+    # |f| = 1 at every point of the 16^2 grid, where cos 16t = 1, and
+    # 0.951 halfway between them, so only the doubled grid sees it leave
+    # the sphere.
+    a, c = 0.05, 1.0 / math.sqrt(2.0)
+    e = np.eye(4)
+    imm = FourierImmersion(signature=Signature(n=2, q=4), terms=(
+        FourierTerm((1, 0), (1.0 - a) * c * e[0], (1.0 - a) * c * e[1]),
+        FourierTerm((15, 0), 0.5 * a * c * e[0], -0.5 * a * c * e[1]),
+        FourierTerm((17, 0), 0.5 * a * c * e[0], 0.5 * a * c * e[1]),
+        FourierTerm((0, 1), c * e[2], c * e[3]),
+    ))
+    assert np.max(np.abs(pointwise.grid_fields(imm, GRID2).r - 1.0)) < 1e-12
+    with pytest.raises(InapplicableHypothesis, match=r"max \|\|f\|-1\| = 0\.0486"):
+        check_sphere(imm, GRID2)
+
+
 # ---------------------------------------------------------------- main bound
 
 def test_main_clifford3(clifford3):
@@ -277,7 +295,7 @@ def test_constant_k_hexagonal(hexagonal):
     rep = check_constant_K(hexagonal, expected_K=math.sqrt(1.5))
     assert rep.status == "pass"
     assert -rep.margin < 1e-10
-    assert abs(rep.diagnostics["mean_K"] - math.sqrt(1.5)) < 1e-10
+    assert rep.diagnostics["max_deviation"] < 1e-10
 
 
 def test_constant_k_clifford_spread(clifford2):
@@ -286,7 +304,7 @@ def test_constant_k_clifford_spread(clifford2):
     assert abs(spread - (math.sqrt(2) - 1.0)) < 2e-3   # sampled range
     assert rep.status == "fail"
     # Without an exact expectation there is no claim to check: skipped, naming the range.
-    # The sweep's directions include the axes (K = 1) and the diagonal (K = sqrt(2)).
+    # For n = 2 the range is exact at each point: K = 1 on the axes, sqrt(2) on the diagonal.
     with pytest.raises(InapplicableHypothesis, match=r"K ranges over \[") as skipped:
         check_constant_K(clifford2)
     low, high = map(float, str(skipped.value).rsplit("[", 1)[1].rstrip("]").split(", "))

@@ -14,8 +14,9 @@ conformal_trace, and as the per-chunk kernel of analysis_grid, analyze's
 one grid pass, whose every row (the second-order fields, Sc, the K range
 and lambda_min(g)) comes from that call.  The pass keeps its results to
 itself, in the grid cache under its own key; curvature_grid is its Sc.
-conformal_grid reads the closed forms from grid_fields' second-order
-fields.  The two paths share only the metric factor L of
+conformal_grid reads the closed forms from the second-order fields it is
+given (verify passes the base grid that _refined slices from the doubled
+grid's pass).  The two paths share only the metric factor L of
 pointwise._metric_factor (g^-1 = L'L), and with it the one degeneracy rule,
 which names the point theta; the Christoffel path builds Sc as the g^-1
 trace of the Ricci tensor from dg and ddg, with no Riemann tensor formed,
@@ -44,7 +45,6 @@ from .pointwise import (
     _sc_from_zh,
     _scalar_invariants,
     _second_form,
-    grid_fields,
 )
 from .quadrature import TorusGrid
 
@@ -276,17 +276,16 @@ def curvature_grid(imm: FourierImmersion, grid: TorusGrid) -> np.ndarray:
     return analysis_grid(imm, grid, 0).sc
 
 
-def conformal_grid(imm: FourierImmersion, grid: TorusGrid, k: float | Fraction) -> dict[str, np.ndarray]:
+def conformal_grid(fields: GridFields, k: float | Fraction) -> dict[str, np.ndarray]:
     """Arrays 'conformal' (Sc*u - 4(n-1)/(n-2)*lap u), 'sc', 'lap_f',
-    'grad2', 'u' and 'r' over a grid, for n >= 3.
+    'grad2', 'u' and 'r' over the fields' grid, for n >= 3.
 
-    Every term is a closed form of the cached second-order fields: the Gauss
+    Every term is a closed form of the given second-order fields: the Gauss
     equation Sc = |H|^2 - |II|^2, lap_f = n + <H, x> and |grad f| = r*sin(beta)
     (0 at the origin, where beta is undefined)."""
-    n = imm.n
+    n = fields.grid.n
     if n < 3:
         raise DimensionTooLow(f"conformal operator needs n >= 3, got n={n}")
-    fields = grid_fields(imm, grid)
     r = fields.r
     lap_f = n + fields.hx
     grad2 = np.where(r < 1e-12, 0.0, (r * fields.sin_beta) ** 2)

@@ -428,23 +428,9 @@ def _memo(imm: FourierImmersion, key: tuple, compute=None):
 
 
 def grid_fields(imm: FourierImmersion, grid: TorusGrid) -> GridFields:
-    """Pointwise invariant fields over a grid, memoized per (immersion, sizes).
-
-    A grid whose doubled grid is already cached is the stride-2 slice of it:
-    the same points, since 2*pi*j/N == 2*pi*(2j)/(2N) in binary floating point,
-    so a check that reads both grids evaluates only the doubled one."""
-    def compute():
-        fine = _memo(imm, ("fields", grid.doubled().sizes))
-        if fine is None:
-            return _evaluate_fields(imm, grid)
-        every_other = (slice(None, None, 2),) * grid.n
-        columns = {name: getattr(fine, name).reshape(fine.grid.sizes)[every_other].ravel()
-                   for name in _FIELD_NAMES}
-        for column in columns.values():     # copies of a read-only pass's rows
-            column.flags.writeable = False
-        return GridFields(grid=grid, **columns)
-
-    return _memo(imm, ("fields", grid.sizes), compute)
+    """Pointwise invariant fields over a grid, one pass memoized per
+    (immersion, sizes)."""
+    return _memo(imm, ("fields", grid.sizes), lambda: _evaluate_fields(imm, grid))
 
 
 def _field_columns(value: np.ndarray, E: np.ndarray, S: np.ndarray, sqrt_det: np.ndarray):

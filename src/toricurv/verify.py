@@ -29,7 +29,7 @@ from .errors import (
 )
 from .formats import immersion_to_obj
 from .immersion import FourierImmersion
-from .pointwise import GridFields, global_normal_curvature_max, grid_fields, weighted_average
+from .pointwise import _FIELD_NAMES, GridFields, global_normal_curvature_max, grid_fields, weighted_average
 from .quadrature import TorusGrid, _philox
 
 BALL_SLACK = 1e-9           # |f| may exceed 1 by at most this much
@@ -101,6 +101,7 @@ class _Refined(NamedTuple):
     index: int | None            # the doubled grid's flat index of a max or min
     fields: GridFields           # the doubled grid's
     theta: list | None           # the doubled grid's theta at index
+    base_fields: GridFields      # the grid's, the doubled grid's even-index points
 
 
 def _refined(imm: FourierImmersion, grid: TorusGrid,
@@ -108,20 +109,26 @@ def _refined(imm: FourierImmersion, grid: TorusGrid,
     """The per-point values read(fields) reduced by how ("max", "min" or
     "average", over the induced volume) on the grid and on its doubling.
 
-    The doubled grid is evaluated first, so the base grid is its stride-2
-    slice, not a second pass.  The only reader of the doubled grid."""
+    The one caller of grid_fields in verify, on the doubled grid only: the
+    grid's fields are its stride-2 slice, the same points, since
+    2*pi*j/N == 2*pi*(2j)/(2N) in binary floating point."""
     fine_grid = grid.doubled()
     fine = grid_fields(imm, fine_grid)
-    base = grid_fields(imm, grid)
+    every_other = (slice(None, None, 2),) * grid.n
+    columns = {name: getattr(fine, name).reshape(fine_grid.sizes)[every_other].ravel()
+               for name in _FIELD_NAMES}
+    for column in columns.values():     # copies of a read-only pass's rows
+        column.flags.writeable = False
+    base = GridFields(grid=grid, **columns)
     if how == "average":
         at_base, at_fine = (weighted_average(f, read(f)) for f in (base, fine))
-        return _Refined(at_base, at_fine, abs(at_fine - at_base), None, fine, None)
+        return _Refined(at_base, at_fine, abs(at_fine - at_base), None, fine, None, base)
     pick = {"max": np.argmax, "min": np.argmin}[how]
     base_values, values = read(base), read(fine)
     index = int(pick(values))
     at_base, at_fine = float(base_values[pick(base_values)]), float(values[index])
     return _Refined(at_base, at_fine, abs(at_fine - at_base), index, fine,
-                    fine_grid.theta_at(index).tolist())
+                    fine_grid.theta_at(index).tolist(), base)
 
 
 def _ensure_ball(imm: FourierImmersion, grid: TorusGrid) -> None:
@@ -184,11 +191,12 @@ def check_2d(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
 def check_flat(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     """For a flat induced metric: average zh is at least 3n/(n+2).
 
-    The hypothesis adds two numbers: the largest closed-form |Sc| on the grid
-    and the largest Gauss residual (the intrinsic Sc minus the closed form) at
-    FLAT_SAMPLE seeded points, so it cannot pass on the closed form alone."""
+    The hypothesis adds two numbers: the largest closed-form |Sc| on the
+    doubled grid and the largest Gauss residual (the intrinsic Sc minus the
+    closed form) at FLAT_SAMPLE seeded points, so it cannot pass on the
+    closed form alone."""
     _ensure_ball(imm, grid)
-    sc_max = float(np.max(np.abs(grid_fields(imm, grid).sc_ext)))
+    sc_max = _refined(imm, grid, lambda f: np.abs(f.sc_ext), "max").value
     thetas = _philox(FLAT_KEY).uniform(0.0, 2.0 * math.pi, size=(FLAT_SAMPLE, imm.n))
     residual = float(np.max(np.abs(intrinsic.gauss_residuals(imm, thetas))))
     if sc_max + residual >= FLAT_SC_TOL:
@@ -221,11 +229,11 @@ def check_sphere(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     n = imm.n
     bound = 3.0 * n / (n + 2)
     top = _refined(imm, grid, lambda f: np.where(f.sc_ext <= NONPOS_SC_TOL, f.zh, -np.inf), "max")
-    for value, sizes in ((top.base, grid.sizes), (top.value, top.fields.grid.sizes)):
-        if value == -np.inf:
-            raise NoNonpositiveScalarPoint(
-                f"no grid point with Sc <= {NONPOS_SC_TOL} on grid {sizes}; "
-                "either under-resolved or a bug")
+    # the grid's points are doubled-grid points, so a point there is one on both
+    if top.base == -np.inf:
+        raise NoNonpositiveScalarPoint(
+            f"no grid point with Sc <= {NONPOS_SC_TOL} on grid {grid.sizes}; "
+            "either under-resolved or a bug")
     return _report(
         "sphere", margin=top.value - bound, tolerance=1e-8,
         witness={"theta": top.theta,
@@ -255,28 +263,27 @@ def _chain_terms(n: int, zh: float, norm_H: float, r: float,
     }
 
 
-def _trace_diagnostics(imm: FourierImmersion, grid: TorusGrid) -> tuple[dict, dict | None]:
-    """Radial-trace diagnostics at the most informative grid point off the
-    origin (where the radial angles are undefined).
+def _trace_diagnostics(imm: FourierImmersion, fields: GridFields) -> tuple[dict, dict | None]:
+    """Radial-trace diagnostics at the most informative point of the fields'
+    grid off the origin (where the radial angles are undefined).
 
     For n >= 3 that is the minimizer of the conformal operator value; for
     n < 3 (where the operator is undefined) it is the zh maximizer, traced at
     rate k = 0.  r, alpha and beta come from the one conformal_trace in every
     dimension.  Returns (diagnostics, witness); the witness is None for n < 3."""
     n = imm.n
-    fields = grid_fields(imm, grid)
     origin = fields.r < 1e-12
     diag: dict = {}
     if n >= 3:
         k = intrinsic.conformal_rate(n)
-        conformal = intrinsic.conformal_grid(imm, grid, k)["conformal"]
+        conformal = intrinsic.conformal_grid(fields, k)["conformal"]
         idx = int(np.argmin(np.where(origin, np.inf, conformal)))
         diag["conformal_min"] = float(conformal[idx])
         diag["conformal_rate"] = float(k)
     else:
         k = 0
         idx = int(np.argmax(np.where(origin, -np.inf, fields.zh)))
-    theta = grid.theta_at(idx)
+    theta = fields.grid.theta_at(idx)
     trace = intrinsic.conformal_trace(imm, theta, k)
     diag["trace_theta"] = theta.tolist()
     diag["lap_identity_residual"] = abs(trace.lap_f - (n + float(fields.hx[idx])))
@@ -320,16 +327,15 @@ def check_main(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> CheckRe
     best-found global maximum (grid sweep plus multistart refinement)."""
     _ensure_ball(imm, grid)
     n = imm.n
-    if n == 2:
-        inner = check_2d(imm, grid)
-        diag, _ = _trace_diagnostics(imm, grid)
-        return replace(inner, name="main",
-                       diagnostics={**inner.diagnostics, **diag, "delegated_to": "2d"})
     if n >= 5:
         _gate_K(imm, grid, seed, "pointwise")
-    bound = 3.0 * n / (n + 2)
     top = _refined(imm, grid, lambda f: f.zh, "max")
-    diag, witness = _trace_diagnostics(imm, grid)
+    diag, witness = _trace_diagnostics(imm, top.base_fields)
+    if n == 2:
+        inner = check_2d(imm, grid)
+        return replace(inner, name="main",
+                       diagnostics={**inner.diagnostics, **diag, "delegated_to": "2d"})
+    bound = 3.0 * n / (n + 2)
     diag.update({"max_zh": top.value, "bound": bound, "grid": list(grid.sizes)})
     return _report(
         "main", margin=top.value - bound, tolerance=1e-8,
@@ -340,6 +346,7 @@ def check_main(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> CheckRe
 
 def check_bow(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> CheckReport:
     """|x| <= cos(beta) wherever normal curvatures stay at most 2."""
+    _ensure_ball(imm, grid)
     k_top = _gate_K(imm, grid, seed, "bow")
     # origin points satisfy the bound trivially
     low = _refined(imm, grid, lambda f: np.where(f.r < 1e-12, 1.0, f.cos_beta - f.r), "min")

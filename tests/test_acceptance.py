@@ -213,7 +213,7 @@ def test_criterion_09_main_bound_machinery():
     worst_conformal = -math.inf
     for imm in (clifford(3), clifford(4), subtorus_immersion(builtin_design("d4")),
                 subtorus_immersion(builtin_design("axdiag3"))):
-        cg = conformal_grid(imm, grids[imm.n], conformal_rate(imm.n))
+        cg = conformal_grid(grid_fields(imm, grids[imm.n]), conformal_rate(imm.n))
         worst_conformal = max(worst_conformal, float(np.min(cg["conformal"])))
     ok &= worst_conformal <= 1e-7
     _criterion(9, ok, "pointwise bound machinery: " + ", ".join(details)

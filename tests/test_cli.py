@@ -121,6 +121,12 @@ def test_verify_out_of_ball_fails(tmp_path, clifford2):
     code = main(["verify", str(path), "--grid", "16,16", "--out",
                  str(tmp_path / "rep.json")])
     assert code == 1
+    # K <= sqrt(2) still holds, but |x| <= cos(beta) is a bound for maps into
+    # the ball: bow alone is skipped, and only ball's failure gives exit 1.
+    out = tmp_path / "bow.json"
+    assert main(["verify", str(path), "--checks", "bow", "--grid", "16,16", "--out", str(out)]) == 0
+    (report,) = json.loads(out.read_text())
+    assert (report["status"], report["diagnostics"]["error"]) == ("skipped", "NotInBall")
 
 
 def test_verify_csv_format(hex_file, tmp_path):

@@ -254,7 +254,7 @@ def test_conformal_trace_origin_gate():
 def test_conformal_grid_nonpositive_minimum(clifford3, clifford4, d4):
     for imm in (clifford3, clifford4, d4):
         grid = TorusGrid((6,) * imm.n)
-        cg = conformal_grid(imm, grid, conformal_rate(imm.n))
+        cg = conformal_grid(grid_fields(imm, grid), conformal_rate(imm.n))
         assert float(np.min(cg["conformal"])) <= 1e-7
 
 
@@ -267,7 +267,7 @@ def test_conformal_grid_matches_christoffel_path(make):
     imm = make()
     grid = TorusGrid((8, 8, 8))
     k = conformal_rate(3)
-    cg = conformal_grid(imm, grid, k)
+    cg = conformal_grid(grid_fields(imm, grid), k)
     for idx in (0, 77, 200, 365, 511):
         tr = conformal_trace(imm, grid.theta_at(idx), k)
         for got, want in ((cg["conformal"][idx], tr.conformal_value), (cg["sc"][idx], tr.sc),
@@ -277,7 +277,7 @@ def test_conformal_grid_matches_christoffel_path(make):
 
 def test_conformal_grid_dimension_gate(wavy2, grid16):
     with pytest.raises(DimensionTooLow):
-        conformal_grid(wavy2, grid16, 1.0)
+        conformal_grid(grid_fields(wavy2, grid16), 1.0)
 
 
 def test_curvature_grid_matches_pointwise(wavy2):
@@ -380,13 +380,14 @@ def test_bracketed_min_singular_value_is_every_points_minimum(make, sizes, analy
 
 
 def test_grid_cache_holds_one_entry_per_writer():
-    # verify's fields and K gate and analyze's pass each keep their own key.
+    # verify's fields and K gate and analyze's pass each keep their own key;
+    # verify evaluates only the doubled grid's fields, and slices the grid.
     imm = perturbed_clifford(2, seed=9)
     grid = TorusGrid((8, 8))
     run_checks(imm, grid, seed=2)
     analysis_grid(imm, grid, 2)
     assert set(pointwise._grid_cache[imm]) == {
-        ("fields", (8, 8)), ("fields", (16, 16)), ("K_max", (8, 8), 2), ("analysis", (8, 8), 2)}
+        ("fields", (16, 16)), ("K_max", (8, 8), 2), ("analysis", (8, 8), 2)}
 
 
 def test_analysis_grid_memoized_read_only():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -593,6 +594,21 @@ def test_grid_fields_match_pointwise(wavy2):
         assert abs(fields.r[idx] - np.linalg.norm(jet.value)) < 1e-12
         assert abs(fields.norm_H[idx] - math.sqrt(H2)) < 1e-12
         assert abs(fields.zh[idx] - invariants_at(jet).zh) < 1e-12
+
+
+def test_base_grid_fields_do_not_depend_on_the_doubled_grid():
+    # For n >= 5 the jet GEMM rounds d2 by its shape, so a pass over the
+    # doubled grid differs from one over the base grid in the last bits (12
+    # hx entries of ball(5, 11, 3) at 4^5); grid_fields of a grid is that
+    # grid's own pass whether or not its doubled grid was read first.
+    grid = TorusGrid((4,) * 5)
+    first = ball_immersion(5, 11, seed=3)
+    alone = grid_fields(first, grid)
+    imm = dataclasses.replace(first)      # the same series, with an empty grid cache
+    grid_fields(imm, grid.doubled())
+    after = grid_fields(imm, grid)
+    for name in pointwise._FIELD_NAMES:
+        assert np.array_equal(getattr(after, name), getattr(alone, name)), name
 
 
 def test_certified_grid_pass_makes_no_lapack_call(monkeypatch):

@@ -141,6 +141,26 @@ def test_flat_gate_on_curved(wavy2):
         check_flat(wavy2, TorusGrid((24, 24)))
 
 
+def test_flat_gate_reads_the_doubled_grid():
+    # (a cos t, a sin t, b cos s, b sin s) with b(t) = a + eps sin^3(8t):
+    # sin 8t and its first two derivatives vanish at every point of the
+    # 16^2 grid, which sees a flat metric (max |Sc| 5e-13), while the doubled
+    # grid reads max |Sc| = 24.08, so the flat hypothesis fails.
+    a, eps, e = 0.69, 0.02, np.eye(4)      # sin^3 x = (3 sin x - sin 3x) / 4
+    imm = FourierImmersion(signature=Signature(n=2, q=4), terms=(
+        FourierTerm((1, 0), a * e[0], a * e[1]),
+        FourierTerm((0, 1), a * e[2], a * e[3]),
+        FourierTerm((8, 1), -3 * eps / 8 * e[3], 3 * eps / 8 * e[2]),
+        FourierTerm((8, -1), 3 * eps / 8 * e[3], 3 * eps / 8 * e[2]),
+        FourierTerm((24, 1), eps / 8 * e[3], -eps / 8 * e[2]),
+        FourierTerm((24, -1), -eps / 8 * e[3], -eps / 8 * e[2]),
+    ))
+    assert np.max(np.abs(pointwise.grid_fields(imm, GRID2).sc_ext)) < 1e-11
+    (report,) = run_checks(imm, GRID2, checks="flat")
+    assert report["status"] == "skipped"
+    assert report["diagnostics"]["reason"].startswith("metric is not flat: max |Sc| = 24.07")
+
+
 # ---------------------------------------------------------------- sphere bound
 
 def test_sphere_clifford3(clifford3):
@@ -462,25 +482,20 @@ def test_no_nonpositive_point_reported_not_failed(clifford3, monkeypatch):
     assert "error" in reports[0]["diagnostics"]
 
 
-@pytest.mark.parametrize("doubled_only", [False, True], ids=["both-grids", "doubled-grid-only"])
-def test_no_nonpositive_point_names_the_grid(clifford3, monkeypatch, doubled_only):
-    # With Sc > 0 at every point of both grids the base grid is named; with
-    # Sc > 0 on the doubled grid only (Clifford's flat base points remain),
-    # the doubled grid is.
+def test_no_nonpositive_point_names_the_grid(clifford3, monkeypatch):
+    # With Sc > 0 at every point the base grid is named: its points are
+    # doubled-grid points, so the doubled grid cannot be the only one without
+    # a nonpositive point.
     fields = verify.grid_fields
-    doubled = GRID3.doubled().sizes
 
     def positive(imm, grid):
         f = fields(imm, grid)
-        if doubled_only and grid.sizes != doubled:
-            return f
         return dataclasses.replace(f, H2=f.II2 + 1.0)     # Sc = |H|^2 - |II|^2 > 0
 
     monkeypatch.setattr(verify, "grid_fields", positive)
     with pytest.raises(NoNonpositiveScalarPoint) as exc:
         check_sphere(clifford3, GRID3)
-    named = doubled if doubled_only else GRID3.sizes
-    assert str(exc.value) == (f"no grid point with Sc <= 1e-07 on grid {named}; "
+    assert str(exc.value) == (f"no grid point with Sc <= 1e-07 on grid {GRID3.sizes}; "
                               "either under-resolved or a bug")
 
 
@@ -500,7 +515,8 @@ def test_flat_gate_adds_gauss_residual(clifford3, monkeypatch):
 
 def test_base_grid_sliced_from_doubled_grid(monkeypatch):
     # Every base point is a point of the doubled grid, so run_checks evaluates
-    # the fields on the doubled grid only and slices the base grid out of it.
+    # the fields on the doubled grid only and _refined slices the base grid
+    # out of it, equal to a pass over the base grid up to roundoff.
     d4 = subtorus_immersion(builtin_design("d4"))
     evaluate = pointwise._evaluate_fields
     evaluated = []
@@ -515,45 +531,44 @@ def test_base_grid_sliced_from_doubled_grid(monkeypatch):
     monkeypatch.undo()
 
     # d4's fields are constant, so compare on a map whose fields are not too
-    wavy3 = perturbed_clifford(3, seed=1)
-    pointwise.grid_fields(wavy3, GRID3.doubled())
-    for imm, fresh, grid in ((d4, subtorus_immersion(builtin_design("d4")), GRID4),
-                             (wavy3, perturbed_clifford(3, seed=1), GRID3)):
-        sliced = pointwise.grid_fields(imm, grid)
-        direct = pointwise.grid_fields(fresh, grid)
+    for imm, grid in ((d4, GRID4), (perturbed_clifford(3, seed=1), GRID3)):
+        sliced = verify._refined(imm, grid, lambda f: f.r, "max").base_fields
+        direct = pointwise.grid_fields(imm, grid)
+        assert sliced.grid == grid
         for name in pointwise._FIELD_NAMES + ("norm_H", "zh", "sc_ext", "sin_beta", "cos_beta"):
             np.testing.assert_allclose(getattr(sliced, name), getattr(direct, name),
                                        rtol=0, atol=1e-13, equal_nan=True, err_msg=name)
 
 
 def test_only_the_refinement_reader_reads_the_doubled_grid():
-    # Every grid verdict is re-read on the doubled grid by _refined alone;
-    # any other grid_fields call in verify reads the base grid.
-    doubling, other_reads = set(), set()
-    for top in ast.parse(Path(verify.__file__).read_text()).body:
-        for node in ast.walk(top):
-            if not isinstance(node, ast.Call):
-                continue
-            if isinstance(node.func, ast.Attribute) and node.func.attr == "doubled":
-                doubling.add(top.name)
-            if getattr(node.func, "id", None) == "grid_fields" and top.name != "_refined":
-                other_reads.add(ast.unparse(node.args[1]))
-    assert doubling == {"_refined"}
-    assert other_reads == {"grid"}
+    # Every grid verdict reads both grids through _refined alone, which
+    # slices the grid out of its doubling; pointwise and intrinsic know
+    # nothing of how the two grids relate.
+    def callers(module, name):
+        found = set()
+        for top in ast.parse(Path(module.__file__).read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name in (getattr(node.func, "attr", None),
+                                                           getattr(node.func, "id", None)):
+                    found.add(top.name)
+        return found
+
+    assert callers(verify, "doubled") == callers(verify, "grid_fields") == {"_refined"}
+    assert callers(pointwise, "doubled") == callers(intrinsic, "doubled") == set()
+    assert callers(intrinsic, "grid_fields") == set()
 
 
 def test_sliced_base_grid_fields_are_read_only():
-    # The stride-2 slice is a copy of the doubled grid's rows, and is cached:
-    # a write into it would reach every later reader of the base grid.
+    # The stride-2 slice is a copy of the doubled grid's rows, read-only like
+    # the pass it comes from.
     imm = clifford(2)
-    pointwise.grid_fields(imm, TorusGrid((16, 16)))
-    base = pointwise.grid_fields(imm, TorusGrid((8, 8)))
+    base = verify._refined(imm, TorusGrid((8, 8)), lambda f: f.r, "max").base_fields
     r0 = base.r[0]
     for name in pointwise._FIELD_NAMES:
         assert not getattr(base, name).flags.writeable, name
     with pytest.raises(ValueError, match="read-only"):
         base.r[0] = 5.0
-    assert pointwise.grid_fields(imm, TorusGrid((8, 8))).r[0] == r0
+    assert verify._refined(imm, TorusGrid((8, 8)), lambda f: f.r, "max").base_fields.r[0] == r0
 
 
 def test_no_third_order_pass_over_the_grid(monkeypatch):
@@ -599,11 +614,12 @@ def test_trace_point_skips_the_origin():
     grid = TorusGrid((8,) * 3)
     half = scaled(ball_immersion(3, 7, seed=7), 0.5)
     k = intrinsic.conformal_rate(3)
-    assert int(np.argmin(intrinsic.conformal_grid(half, grid, k)["conformal"])) == 286
+    assert int(np.argmin(intrinsic.conformal_grid(pointwise.grid_fields(half, grid), k)["conformal"])) == 286
     moved = translated(half, -evaluate_jet(half, grid.theta_at(286), order=0).value)
-    conformal = intrinsic.conformal_grid(moved, grid, k)["conformal"]
+    fields = pointwise.grid_fields(moved, grid)
+    conformal = intrinsic.conformal_grid(fields, k)["conformal"]
     assert int(np.argmin(conformal)) == 286
-    assert pointwise.grid_fields(moved, grid).r[286] < 1e-12
+    assert fields.r[286] < 1e-12
     (report,) = run_checks(moved, grid, checks="main")
     assert report["status"] in ("pass", "fail", "unresolved")
     diag = report["diagnostics"]

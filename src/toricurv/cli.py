@@ -114,7 +114,7 @@ def _write_csv(path: str, header: str, rows, npoints: int) -> None:
                 target.writelines(rows(*spans[i]))
                 target.flush()
 
-            forked.fork_map(run, range(len(spans)), len(spans), "CSV rows")
+            forked.fork_map(run, range(len(spans)), "CSV rows")
             out.seek(0, os.SEEK_END)        # past the first worker's writes
             for temp in temps:
                 temp.seek(0)

@@ -16,9 +16,9 @@ field kernel, with no immersion built and no cos/sin recomputed.
 Restarts are independent: each starts from its own sub-seed and returns its
 own best-so-far history.  optimize runs them through forked.fork_map in up
 to min(restarts, usable CPUs) processes forked after the table is built, so
-the workers inherit it, and in-process when one CPU is usable or the
-platform cannot fork.  The parent merges the restarts in order, so the
-result does not depend on the number of processes.
+the workers inherit it, or in-process where one CPU is usable or no fork
+can be made.  Merged in restart order, on one BLAS thread, the result is
+the same for any number of processes and when a fork fails.
 """
 
 from __future__ import annotations
@@ -236,10 +236,11 @@ def optimize(config: SearchConfig) -> SearchResult:
 
     Deterministic for a fixed config; restarts use sub-seeds derived from
     (seed, restart index) and run in up to min(restarts, usable CPUs) forked
-    processes (in this process when that is one, or without fork).  The
-    history is rebuilt in restart order as min(best of the earlier restarts,
-    each restart's own best-so-far), which min makes exact, so the result is
-    the same for any number of processes.  The counterexample flag is set
+    processes (in this process when that is one or no fork can be made), on
+    one BLAS thread.  The history is rebuilt in restart order as min(best of
+    the earlier restarts, each restart's own best-so-far), which min makes
+    exact, so the result is the same for any number of processes and when a
+    fork fails.  The counterexample flag is set
     only after re-verification on a grid with every size doubled, whose
     field pass also certifies the metric there (lambda_min(g) >= 1e-12, or
     it raises DegenerateMetric).
@@ -247,7 +248,7 @@ def optimize(config: SearchConfig) -> SearchResult:
     trials = trial_table(config)
     x_init = _coefficients(_initial_immersion(config), trials.freqs, config.q)
     outcomes = forked.fork_map(functools.partial(_restart, trials, x_init), range(config.restarts),
-                               forked.usable_cpus(), "explore")
+                               "explore")
 
     history: list[float] = []
     running_best = math.inf

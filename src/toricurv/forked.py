@@ -13,15 +13,17 @@ KeyboardInterrupt included, the workers still running are killed, not
 waited for; on Linux a worker also dies with its parent, so no worker
 outlives the call.  Where a fork fails (no process or memory left), the
 workers already forked are killed and the items run in this process.
+fork_map alone sets the worker count, and it runs every item on one
+OpenBLAS thread, in workers and here alike, so no result bit depends on
+the worker count or on a fork: OpenBLAS rounds a GEMM differently on more
+threads, and workers that each keep its threads contend for the CPUs.
 
 grid_pass runs a kernel over every chunk of _CHUNK grid points, the one
 chunk loop of the package, in contiguous runs of whole chunks, one per
 worker, so every chunk holds the same points as in one process and its
 bits do not change.  runs is the one rule for that split, and analyze's
 CSV writer formats its rows in the same runs, one per worker.  The runs
-write into one shared anonymous mapping made before the fork, and run BLAS
-on one thread: workers that each keep OpenBLAS's threads contend for the
-CPUs, and ran verify on the d4 design slower than one process.  The first
+write into one shared anonymous mapping made before the fork.  The first
 pass sets glibc's allocator to keep freed memory, so that each chunk reuses
 the heap the last one freed.
 """
@@ -164,8 +166,8 @@ def _fork_worker(task, items: list, claims: int, queue: int, parent: int):
     return pid, open(read_fd, "rb")
 
 
-def fork_map(task, items, workers: int, what: str) -> list:
-    """[task(item) for item in items], in order: in min(workers, items)
+def fork_map(task, items, what: str) -> list:
+    """[task(item) for item in items], in order: in min(usable CPUs, items)
     forked processes, which claim the items one at a time, or in this
     process when that is one, the platform cannot fork, this process is
     itself a worker, or a fork fails.  The exception of the first failing
@@ -173,11 +175,15 @@ def fork_map(task, items, workers: int, what: str) -> list:
     results raises WorkerDied, whose message starts with `what`.  Workers
     still running when this call raises are killed; none outlives it."""
     items = list(items)
-    workers = min(workers, len(items))
-    results = None
-    if workers >= 2 and not _in_worker and hasattr(os, "fork"):
-        results = _map_in_workers(task, items, workers, what)
-    return [task(item) for item in items] if results is None else results
+    workers = min(usable_cpus(), len(items))
+    # One BLAS thread here, which the workers inherit: OpenBLAS stops its
+    # threads before a fork, and a worker that set its own count would start
+    # a thread that spins for CPU while the workers compute.
+    with _one_blas_thread():
+        results = None
+        if workers >= 2 and not _in_worker and hasattr(os, "fork"):
+            results = _map_in_workers(task, items, workers, what)
+        return [task(item) for item in items] if results is None else results
 
 
 def _map_in_workers(task, items: list, workers: int, what: str) -> list | None:
@@ -186,11 +192,7 @@ def _map_in_workers(task, items: list, workers: int, what: str) -> list | None:
     parent = os.getpid()
     children = []       # (pid, result pipe) of each worker not yet reaped
     claims_fd, queue_fd = os.pipe()
-    # The workers inherit a BLAS thread count of 1: OpenBLAS stops its
-    # threads before a fork, and a worker that set its own count would start
-    # a thread that spins for CPU while the workers compute.
-    with _one_blas_thread(), open(claims_fd, "rb", buffering=0) as claims, \
-            open(queue_fd, "wb", buffering=0) as queue:
+    with open(claims_fd, "rb", buffering=0) as claims, open(queue_fd, "wb", buffering=0) as queue:
         try:
             try:
                 for _ in range(workers):
@@ -271,11 +273,6 @@ def grid_pass(grid, rows: int, kernel, what: str) -> np.ndarray:
         for start, thetas in grid.iter_points(_CHUNK, *span):
             out[:, start:start + thetas.shape[0]] = kernel(thetas)
 
-    # BLAS results can depend on its thread count (threaded OpenBLAS rounds
-    # the third-order jets' GEMM differently for n >= 4), so the pass runs on
-    # one BLAS thread in this process too, and no bit depends on the workers
-    with _one_blas_thread():
-        spans = runs(P)
-        fork_map(run, spans, len(spans), what)
+    fork_map(run, runs(P), what)
     out.flags.writeable = False
     return out

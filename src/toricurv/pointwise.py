@@ -417,14 +417,14 @@ def _jet_core(d1: np.ndarray, d2: np.ndarray, thetas: np.ndarray):
 _grid_cache: "weakref.WeakKeyDictionary[FourierImmersion, dict]" = weakref.WeakKeyDictionary()
 
 
-def _memo(imm: FourierImmersion, key: tuple, compute=None):
-    """imm's grid-cache entry under key, made by compute() if missing (None
-    without compute).  One function writes each key: grid_fields,
-    global_normal_curvature_max or intrinsic.analysis_grid."""
+def _memo(imm: FourierImmersion, key: tuple, compute):
+    """imm's grid-cache entry under key, made by compute() if missing.  One
+    function writes each key: grid_fields, global_normal_curvature_max or
+    intrinsic.analysis_grid."""
     per_imm = _grid_cache.setdefault(imm, {})
-    if key not in per_imm and compute is not None:
+    if key not in per_imm:
         per_imm[key] = compute()
-    return per_imm.get(key)
+    return per_imm[key]
 
 
 def grid_fields(imm: FourierImmersion, grid: TorusGrid) -> GridFields:

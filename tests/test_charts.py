@@ -26,6 +26,7 @@ FIXTURES = {
     "ball377": (lambda: ball_immersion(3, 7, seed=7), 8),
     "wavy2": (lambda: perturbed_clifford(2, seed=5), 16),
     "d4": (lambda: subtorus_immersion(builtin_design("d4")), 6),
+    "wavy5": (lambda: perturbed_clifford(5, seed=2), 4),
 }
 CHARTS = ("permutation", "shears", "translation")
 

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import signal
@@ -179,6 +180,36 @@ def test_optimize_independent_of_worker_count(monkeypatch, restarts):
         assert pooled.sup_zh == serial.sup_zh
         assert pooled.max_norm == serial.max_norm
     assert no_children()
+
+
+# n = 4 at 6^4: each trial's jet GEMM is large enough for OpenBLAS to
+# thread it, and its rounding then moves with the thread count.
+GEMM_SIZED = dict(n=4, q=8, fmax=2, grid=TorusGrid((6,) * 4), seed=1, iterations=3)
+
+
+@pytest.fixture(scope="module")
+def forked_history():
+    """The history of two GEMM-sized restarts, each in a forked worker."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        history = list(optimize_on(monkeypatch, 2, config(**GEMM_SIZED, restarts=2)).objective_history)
+    assert len(history) == 6
+    return history
+
+
+def test_in_process_restart_matches_the_forked_one(monkeypatch, forked_history):
+    # One restart runs in this process: its history is the forked first
+    # restart's, bit for bit.
+    alone = optimize_on(monkeypatch, 2, config(**GEMM_SIZED, restarts=1))
+    assert list(alone.objective_history) == forked_history[:3]
+
+
+def test_failed_fork_gives_the_forked_history(monkeypatch, forked_history):
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    here = optimize_on(monkeypatch, 2, config(**GEMM_SIZED, restarts=2))
+    assert list(here.objective_history) == forked_history
 
 
 @pytest.mark.parametrize("cpus, in_parent", [(1, True), (2, False)])

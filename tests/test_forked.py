@@ -2,6 +2,7 @@
 
 import ast
 import errno
+import inspect
 import json
 import os
 import signal
@@ -50,25 +51,33 @@ def workers(monkeypatch):
 
 # ---------------------------------------------------------------- fork_map
 
-def test_fork_map_keeps_item_order():
+@pytest.fixture
+def cpus(monkeypatch):
+    """use(count): make count CPUs usable, so that fork_map forks up to count workers."""
+    return lambda count: monkeypatch.setattr(forked, "usable_cpus", lambda: count)
+
+
+def test_fork_map_keeps_item_order(cpus):
     parent, items = os.getpid(), list(range(7))
     for count in (1, 2, 3):
-        assert forked.fork_map(lambda x: (x, os.getpid() != parent), items, count, "t") == \
+        cpus(count)
+        assert forked.fork_map(lambda x: (x, os.getpid() != parent), items, "t") == \
             [(x, count > 1) for x in items]
     assert no_children()
 
 
-def test_fork_map_hands_out_items_one_at_a_time():
+def test_fork_map_hands_out_items_one_at_a_time(cpus):
     # While one worker sleeps on item 0, the other takes every later item.
     def pid_after(x):
         time.sleep(0.5 if x == 0 else 0.0)
         return os.getpid()
 
-    pids = forked.fork_map(pid_after, range(6), 2, "t")
+    cpus(2)
+    pids = forked.fork_map(pid_after, range(6), "t")
     assert pids[0] != os.getpid() and set(pids[1:]) == {pids[1]} != {pids[0]}
 
 
-def test_fork_map_raises_the_first_failure_in_item_order():
+def test_fork_map_raises_the_first_failure_in_item_order(cpus):
     # Item 2 fails at once, item 1 later; serially item 1 fails first.
     def fails(x):
         if x == 1:
@@ -77,12 +86,13 @@ def test_fork_map_raises_the_first_failure_in_item_order():
             raise ArithmeticError(f"item {x}")
         return x
 
+    cpus(2)
     with pytest.raises(ArithmeticError, match="item 1"):
-        forked.fork_map(fails, range(4), 2, "t")
+        forked.fork_map(fails, range(4), "t")
     assert no_children()
 
 
-def test_a_failure_stops_the_other_workers():
+def test_a_failure_stops_the_other_workers(cpus):
     # Once item 0 fails, the other worker ends its current item and claims
     # no more; running all 20 others would take 2 s.
     def fails_first(x):
@@ -90,9 +100,10 @@ def test_a_failure_stops_the_other_workers():
             raise ArithmeticError("item 0")
         time.sleep(0.1)
 
+    cpus(2)
     start = time.monotonic()
     with pytest.raises(ArithmeticError, match="item 0"):
-        forked.fork_map(fails_first, range(21), 2, "t")
+        forked.fork_map(fails_first, range(21), "t")
     assert time.monotonic() - start < 1.0
 
 
@@ -103,19 +114,20 @@ class _KillsItsWorker:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def test_worker_killed_mid_result_raises_worker_died():
+def test_worker_killed_mid_result_raises_worker_died(cpus):
     # The worker writes 200 kB of its pickled results, then dies: the part
     # it wrote is not unpickled.
     def result(x):
         return (bytes(200_000), _KillsItsWorker()) if x == 1 else x
 
+    cpus(2)
     with pytest.raises(WorkerDied, match="^t: a worker process died"):
-        forked.fork_map(result, range(4), 2, "t")
+        forked.fork_map(result, range(4), "t")
     assert no_children()
 
 
 @needs_child_list
-def test_failed_fork_maps_in_process(monkeypatch):
+def test_failed_fork_maps_in_process(cpus, monkeypatch):
     # The second fork fails: the first worker is killed, no pipe is left
     # open, and the items run here with the results of a serial map.
     fork, forks = os.fork, []
@@ -129,25 +141,68 @@ def test_failed_fork_maps_in_process(monkeypatch):
     parent = os.getpid()
     fds = len(os.listdir("/proc/self/fd"))
     monkeypatch.setattr(os, "fork", fork_once)
-    got = forked.fork_map(lambda x: (x, os.getpid()), range(5), 3, "t")
+    cpus(3)
+    got = forked.fork_map(lambda x: (x, os.getpid()), range(5), "t")
     assert len(forks) == 2 and got == [(x, parent) for x in range(5)]
     assert no_children() and len(os.listdir("/proc/self/fd")) == fds
 
 
-def test_workers_do_not_fork():
-    outer = forked.fork_map(lambda _: (os.getpid(), forked.fork_map(lambda _: os.getpid(), [0, 1], 2, "inner")),
-                            [0, 1], 2, "outer")
+def test_workers_do_not_fork(cpus):
+    cpus(2)
+    outer = forked.fork_map(lambda _: (os.getpid(), forked.fork_map(lambda _: os.getpid(), [0, 1], "inner")),
+                            [0, 1], "outer")
     for pid, inner in outer:
         assert pid != os.getpid() and inner == [pid, pid]
 
 
-def test_workers_run_blas_on_one_thread():
+def test_workers_run_blas_on_one_thread(cpus, monkeypatch):
+    # In the workers, and in this process on one usable CPU or after a failed
+    # fork: threaded OpenBLAS rounds a GEMM differently, so no bit may depend
+    # on which path ran.  Two threads before the call, where the build allows.
     blas = forked._blas_threads()
     if blas is None:
         pytest.skip("numpy's BLAS exposes no thread count")
-    before = blas[0]()
-    assert forked.fork_map(lambda _: blas[0](), [0, 1], 2, "t") == [1, 1]
-    assert blas[0]() == before
+    before, parent = blas[0](), os.getpid()
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    def threads(_):
+        return blas[0](), os.getpid() == parent
+
+    blas[1](2)
+    try:
+        threaded = blas[0]()
+        cpus(2)
+        assert forked.fork_map(threads, [0, 1], "t") == [(1, False)] * 2
+        cpus(1)
+        assert forked.fork_map(threads, [0, 1], "t") == [(1, True)] * 2
+        cpus(2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert forked.fork_map(threads, [0, 1], "t") == [(1, True)] * 2
+        assert blas[0]() == threaded
+    finally:
+        blas[1](before)
+
+
+def test_only_fork_map_decides_how_forked_work_runs():
+    # fork_map alone enters the one-BLAS-thread hold and works out the worker
+    # count: every fork_map call, here and in the package, passes (task, items, what).
+    holders, calls = set(), []
+    for path in [*Path(forked.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]:
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                if name == "_one_blas_thread":
+                    holders.add((path.stem, getattr(top, "name", None)))
+                elif name == "fork_map":
+                    calls.append((path.stem, len(node.args), [k.arg for k in node.keywords]))
+    assert holders == {("forked", "fork_map")}
+    assert {stem for stem, _, _ in calls} >= {"forked", "cli", "explore", "test_forked"}
+    assert all(args == 3 and not keywords for _, args, keywords in calls), calls
+    assert list(inspect.signature(forked.fork_map).parameters) == ["task", "items", "what"]
 
 
 # ---------------------------------------------------------------- grid passes

@@ -137,31 +137,22 @@ def objective(x: np.ndarray, trials: TrialTable) -> float:
 
 
 def _initial_immersion(config: SearchConfig) -> FourierImmersion:
-    """Certified extremal fixture matching (n, q): the hexagonal subtorus for
-    (2, 6), otherwise a Clifford torus padded into the ambient space."""
-    n, q = config.n, config.q
-    if (n, q) == (2, 6):
+    """Certified extremal fixture for (n, q), as built: the hexagonal subtorus
+    for (2, 6), otherwise the Clifford torus in R^2n, whose coefficients
+    _coefficients places in the first 2n of the q ambient axes."""
+    if (config.n, config.q) == (2, 6):
         return subtorus_immersion(builtin_design("hex2"))
-    base = clifford(n)
-    if q == base.q:
-        return base
-    terms = []
-    for t in base.terms:
-        a = np.zeros(q)
-        b = np.zeros(q)
-        a[:base.q] = t.a
-        b[:base.q] = t.b
-        terms.append(FourierTerm(t.k, a, b))
-    return FourierImmersion(Signature(n, q), tuple(terms), scale=base.scale)
+    return clifford(config.n)
 
 
 def _coefficients(imm: FourierImmersion, freqs: list[tuple[int, ...]], q: int) -> np.ndarray:
-    """Coefficient vector over the canonical frequency slots, scale folded in;
-    every frequency of imm is one of freqs."""
+    """Coefficient vector over the canonical frequency slots in R^q, q >= imm.q,
+    scale folded in, with imm's coefficients on the first imm.q ambient axes
+    and zeros after them; every frequency of imm is one of freqs."""
     x = np.zeros((len(freqs), 2, q))
     index = {k: i for i, k in enumerate(freqs)}
     for t in imm.terms:
-        x[index[t.k]] += imm.scale * np.stack([t.a, t.b])
+        x[index[t.k], :, :imm.q] += imm.scale * np.stack([t.a, t.b])
     return x.reshape(-1)
 
 

@@ -1,7 +1,10 @@
-"""Seeded fixture immersions used by the self-tests and the verification suite."""
+"""Seeded fixture immersions used by the self-tests and the verification
+suite.  The seeded ones are built once per process and argument list and
+shared, frozen with read-only arrays, with the grid passes memoized on them."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -42,6 +45,7 @@ def _max_norm(imm: FourierImmersion, grid: TorusGrid) -> float:
                            "ball scale").max())
 
 
+@functools.cache
 def random_immersion(n: int, q: int, seed: int, terms: int = 6,
                      fmax: int = 2) -> FourierImmersion:
     """Random trigonometric immersion in general position (not ball-normalized).
@@ -69,12 +73,14 @@ def random_immersion(n: int, q: int, seed: int, terms: int = 6,
     raise RuntimeError(f"could not build a full-rank random immersion for n={n}, q={q}, seed={seed}")
 
 
+@functools.cache
 def ball_immersion(n: int, q: int, seed: int, terms: int = 6,
                    fmax: int = 2) -> FourierImmersion:
     """Random immersion rescaled so its image lies strictly inside the unit ball."""
     return _into_ball(random_immersion(n, q, seed, terms=terms, fmax=fmax))
 
 
+@functools.cache
 def perturbed_clifford(n: int, seed: int, eps: float = 0.05,
                        fmax: int = 2) -> FourierImmersion:
     """Clifford torus plus a small seeded perturbation, rescaled into the ball.

@@ -20,12 +20,14 @@ threads, and workers that each keep its threads contend for the CPUs.
 
 grid_pass runs a kernel over every chunk of _CHUNK grid points, the one
 chunk loop of the package, in contiguous runs of whole chunks, one per
-worker, so every chunk holds the same points as in one process and its
-bits do not change.  runs is the one rule for that split, and analyze's
-CSV writer formats its rows in the same runs, one per worker.  The runs
-write into one shared anonymous mapping made before the fork.  The first
-pass sets glibc's allocator to keep freed memory, so that each chunk reuses
-the heap the last one freed.
+worker, so every chunk holds the same points as in one process and its bits
+do not change.  It owns the kernels' floating-point mode, numpy's overflow,
+invalid and divide warnings off, so a point whose jets overflow reads NaN
+(_chunk_core and _christoffel take that mode outside a pass too).  runs is
+the one rule for that split, and analyze's CSV writer formats its rows in
+the same runs, one per worker.  The runs write into one shared anonymous
+mapping made before the fork.  The first pass sets glibc's allocator to
+keep freed memory, so that each chunk reuses the heap the last one freed.
 """
 
 from __future__ import annotations
@@ -270,8 +272,9 @@ def grid_pass(grid, rows: int, kernel, what: str) -> np.ndarray:
     out = np.frombuffer(mmap.mmap(-1, rows * P * 8), dtype=float).reshape(rows, P)
 
     def run(span):
-        for start, thetas in grid.iter_points(_CHUNK, *span):
-            out[:, start:start + thetas.shape[0]] = kernel(thetas)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for start, thetas in grid.iter_points(_CHUNK, *span):
+                out[:, start:start + thetas.shape[0]] = kernel(thetas)
 
     fork_map(run, runs(P), what)
     out.flags.writeable = False

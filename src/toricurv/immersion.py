@@ -259,10 +259,8 @@ def immersion_rank_check(imm: FourierImmersion, grid) -> float:
     the points that did not overflow.
     """
     def kernel(thetas):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            d1 = jets_at(imm, thetas, order=1)[1]
-            g = d1 @ d1.transpose(0, 2, 1)
-        return np.where(np.isfinite(g).all(axis=(1, 2)), _metric_eigenvalues(g), np.nan)
+        d1 = jets_at(imm, thetas, order=1)[1]
+        return _metric_eigenvalues(d1 @ d1.transpose(0, 2, 1))
 
     # np.maximum keeps a NaN minimum, where max(0.0, nan) would return 0.0
     return float(np.sqrt(np.maximum(grid_pass(grid, 1, kernel, "rank check").min(), 0.0)))
@@ -270,27 +268,26 @@ def immersion_rank_check(imm: FourierImmersion, grid) -> float:
 
 def _metric_eigenvalues(g: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
     """lambda_min from eigvalsh at each point of a (P, n, n) batch of metrics
-    where it can be the batch's minimum, inf elsewhere and where the metric
-    is not finite, so the batch's minimum is the same bit for bit as from
-    eigvalsh at every point.
+    where it can be the batch's minimum, inf elsewhere and NaN where the
+    metric is not finite, so the batch's minimum is eigvalsh's at every
+    point, bit for bit, or NaN.  A kernel for grid_pass's floating-point mode.
 
     A lower bound on lambda_min brackets the minimum: the Gershgorin bound
     min_i (g_ii - sum_{j != i} |g_ij|), or, given the inverse factor L of
     g^-1 = L'L, the larger of it and 1/|L|_F^2 (since lambda_max(g^-1) <=
-    tr g^-1), less 1e-12 max|g| for roundoff.  eigvalsh runs at the point of
-    lowest bound, then only where the bound is at most that exact value.
+    tr g^-1), less 1e-12 max|g| for roundoff.  eigvalsh runs at the finite
+    point of lowest bound, then where the bound is at most that exact value.
     """
     finite = np.isfinite(g).all(axis=(1, 2))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        size = np.abs(g)
-        diag = np.einsum("pii->pi", g)
-        bound = (2.0 * diag - size.sum(axis=2)).min(axis=1)
-        if L is not None:
-            bound = np.fmax(bound, 1.0 / np.einsum("pij,pij->p", L, L))
-        bound -= 1e-12 * size.max(axis=(1, 2))
-    bound[np.isnan(bound)] = -np.inf           # no bound: always solved
-    bound[~finite] = np.inf
-    out = np.full(g.shape[0], np.inf)
+    size = np.abs(g)
+    diag = np.einsum("pii->pi", g)
+    bound = (2.0 * diag - size.sum(axis=2)).min(axis=1)
+    if L is not None:
+        bound = np.fmax(bound, 1.0 / np.einsum("pij,pij->p", L, L))
+    bound -= 1e-12 * size.max(axis=(1, 2))
+    bound[~np.isfinite(bound)] = -np.inf       # no bound, or an overflowed one: always solved
+    bound[~finite] = np.inf                    # never solved
+    out = np.where(finite, np.inf, np.nan)
     if finite.any():
         lowest = np.argmin(bound)
         solve = bound <= np.linalg.eigvalsh(g[lowest])[0]

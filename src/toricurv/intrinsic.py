@@ -120,10 +120,11 @@ class _Christoffel(NamedTuple):
 def _christoffel(imm: FourierImmersion, thetas: np.ndarray) -> _Christoffel:
     """Third-order jets -> metric jets -> metric factor (which raises
     DegenerateMetric naming theta) -> Christoffel symbols and curvature."""
-    value, d1, d2, d3 = jets_at(imm, thetas, order=3)
-    g, dg, ddg = _metric_jet_arrays(d1, d2, d3)
-    L, sqrt_det = _metric_factor(g, thetas)
-    return _Christoffel(value, d1, d2, g, dg, ddg, L, sqrt_det, *_curvature_arrays(L, dg, ddg))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value, d1, d2, d3 = jets_at(imm, thetas, order=3)
+        g, dg, ddg = _metric_jet_arrays(d1, d2, d3)
+        L, sqrt_det = _metric_factor(g, thetas)
+        return _Christoffel(value, d1, d2, g, dg, ddg, L, sqrt_det, *_curvature_arrays(L, dg, ddg))
 
 
 def gauss_residuals(imm: FourierImmersion, thetas: np.ndarray) -> np.ndarray:
@@ -241,7 +242,7 @@ class AnalysisGrid(NamedTuple):
     sc: np.ndarray             # intrinsic scalar curvature (Christoffel path)
     k_min: np.ndarray          # grid_K_estimates' per-point range
     k_max: np.ndarray
-    min_singular_value: float  # sqrt(max(min lambda_min(g), 0)), as immersion_rank_check
+    min_singular_value: float  # sqrt(max(min lambda_min(g), 0)), NaN if any metric is not finite
 
 
 def analysis_grid(imm: FourierImmersion, grid: TorusGrid, seed: int) -> AnalysisGrid:
@@ -255,17 +256,14 @@ def analysis_grid(imm: FourierImmersion, grid: TorusGrid, seed: int) -> Analysis
 
 def _analysis_pass(imm: FourierImmersion, grid: TorusGrid, seed: int) -> AnalysisGrid:
     def kernel(thetas):
-        # an input whose jets overflow flows through as inf and NaN, for the
-        # caller to report by point
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            path = _christoffel(imm, thetas)
-            E, S = _second_form(path.L, path.d1, path.d2)
-            return (*_field_columns(path.value, E, S, path.sqrt_det), path.sc, *_K_range(S, seed),
-                    _metric_eigenvalues(path.g, path.L))
+        path = _christoffel(imm, thetas)
+        E, S = _second_form(path.L, path.d1, path.d2)
+        return (*_field_columns(path.value, E, S, path.sqrt_det), path.sc, *_K_range(S, seed),
+                _metric_eigenvalues(path.g, path.L))
 
     *fields, sc, k_min, k_max, eigenvalues = grid_pass(grid, len(_FIELD_NAMES) + 4, kernel, "analysis pass")
     return AnalysisGrid(GridFields(grid=grid, **dict(zip(_FIELD_NAMES, fields))), sc, k_min, k_max,
-                        float(np.sqrt(max(0.0, eigenvalues.min()))))
+                        float(np.sqrt(np.maximum(eigenvalues.min(), 0.0))))
 
 
 def curvature_grid(imm: FourierImmersion, grid: TorusGrid) -> np.ndarray:

@@ -61,13 +61,13 @@ def _metric_factor(g: np.ndarray, thetas: np.ndarray | None):
     lose C_ki L_ij.  sqrt(det g) is the product of the pivots C_jj.
 
     The metric is degenerate where its smallest eigenvalue is below
-    _DEGENERATE_EIG.  Since lambda_min >= 1/|L|_F^2 at each point, a batch
-    whose pivots A_jj are all > 0 and whose squared factor norms sum to at
-    most 1/_DEGENERATE_EIG is certified without an eigensolve; otherwise
+    _DEGENERATE_EIG.  Since lambda_min >= 1/|L|_F^2 at each point, a finite
+    batch whose pivots A_jj are all > 0 and whose squared factor norms sum to
+    at most 1/_DEGENERATE_EIG is certified without an eigensolve; otherwise
     eigvalsh runs on the finite rows, and DegenerateMetric names the theta of
     the first finite row with lambda_min < _DEGENERATE_EIG or a pivot that is
-    not > 0.  Non-finite input is not degenerate: it flows through as NaN for
-    the checks to report.
+    not > 0.  A metric that is not finite is not degenerate: L and sqrt(det g)
+    are NaN there, as is every field read from them, for the checks to report.
     """
     P, n, _ = g.shape
     A = g.transpose(1, 2, 0).copy()
@@ -82,7 +82,8 @@ def _metric_factor(g: np.ndarray, thetas: np.ndarray | None):
             L[i, :i + 1] /= C[i, i]
             L[i + 1:, :i + 1] -= C[i + 1:, None, i] * L[None, i, :i + 1]
         pivot_ok = (np.einsum("iip->ip", A) > 0).all(axis=0)
-        certified = pivot_ok.all() and float(np.vdot(L, L)) <= 1.0 / _DEGENERATE_EIG
+        certified = pivot_ok.all() and float(np.vdot(L, L)) <= 1.0 / _DEGENERATE_EIG and np.isfinite(g).all()
+    sqrt_det = np.prod(np.einsum("iip->ip", C), axis=0)
     if not certified:
         eigs = np.full(P, np.nan)
         finite = np.isfinite(g).all(axis=(1, 2))     # eigvalsh raises on NaN
@@ -93,7 +94,7 @@ def _metric_factor(g: np.ndarray, thetas: np.ndarray | None):
             where = "" if thetas is None else f" at theta={thetas[i].tolist()}"
             why = f"< {_DEGENERATE_EIG}" if eigs[i] < _DEGENERATE_EIG else "and a pivot <= 0"
             raise DegenerateMetric(f"metric eigenvalue {eigs[i]:.3e} {why}{where}")
-    sqrt_det = np.prod(np.einsum("iip->ip", C), axis=0)
+        L[:, :, ~finite] = sqrt_det[~finite] = np.nan
     return np.ascontiguousarray(L.transpose(2, 0, 1)), sqrt_det
 
 
@@ -400,10 +401,11 @@ _FIELD_NAMES = ("r", "sqrt_det", "hx", "H2", "II2", "xt2")
 
 
 def _chunk_core(imm: FourierImmersion, thetas: np.ndarray):
-    """Kernel over one chunk of grid points: position, frame, II in the pair
-    layout and sqrt(det g)."""
-    value, d1, d2, _ = jets_at(imm, thetas, order=2)
-    return (value, *_jet_core(d1, d2, thetas))
+    """One chunk's kernel, in grid_pass's floating-point mode also outside a
+    pass: position, frame, II in the pair layout and sqrt(det g)."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value, d1, d2, _ = jets_at(imm, thetas, order=2)
+        return (value, *_jet_core(d1, d2, thetas))
 
 
 def _jet_core(d1: np.ndarray, d2: np.ndarray, thetas: np.ndarray):

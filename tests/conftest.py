@@ -86,6 +86,21 @@ def pinched_torus():
     ))
 
 
+def overflowing_torus(huge_frequency: bool) -> dict:
+    """A finite input whose jets overflow, as a JSON object: Clifford(2) at
+    scale 0.7 in R^4 plus, with huge_frequency, a term of frequency
+    (10**160, 1) and amplitude 1e-3, whose metric overflows at all but a few
+    points while |f| stays below 1; without it, with a first coefficient of
+    1e160, so that |f| overflows too."""
+    first = {"k": [1, 0], "a": [1, 0, 0, 0], "b": [0, 1, 0, 0]}
+    terms = [first, {"k": [0, 1], "a": [0, 0, 1, 0], "b": [0, 0, 0, 1]}]
+    if huge_frequency:
+        terms.append({"k": [10 ** 160, 1], "a": [0, 0, 0.001, 0], "b": [0, 0, 0, 0]})
+    else:
+        first["a"] = [1e160, 0, 0, 0]
+    return {"type": "fourier", "n": 2, "q": 4, "scale": 0.7, "terms": terms}
+
+
 def reference_second_form(jet, E=None):
     """II at one point by the per-point construction, independent of the
     package's batched kernel: S_ij = P_N(sum_ab W_ia W_jb d2f_ab) for the

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -25,6 +26,8 @@ from toricurv.fixtures import perturbed_clifford
 from toricurv.immersion import evaluate_jet
 from toricurv.quadrature import MonomialEntry, MonomialReport, TorusGrid
 from toricurv.verify import global_normal_curvature_max
+
+from conftest import overflowing_torus
 
 
 @pytest.fixture()
@@ -226,6 +229,19 @@ def test_analyze_overflowing_jets_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "norm_f is inf at theta=[0.0, 0.0]" in err
     assert not list(tmp_path.glob("rep.*"))
+
+
+def test_verify_overflowing_metric_is_an_error_not_a_failure(tmp_path):
+    # |f| < 1 everywhere, but the metric overflows at all but a few points, so
+    # the K gate reads NaN.  The fields there are NaN too, so bow's margin is
+    # NaN: an error (exit 2), not a failed bound (exit 1).
+    path = tmp_path / "huge_k.json"
+    path.write_text(json.dumps(overflowing_torus(huge_frequency=True)))
+    assert f"[{10 ** 160}, 1]" in path.read_text()      # the frequency is a JSON integer
+    out = tmp_path / "rep.json"
+    assert main(["verify", str(path), "--checks", "ball,bow", "--out", str(out)]) == 2
+    ball, bow = json.loads(out.read_text())
+    assert (ball["status"], bow["status"], bow["pass"]) == ("pass", "error", None)
 
 
 def test_analyze_origin_beta_stays_nan(tmp_path):
@@ -670,7 +686,8 @@ def test_trace_span_records_the_batched_extremizer():
     trace = tracer.Tracer()
     trace.install()
     try:
-        global_normal_curvature_max(perturbed_clifford(3, seed=1), TorusGrid((8,) * 3))
+        # a fresh copy of the fixture, whose gate no other test has memoized
+        global_normal_curvature_max(dataclasses.replace(perturbed_clifford(3, seed=1)), TorusGrid((8,) * 3))
     finally:
         trace.remove()
     names = [span[tracer.NAME] for span in trace.spans]

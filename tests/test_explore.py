@@ -21,7 +21,8 @@ from toricurv.explore import (
     optimize,
     trial_table,
 )
-from toricurv.immersion import FourierImmersion, Signature, transform
+from toricurv.fixtures import canonical_frequencies
+from toricurv.immersion import FourierImmersion, Signature, evaluate_jet, transform
 from toricurv.pointwise import grid_fields
 from toricurv.quadrature import TorusGrid
 
@@ -98,8 +99,21 @@ def test_optimize_calls_grid_fields_once(monkeypatch):
 
 def test_initial_fixture_selection():
     assert _initial_immersion(config()).q == 6                    # hexagonal
-    padded = _initial_immersion(config(n=2, q=7))
-    assert padded.q == 7                                          # Clifford, padded
+    # q = 7 starts from Clifford(2) in R^4, as built; its q = 7 coefficient
+    # vector is the R^4 one on the first 4 axes and zero on the other 3, the
+    # Clifford torus padded into R^7.
+    cfg = config(n=2, q=7)
+    start = _initial_immersion(cfg)
+    assert start.q == 4
+    freqs = canonical_frequencies(2, cfg.fmax)
+    x = _coefficients(start, freqs, 7)
+    padded = x.reshape(len(freqs), 2, 7)
+    assert np.array_equal(padded[:, :, :4].ravel(), _coefficients(start, freqs, 4))
+    assert not padded[:, :, 4:].any()
+    padded_jet, jet = (evaluate_jet(imm, [0.3, 1.1], 1) for imm in (_immersion_from(x, freqs, cfg), start))
+    for got, want in ((padded_jet.value, jet.value), (padded_jet.d1, jet.d1)):
+        np.testing.assert_allclose(got[..., :4], want, rtol=0, atol=1e-15)
+        assert not got[..., 4:].any()
     with pytest.raises(ValueError):
         _initial_immersion(config(n=3, q=4))
 

@@ -205,6 +205,29 @@ def test_only_fork_map_decides_how_forked_work_runs():
     assert list(inspect.signature(forked.fork_map).parameters) == ["task", "items", "what"]
 
 
+def test_only_grid_pass_and_the_jet_kernels_set_the_floating_point_mode():
+    # grid_pass runs every kernel with overflow, invalid and divide warnings
+    # off, so a point whose jets overflow reads NaN.  Only the two kernels
+    # that also run on sampled points outside a pass (_chunk_core and
+    # _christoffel) enter that mode again, the metric factor keeps its own for
+    # explore's trials, and the beta fields divide by |f| = 0 at the origin;
+    # no grid kernel sets a mode of its own, and nothing sets one for the process.
+    modes = {}
+    for path in Path(forked.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for part in (top.body if isinstance(top, ast.ClassDef) else [top]):
+                owner = getattr(part, "name", None)
+                owner = owner if part is top else f"{top.name}.{owner}"
+                for node in ast.walk(part):
+                    if isinstance(node, ast.Call) and \
+                            getattr(node.func, "attr", getattr(node.func, "id", None)) in ("errstate", "seterr"):
+                        modes[(path.stem, owner)] = {k.arg: getattr(k.value, "value", None) for k in node.keywords}
+    everything = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+    assert modes == {("forked", "grid_pass"): everything, ("pointwise", "_chunk_core"): everything,
+                     ("intrinsic", "_christoffel"): everything, ("pointwise", "_metric_factor"): everything,
+                     ("pointwise", "GridFields._over_r"): {"invalid": "ignore", "divide": "ignore"}}
+
+
 # ---------------------------------------------------------------- grid passes
 
 def test_pass_forks_from_the_floor_up(workers, monkeypatch):

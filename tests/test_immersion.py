@@ -16,6 +16,7 @@ from toricurv.immersion import (
     jets_at,
     transform,
 )
+from toricurv.intrinsic import analysis_grid
 from toricurv.pointwise import invariants_at
 from toricurv.quadrature import TorusGrid
 
@@ -189,13 +190,22 @@ def _circle_with_second_harmonic(radius, same_plane):
 
 @pytest.mark.parametrize("radius,same_plane", [(1e170, False), (1e154, False), (1e170, True)],
                          ids=["other-axes-1e170", "other-axes-1e154", "same-plane-1e170"])
-def test_rank_check_fails_closed_on_overflow(radius, same_plane):
-    # |f'|^2 overflows at every point, or at all but a few: the rank check
-    # returns NaN, neither inf (read as full rank) nor the minimum over the
-    # points that stayed finite, and raises no overflow warning (the suite
-    # turns RuntimeWarning into an error).
+def test_rank_check_fails_closed_on_overflow(radius, same_plane, monkeypatch):
+    # |f'|^2 overflows at every point, or at all but a few: the rank check and
+    # analyze's pass both return NaN, neither inf (read as full rank) nor the
+    # minimum over the points that stayed finite, hand eigvalsh no metric that
+    # is not finite, and raise no overflow warning (the suite turns
+    # RuntimeWarning into an error).
+    eigvalsh = np.linalg.eigvalsh
+
+    def finite_only(g):
+        assert np.isfinite(g).all()
+        return eigvalsh(g)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", finite_only)
     imm = _circle_with_second_harmonic(radius, same_plane)
     assert math.isnan(immersion_rank_check(imm, TorusGrid((64,))))
+    assert math.isnan(analysis_grid(imm, TorusGrid((64,)), 0).min_singular_value)
 
 
 def test_signature_validation():

@@ -337,9 +337,8 @@ def _overflowing_circle():
 
 
 def _smallest_singular_value(metrics):
-    """sqrt(max(0, min lambda_min)) from eigvalsh at every finite metric."""
-    g = np.concatenate(metrics)
-    low = np.linalg.eigvalsh(g[np.isfinite(g).all(axis=(1, 2))])[:, 0].min()
+    """sqrt(max(0, min lambda_min)) from eigvalsh at every metric."""
+    low = np.linalg.eigvalsh(np.concatenate(metrics))[:, 0].min()
     return float(np.sqrt(max(0.0, low)))
 
 
@@ -354,26 +353,27 @@ def test_bracketed_min_singular_value_is_every_points_minimum(make, sizes, analy
     # (on wavy3 at under solved_below of the points), yet the minimum is
     # eigvalsh's over every point, bit for bit, in the analysis pass (from
     # third-order jets, which raise DegenerateMetric on the pinched torus) and
-    # in the rank check (from first-order jets), which is NaN instead where
-    # any metric is not finite.
+    # in the rank check (from first-order jets); both are NaN instead where
+    # any metric is not finite, and read NaN there, never inf.
     imm, grid = make(), TorusGrid(sizes)
-    with np.errstate(over="ignore", invalid="ignore"):     # the overflowing circle's jets
+    # the overflowing circle's jets, and _metric_eigenvalues in a grid pass's mode
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         first = [jets_at(imm, thetas, order=1)[1] for _, thetas in grid.iter_points(512)]
         metrics = [d1 @ d1.transpose(0, 2, 1) for d1 in first]
         paths = [_christoffel(imm, thetas) for _, thetas in grid.iter_points(512)] if analyzed else []
+        bracketed = [_metric_eigenvalues(path.g, path.L) for path in paths]
+    finite = all(np.isfinite(g).all() for g in metrics)
     rank = immersion_rank_check(imm, grid)
-    if all(np.isfinite(g).all() for g in metrics):
-        assert rank == _smallest_singular_value(metrics)
-    else:
-        assert math.isnan(rank)
+    assert rank == _smallest_singular_value(metrics) if finite else math.isnan(rank)
     if analyzed:
-        assert analysis_grid(imm, grid, 0).min_singular_value == _smallest_singular_value(
-            [path.g for path in paths])
+        analysis = analysis_grid(imm, grid, 0).min_singular_value
+        assert analysis == _smallest_singular_value([path.g for path in paths]) if finite else math.isnan(analysis)
     solved = 0
-    for path in paths:
-        bracketed = _metric_eigenvalues(path.g, path.L)
-        run = np.isfinite(bracketed)
-        assert np.array_equal(bracketed[run], np.linalg.eigvalsh(path.g[run])[:, 0])
+    for path, values in zip(paths, bracketed):
+        g_finite = np.isfinite(path.g).all(axis=(1, 2))
+        assert np.array_equal(np.isnan(values), ~g_finite)
+        run = np.isfinite(values)
+        assert np.array_equal(values[run], np.linalg.eigvalsh(path.g[run])[:, 0])
         solved += int(run.sum())
     if solved_below is not None:
         assert solved < solved_below * grid.npoints
@@ -382,7 +382,7 @@ def test_bracketed_min_singular_value_is_every_points_minimum(make, sizes, analy
 def test_grid_cache_holds_one_entry_per_writer():
     # verify's fields and K gate and analyze's pass each keep their own key;
     # verify evaluates only the doubled grid's fields, and slices the grid.
-    imm = perturbed_clifford(2, seed=9)
+    imm = dataclasses.replace(perturbed_clifford(2, seed=9))     # with an empty grid cache
     grid = TorusGrid((8, 8))
     run_checks(imm, grid, seed=2)
     analysis_grid(imm, grid, 2)

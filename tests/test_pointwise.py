@@ -12,7 +12,8 @@ from toricurv import pointwise
 from toricurv.designs import builtin_design, clifford, subtorus_immersion
 from toricurv.fixtures import ball_immersion, perturbed_clifford
 from toricurv.errors import DegenerateMetric
-from toricurv.immersion import FourierImmersion, FourierTerm, Signature, evaluate_jet, transform
+from toricurv.formats import parse_immersion
+from toricurv.immersion import FourierImmersion, FourierTerm, Signature, evaluate_jet, jets_at, transform
 from toricurv.pointwise import (
     extremal_normal_curvature,
     grid_K_estimates,
@@ -35,6 +36,7 @@ from toricurv.pointwise import (
 from toricurv.quadrature import SphereSampler, TorusGrid, sphere_average_mc
 
 from conftest import (
+    overflowing_torus,
     random_orthogonal,
     random_points,
     reference_k2_range,
@@ -620,7 +622,22 @@ def test_certified_grid_pass_makes_no_lapack_call(monkeypatch):
     for name in ("cholesky", "solve", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, no_lapack)
     grid_fields(subtorus_immersion(builtin_design("d4")), TorusGrid((6,) * 4))
-    grid_fields(perturbed_clifford(2, seed=5), TorusGrid((16, 16)))
+    grid_fields(dataclasses.replace(perturbed_clifford(2, seed=5)), TorusGrid((16, 16)))     # not memoized
+
+
+def test_fields_are_nan_where_the_metric_overflows():
+    # The metric overflows at all but a few of the 32^2 points, where |f|
+    # stays finite: every column read from the metric factor is NaN there,
+    # not a finite value from an L of zeros.
+    imm, grid = parse_immersion(overflowing_torus(huge_frequency=True)), TorusGrid((32, 32))
+    fields = grid_fields(imm, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = jets_at(imm, grid.points(), 1)[1]
+        overflowed = ~np.isfinite(d1 @ d1.transpose(0, 2, 1)).all(axis=(1, 2))
+    assert 0 < overflowed.sum() < grid.npoints
+    assert np.isfinite(fields.r).all()
+    for name in ("sqrt_det", "hx", "H2", "II2", "xt2"):
+        assert np.isnan(getattr(fields, name)[overflowed]).all(), name
 
 
 def test_weighted_average_constant_is_exact(clifford2, grid16):

@@ -10,10 +10,14 @@ import pytest
 from toricurv import forked, intrinsic, pointwise, verify
 from toricurv.designs import builtin_design, clifford, subtorus_immersion
 from toricurv.errors import InapplicableHypothesis, NoNonpositiveScalarPoint, NotInBall, WrongDimension
-from toricurv.fixtures import ball_immersion, perturbed_clifford
+from toricurv.fixtures import ball_immersion, perturbed_clifford, random_immersion
+from toricurv.formats import parse_immersion
 from toricurv.immersion import FourierImmersion, FourierTerm, Signature, evaluate_jet, transform
 from toricurv.quadrature import TorusGrid
 from toricurv.verify import (
+    ALL_CHECKS,
+    REFINE_TOL,
+    _report,
     check_2d,
     check_avg_H,
     check_ball_containment,
@@ -27,6 +31,8 @@ from toricurv.verify import (
     global_normal_curvature_max,
     run_checks,
 )
+
+from conftest import overflowing_torus
 
 
 def scaled(imm, lam):
@@ -61,6 +67,27 @@ def test_ball_translated_fails(clifford2):
     assert rep.margin < -0.1
 
 
+def test_just_outside_the_ball_gates_every_ball_check(clifford2):
+    # max |f| = 1 + 1e-6, a thousand times BALL_SLACK: ball fails, and each of
+    # the six checks that assume the ball is skipped, not run.
+    reports = run_checks(scaled(clifford2, 1.0 + 1e-6), GRID2)
+    by_name = {r["name"]: r for r in reports}
+    assert by_name["ball"]["status"] == "fail"
+    for name in ("avg_h", "2d", "flat", "main", "bow", "conjecture"):
+        assert by_name[name]["status"] == "skipped", name
+        assert by_name[name]["diagnostics"]["error"] == "NotInBall"
+    assert exit_code(reports) == 1
+
+
+def test_overflowing_norm_is_a_ball_error():
+    # |f| overflows to inf: ball's margin is -inf, an error, and every other
+    # check is skipped, with no RuntimeWarning (the suite raises on one).
+    reports = run_checks(parse_immersion(overflowing_torus(huge_frequency=False)))
+    assert [(r["name"], r["status"]) for r in reports] == [
+        ("ball", "error"), *((name, "skipped") for name in ALL_CHECKS[1:])]
+    assert exit_code(reports) == 2
+
+
 def test_ball_fixture_inside_on_refined_default_grid():
     # The fixture is scaled on the grid the check re-checks on (the doubled
     # default); scaled on the undoubled grid it reached |f| = 1.0029 there.
@@ -70,6 +97,22 @@ def test_ball_fixture_inside_on_refined_default_grid():
     assert abs(rep.margin - 1e-3) < 1e-12
     # The undoubled maximum is lower by more than REFINE_TOL.
     assert rep.status == "unresolved"
+
+
+@pytest.mark.parametrize("build,args,kwargs", [
+    (random_immersion, (2, 5, 3), {"terms": 8}), (ball_immersion, (3, 7, 7), {}),
+    (perturbed_clifford, (3, 1), {})], ids=["random", "ball", "perturbed_clifford"])
+def test_cached_fixture_equals_a_fresh_build(build, args, kwargs):
+    # Each seeded fixture is built once per process and shared: the shared
+    # one is a fresh build's equal, bit for bit, and nothing in it can be written.
+    cached, fresh = build(*args, **kwargs), build.__wrapped__(*args, **kwargs)
+    assert build(*args, **kwargs) is cached and fresh is not cached
+    assert (cached.signature, cached.scale) == (fresh.signature, fresh.scale)
+    assert [t.k for t in cached.terms] == [t.k for t in fresh.terms]
+    pairs = [(cached.translate, fresh.translate),
+             *((c, f) for ct, ft in zip(cached.terms, fresh.terms) for c, f in ((ct.a, ft.a), (ct.b, ft.b)))]
+    for shared, built in pairs:
+        assert np.array_equal(shared, built) and not shared.flags.writeable
 
 
 # ---------------------------------------------------------------- average |H|
@@ -318,6 +361,15 @@ def test_constant_k_hexagonal(hexagonal):
     assert rep.diagnostics["max_deviation"] < 1e-10
 
 
+def test_constant_k_wrong_certificate_fails(hexagonal):
+    # K is constant, so the spread passes; the certificate's K, off by 1e-6,
+    # does not match the sampled K, and that alone fails the check.
+    rep = check_constant_K(hexagonal, expected_K=math.sqrt(1.5) + 1e-6)
+    assert -rep.margin < 1e-10
+    assert abs(rep.diagnostics["max_deviation"] - 1e-6) < 1e-10
+    assert rep.status == "fail"
+
+
 def test_constant_k_clifford_spread(clifford2):
     rep = check_constant_K(clifford2, expected_K=1.0)
     spread = -rep.margin
@@ -442,6 +494,14 @@ def test_under_resolved_side_identity_is_unresolved():
     assert by_name["avg_h"]["diagnostics"]["divergence_deviation"] >= 1e-7
     assert abs(by_name["2d"]["diagnostics"]["average_sc"]) >= 1e-6
     assert exit_code(reports) == 0
+
+
+def test_refinement_delta_at_or_above_tolerance_is_unresolved():
+    # A margin that holds is resolved only when the two grids agree to
+    # within REFINE_TOL.
+    assert _report("x", margin=1.0, tolerance=1e-8, delta=0.5 * REFINE_TOL).status == "pass"
+    for delta in (REFINE_TOL, 1e-5):
+        assert _report("x", margin=1.0, tolerance=1e-8, delta=delta).status == "unresolved"
 
 
 def test_under_resolved_margin_is_marked():

@@ -15,8 +15,7 @@ one grid pass, whose every row (the second-order fields, Sc, the K range
 and lambda_min(g)) comes from that call.  The pass keeps its results to
 itself, in the grid cache under its own key; curvature_grid is its Sc.
 conformal_grid reads the closed forms from the second-order fields it is
-given (verify passes the base grid that _refined slices from the doubled
-grid's pass).  The two paths share only the metric factor L of
+given (verify passes the grid's own pass, which _refined runs first).  The two paths share only the metric factor L of
 pointwise._metric_factor (g^-1 = L'L), and with it the one degeneracy rule,
 which names the point theta; the Christoffel path builds Sc as the g^-1
 trace of the Ricci tensor from dg and ddg, with no Riemann tensor formed,

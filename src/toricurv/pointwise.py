@@ -421,8 +421,8 @@ _grid_cache: "weakref.WeakKeyDictionary[FourierImmersion, dict]" = weakref.WeakK
 
 def _memo(imm: FourierImmersion, key: tuple, compute):
     """imm's grid-cache entry under key, made by compute() if missing.  One
-    function writes each key: grid_fields, global_normal_curvature_max or
-    intrinsic.analysis_grid."""
+    function writes each key: grid_fields, global_normal_curvature_max,
+    intrinsic.analysis_grid or verify._interpolant."""
     per_imm = _grid_cache.setdefault(imm, {})
     if key not in per_imm:
         per_imm[key] = compute()

@@ -6,14 +6,18 @@ holds.  Hypotheses are gated strictly; when a hypothesis fails, the check
 raises an InapplicableHypothesis subclass and the runner reports it as
 skipped, never as failed, so vacuous passes cannot occur.
 
-Every quadrature-based margin is recomputed once on a grid with all sizes
-doubled, by the one reader _refined; if the two values differ by 1e-6 or more
-the report is marked unresolved (a negative margin still wins and marks a
-failure).
+Every quadrature-based margin is refined once, by the one reader _refined:
+where the grid resolves every field (the trapezoid rule's spectral accuracy,
+tested on the grid's own spectrum), from the grid and the trigonometric
+interpolant of its fields on the doubled grid, and otherwise on a grid with all
+sizes doubled.  If the refinement moves a value by 1e-6 or more the report is
+marked unresolved (a negative margin still wins and marks a failure).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -24,6 +28,7 @@ from . import intrinsic, pointwise
 from .errors import (
     InapplicableHypothesis,
     NoNonpositiveScalarPoint,
+    NonFiniteValue,
     NotInBall,
     WrongDimension,
 )
@@ -40,6 +45,8 @@ K_GATE_SLACK = 1e-9         # normal curvatures "at most 2" up to this much
 FLAT_SAMPLE = 64            # seeded points where the flat gate takes the Gauss residual
 FLAT_KEY = 0x5EED_F1A7      # their fixed Philox key
 REFINE_TOL = 1e-6           # quadrature refinement delta below this is resolved
+SPECTRAL_TAIL = 1e-9        # outer-shell spectrum, over max(|column|, 1), that a resolved column stays below
+SPECTRAL_CANDIDATES = 8     # interpolant extremes re-read, with their neighbours, by exact jets
 
 ALL_CHECKS = ("ball", "avg_h", "2d", "flat", "sphere", "main", "bow", "constant_k", "conjecture")
 
@@ -93,42 +100,128 @@ def _report(name: str, margin: float, tolerance: float, witness=None,
 
 
 class _Refined(NamedTuple):
-    """A grid reading and its re-reading on the doubled grid."""
+    """A grid reading and its refinement."""
 
     base: float                  # on the grid
-    value: float                 # on the doubled grid
-    delta: float                 # |value - base|
+    value: float                 # refined: the doubled grid's, or a spectral average's on the grid
+    delta: float                 # |value - base|, or a spectral average's outer-shell sum
     index: int | None            # the doubled grid's flat index of a max or min
-    fields: GridFields           # the doubled grid's
     theta: list | None           # the doubled grid's theta at index
-    base_fields: GridFields      # the grid's, the doubled grid's even-index points
+    fields: GridFields | None    # a max's or min's: the doubled grid's, or exact at the spectral candidates
+    row: int | None              # index's row in fields
+    base_fields: GridFields      # the grid's own pass
+    refinement: str              # "spectral" or "doubled"
+
+
+def _shell_sum(spectrum: np.ndarray, sizes: tuple[int, ...]) -> float:
+    """Sum of |c_k| over the outer shell, the k with some |k_a| >= N_a/4, of a
+    grid's rfftn spectrum, c_k the sampled function's Fourier coefficients."""
+    *head, last = sizes
+    freqs = [np.abs(np.fft.fftfreq(N, 1.0 / N)) for N in head] + [np.arange(last // 2 + 1)]
+    inner = functools.reduce(np.logical_and.outer, [k < N / 4 for k, N in zip(freqs, sizes)])
+    return float(np.sum(np.abs(spectrum[~inner]))) / math.prod(sizes)
+
+
+def _spectrum(values: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
+    """The rfftn spectrum of per-point values on a grid of these sizes."""
+    return np.fft.rfftn(values.reshape(sizes), axes=range(len(sizes)))
+
+
+def _upsampled(spectrum: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
+    """The doubled grid's values, read-only in flat C order, of the
+    trigonometric interpolant of a grid's rfftn spectrum, zero-padded.  Each
+    axis's Nyquist coefficient is dropped: it lies in the outer shell, so on a
+    resolved column it is below SPECTRAL_TAIL."""
+    src, dst = [], []
+    for a, N in enumerate(sizes):
+        low = (N + 1) // 2                                   # k = 0 .. low - 1
+        high = (N - 1) // 2 if a < len(sizes) - 1 else 0     # k = -high .. -1, none in rfftn's last axis
+        src.append(np.r_[0:low, N - high:N])
+        dst.append(np.r_[0:low, 2 * N - high:2 * N])
+    padded = np.zeros([2 * N for N in sizes[:-1]] + [sizes[-1] + 1], dtype=complex)
+    padded[np.ix_(*dst)] = spectrum[np.ix_(*src)]
+    fine = np.fft.irfftn(padded, s=[2 * N for N in sizes], axes=range(len(sizes))).ravel()
+    fine *= 2 ** len(sizes)
+    fine.flags.writeable = False
+    return fine
+
+
+def _interpolant(imm: FourierImmersion, base: GridFields, fine_grid: TorusGrid) -> GridFields | None:
+    """The doubled grid's r, H2, II2 and xt2 (the columns a max or min reads)
+    from the grid's trigonometric interpolant, or None where the grid does not
+    resolve every field: a term frequency has some |k_a| >= N_a/4, or a column
+    is not finite or holds SPECTRAL_TAIL * max(|column|, 1) or more in its
+    outer shell.  sqrt_det and hx are None.  Memoized per (immersion, sizes)."""
+    def interpolate():
+        sizes = base.grid.sizes
+        if not np.all(np.abs(imm._kmat) < np.array(sizes) / 4):
+            return None
+        spectra = {}
+        for name in _FIELD_NAMES:
+            column = getattr(base, name)
+            if not np.isfinite(column).all():
+                return None
+            spectra[name] = _spectrum(column, sizes)
+            if _shell_sum(spectra[name], sizes) >= SPECTRAL_TAIL * max(float(np.max(np.abs(column))), 1.0):
+                return None
+        return GridFields(grid=fine_grid, sqrt_det=None, hx=None,
+                          **{name: _upsampled(spectra[name], sizes) for name in ("r", "H2", "II2", "xt2")})
+    return pointwise._memo(imm, ("interpolant", base.grid.sizes), interpolate)
+
+
+def _candidates(values: np.ndarray, how: str, centre: int, sizes: tuple[int, ...]) -> np.ndarray:
+    """Sorted flat indices of the grid points within one step, on every axis
+    and wrapping, of centre or of the SPECTRAL_CANDIDATES most extreme values."""
+    count = min(SPECTRAL_CANDIDATES, values.size)
+    top = np.argpartition(-values if how == "max" else values, count - 1)[:count]
+    centres = np.stack(np.unravel_index(np.append(top, centre), sizes), axis=1)
+    steps = np.array(list(itertools.product((-1, 0, 1), repeat=len(sizes))))
+    around = (centres[:, None, :] + steps).reshape(-1, len(sizes)) % np.array(sizes)
+    return np.unique(np.ravel_multi_index(tuple(around.T), sizes))
 
 
 def _refined(imm: FourierImmersion, grid: TorusGrid,
              read: Callable[[GridFields], np.ndarray], how: str) -> _Refined:
     """The per-point values read(fields) reduced by how ("max", "min" or
-    "average", over the induced volume) on the grid and on its doubling.
+    "average", over the induced volume) on the grid, and refined.
 
-    The one caller of grid_fields in verify, on the doubled grid only: the
-    grid's fields are its stride-2 slice, the same points, since
-    2*pi*j/N == 2*pi*(2j)/(2N) in binary floating point."""
+    The one caller of grid_fields in verify.  It runs the grid's pass first.
+    Where _interpolant resolves the grid's fields, an average stays the
+    grid's, with its integrand's outer-shell sum as the delta, and a max or
+    min is located on the interpolant, then re-read by exact jets at the
+    doubled grid's points around its SPECTRAL_CANDIDATES most extreme values
+    and around the grid's own extreme, so it is an exact doubled-grid value no
+    less extreme than the grid's.  Elsewhere the doubled grid's pass runs."""
+    base = grid_fields(imm, grid)
     fine_grid = grid.doubled()
-    fine = grid_fields(imm, fine_grid)
-    every_other = (slice(None, None, 2),) * grid.n
-    columns = {name: getattr(fine, name).reshape(fine_grid.sizes)[every_other].ravel()
-               for name in _FIELD_NAMES}
-    for column in columns.values():     # copies of a read-only pass's rows
-        column.flags.writeable = False
-    base = GridFields(grid=grid, **columns)
+    interpolant = _interpolant(imm, base, fine_grid)
+    refinement = "doubled" if interpolant is None else "spectral"
+    base_values = read(base)
     if how == "average":
-        at_base, at_fine = (weighted_average(f, read(f)) for f in (base, fine))
-        return _Refined(at_base, at_fine, abs(at_fine - at_base), None, fine, None, base)
+        at_base = weighted_average(base, base_values)
+        if interpolant is None:
+            fine = grid_fields(imm, fine_grid)
+            at_fine = weighted_average(fine, read(fine))
+            delta = abs(at_fine - at_base)
+        else:
+            integrand = base_values * base.sqrt_det / np.mean(base.sqrt_det)
+            at_fine, delta = at_base, _shell_sum(_spectrum(integrand, grid.sizes), grid.sizes)
+        return _Refined(at_base, at_fine, delta, None, None, None, None, base, refinement)
     pick = {"max": np.argmax, "min": np.argmin}[how]
-    base_values, values = read(base), read(fine)
-    index = int(pick(values))
-    at_base, at_fine = float(base_values[pick(base_values)]), float(values[index])
-    return _Refined(at_base, at_fine, abs(at_fine - at_base), index, fine,
-                    fine_grid.theta_at(index).tolist(), base)
+    i = int(pick(base_values))
+    at_base = float(base_values[i])
+    if interpolant is None:
+        points, fine = None, grid_fields(imm, fine_grid)
+    else:
+        centre = np.ravel_multi_index(tuple(2 * j for j in np.unravel_index(i, grid.sizes)), fine_grid.sizes)
+        points = _candidates(read(interpolant), how, centre, fine_grid.sizes)
+        columns = pointwise._field_columns(*pointwise._chunk_core(imm, fine_grid.theta_at(points)))
+        fine = GridFields(grid=fine_grid, **dict(zip(_FIELD_NAMES, columns)))     # at the points alone
+    values = read(fine)
+    row = int(pick(values))
+    index = row if points is None else int(points[row])
+    return _Refined(at_base, float(values[row]), abs(float(values[row]) - at_base), index,
+                    fine_grid.theta_at(index).tolist(), fine, row, base, refinement)
 
 
 def _ensure_ball(imm: FourierImmersion, grid: TorusGrid) -> None:
@@ -144,7 +237,7 @@ def check_ball_containment(imm: FourierImmersion, grid: TorusGrid) -> CheckRepor
         "ball", margin=1.0 - top.value, tolerance=BALL_SLACK,
         witness={"theta": top.theta, "values": {"norm_f": top.value}},
         diagnostics={"max_norm_base": top.base, "max_norm_refined": top.value,
-                     "grid": list(grid.sizes)},
+                     "grid": list(grid.sizes), "refinement": top.refinement},
         delta=top.delta,
     )
 
@@ -164,6 +257,7 @@ def check_avg_H(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
             "divergence_deviation": div_dev,
             "divergence_deviation_base": abs(div.base + n),
             "grid": list(grid.sizes),
+            "refinement": avg.refinement,
         },
         extra_ok=div_dev < 1e-7, delta=avg.delta, extra_delta=div.delta,
     )
@@ -183,6 +277,7 @@ def check_2d(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
             "average_sc": sc.base,
             "average_sc_refined": sc.value,
             "grid": list(grid.sizes),
+            "refinement": avg.refinement,
         },
         extra_ok=abs(sc.base) < 1e-6, delta=avg.delta, extra_delta=sc.delta,
     )
@@ -191,8 +286,8 @@ def check_2d(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
 def check_flat(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     """For a flat induced metric: average zh is at least 3n/(n+2).
 
-    The hypothesis adds two numbers: the largest closed-form |Sc| on the
-    doubled grid and the largest Gauss residual (the intrinsic Sc minus the
+    The hypothesis adds two numbers: the refined largest closed-form |Sc|
+    and the largest Gauss residual (the intrinsic Sc minus the
     closed form) at FLAT_SAMPLE seeded points, so it cannot pass on the
     closed form alone."""
     _ensure_ball(imm, grid)
@@ -210,14 +305,14 @@ def check_flat(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
         "flat", margin=avg.value - bound, tolerance=1e-8,
         diagnostics={"average_zh": avg.value, "bound": bound,
                      "max_abs_sc": sc_max, "gauss_residual": residual,
-                     "grid": list(grid.sizes)},
+                     "grid": list(grid.sizes), "refinement": avg.refinement},
         delta=avg.delta,
     )
 
 
 def check_sphere(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
-    """For an image on the unit sphere (max ||f| - 1| on the doubled grid
-    below SPHERE_TOL): zh >= 3n/(n+2) at some point.
+    """For an image on the unit sphere (the refined max ||f| - 1| below
+    SPHERE_TOL): zh >= 3n/(n+2) at some point.
 
     The witness is the grid point of largest zh among those with nonpositive
     scalar curvature (the closed form Sc <= NONPOS_SC_TOL), which must exist
@@ -237,8 +332,9 @@ def check_sphere(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     return _report(
         "sphere", margin=top.value - bound, tolerance=1e-8,
         witness={"theta": top.theta,
-                 "values": {"zh": top.value, "sc": float(top.fields.sc_ext[top.index])}},
-        diagnostics={"bound": bound, "witness_zh_base": top.base, "grid": list(grid.sizes)},
+                 "values": {"zh": top.value, "sc": float(top.fields.sc_ext[top.row])}},
+        diagnostics={"bound": bound, "witness_zh_base": top.base, "grid": list(grid.sizes),
+                     "refinement": top.refinement},
         delta=top.delta,
     )
 
@@ -311,8 +407,12 @@ def _trace_diagnostics(imm: FourierImmersion, fields: GridFields) -> tuple[dict,
 
 
 def _gate_K(imm: FourierImmersion, grid: TorusGrid, seed: int, claim: str) -> float:
-    """The hypothesis "all normal curvatures are at most 2", on the best-found maximum."""
+    """The hypothesis "all normal curvatures are at most 2", on the best-found
+    maximum; a maximum that is not finite decides nothing, and raises
+    NonFiniteValue."""
     k_top = global_normal_curvature_max(imm, grid, seed=seed)
+    if not math.isfinite(k_top):
+        raise NonFiniteValue(f"max normal curvature is {k_top!r}; the {claim} bound cannot be gated")
     if k_top > 2.0 + K_GATE_SLACK:
         raise InapplicableHypothesis(
             f"max normal curvature {k_top!r} exceeds 2; the {claim} bound is not claimed")
@@ -336,7 +436,8 @@ def check_main(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> CheckRe
         return replace(inner, name="main",
                        diagnostics={**inner.diagnostics, **diag, "delegated_to": "2d"})
     bound = 3.0 * n / (n + 2)
-    diag.update({"max_zh": top.value, "bound": bound, "grid": list(grid.sizes)})
+    diag.update({"max_zh": top.value, "bound": bound, "grid": list(grid.sizes),
+                 "refinement": top.refinement})
     return _report(
         "main", margin=top.value - bound, tolerance=1e-8,
         witness=witness or {"theta": top.theta, "values": {"zh": top.value}},
@@ -350,12 +451,12 @@ def check_bow(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> CheckRep
     k_top = _gate_K(imm, grid, seed, "bow")
     # origin points satisfy the bound trivially
     low = _refined(imm, grid, lambda f: np.where(f.r < 1e-12, 1.0, f.cos_beta - f.r), "min")
-    fine, i = low.fields, low.index
+    fields, i = low.fields, low.row
     return _report(
         "bow", margin=low.value, tolerance=1e-8,
         witness={"theta": low.theta,
-                 "values": {"r": float(fine.r[i]), "cos_beta": float(fine.cos_beta[i])}},
-        diagnostics={"k_max": k_top, "grid": list(grid.sizes)},
+                 "values": {"r": float(fields.r[i]), "cos_beta": float(fields.cos_beta[i])}},
+        diagnostics={"k_max": k_top, "grid": list(grid.sizes), "refinement": low.refinement},
         delta=low.delta,
     )
 
@@ -392,7 +493,8 @@ def conjecture_probe(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     bound = 3.0 * n / (n + 2)
     top = _refined(imm, grid, lambda f: f.zh, "max")
     margin = top.value - bound
-    diagnostics = {"max_zh": top.value, "bound": bound, "grid": list(grid.sizes)}
+    diagnostics = {"max_zh": top.value, "bound": bound, "grid": list(grid.sizes),
+                   "refinement": top.refinement}
     if margin < -1e-9:
         diagnostics["counterexample_candidate"] = immersion_to_obj(imm)
     return _report(
@@ -416,7 +518,8 @@ def select_checks(checks=None) -> list[str]:
 
 def run_checks(imm: FourierImmersion, grid: TorusGrid | None = None, seed: int = 0,
                checks=None, expected_K: float | None = None) -> list[dict]:
-    """Run the selected checks in a fixed order; inapplicable ones are skipped."""
+    """Run the selected checks in a fixed order; inapplicable ones are skipped,
+    and one whose hypothesis reads a value that is not finite is an error."""
     grid = TorusGrid.default(imm.n) if grid is None else grid
     selected = select_checks(checks)
 
@@ -437,8 +540,9 @@ def run_checks(imm: FourierImmersion, grid: TorusGrid | None = None, seed: int =
             continue
         try:
             reports.append(dispatch[name]().to_dict())
-        except (InapplicableHypothesis, NoNonpositiveScalarPoint) as exc:
-            status = "skipped" if isinstance(exc, InapplicableHypothesis) else "unresolved"
+        except (InapplicableHypothesis, NoNonpositiveScalarPoint, NonFiniteValue) as exc:
+            status = ("skipped" if isinstance(exc, InapplicableHypothesis)
+                      else "error" if isinstance(exc, NonFiniteValue) else "unresolved")
             reports.append(CheckReport(name, passed=None, margin=None, tolerance=None, status=status,
                                        diagnostics={"reason": str(exc), "error": type(exc).__name__}).to_dict())
     return reports

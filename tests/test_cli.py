@@ -233,8 +233,9 @@ def test_analyze_overflowing_jets_exit_2(tmp_path, capsys):
 
 def test_verify_overflowing_metric_is_an_error_not_a_failure(tmp_path):
     # |f| < 1 everywhere, but the metric overflows at all but a few points, so
-    # the K gate reads NaN.  The fields there are NaN too, so bow's margin is
-    # NaN: an error (exit 2), not a failed bound (exit 1).
+    # the K gate reads NaN, which decides nothing: bow is an error (exit 2),
+    # not a failed bound (exit 1).  The fields are not finite and the
+    # frequency is far above N/4, so ball reads the doubled grid.
     path = tmp_path / "huge_k.json"
     path.write_text(json.dumps(overflowing_torus(huge_frequency=True)))
     assert f"[{10 ** 160}, 1]" in path.read_text()      # the frequency is a JSON integer
@@ -242,6 +243,7 @@ def test_verify_overflowing_metric_is_an_error_not_a_failure(tmp_path):
     assert main(["verify", str(path), "--checks", "ball,bow", "--out", str(out)]) == 2
     ball, bow = json.loads(out.read_text())
     assert (ball["status"], bow["status"], bow["pass"]) == ("pass", "error", None)
+    assert ball["diagnostics"]["refinement"] == "doubled"
 
 
 def test_analyze_origin_beta_stays_nan(tmp_path):
@@ -446,6 +448,20 @@ def test_verify_degenerate_map_exit_2(tmp_path, capsys):
         {"k": [1, 0], "a": [0.5, 0, 0, 0], "b": [0, 0.5, 0, 0]}]}))
     assert main(["verify", str(path), "--grid", "8,8"]) == 2
     assert "theta=" in capsys.readouterr().err
+
+
+def test_verify_metric_degenerate_between_grid_points_exit_2(tmp_path, capsys):
+    # The metric degenerates only at points of the doubled grid, which the
+    # 16^2 grid's spectrum does not resolve, so the doubled pass runs and
+    # names the first such point.
+    c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
+    path = tmp_path / "pinched.json"
+    path.write_text(json.dumps({"type": "fourier", "n": 2, "q": 3, "scale": 0.5, "terms": [
+        {"k": [1, 0], "a": [1, 0, 0], "b": [0, 1, 0]},
+        {"k": [0, 2], "a": [0, 0, 0.5 * c], "b": [0, 0, 0.5 * s]}]}))
+    assert main(["verify", str(path), "--grid", "16,16"]) == 2
+    assert ("metric eigenvalue 1.170e-34 < 1e-12 at theta=[0.0, 0.19634954084936207]"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("text,fragment", [

@@ -380,14 +380,23 @@ def test_bracketed_min_singular_value_is_every_points_minimum(make, sizes, analy
 
 
 def test_grid_cache_holds_one_entry_per_writer():
-    # verify's fields and K gate and analyze's pass each keep their own key;
-    # verify evaluates only the doubled grid's fields, and slices the grid.
+    # verify's fields, its spectral interpolant and K gate and analyze's pass
+    # each keep their own key.  verify evaluates the grid's fields first; the
+    # doubled grid's pass runs only where the grid does not resolve them, as
+    # on this perturbed torus (a frequency 2 is not below 8/4).
     imm = dataclasses.replace(perturbed_clifford(2, seed=9))     # with an empty grid cache
     grid = TorusGrid((8, 8))
     run_checks(imm, grid, seed=2)
     analysis_grid(imm, grid, 2)
     assert set(pointwise._grid_cache[imm]) == {
-        ("fields", (16, 16)), ("K_max", (8, 8), 2), ("analysis", (8, 8), 2)}
+        ("fields", (8, 8)), ("interpolant", (8, 8)), ("fields", (16, 16)),
+        ("K_max", (8, 8), 2), ("analysis", (8, 8), 2)}
+    assert pointwise._grid_cache[imm][("interpolant", (8, 8))] is None
+    # Clifford(2)'s constant fields are resolved: no doubled-grid pass
+    resolved = dataclasses.replace(clifford(2))
+    run_checks(resolved, grid, seed=2)
+    assert set(pointwise._grid_cache[resolved]) == {
+        ("fields", (8, 8)), ("interpolant", (8, 8)), ("K_max", (8, 8), 2)}
 
 
 def test_analysis_grid_memoized_read_only():

@@ -573,11 +573,10 @@ def test_flat_gate_adds_gauss_residual(clifford3, monkeypatch):
 
 # ---------------------------------------------------------------- refined-grid reuse
 
-def test_base_grid_sliced_from_doubled_grid(monkeypatch):
-    # Every base point is a point of the doubled grid, so run_checks evaluates
-    # the fields on the doubled grid only and _refined slices the base grid
-    # out of it, equal to a pass over the base grid up to roundoff.
-    d4 = subtorus_immersion(builtin_design("d4"))
+def test_base_pass_first_doubled_pass_only_where_unresolved(monkeypatch):
+    # run_checks evaluates the grid's fields first.  d4's fields are constant,
+    # so the grid resolves them and no doubled-grid pass runs; a ball
+    # fixture's are not, so its doubled grid is evaluated after the grid.
     evaluate = pointwise._evaluate_fields
     evaluated = []
 
@@ -586,23 +585,25 @@ def test_base_grid_sliced_from_doubled_grid(monkeypatch):
         return evaluate(imm, grid)
 
     monkeypatch.setattr(pointwise, "_evaluate_fields", counting)
-    run_checks(d4, GRID4)
-    assert evaluated == [12 ** 4]
+    d4 = subtorus_immersion(builtin_design("d4"))
+    reports = run_checks(d4, GRID4)
+    assert evaluated == [6 ** 4]
+    assert {r["diagnostics"].get("refinement") for r in reports if r["status"] != "skipped"} == {"spectral"}
+    evaluated.clear()
+    ball = dataclasses.replace(ball_immersion(2, 5, seed=7))     # with an empty grid cache
+    reports = run_checks(ball, GRID2, checks="ball,avg_h")
+    assert evaluated == [16 ** 2, 32 ** 2]
+    assert [r["diagnostics"]["refinement"] for r in reports] == ["doubled", "doubled"]
     monkeypatch.undo()
-
-    # d4's fields are constant, so compare on a map whose fields are not too
-    for imm, grid in ((d4, GRID4), (perturbed_clifford(3, seed=1), GRID3)):
-        sliced = verify._refined(imm, grid, lambda f: f.r, "max").base_fields
-        direct = pointwise.grid_fields(imm, grid)
-        assert sliced.grid == grid
-        for name in pointwise._FIELD_NAMES + ("norm_H", "zh", "sc_ext", "sin_beta", "cos_beta"):
-            np.testing.assert_allclose(getattr(sliced, name), getattr(direct, name),
-                                       rtol=0, atol=1e-13, equal_nan=True, err_msg=name)
+    # the grid's fields are its own cached pass, on either path
+    for imm, grid in ((d4, GRID4), (ball, GRID2)):
+        assert verify._refined(imm, grid, lambda f: f.r, "max").base_fields is pointwise.grid_fields(imm, grid)
 
 
 def test_only_the_refinement_reader_reads_the_doubled_grid():
-    # Every grid verdict reads both grids through _refined alone, which
-    # slices the grid out of its doubling; pointwise and intrinsic know
+    # Every grid verdict reads both grids through _refined alone, which runs
+    # the grid's pass and either re-reads exact jets near the interpolant's
+    # extremes or runs the doubled grid's pass; pointwise and intrinsic know
     # nothing of how the two grids relate.
     def callers(module, name):
         found = set()
@@ -614,13 +615,13 @@ def test_only_the_refinement_reader_reads_the_doubled_grid():
         return found
 
     assert callers(verify, "doubled") == callers(verify, "grid_fields") == {"_refined"}
+    assert callers(verify, "_interpolant") == callers(verify, "_field_columns") == {"_refined"}
     assert callers(pointwise, "doubled") == callers(intrinsic, "doubled") == set()
     assert callers(intrinsic, "grid_fields") == set()
 
 
-def test_sliced_base_grid_fields_are_read_only():
-    # The stride-2 slice is a copy of the doubled grid's rows, read-only like
-    # the pass it comes from.
+def test_base_grid_fields_are_read_only():
+    # The grid's fields that _refined returns are its read-only pass.
     imm = clifford(2)
     base = verify._refined(imm, TorusGrid((8, 8)), lambda f: f.r, "max").base_fields
     r0 = base.r[0]
@@ -629,6 +630,108 @@ def test_sliced_base_grid_fields_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         base.r[0] = 5.0
     assert verify._refined(imm, TorusGrid((8, 8)), lambda f: f.r, "max").base_fields.r[0] == r0
+
+
+# ---------------------------------------------------------------- spectral refinement
+
+@pytest.mark.parametrize("sizes", [(128, 128), (127, 129)])
+def test_spectral_interpolant_matches_the_doubled_grid(sizes):
+    # perturbed_clifford(2, 5) is not homogeneous, and these grids resolve it
+    # (its outer shells hold about 1e-13): the interpolant is the doubled
+    # grid's fields to roundoff, on even and odd axes alike, and a max, a min
+    # and an average agree with the doubled grid's pass within 1e-12.
+    imm, grid = perturbed_clifford(2, seed=5), TorusGrid(sizes)
+    base = pointwise.grid_fields(imm, grid)
+    interpolant = verify._interpolant(imm, base, grid.doubled())
+    fine = pointwise._evaluate_fields(imm, grid.doubled())
+    for name in ("r", "H2", "II2", "xt2"):
+        np.testing.assert_allclose(getattr(interpolant, name), getattr(fine, name), rtol=0, atol=1e-13)
+    for read, how, reduce in ((lambda f: f.zh, "max", np.max), (lambda f: f.cos_beta - f.r, "min", np.min),
+                              (lambda f: f.norm_H, "average", None)):
+        refined = verify._refined(imm, grid, read, how)
+        assert refined.refinement == "spectral"
+        want = pointwise.weighted_average(fine, read(fine)) if reduce is None else reduce(read(fine))
+        assert abs(refined.value - want) < 1e-12
+        if reduce is None:     # the integrand's outer shell
+            assert refined.delta < 1e-12
+        else:                  # an exact doubled-grid point and its fields
+            assert refined.delta == abs(refined.value - refined.base)
+            assert refined.theta == grid.doubled().theta_at(refined.index).tolist()
+            assert read(refined.fields)[refined.row] == refined.value
+            assert refined.value >= refined.base if how == "max" else refined.value <= refined.base
+
+
+def test_spectral_refinement_falls_back_on_every_ball_fixture():
+    # Each ball fixture's fields hold far more than SPECTRAL_TAIL in their
+    # outer shells (or a frequency reaches N/4), so none is interpolated.
+    for imm, grid in ((ball_immersion(2, 5, seed=7), None), (ball_immersion(3, 7, seed=7), None),
+                      (ball_immersion(4, 9, seed=7), TorusGrid((8,) * 4)),
+                      (ball_immersion(5, 11, seed=3), TorusGrid((6,) * 5))):
+        grid = grid or TorusGrid.default(imm.n)
+        assert verify._interpolant(imm, pointwise.grid_fields(imm, grid), grid.doubled()) is None
+
+
+def test_spectral_refinement_falls_back_by_the_frequency_rule():
+    # Clifford(2) plus 1e-4 sin(128 t) e5: the term and its second jet vanish
+    # at every point of the 64^2 grid, so every field is constant there and
+    # every outer shell is roundoff, but 128 >= 64/4 sends the checks to the
+    # doubled grid.
+    e = np.eye(5)
+    radius = 0.99 / math.sqrt(2.0)
+    imm = FourierImmersion(Signature(2, 5), (
+        FourierTerm((1, 0), radius * e[0], radius * e[1]),
+        FourierTerm((0, 1), radius * e[2], radius * e[3]),
+        FourierTerm((128, 0), 0.0 * e[4], 1e-4 * e[4])))
+    grid = TorusGrid((64, 64))
+    base = pointwise.grid_fields(imm, grid)
+    for name in pointwise._FIELD_NAMES:
+        column = getattr(base, name)
+        shell = verify._shell_sum(verify._spectrum(column, grid.sizes), grid.sizes)
+        assert shell < verify.SPECTRAL_TAIL * max(float(np.max(np.abs(column))), 1.0), name
+    (report,) = run_checks(imm, grid, checks="ball")
+    assert report["diagnostics"]["refinement"] == "doubled"
+
+
+def test_main_margin_is_the_refined_maximum():
+    # The base and doubled maxima of zh differ (3.19173 against 3.21497), and
+    # main's margin is the doubled grid's, read here from its pass.
+    imm, grid = perturbed_clifford(3, seed=1), TorusGrid((32,) * 3)
+    (report,) = run_checks(imm, grid, checks="main")
+    base_max = float(np.max(pointwise.grid_fields(imm, grid).zh))
+    fine_max = float(np.max(pointwise.grid_fields(imm, grid.doubled()).zh))
+    assert fine_max - base_max > 0.02
+    assert report["margin"] == fine_max - 1.8
+    assert report["diagnostics"]["refinement"] == "doubled"
+
+
+def test_bow_margin_is_the_refined_minimum():
+    # The gate passes (K_max 1.86), and the base and doubled minima of
+    # cos(beta) - |f| differ (1.1330e-3 against 0.99992e-3); bow's margin is
+    # the doubled grid's, read here from its pass.
+    imm, grid = perturbed_clifford(3, seed=1, eps=0.01), TorusGrid((32,) * 3)
+    (report,) = run_checks(imm, grid, checks="bow")
+
+    def low(fields):
+        return float(np.min(np.where(fields.r < 1e-12, 1.0, fields.cos_beta - fields.r)))
+
+    base_min, fine_min = low(pointwise.grid_fields(imm, grid)), low(pointwise.grid_fields(imm, grid.doubled()))
+    assert base_min - fine_min > 1e-4
+    assert report["status"] != "skipped" and report["margin"] == fine_min
+
+
+@pytest.mark.parametrize("imm,grid,checks", [
+    (clifford(2), TorusGrid((8, 8)), "ball,bow"),
+    (clifford(5), TorusGrid((4,) * 5), "ball,main"),
+], ids=["bow", "main"])
+def test_non_finite_gate_is_an_error(monkeypatch, imm, grid, checks):
+    # A best-found K max that is NaN decides nothing: the gated check is an
+    # error, and the run exits 2.
+    monkeypatch.setattr(verify, "global_normal_curvature_max", lambda imm, grid, seed: math.nan)
+    ball, gated = run_checks(imm, grid, checks=checks)
+    assert ball["status"] == "pass"
+    assert (gated["status"], gated["pass"], gated["margin"]) == ("error", None, None)
+    assert "max normal curvature is nan" in gated["diagnostics"]["reason"]
+    assert exit_code([ball, gated]) == 2
 
 
 def test_no_third_order_pass_over_the_grid(monkeypatch):

@@ -49,9 +49,10 @@ _CHUNK = 512
 
 # A grid pass forks only when every worker gets at least this many chunks.
 # Forking two workers and collecting their results costs about 6.5 ms; a
-# field chunk costs about 0.8 ms on Clifford(2) and 4 ms on the d4 design, a
-# K chunk 8.6 ms there, so 16 chunks per worker repay the fork on the field
-# pass's cheapest inputs and leave the small grids of most calls in-process.
+# field chunk costs about 0.6 ms on Clifford(2) and 3.4 ms on the d4 design,
+# where the gate's K range adds 0.8 ms, so 16 chunks per worker repay the
+# fork on the field pass's cheapest inputs and leave the small grids of most
+# calls in-process.
 # Only the ball-scale pass, at 0.12 ms a chunk on Clifford(2), loses by it
 # (about 6 ms at its 128^2 grid).
 _MIN_CHUNKS_PER_WORKER = 16

@@ -239,13 +239,13 @@ class AnalysisGrid(NamedTuple):
 
     fields: GridFields
     sc: np.ndarray             # intrinsic scalar curvature (Christoffel path)
-    k_min: np.ndarray          # grid_K_estimates' per-point range
+    k_min: np.ndarray          # _K_range at the seed: ends located on the Gram form, re-read exactly
     k_max: np.ndarray
     min_singular_value: float  # sqrt(max(min lambda_min(g), 0)), NaN if any metric is not finite
 
 
 def analysis_grid(imm: FourierImmersion, grid: TorusGrid, seed: int) -> AnalysisGrid:
-    """GridFields, intrinsic Sc, grid_K_estimates' K range and the smallest
+    """GridFields, intrinsic Sc, the K gate's per-point K range and the smallest
     singular value of the differential over every grid point, from one
     _christoffel call per chunk (which raises DegenerateMetric, naming theta),
     memoized per (immersion, sizes, seed).  lambda_min(g) is solved only where

@@ -198,22 +198,12 @@ def _sweep_coefficients(U: np.ndarray) -> np.ndarray:
     return U[..., layout.I] * U[..., layout.J] * layout.w
 
 
-def _k2_sweep(D: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """K(u)^2 = |II(u, u)|^2 for every row u of D at every point of a
-    (P, m, q) batch in the pair layout, as a (P, len(D)) array: per ambient
-    component, one matrix product of the points' II with the shared
-    coefficients C[d, m], squared and added in component order, 256 points
-    at a time, so no temporary grows with q or leaves a 2 MB L2 cache (at
-    512 points the K pass on d4 at 12^4 took 1.5x as long)."""
-    Ct = _sweep_coefficients(D).T
-    k2 = np.zeros((S.shape[0], Ct.shape[1]))
-    for lo in range(0, S.shape[0], 256):
-        rows, term = k2[lo:lo + 256], np.empty_like(k2[lo:lo + 256])
-        for component in S[lo:lo + 256].transpose(2, 0, 1).copy():     # (rows, m) each, contiguous
-            np.matmul(component, Ct, out=term)
-            term *= term
-            rows += term
-    return k2
+def _k2_sweep(U: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """K(u)^2 = |II(u, u)|^2, read exactly as |C S|^2, for every row u of U,
+    shared (d, n) or per point (P, d, n), at every point of a (P, m, q) batch
+    in the pair layout, as a (P, d) array."""
+    v = _sweep_coefficients(U) @ S
+    return np.einsum("pdq,pdq->pd", v, v)
 
 
 _POWER_STEPS = 5000      # cap on shifted power steps per (point, start, sign)
@@ -324,8 +314,7 @@ def extremal_normal_curvature(S: np.ndarray, seed: int = 0, side: str = "both"):
         D = _directions(n, 16 * n, seed)
         U = np.concatenate([_power_climb(M, D, sigma) for sigma in
                             {"both": (1.0, -1.0), "max": (1.0,), "min": (-1.0,)}[side]], axis=1)
-    v = _sweep_coefficients(U) @ S
-    K2 = np.einsum("pcq,pcq->pc", v, v)
+    K2 = _k2_sweep(U, S)
     i_min, i_max, at = np.argmin(K2, axis=1), np.argmax(K2, axis=1), np.arange(P)
     return np.sqrt(K2[at, i_min]), np.sqrt(K2[at, i_max]), U[at, i_min], U[at, i_max]
 
@@ -358,7 +347,8 @@ def invariants_at(jet: Jet, seed: int = 0) -> PointInvariants:
 @dataclass(frozen=True, eq=False)
 class GridFields:
     """Per-point scalar fields over a torus grid (flat C order): the six the
-    kernel computes, and read-only properties for the rest."""
+    kernel computes, the K range where the pass also swept K, and read-only
+    properties for the rest."""
 
     grid: TorusGrid
     r: np.ndarray          # |f|
@@ -367,6 +357,9 @@ class GridFields:
     H2: np.ndarray         # |H|^2
     II2: np.ndarray        # |II|^2
     xt2: np.ndarray        # |E f|^2, the squared tangential part of f
+    k_seed: int | None = None           # the seed of the K range below, None where K was not swept
+    k_min: np.ndarray | None = None     # _K_range(S, k_seed)
+    k_max: np.ndarray | None = None
 
     @property
     def norm_H(self) -> np.ndarray:
@@ -422,17 +415,18 @@ _grid_cache: "weakref.WeakKeyDictionary[FourierImmersion, dict]" = weakref.WeakK
 def _memo(imm: FourierImmersion, key: tuple, compute):
     """imm's grid-cache entry under key, made by compute() if missing.  One
     function writes each key: grid_fields, global_normal_curvature_max,
-    intrinsic.analysis_grid or verify._interpolant."""
+    intrinsic.analysis_grid, verify._interpolant or verify._ball_top."""
     per_imm = _grid_cache.setdefault(imm, {})
     if key not in per_imm:
         per_imm[key] = compute()
     return per_imm[key]
 
 
-def grid_fields(imm: FourierImmersion, grid: TorusGrid) -> GridFields:
+def grid_fields(imm: FourierImmersion, grid: TorusGrid, sweep: int | None = None) -> GridFields:
     """Pointwise invariant fields over a grid, one pass memoized per
-    (immersion, sizes)."""
-    return _memo(imm, ("fields", grid.sizes), lambda: _evaluate_fields(imm, grid))
+    (immersion, sizes).  Given a seed sweep, a pass that has not run yet also
+    takes _K_range at that seed at every point, in the same kernel call."""
+    return _memo(imm, ("fields", grid.sizes), lambda: _evaluate_fields(imm, grid, sweep))
 
 
 def _field_columns(value: np.ndarray, E: np.ndarray, S: np.ndarray, sqrt_det: np.ndarray):
@@ -444,12 +438,17 @@ def _field_columns(value: np.ndarray, E: np.ndarray, S: np.ndarray, sqrt_det: np
             H2, II2, np.einsum("pi,pi->p", xt, xt))
 
 
-def _evaluate_fields(imm: FourierImmersion, grid: TorusGrid) -> GridFields:
+def _evaluate_fields(imm: FourierImmersion, grid: TorusGrid, sweep: int | None = None) -> GridFields:
     """One kernel pass over every point of a grid, split over forked workers
-    by grid_pass."""
-    out = grid_pass(grid, len(_FIELD_NAMES), lambda thetas: _field_columns(*_chunk_core(imm, thetas)),
-                    "grid fields")
-    return GridFields(grid=grid, **dict(zip(_FIELD_NAMES, out)))
+    by grid_pass, with _K_range at the seed sweep unless that is None."""
+    def kernel(thetas):
+        core = _chunk_core(imm, thetas)
+        columns = _field_columns(*core)
+        return columns if sweep is None else (*columns, *_K_range(core[2], sweep))
+
+    out = grid_pass(grid, len(_FIELD_NAMES) + (0 if sweep is None else 2), kernel, "grid fields")
+    swept = {} if sweep is None else {"k_seed": sweep, "k_min": out[-2], "k_max": out[-1]}
+    return GridFields(grid=grid, **dict(zip(_FIELD_NAMES, out)), **swept)
 
 
 def weighted_average(fields: GridFields, values: np.ndarray) -> float:
@@ -462,20 +461,42 @@ def _K_range(S: np.ndarray, seed: int):
     the one per-point K range: exact for n = 2 (the extremizer's root solve),
     otherwise K over the 256 directions _directions(n, 256, seed) (the axes,
     the diagonal and seeded draws), an inner bound on the true range, since
-    the power method at every point costs seconds."""
+    the power method at every point costs seconds.  The two extreme
+    directions are located on the quadratic form of the pair Gram matrix
+    G = S S' (K(u)^2 = C G C' for C = _sweep_coefficients(u), a form whose
+    coefficients are C's own pair products), one matrix product of m(m+1)/2
+    columns per block of 256 points, and K is re-read exactly, as |C S|, at
+    both: the form's roundoff, about eps |II|^2 in K^2, would cost K_min its
+    relative precision where K is near 0."""
     n = _n_of_pairs(S.shape[1])
     if n == 2:
         return extremal_normal_curvature(S)[:2]
-    swept = _k2_sweep(_directions(n, 256, seed), S)
-    return np.sqrt(swept.min(axis=1)), np.sqrt(swept.max(axis=1))
+    D = _directions(n, 256, seed)
+    C = _sweep_coefficients(D)
+    gram, form = _pairs(C.shape[1]), _sweep_coefficients(C).T      # form: (m(m+1)/2, 256)
+    ends = np.empty((S.shape[0], 2), dtype=np.intp)
+    for lo in range(0, S.shape[0], 256):
+        block = S[lo:lo + 256]
+        k2 = (block @ block.transpose(0, 2, 1))[:, gram.I, gram.J] @ form
+        ends[lo:lo + 256, 0], ends[lo:lo + 256, 1] = k2.argmin(axis=1), k2.argmax(axis=1)
+    K = np.sqrt(_k2_sweep(D[ends], S))
+    return K[:, 0], K[:, 1]
 
 
 def grid_K_estimates(imm: FourierImmersion, grid: TorusGrid,
                      seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """_K_range at every point of a grid, as read-only arrays.  The pass is
-    split over forked workers by grid_pass."""
+    """_K_range at every point of a grid, as read-only arrays, in a pass of
+    its own, split over forked workers by grid_pass."""
     return tuple(grid_pass(grid, 2, lambda thetas: _K_range(_chunk_core(imm, thetas)[2], seed),
                            "K estimates"))
+
+
+def grid_K_range(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """_K_range at every point of a grid, read from grid_fields' pass, which
+    sweeps K at this seed where it runs first from here; where the fields'
+    pass ran without that sweep, from grid_K_estimates' pass of its own."""
+    fields = grid_fields(imm, grid, sweep=seed)
+    return (fields.k_min, fields.k_max) if fields.k_seed == seed else grid_K_estimates(imm, grid, seed)
 
 
 def _best_found_K(imm: FourierImmersion, grid: TorusGrid, K: np.ndarray, seed: int,
@@ -492,11 +513,11 @@ def _best_found_K(imm: FourierImmersion, grid: TorusGrid, K: np.ndarray, seed: i
 
 def global_normal_curvature_max(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> float:
     """Best-found maximum of the normal curvature over the whole torus, the
-    value the K <= 2 gate decides on: the larger of grid_K_estimates' K_max
+    value the K <= 2 gate decides on: the larger of grid_K_range's K_max
     and the extremizer's K_max (exact for n = 2, the power method from 16n
     starts above) at the four grid points where that estimate is highest.
     Values between grid points are not seen, so, like every grid-sampled
     supremum, it can fall short of the true maximum.  Memoized per
     (immersion, sizes, seed)."""
     return _memo(imm, ("K_max", grid.sizes, seed), lambda: _best_found_K(
-        imm, grid, grid_K_estimates(imm, grid, seed)[1], seed, highest=True))
+        imm, grid, grid_K_range(imm, grid, seed)[1], seed, highest=True))

@@ -224,15 +224,21 @@ def _refined(imm: FourierImmersion, grid: TorusGrid,
                     fine_grid.theta_at(index).tolist(), fine, row, base, refinement)
 
 
+def _ball_top(imm: FourierImmersion, grid: TorusGrid) -> _Refined:
+    """The refined max |f|, which check_ball_containment and every ball-gated
+    check read: memoized per (immersion, sizes)."""
+    return pointwise._memo(imm, ("ball", grid.sizes), lambda: _refined(imm, grid, lambda f: f.r, "max"))
+
+
 def _ensure_ball(imm: FourierImmersion, grid: TorusGrid) -> None:
-    top = _refined(imm, grid, lambda f: f.r, "max").value
+    top = _ball_top(imm, grid).value
     if top > 1.0 + BALL_SLACK:
         raise NotInBall(f"max |f| = {top!r} exceeds 1 (image leaves the unit ball)")
 
 
 def check_ball_containment(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     """Image stays in the closed unit ball: margin = 1 - max |f|."""
-    top = _refined(imm, grid, lambda f: f.r, "max")
+    top = _ball_top(imm, grid)
     return _report(
         "ball", margin=1.0 - top.value, tolerance=BALL_SLACK,
         witness={"theta": top.theta, "values": {"norm_f": top.value}},
@@ -522,6 +528,9 @@ def run_checks(imm: FourierImmersion, grid: TorusGrid | None = None, seed: int =
     and one whose hypothesis reads a value that is not finite is an error."""
     grid = TorusGrid.default(imm.n) if grid is None else grid
     selected = select_checks(checks)
+    if "bow" in selected or ("main" in selected and imm.n >= 5):
+        # a check reads the K <= 2 gate: the grid's one field pass sweeps K too
+        pointwise.grid_K_range(imm, grid, seed)
 
     dispatch = {
         "ball": lambda: check_ball_containment(imm, grid),

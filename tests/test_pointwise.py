@@ -24,6 +24,7 @@ from toricurv.pointwise import (
 from toricurv.pointwise import (
     _best_found_K,
     _chunk_core,
+    _K_range,
     _directions,
     _full_form,
     _k2_sweep,
@@ -428,6 +429,23 @@ def test_grid_K_estimates_exact_for_surfaces(wavy2):
         lo, hi = reference_k2_range(full_at(wavy2, grid.theta_at(idx)))
         assert k_max[idx] ** 2 >= hi - 1e-12 and k_min[idx] ** 2 <= lo + 1e-12
         assert k_max[idx] ** 2 <= hi + 1e-8 and k_min[idx] ** 2 >= lo - 1e-8
+
+
+@pytest.mark.parametrize("make", [lambda: perturbed_clifford(3, seed=1), lambda: ball_immersion(5, 11, seed=3)],
+                         ids=["wavy3", "ball5"])
+def test_K_range_ends_are_the_full_sweeps(make):
+    # _K_range locates its two ends on the pair Gram form and re-reads K there
+    # exactly: each end is the direct sweep's over all 256 directions to
+    # 1e-14, checked at the points whose extreme direction comes after the
+    # first 32, over more than one of the form's 256-point blocks.
+    imm, seed = make(), 2
+    S = _chunk_core(imm, random_points(imm.n, 300, seed=73))[2]
+    K2 = reference_k2_sweep(_directions(imm.n, 256, seed), _full_form(S))
+    for end, K in zip(("min", "max"), _K_range(S, seed)):
+        late = np.flatnonzero(getattr(K2, "arg" + end)(axis=1) >= 32)
+        assert late.size >= 100, end
+        swept = np.sqrt(getattr(K2, end)(axis=1)[late])
+        np.testing.assert_allclose(K[late], swept, rtol=1e-14, atol=0, err_msg=end)
 
 
 def test_only_pointwise_samples_K():

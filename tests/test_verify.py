@@ -321,28 +321,38 @@ def test_global_curvature_max(clifford2, hexagonal):
 
 
 def test_gate_memo_shared_by_main_and_bow(monkeypatch):
-    # The n >= 5 main gate and the bow gate read one memoized K sweep of the
-    # base grid and one batched extremizer call at no more than four points.
-    # The calls are counted in this process, so the sweep runs in it.
+    # The n >= 5 main gate and the bow gate read one memoized K range, swept
+    # in the grid's one field pass, and one batched extremizer call at no more
+    # than four points.  The calls are counted in this process, so the pass
+    # runs in it.
     monkeypatch.setattr(forked, "usable_cpus", lambda: 1)
     swept, refined = [], []
-    sweep, extremes = pointwise._k2_sweep, pointwise.extremal_normal_curvature
+    K_range, extremes = pointwise._K_range, pointwise.extremal_normal_curvature
 
-    def counting_sweep(D, S):
+    def counting_range(S, seed):
         swept.append(S.shape[0])
-        return sweep(D, S)
+        return K_range(S, seed)
 
     def counting_extremes(S, seed=0, side="both"):
         refined.append(S.shape[0])
         return extremes(S, seed, side)
 
-    monkeypatch.setattr(pointwise, "_k2_sweep", counting_sweep)
+    monkeypatch.setattr(pointwise, "_K_range", counting_range)
     monkeypatch.setattr(pointwise, "extremal_normal_curvature", counting_extremes)
     grid, imm = TorusGrid((4,) * 5), clifford(5)
     reports = run_checks(imm, grid, checks="main,bow")
     assert [r["status"] for r in reports] == ["skipped", "skipped"]     # K_max = sqrt(5) > 2
     assert sum(swept) == grid.npoints
     assert len(refined) == 1 and refined[0] <= 4
+    # The combined pass's fields are bit for bit a pass without the sweep, and
+    # its K range is bit for bit grid_K_estimates' pass of its own.
+    fields, fresh = pointwise.grid_fields(imm, grid), clifford(5)
+    alone = pointwise._evaluate_fields(fresh, grid)
+    for name in pointwise._FIELD_NAMES:
+        assert np.array_equal(getattr(fields, name), getattr(alone, name)), name
+    assert fields.k_seed == 0 and alone.k_seed is None
+    k_min, k_max = pointwise.grid_K_estimates(fresh, grid, 0)
+    assert np.array_equal(fields.k_min, k_min) and np.array_equal(fields.k_max, k_max)
     # Split over two forked workers, the sweep gives the gate the same K.
     gate = pointwise.global_normal_curvature_max(imm, grid)
     monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
@@ -574,25 +584,43 @@ def test_flat_gate_adds_gauss_residual(clifford3, monkeypatch):
 # ---------------------------------------------------------------- refined-grid reuse
 
 def test_base_pass_first_doubled_pass_only_where_unresolved(monkeypatch):
-    # run_checks evaluates the grid's fields first.  d4's fields are constant,
-    # so the grid resolves them and no doubled-grid pass runs; a ball
-    # fixture's are not, so its doubled grid is evaluated after the grid.
-    evaluate = pointwise._evaluate_fields
-    evaluated = []
+    # run_checks evaluates the grid's fields first, in one kernel pass that
+    # also sweeps K where a selected check reads the K <= 2 gate.  d4's fields
+    # are constant, so the grid resolves them and no doubled-grid pass runs;
+    # a ball fixture's are not, so its doubled grid is evaluated after the grid.
+    passes, swept = [], []
 
-    def counting(imm, grid):
-        evaluated.append(grid.npoints)
-        return evaluate(imm, grid)
+    def counting(grid_pass):
+        def count(grid, rows, kernel, what):
+            passes.append((grid.npoints, rows))
+            return grid_pass(grid, rows, kernel, what)
+        return count
 
-    monkeypatch.setattr(pointwise, "_evaluate_fields", counting)
+    def counting_range(S, seed):
+        swept.append(S.shape[0])
+        return K_range(S, seed)
+
+    for module in (pointwise, intrinsic):
+        monkeypatch.setattr(module, "grid_pass", counting(module.grid_pass))
+    K_range = pointwise._K_range
+    monkeypatch.setattr(pointwise, "_K_range", counting_range)
+    columns = len(pointwise._FIELD_NAMES)
     d4 = subtorus_immersion(builtin_design("d4"))
     reports = run_checks(d4, GRID4)
-    assert evaluated == [6 ** 4]
+    assert passes == [(6 ** 4, columns + 2)]      # the fields and the gate's K range, in one pass
+    assert sum(swept) == 6 ** 4 + 64                # that pass's K range and constant_k's 64 points
     assert {r["diagnostics"].get("refinement") for r in reports if r["status"] != "skipped"} == {"spectral"}
-    evaluated.clear()
+    # a run whose checks never read the gate sweeps no K
+    passes.clear()
+    swept.clear()
+    alone = dataclasses.replace(d4)
+    assert [r["status"] for r in run_checks(alone, GRID4, checks="ball")] == ["pass"]
+    assert passes == [(6 ** 4, columns)] and swept == []
+    assert pointwise.grid_fields(alone, GRID4).k_seed is None
+    passes.clear()
     ball = dataclasses.replace(ball_immersion(2, 5, seed=7))     # with an empty grid cache
     reports = run_checks(ball, GRID2, checks="ball,avg_h")
-    assert evaluated == [16 ** 2, 32 ** 2]
+    assert passes == [(16 ** 2, columns), (32 ** 2, columns)]
     assert [r["diagnostics"]["refinement"] for r in reports] == ["doubled", "doubled"]
     monkeypatch.undo()
     # the grid's fields are its own cached pass, on either path

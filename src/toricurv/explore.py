@@ -8,10 +8,12 @@ point swaps, which makes analytic gradients brittle.  Smoothing is for the
 descent only; reported suprema are always the exact grid maxima.
 
 Trials differ only in their coefficients, so one search shares one table:
-the grid points in the chunks grid_fields uses and [cos | sin] of their
-phases at the F canonical frequencies, P * 2F doubles for P grid points.  A
-trial is scored from its coefficient vector through that table and the
-field kernel, with no immersion built and no cos/sin recomputed.
+the grid points in the chunks grid_fields uses, [cos | sin] of their phases
+at the F canonical frequencies, P * 2F doubles for P grid points, and the
+jet basis's frequency products and coefficient slots.  A trial is scored
+from its coefficient vector through that table and the field kernel: its
+jet basis is one gather and one multiply, and no immersion is built and no
+cos/sin recomputed.
 
 Restarts are independent: each starts from its own sub-seed and returns its
 own best-so-far history.  optimize runs them through forked.fork_map in up
@@ -34,8 +36,8 @@ from . import forked
 from .designs import builtin_design, clifford, subtorus_immersion
 from .errors import DegenerateMetric
 from .fixtures import canonical_frequencies
-from .immersion import (FourierImmersion, FourierTerm, Signature, _jet_basis, _split_jets, _trig,
-                        immersion_rank_check)
+from .immersion import (FourierImmersion, FourierTerm, Signature, _basis_table, _gather_basis,
+                        _split_jets, _trig, immersion_rank_check)
 from .pointwise import _jet_core, _scalar_invariants, grid_fields
 from .quadrature import TorusGrid
 
@@ -91,13 +93,14 @@ def _soft_max(values: np.ndarray, temperature: float) -> float:
 
 class TrialTable(NamedTuple):
     """What every trial of one search shares: the canonical frequency slots,
-    their (F, n) matrix K, and for each chunk of forked._CHUNK grid points
-    (the chunks of every grid pass) its start, its points and [cos | sin](theta K'),
+    the _basis_table of their order-2 jets in R^q, and for each chunk of
+    forked._CHUNK grid points (the chunks of every grid pass) its start, its
+    points and [cos | sin](theta K') for the (F, n) frequency matrix K,
     P * 2F doubles in all."""
 
     config: SearchConfig
     freqs: list[tuple[int, ...]]
-    K: np.ndarray
+    basis: tuple[np.ndarray, np.ndarray]
     chunks: tuple[tuple[int, np.ndarray, np.ndarray], ...]
 
 
@@ -106,20 +109,21 @@ def trial_table(config: SearchConfig) -> TrialTable:
     K = np.array(freqs, dtype=float).reshape(-1, config.n)
     chunks = tuple((start, thetas, _trig(thetas, K))
                    for start, thetas in config.grid.iter_points(forked._CHUNK))
-    return TrialTable(config, freqs, K, chunks)
+    return TrialTable(config, freqs, _basis_table(K, config.q, 2), chunks)
 
 
 def objective(x: np.ndarray, trials: TrialTable) -> float:
     """Smoothed sup of zh plus the ball penalty of the immersion with
     coefficient vector x over trials.freqs; large but finite when degenerate.
 
-    The jets are trig @ _jet_basis per chunk, bit-equal to those of
-    _immersion_from(x) when every frequency slot is nonzero, and the fields
-    come from the kernel grid_fields runs."""
+    The jet basis is trials.basis gathered at x, which holds the terms'
+    [a, b] in frequency-slot order, bit-equal to the _jet_basis of
+    _immersion_from(x) when every frequency slot is nonzero; the jets are
+    trig @ basis per chunk, and the fields come from the kernel grid_fields
+    runs.  No frequency product is recomputed per trial."""
     config = trials.config
     n, q = config.n, config.q
-    coef = x.reshape(-1, 2, q)
-    basis = _jet_basis(trials.K, coef[:, 0], coef[:, 1], 2)
+    basis = _gather_basis(trials.basis, x)
     zh = np.empty(config.grid.npoints)
     r = np.empty(config.grid.npoints)
     try:

@@ -119,27 +119,51 @@ class FourierImmersion:
         return cache[order]
 
 
+def _basis_table(K: np.ndarray, q: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """What _jet_basis gathers for frequencies K (T, n) in R^q up to order:
+    the signed frequency products and the coefficient slot of every basis
+    entry, both (2T, q(1 + n + ... + n^order)).
+
+    Column block o holds the order-o entries, the frequency product times a
+    coefficient per term, with the cos rows over the sin rows and the
+    derivative signs folded into the products; a slot indexes the flat
+    coefficients of a (T, 2, q) array of the terms' [a, b]."""
+    T, n = K.shape
+    slot = np.arange(2 * T * q).reshape(T, 2, 1, q)
+    kprod = np.ones((T, 1, 1))
+    cos_blocks, sin_blocks = [], []
+    for o in range(order + 1):
+        shape = (T, n ** o, q)
+        # d/dphase maps a*cos + b*sin to b*cos - a*sin: the (sign, a or b) of the cos and sin rows
+        signs = (((1.0, 0), (1.0, 1)), ((1.0, 1), (-1.0, 0)),
+                 ((-1.0, 0), (-1.0, 1)), ((-1.0, 1), (1.0, 0)))[o]
+        for blocks, (sign, ab) in zip((cos_blocks, sin_blocks), signs):
+            blocks.append([np.broadcast_to(part, shape).reshape(T, n ** o * q)
+                           for part in (sign * kprod, slot[:, ab])])
+        kprod = (kprod * K[:, None, :]).reshape(T, n ** (o + 1), 1)
+    return tuple(np.block([[block[i] for block in cos_blocks], [block[i] for block in sin_blocks]])
+                 for i in (0, 1))
+
+
+def _gather_basis(table: tuple[np.ndarray, np.ndarray], coef: np.ndarray,
+                  scale: float = 1.0) -> np.ndarray:
+    """The jet basis of a _basis_table at the flat coefficients coef of a
+    (T, 2, q) array [a, b]: one gather and one multiply, and the scale.
+    Each entry is +-(product x coefficient), exactly, zeros' signs included."""
+    factor, slot = table
+    basis = coef.take(slot)
+    basis *= factor
+    basis *= scale
+    return basis
+
+
 def _jet_basis(K: np.ndarray, A: np.ndarray, B: np.ndarray, order: int,
                scale: float = 1.0) -> np.ndarray:
     """Stacked jet basis of the series sum_t a_t cos(k_t . theta) + b_t sin(k_t . theta)
-    with frequencies K (T, n) and coefficients A, B (T, q).
-
-    Column block o holds the order-o derivative coefficients, (frequency
-    product x coefficient) per term, with the cos rows over the sin rows, the
-    derivative signs and the scale folded in, so that [cos | sin] @ basis is
-    every jet up to order (split by _split_jets)."""
-    (T, n), q = K.shape, A.shape[1]
-    kprod = np.ones((T, 1))
-    cos_rows, sin_rows = [], []
-    for o in range(order + 1):
-        ka = (kprod[:, :, None] * A[:, None, :]).reshape(T, n ** o * q)
-        kb = (kprod[:, :, None] * B[:, None, :]).reshape(T, n ** o * q)
-        # d/dphase maps a*cos + b*sin to b*cos - a*sin
-        c_coef, s_coef = ((ka, kb), (kb, -ka), (-ka, -kb), (-kb, ka))[o]
-        cos_rows.append(c_coef)
-        sin_rows.append(s_coef)
-        kprod = (kprod[:, :, None] * K[:, None, :]).reshape(T, n ** (o + 1))
-    return scale * np.vstack([np.hstack(cos_rows), np.hstack(sin_rows)])
+    with frequencies K (T, n) and coefficients A, B (T, q), times scale, so
+    that [cos | sin] @ basis is every jet up to order (split by _split_jets):
+    _gather_basis of _basis_table."""
+    return _gather_basis(_basis_table(K, A.shape[1], order), np.stack([A, B], axis=1), scale)
 
 
 def _trig(thetas: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -259,11 +283,18 @@ def immersion_rank_check(imm: FourierImmersion, grid) -> float:
     the points that did not overflow.
     """
     def kernel(thetas):
-        d1 = jets_at(imm, thetas, order=1)[1]
-        return _metric_eigenvalues(d1 @ d1.transpose(0, 2, 1))
+        return _metric_eigenvalues(_metric(jets_at(imm, thetas, order=1)[1]))
 
     # np.maximum keeps a NaN minimum, where max(0.0, nan) would return 0.0
     return float(np.sqrt(np.maximum(grid_pass(grid, 1, kernel, "rank check").min(), 0.0)))
+
+
+def _metric(d1: np.ndarray) -> np.ndarray:
+    """The metrics g = d1 d1' of a (P, n, q) batch of first derivatives, the
+    one metric product of the package.  It multiplies by a contiguous copy of
+    d1': given d1's own transpose, numpy's matmul calls syrk and then copies
+    a triangle, per point, at about twice the cost."""
+    return d1 @ d1.transpose(0, 2, 1).copy()
 
 
 def _metric_eigenvalues(g: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:

@@ -33,10 +33,11 @@ import numpy as np
 
 from .errors import DimensionTooLow, OriginPoint, ZeroMeanCurvature
 from .forked import grid_pass
-from .immersion import FourierImmersion, _metric_eigenvalues, jets_at
+from .immersion import FourierImmersion, _metric, _metric_eigenvalues, jets_at
 from .pointwise import (
     _FIELD_NAMES,
     GridFields,
+    _before_sweep_fork,
     _field_columns,
     _K_range,
     _memo,
@@ -56,12 +57,12 @@ def _metric_jet_arrays(d1, d2, d3):
     """
     P, n, q = d1.shape
     d1t = d1.transpose(0, 2, 1)
-    g = d1 @ d1t
+    g = _metric(d1)
     half = (d2.reshape(P, n * n, q) @ d1t).reshape(P, n, n, n)   # <f_ki, f_j>
     dg = half + half.transpose(0, 1, 3, 2)
     dd = (d3.reshape(P, n ** 3, q) @ d1t).reshape(P, n, n, n, n)  # <f_lki, f_j>
     flat2 = d2.reshape(P, n * n, q)
-    cross = (flat2 @ flat2.transpose(0, 2, 1)).reshape(P, n, n, n, n)  # axes (k,i,l,j)
+    cross = (flat2 @ flat2.transpose(0, 2, 1).copy()).reshape(P, n, n, n, n)  # axes (k,i,l,j)
     cross = cross.transpose(0, 3, 1, 2, 4)                       # -> <f_ki, f_lj> at (l,k,i,j)
     ddg = dd + dd.transpose(0, 1, 2, 4, 3) + cross + cross.transpose(0, 2, 1, 3, 4)
     return g, dg, ddg
@@ -82,7 +83,7 @@ def _curvature_arrays(L, dg, ddg):
     g^-1, and Sc = g^db Ric_db.
     """
     P, n = L.shape[:2]
-    ginv = L.transpose(0, 2, 1) @ L
+    ginv = L.transpose(0, 2, 1).copy() @ L
     low = 0.5 * (dg.transpose(0, 3, 1, 2) + dg.transpose(0, 3, 2, 1) - dg)
     gam = (ginv @ low.reshape(P, n, n * n)).reshape(P, n, n, n)
     dlow = 0.5 * (ddg.transpose(0, 1, 4, 2, 3) + ddg.transpose(0, 1, 4, 3, 2) - ddg)
@@ -260,6 +261,7 @@ def _analysis_pass(imm: FourierImmersion, grid: TorusGrid, seed: int) -> Analysi
         return (*_field_columns(path.value, E, S, path.sqrt_det), path.sc, *_K_range(S, seed),
                 _metric_eigenvalues(path.g, path.L))
 
+    _before_sweep_fork(grid.n, seed)
     *fields, sc, k_min, k_max, eigenvalues = grid_pass(grid, len(_FIELD_NAMES) + 4, kernel, "analysis pass")
     return AnalysisGrid(GridFields(grid=grid, **dict(zip(_FIELD_NAMES, fields))), sc, k_min, k_max,
                         float(np.sqrt(np.maximum(eigenvalues.min(), 0.0))))

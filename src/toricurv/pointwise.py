@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateMetric
 from .forked import grid_pass
-from .immersion import FourierImmersion, Jet, jets_at
+from .immersion import FourierImmersion, Jet, _metric, jets_at
 from .quadrature import SphereSampler, TorusGrid
 
 _DEGENERATE_EIG = 1e-12
@@ -57,8 +57,10 @@ def _metric_factor(g: np.ndarray, thetas: np.ndarray | None):
     factor does not depend on its batch and no LAPACK call runs per point:
     C_jj = sqrt(A_jj) and C_ij = A_ij / C_jj for column j of the trailing
     matrix A (initially g), which then loses C_ij C_kj at (i, k); and
-    L_ij = B_ij / C_ii for row i of B (initially I), whose later rows k then
-    lose C_ki L_ij.  sqrt(det g) is the product of the pivots C_jj.
+    L_ii = 1 / C_ii and L_ij = B_ij / C_ii (j < i) for row i of B (initially
+    0 below the diagonal), whose later rows k then lose C_ki L_ij.  The last
+    column and row have no later entries, so they take one step each.
+    sqrt(det g) is the product of the pivots C_jj.
 
     The metric is degenerate where its smallest eigenvalue is below
     _DEGENERATE_EIG.  Since lambda_min >= 1/|L|_F^2 at each point, a finite
@@ -72,15 +74,19 @@ def _metric_factor(g: np.ndarray, thetas: np.ndarray | None):
     P, n, _ = g.shape
     A = g.transpose(1, 2, 0).copy()
     C = np.zeros_like(A)
-    L = np.broadcast_to(np.eye(n)[:, :, None], A.shape).copy()
+    L = np.zeros_like(A)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for j in range(n):
-            C[j, j] = np.sqrt(A[j, j])
-            C[j + 1:, j] = A[j + 1:, j] / C[j, j]
+        for j in range(n - 1):
+            np.sqrt(A[j, j], out=C[j, j])
+            np.divide(A[j + 1:, j], C[j, j], out=C[j + 1:, j])
             A[j + 1:, j + 1:] -= C[j + 1:, None, j] * C[None, j + 1:, j]
+        np.sqrt(A[n - 1, n - 1], out=C[n - 1, n - 1])
         for i in range(n):
-            L[i, :i + 1] /= C[i, i]
-            L[i + 1:, :i + 1] -= C[i + 1:, None, i] * L[None, i, :i + 1]
+            if i:
+                L[i, :i] /= C[i, i]
+            np.divide(1.0, C[i, i], out=L[i, i])
+            if i < n - 1:
+                L[i + 1:, :i + 1] -= C[i + 1:, None, i] * L[None, i, :i + 1]
         pivot_ok = (np.einsum("iip->ip", A) > 0).all(axis=0)
         certified = pivot_ok.all() and float(np.vdot(L, L)) <= 1.0 / _DEGENERATE_EIG and np.isfinite(g).all()
     sqrt_det = np.prod(np.einsum("iip->ip", C), axis=0)
@@ -142,7 +148,7 @@ def _second_form(L: np.ndarray, d1: np.ndarray, d2: np.ndarray):
     flat = L.reshape(P, n * n)
     LL = np.take(flat, layout.left, axis=1) * np.take(flat, layout.right, axis=1)
     raw = LL.reshape(P, layout.I.size, n * n) @ d2.reshape(P, n * n, q)
-    tang = (raw @ E.transpose(0, 2, 1)) @ E
+    tang = (raw @ E.transpose(0, 2, 1).copy()) @ E
     return E, np.subtract(raw, tang, out=tang)
 
 
@@ -189,6 +195,14 @@ def _directions(n: int, count: int, seed: int) -> np.ndarray:
         D = np.vstack([D, SphereSampler(n, count - n - 1, seed * 2713 + 5).directions()])
     D.flags.writeable = False     # shared by every caller through the cache
     return D
+
+
+def _before_sweep_fork(n: int, seed: int) -> None:
+    """Build _K_range's direction set at seed, where it has one (n >= 3),
+    before a pass that sweeps K forks, so that its workers inherit the set
+    and numpy.random, which a fresh import takes 15-18 ms to load in each."""
+    if n >= 3:
+        _directions(n, 256, seed)
 
 
 def _sweep_coefficients(U: np.ndarray) -> np.ndarray:
@@ -404,7 +418,7 @@ def _chunk_core(imm: FourierImmersion, thetas: np.ndarray):
 def _jet_core(d1: np.ndarray, d2: np.ndarray, thetas: np.ndarray):
     """The kernel after the jets: frame, II in the pair layout and sqrt(det g)
     from the (P, n, q) and (P, n, n, q) derivatives at the points thetas."""
-    L, sqrt_det = _metric_factor(d1 @ d1.transpose(0, 2, 1), thetas)
+    L, sqrt_det = _metric_factor(_metric(d1), thetas)
     E, S = _second_form(L, d1, d2)
     return E, S, sqrt_det
 
@@ -415,7 +429,8 @@ _grid_cache: "weakref.WeakKeyDictionary[FourierImmersion, dict]" = weakref.WeakK
 def _memo(imm: FourierImmersion, key: tuple, compute):
     """imm's grid-cache entry under key, made by compute() if missing.  One
     function writes each key: grid_fields, global_normal_curvature_max,
-    intrinsic.analysis_grid, verify._interpolant or verify._ball_top."""
+    intrinsic.analysis_grid, verify._interpolant, verify._ball_top or
+    verify._zh_top."""
     per_imm = _grid_cache.setdefault(imm, {})
     if key not in per_imm:
         per_imm[key] = compute()
@@ -446,6 +461,8 @@ def _evaluate_fields(imm: FourierImmersion, grid: TorusGrid, sweep: int | None =
         columns = _field_columns(*core)
         return columns if sweep is None else (*columns, *_K_range(core[2], sweep))
 
+    if sweep is not None:
+        _before_sweep_fork(grid.n, sweep)
     out = grid_pass(grid, len(_FIELD_NAMES) + (0 if sweep is None else 2), kernel, "grid fields")
     swept = {} if sweep is None else {"k_seed": sweep, "k_min": out[-2], "k_max": out[-1]}
     return GridFields(grid=grid, **dict(zip(_FIELD_NAMES, out)), **swept)
@@ -477,7 +494,7 @@ def _K_range(S: np.ndarray, seed: int):
     ends = np.empty((S.shape[0], 2), dtype=np.intp)
     for lo in range(0, S.shape[0], 256):
         block = S[lo:lo + 256]
-        k2 = (block @ block.transpose(0, 2, 1))[:, gram.I, gram.J] @ form
+        k2 = (block @ block.transpose(0, 2, 1).copy())[:, gram.I, gram.J] @ form
         ends[lo:lo + 256, 0], ends[lo:lo + 256, 1] = k2.argmin(axis=1), k2.argmax(axis=1)
     K = np.sqrt(_k2_sweep(D[ends], S))
     return K[:, 0], K[:, 1]
@@ -487,6 +504,7 @@ def grid_K_estimates(imm: FourierImmersion, grid: TorusGrid,
                      seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """_K_range at every point of a grid, as read-only arrays, in a pass of
     its own, split over forked workers by grid_pass."""
+    _before_sweep_fork(grid.n, seed)
     return tuple(grid_pass(grid, 2, lambda thetas: _K_range(_chunk_core(imm, thetas)[2], seed),
                            "K estimates"))
 

@@ -230,6 +230,12 @@ def _ball_top(imm: FourierImmersion, grid: TorusGrid) -> _Refined:
     return pointwise._memo(imm, ("ball", grid.sizes), lambda: _refined(imm, grid, lambda f: f.r, "max"))
 
 
+def _zh_top(imm: FourierImmersion, grid: TorusGrid) -> _Refined:
+    """The refined max zh, which check_main and conjecture_probe read:
+    memoized per (immersion, sizes)."""
+    return pointwise._memo(imm, ("zh", grid.sizes), lambda: _refined(imm, grid, lambda f: f.zh, "max"))
+
+
 def _ensure_ball(imm: FourierImmersion, grid: TorusGrid) -> None:
     top = _ball_top(imm, grid).value
     if top > 1.0 + BALL_SLACK:
@@ -435,7 +441,7 @@ def check_main(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> CheckRe
     n = imm.n
     if n >= 5:
         _gate_K(imm, grid, seed, "pointwise")
-    top = _refined(imm, grid, lambda f: f.zh, "max")
+    top = _zh_top(imm, grid)
     diag, witness = _trace_diagnostics(imm, top.base_fields)
     if n == 2:
         inner = check_2d(imm, grid)
@@ -497,7 +503,7 @@ def conjecture_probe(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     _ensure_ball(imm, grid)
     n = imm.n
     bound = 3.0 * n / (n + 2)
-    top = _refined(imm, grid, lambda f: f.zh, "max")
+    top = _zh_top(imm, grid)
     margin = top.value - bound
     diagnostics = {"max_zh": top.value, "bound": bound, "grid": list(grid.sizes),
                    "refinement": top.refinement}

@@ -101,6 +101,59 @@ def overflowing_torus(huge_frequency: bool) -> dict:
     return {"type": "fourier", "n": 2, "q": 4, "scale": 0.7, "terms": terms}
 
 
+def reference_jet_basis(K, A, B, order, scale=1.0):
+    """The jet basis built term by term, as frequency products times
+    coefficients per order: the construction the package's gathered basis
+    replaces, kept as its bit-for-bit reference."""
+    (T, n), q = K.shape, A.shape[1]
+    kprod = np.ones((T, 1))
+    cos_rows, sin_rows = [], []
+    for o in range(order + 1):
+        ka = (kprod[:, :, None] * A[:, None, :]).reshape(T, n ** o * q)
+        kb = (kprod[:, :, None] * B[:, None, :]).reshape(T, n ** o * q)
+        c_coef, s_coef = ((ka, kb), (kb, -ka), (-ka, -kb), (-kb, ka))[o]
+        cos_rows.append(c_coef)
+        sin_rows.append(s_coef)
+        kprod = (kprod[:, :, None] * K[:, None, :]).reshape(T, n ** (o + 1))
+    return scale * np.vstack([np.hstack(cos_rows), np.hstack(sin_rows)])
+
+
+def reference_metric_factor(g, thetas):
+    """The metric factor's sweeps as first written, with L started from a
+    copy of the identity and every column and row taking every step, empty
+    slices included: the bit-for-bit reference of the package's
+    _metric_factor, degeneracy rule and all."""
+    from toricurv.errors import DegenerateMetric
+
+    P, n, _ = g.shape
+    A = g.transpose(1, 2, 0).copy()
+    C = np.zeros_like(A)
+    L = np.broadcast_to(np.eye(n)[:, :, None], A.shape).copy()
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for j in range(n):
+            C[j, j] = np.sqrt(A[j, j])
+            C[j + 1:, j] = A[j + 1:, j] / C[j, j]
+            A[j + 1:, j + 1:] -= C[j + 1:, None, j] * C[None, j + 1:, j]
+        for i in range(n):
+            L[i, :i + 1] /= C[i, i]
+            L[i + 1:, :i + 1] -= C[i + 1:, None, i] * L[None, i, :i + 1]
+        pivot_ok = (np.einsum("iip->ip", A) > 0).all(axis=0)
+        certified = pivot_ok.all() and float(np.vdot(L, L)) <= 1e12 and np.isfinite(g).all()
+    sqrt_det = np.prod(np.einsum("iip->ip", C), axis=0)
+    if not certified:
+        eigs = np.full(P, np.nan)
+        finite = np.isfinite(g).all(axis=(1, 2))
+        eigs[finite] = np.linalg.eigvalsh(g[finite])[:, 0]
+        bad = np.flatnonzero(finite & ((eigs < 1e-12) | ~pivot_ok))
+        if bad.size:
+            i = int(bad[0])
+            where = "" if thetas is None else f" at theta={thetas[i].tolist()}"
+            why = "< 1e-12" if eigs[i] < 1e-12 else "and a pivot <= 0"
+            raise DegenerateMetric(f"metric eigenvalue {eigs[i]:.3e} {why}{where}")
+        L[:, :, ~finite] = sqrt_det[~finite] = np.nan
+    return np.ascontiguousarray(L.transpose(2, 0, 1)), sqrt_det
+
+
 def reference_second_form(jet, E=None):
     """II at one point by the per-point construction, independent of the
     package's batched kernel: S_ij = P_N(sum_ab W_ia W_jb d2f_ab) for the

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from toricurv import explore, forked, pointwise
+from toricurv import explore, forked, immersion, pointwise
 from toricurv.cli import main
 from toricurv.explore import (
     DEGENERATE_PENALTY,
@@ -82,6 +82,27 @@ def test_objective_equals_score_of_grid_fields(size, seed):
     soft = top + cfg.smoothing * math.log(float(np.mean(np.exp((fields.zh - top) / cfg.smoothing))))
     overshoot = max(0.0, float(np.max(fields.r)) - 1.0)
     assert objective(x, trials) == soft + cfg.penalty_weight * overshoot * overshoot
+
+
+def test_only_the_trial_table_builds_a_jet_basis(monkeypatch):
+    # A search's frequency products and coefficient slots are built once, in
+    # its trial table; a trial only gathers its coefficients into them.
+    built = []
+    real = immersion._basis_table
+
+    def counted(K, q, order):
+        built.append((K.shape, q, order))
+        return real(K, q, order)
+
+    monkeypatch.setattr(immersion, "_basis_table", counted)
+    monkeypatch.setattr(explore, "_basis_table", counted)
+    cfg = config()
+    trials = trial_table(cfg)
+    assert built == [((len(trials.freqs), 2), 6, 2)]
+    x = _coefficients(_initial_immersion(cfg), trials.freqs, cfg.q)
+    for step in range(3):
+        objective(x + 0.01 * step, trials)
+    assert len(built) == 1
 
 
 def test_optimize_calls_grid_fields_once(monkeypatch):

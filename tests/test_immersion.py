@@ -11,6 +11,7 @@ from toricurv.immersion import (
     FourierImmersion,
     FourierTerm,
     Signature,
+    _jet_basis,
     evaluate_jet,
     immersion_rank_check,
     jets_at,
@@ -20,7 +21,26 @@ from toricurv.intrinsic import analysis_grid
 from toricurv.pointwise import invariants_at
 from toricurv.quadrature import TorusGrid
 
-from conftest import random_orthogonal, random_points
+from conftest import random_orthogonal, random_points, reference_jet_basis
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gathered_jet_basis_is_the_term_by_term_one(n):
+    # Each gathered entry is a coefficient times a signed frequency product,
+    # the one product the term-by-term construction negates, so every bit
+    # agrees, the signs of zero entries included: frequencies with zero and
+    # negative components give products of either zero sign, and zero
+    # coefficients of either sign meet products of either sign.
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(n)))
+    T, q = 6, n + 2
+    K = rng.integers(-3, 4, size=(T, n)).astype(float)
+    K[0], K[1, 0] = 0.0, 0.0
+    A, B = rng.standard_normal((2, T, q))
+    A[2], B[3, :2], A[4, 0] = 0.0, -0.0, -0.0
+    for order in range(4):
+        for scale in (1.0, 0.37):
+            got, want = _jet_basis(K, A, B, order, scale), reference_jet_basis(K, A, B, order, scale)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def single_term(k, a_index, n=2, q=4):

@@ -13,6 +13,7 @@ from toricurv.immersion import (
     FourierImmersion,
     FourierTerm,
     Signature,
+    _metric,
     _metric_eigenvalues,
     immersion_rank_check,
     jets_at,
@@ -359,7 +360,7 @@ def test_bracketed_min_singular_value_is_every_points_minimum(make, sizes, analy
     # the overflowing circle's jets, and _metric_eigenvalues in a grid pass's mode
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         first = [jets_at(imm, thetas, order=1)[1] for _, thetas in grid.iter_points(512)]
-        metrics = [d1 @ d1.transpose(0, 2, 1) for d1 in first]
+        metrics = [_metric(d1) for d1 in first]
         paths = [_christoffel(imm, thetas) for _, thetas in grid.iter_points(512)] if analyzed else []
         bracketed = [_metric_eigenvalues(path.g, path.L) for path in paths]
     finite = all(np.isfinite(g).all() for g in metrics)
@@ -380,8 +381,8 @@ def test_bracketed_min_singular_value_is_every_points_minimum(make, sizes, analy
 
 
 def test_grid_cache_holds_one_entry_per_writer():
-    # verify's fields, its spectral interpolant, ball maximum and K gate and
-    # analyze's pass each keep their own key.  verify evaluates the grid's
+    # verify's fields, its spectral interpolant, ball maximum, zh maximum and
+    # K gate and analyze's pass each keep their own key.  verify evaluates the grid's
     # fields first, with the gate's K range in the same pass; the doubled
     # grid's pass runs only where the grid does not resolve them, as on this
     # perturbed torus (a frequency 2 is not below 8/4).
@@ -391,7 +392,7 @@ def test_grid_cache_holds_one_entry_per_writer():
     analysis_grid(imm, grid, 2)
     assert set(pointwise._grid_cache[imm]) == {
         ("fields", (8, 8)), ("interpolant", (8, 8)), ("fields", (16, 16)), ("ball", (8, 8)),
-        ("K_max", (8, 8), 2), ("analysis", (8, 8), 2)}
+        ("zh", (8, 8)), ("K_max", (8, 8), 2), ("analysis", (8, 8), 2)}
     assert pointwise._grid_cache[imm][("interpolant", (8, 8))] is None
     assert pointwise._grid_cache[imm][("fields", (8, 8))].k_seed == 2
     assert pointwise._grid_cache[imm][("fields", (16, 16))].k_seed is None
@@ -399,7 +400,8 @@ def test_grid_cache_holds_one_entry_per_writer():
     resolved = dataclasses.replace(clifford(2))
     run_checks(resolved, grid, seed=2)
     assert set(pointwise._grid_cache[resolved]) == {
-        ("fields", (8, 8)), ("interpolant", (8, 8)), ("ball", (8, 8)), ("K_max", (8, 8), 2)}
+        ("fields", (8, 8)), ("interpolant", (8, 8)), ("ball", (8, 8)), ("zh", (8, 8)),
+        ("K_max", (8, 8), 2)}
 
 
 def test_analysis_grid_memoized_read_only():

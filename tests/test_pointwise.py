@@ -1,6 +1,9 @@
 import ast
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ from toricurv.designs import builtin_design, clifford, subtorus_immersion
 from toricurv.fixtures import ball_immersion, perturbed_clifford
 from toricurv.errors import DegenerateMetric
 from toricurv.formats import parse_immersion
-from toricurv.immersion import FourierImmersion, FourierTerm, Signature, evaluate_jet, jets_at, transform
+from toricurv.immersion import FourierImmersion, FourierTerm, Signature, _metric, evaluate_jet, jets_at, transform
 from toricurv.pointwise import (
     extremal_normal_curvature,
     grid_K_estimates,
@@ -42,6 +45,7 @@ from conftest import (
     random_points,
     reference_k2_range,
     reference_k2_sweep,
+    reference_metric_factor,
     reference_second_form,
 )
 
@@ -161,6 +165,51 @@ def test_metric_factor_against_lapack(n):
         gp = d1[p:p + 1] @ d1[p:p + 1].transpose(0, 2, 1)
         Lp, sp = _metric_factor(gp, None)
         assert np.array_equal(gp[0], g[p]) and np.array_equal(Lp[0], L[p]) and sp[0] == sqrt_det[p]
+
+
+def _factor_outcome(factor, g, thetas):
+    """(L, sqrt_det) of a metric factor, or its DegenerateMetric message."""
+    try:
+        return factor(g, thetas)
+    except DegenerateMetric as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_metric_factor_is_its_full_sweeps(n):
+    # The factor skips the last column's and row's empty steps and starts L
+    # from zeros, which changes no bit, zeros' signs included, of L or
+    # sqrt(det g), and no degeneracy verdict: on finite batches, on batches
+    # with NaN or infinite metrics, and on degenerate ones (rank-deficient,
+    # zero, and with a swept pivot that rounds to 0).
+    thetas = np.arange(17.0 * n).reshape(17, n)
+    d1 = spd_jets(n, 16, 1e6, seed=40 + n)
+    batches = [d1]
+    for where, value in ((3, np.nan), (5, np.inf)):
+        bad = d1.copy()
+        bad[where, 0, 0] = value
+        batches.append(bad)
+    rank = d1.copy()
+    rank[7, -1] = rank[7, 0]
+    zero = d1.copy()
+    zero[2] = 0.0
+    batches += [rank, zero]
+    with np.errstate(invalid="ignore"):      # inf times 0
+        metrics = [_metric(d) for d in batches]
+    b = np.nextafter(3e4, 0.0)
+    tight = np.eye(n) * 3e4
+    tight[0, -1] = tight[-1, 0] = b
+    metrics.append(np.concatenate([metrics[0], tight[None]]))
+    outcomes = []
+    for g in metrics:
+        got, want = (_factor_outcome(f, g, thetas[:len(g)]) for f in (_metric_factor, reference_metric_factor))
+        outcomes.append(isinstance(want, str))
+        if isinstance(want, str):
+            assert got == want
+            continue
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y, equal_nan=True) and np.array_equal(np.signbit(x), np.signbit(y))
+    assert outcomes == [False, False, False, n > 1, True, n > 1]
 
 
 def test_metric_factor_mixed_batches():
@@ -462,6 +511,35 @@ def test_only_pointwise_samples_K():
                            if isinstance(node, ast.Call)
                            and getattr(node.func, "attr", getattr(node.func, "id", None)) in helpers)
     assert callers == set()
+
+
+def test_sweeping_passes_build_the_direction_set_before_the_fork():
+    # A pass that sweeps K builds the direction set, and with it numpy.random,
+    # before grid_pass forks, so that its workers inherit both instead of each
+    # importing numpy.random; in a fresh interpreter, where nothing has
+    # loaded numpy.random yet, every such fork_map call sees both in place.
+    code = """if True:
+        import sys
+        from toricurv import forked, intrinsic, pointwise
+        from toricurv.designs import clifford
+        from toricurv.quadrature import TorusGrid
+        seen, fork_map = [sorted(m for m in sys.modules if m.startswith("numpy.random"))], forked.fork_map
+
+        def recording(task, items, what):
+            seen.append((what, "numpy.random" in sys.modules, pointwise._directions.cache_info().currsize))
+            return fork_map(task, items, what)
+
+        forked.fork_map = recording
+        imm, grid = clifford(3), TorusGrid((6, 6, 6))
+        pointwise.grid_fields(imm, grid, sweep=5)
+        pointwise.grid_K_estimates(imm, grid, 6)
+        intrinsic.analysis_grid(imm, grid, 7)
+        print(seen)
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.strip() == str([[], ("grid fields", True, 1), ("K estimates", True, 2),
+                                      ("analysis pass", True, 3)])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -320,6 +320,26 @@ def test_global_curvature_max(clifford2, hexagonal):
     assert abs(global_normal_curvature_max(hexagonal, GRID2) - math.sqrt(1.5)) < 1e-9
 
 
+def test_conjecture_reads_mains_refined_zh_maximum(monkeypatch):
+    # check_main and conjecture_probe read one memoized refined max of zh, so
+    # on d4, which the grid resolves, the spectral candidates are taken twice:
+    # once for the ball's max |f| and once for that max zh.
+    taken = []
+    candidates = verify._candidates
+
+    def counting(values, how, centre, sizes):
+        taken.append(how)
+        return candidates(values, how, centre, sizes)
+
+    monkeypatch.setattr(verify, "_candidates", counting)
+    d4 = subtorus_immersion(builtin_design("d4"))      # a fresh grid cache
+    main, conjecture = run_checks(d4, TorusGrid((8,) * 4), checks="main,conjecture")
+    assert taken == ["max", "max"]
+    assert main["status"] == conjecture["status"] == "pass"
+    assert conjecture["diagnostics"]["max_zh"] == main["diagnostics"]["max_zh"]
+    assert conjecture["diagnostics"]["refinement"] == "spectral"
+
+
 def test_gate_memo_shared_by_main_and_bow(monkeypatch):
     # The n >= 5 main gate and the bow gate read one memoized K range, swept
     # in the grid's one field pass, and one batched extremizer call at no more

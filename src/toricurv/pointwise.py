@@ -376,6 +376,10 @@ class GridFields:
     k_max: np.ndarray | None = None
 
     @property
+    def npoints(self) -> int:
+        return self.grid.npoints
+
+    @property
     def norm_H(self) -> np.ndarray:
         return np.sqrt(self.H2)
 

@@ -9,9 +9,10 @@ skipped, never as failed, so vacuous passes cannot occur.
 Every quadrature-based margin is refined once, by the one reader _refined:
 where the grid resolves every field (the trapezoid rule's spectral accuracy,
 tested on the grid's own spectrum), from the grid and the trigonometric
-interpolant of its fields on the doubled grid, and otherwise on a grid with all
-sizes doubled.  If the refinement moves a value by 1e-6 or more the report is
-marked unresolved (a negative margin still wins and marks a failure).
+interpolant of its fields on the doubled grid, read one coset of the grid at a
+time, and otherwise on a grid with all sizes doubled.  If the refinement moves
+a value by 1e-6 or more the report is marked unresolved (a negative margin
+still wins and marks a failure).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -127,57 +128,99 @@ def _spectrum(values: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
     return np.fft.rfftn(values.reshape(sizes), axes=range(len(sizes)))
 
 
-def _upsampled(spectrum: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
-    """The doubled grid's values, read-only in flat C order, of the
-    trigonometric interpolant of a grid's rfftn spectrum, zero-padded.  Each
-    axis's Nyquist coefficient is dropped: it lies in the outer shell, so on a
-    resolved column it is below SPECTRAL_TAIL."""
-    src, dst = [], []
-    for a, N in enumerate(sizes):
-        low = (N + 1) // 2                                   # k = 0 .. low - 1
-        high = (N - 1) // 2 if a < len(sizes) - 1 else 0     # k = -high .. -1, none in rfftn's last axis
-        src.append(np.r_[0:low, N - high:N])
-        dst.append(np.r_[0:low, 2 * N - high:2 * N])
-    padded = np.zeros([2 * N for N in sizes[:-1]] + [sizes[-1] + 1], dtype=complex)
-    padded[np.ix_(*dst)] = spectrum[np.ix_(*src)]
-    fine = np.fft.irfftn(padded, s=[2 * N for N in sizes], axes=range(len(sizes))).ravel()
-    fine *= 2 ** len(sizes)
-    fine.flags.writeable = False
-    return fine
+def _half_steps(rows: np.ndarray, s: int) -> np.ndarray:
+    """The trigonometric interpolant of each row's equispaced samples, each
+    row's Nyquist coefficient dropped (it lies in the outer shell, so on a
+    resolved column it is below SPECTRAL_TAIL), at the rows' own points
+    shifted by s half steps: the doubled grid's even (s = 0) or odd (s = 1)
+    points along the rows."""
+    N = rows.shape[-1]
+    spectrum = np.fft.rfft(rows, axis=-1)
+    spectrum[..., (N + 1) // 2:] = 0.0
+    if s:
+        spectrum *= np.exp(1j * math.pi / N * np.arange(N // 2 + 1))
+    return np.fft.irfft(spectrum, n=N, axis=-1)
 
 
-def _interpolant(imm: FourierImmersion, base: GridFields, fine_grid: TorusGrid) -> GridFields | None:
-    """The doubled grid's r, H2, II2 and xt2 (the columns a max or min reads)
-    from the grid's trigonometric interpolant, or None where the grid does not
-    resolve every field: a term frequency has some |k_a| >= N_a/4, or a column
-    is not finite or holds SPECTRAL_TAIL * max(|column|, 1) or more in its
-    outer shell.  sqrt_det and hx are None.  Memoized per (immersion, sizes)."""
-    def interpolate():
+def _cosets(fields: GridFields) -> Iterator[tuple[tuple[int, ...], GridFields]]:
+    """The interpolant of the grid's r, H2, II2 and xt2 on the doubled grid,
+    one coset at a time: yields (s, coset) for each s in {0, 1}^n, where
+    coset holds those columns at the doubled grid's points 2j + s, j over the
+    grid, as GridFields on the grid (sqrt_det and hx None).
+
+    The interpolant is a tensor product of one operator per axis and parity,
+    so the walk takes the axes last to first, depth first over the parities:
+    each node applies one axis, by GEMM with that axis's operator where the
+    operator is no larger than the stack it multiplies and by FFT elsewhere,
+    and moves it to the front.  The walk holds at most n + 1 stacks of the
+    four columns, and no array has the doubled grid's point count."""
+    sizes = fields.grid.sizes
+    root = np.stack([getattr(fields, name) for name in ("r", "H2", "II2", "xt2")]).reshape(4, *sizes)
+    operators = {N: np.stack([_half_steps(np.eye(N), s).T for s in (0, 1)])
+                 for N in set(sizes) if N * N <= root.size}
+
+    def rotate(stack, s):     # the parity s of stack's last axis, that axis moved to the front
+        N = stack.shape[-1]
+        rows = stack.reshape(-1, N)
+        moved = operators[N][s] @ rows.T if N in operators else _half_steps(rows, s).T
+        return moved.reshape(N, *stack.shape[:-1])
+
+    def walk(stack, parity):
+        if len(parity) == len(sizes):
+            r, H2, II2, xt2 = stack.reshape(-1, 4).T
+            yield parity, GridFields(grid=fields.grid, r=r, sqrt_det=None, hx=None, H2=H2, II2=II2, xt2=xt2)
+        else:
+            for s in (0, 1):
+                yield from walk(rotate(stack, s), (s, *parity))
+
+    yield from walk(root, ())
+
+
+def _interpolant(imm: FourierImmersion, base: GridFields) -> GridFields | None:
+    """The grid's fields, whose trigonometric interpolant _cosets reads on the
+    doubled grid, or None where the grid does not resolve every field: a term
+    frequency has some |k_a| >= N_a/4, or a column is not finite or holds
+    SPECTRAL_TAIL * max(|column|, 1) or more in its outer shell.  Each column's
+    spectrum is freed after its shell sum, so only this verdict is kept:
+    memoized per (immersion, sizes)."""
+    def resolve():
         sizes = base.grid.sizes
         if not np.all(np.abs(imm._kmat) < np.array(sizes) / 4):
             return None
-        spectra = {}
         for name in _FIELD_NAMES:
             column = getattr(base, name)
             if not np.isfinite(column).all():
                 return None
-            spectra[name] = _spectrum(column, sizes)
-            if _shell_sum(spectra[name], sizes) >= SPECTRAL_TAIL * max(float(np.max(np.abs(column))), 1.0):
+            if _shell_sum(_spectrum(column, sizes), sizes) >= SPECTRAL_TAIL * max(float(np.max(np.abs(column))), 1.0):
                 return None
-        return GridFields(grid=fine_grid, sqrt_det=None, hx=None,
-                          **{name: _upsampled(spectra[name], sizes) for name in ("r", "H2", "II2", "xt2")})
-    return pointwise._memo(imm, ("interpolant", base.grid.sizes), interpolate)
+        return base
+    return pointwise._memo(imm, ("interpolant", base.grid.sizes), resolve)
 
 
-def _candidates(values: np.ndarray, how: str, centre: int, sizes: tuple[int, ...]) -> np.ndarray:
-    """Sorted flat indices of the grid points within one step, on every axis
-    and wrapping, of centre or of the SPECTRAL_CANDIDATES most extreme values."""
-    count = min(SPECTRAL_CANDIDATES, values.size)
-    top = np.argpartition(-values if how == "max" else values, count - 1)[:count]
-    centres = np.stack(np.unravel_index(np.append(top, centre), sizes), axis=1)
+def _candidates(fields: GridFields, read: Callable[[GridFields], np.ndarray], how: str,
+                centre: int) -> np.ndarray:
+    """Sorted flat indices of the doubled grid's points within one step, on
+    every axis and wrapping, of centre or of the SPECTRAL_CANDIDATES values of
+    read on the fields' interpolant most extreme by how ("max" or "min").
+    Each coset keeps its own most extreme values, so the merged ones are the
+    whole interpolant's."""
+    def lowest(keys):
+        return np.argpartition(keys, min(SPECTRAL_CANDIDATES, keys.size) - 1)[:SPECTRAL_CANDIDATES]
+
+    sizes = fields.grid.sizes
+    fine_sizes = tuple(2 * N for N in sizes)
+    keys, indices = [], []
+    for parity, coset in _cosets(fields):
+        key = -read(coset) if how == "max" else read(coset)
+        top = lowest(key)
+        keys.append(key[top])
+        indices.append(np.ravel_multi_index([2 * j + s for j, s in zip(np.unravel_index(top, sizes), parity)],
+                                            fine_sizes))
+    top = np.concatenate(indices)[lowest(np.concatenate(keys))]
+    centres = np.stack(np.unravel_index(np.append(top, centre), fine_sizes), axis=1)
     steps = np.array(list(itertools.product((-1, 0, 1), repeat=len(sizes))))
-    around = (centres[:, None, :] + steps).reshape(-1, len(sizes)) % np.array(sizes)
-    return np.unique(np.ravel_multi_index(tuple(around.T), sizes))
+    around = (centres[:, None, :] + steps).reshape(-1, len(sizes)) % np.array(fine_sizes)
+    return np.unique(np.ravel_multi_index(tuple(around.T), fine_sizes))
 
 
 def _refined(imm: FourierImmersion, grid: TorusGrid,
@@ -188,13 +231,14 @@ def _refined(imm: FourierImmersion, grid: TorusGrid,
     The one caller of grid_fields in verify.  It runs the grid's pass first.
     Where _interpolant resolves the grid's fields, an average stays the
     grid's, with its integrand's outer-shell sum as the delta, and a max or
-    min is located on the interpolant, then re-read by exact jets at the
-    doubled grid's points around its SPECTRAL_CANDIDATES most extreme values
-    and around the grid's own extreme, so it is an exact doubled-grid value no
+    min is located on the interpolant, read coset by coset by _candidates
+    with no doubled-grid array, then re-read by exact jets at the doubled
+    grid's points around its SPECTRAL_CANDIDATES most extreme values and
+    around the grid's own extreme, so it is an exact doubled-grid value no
     less extreme than the grid's.  Elsewhere the doubled grid's pass runs."""
     base = grid_fields(imm, grid)
     fine_grid = grid.doubled()
-    interpolant = _interpolant(imm, base, fine_grid)
+    interpolant = _interpolant(imm, base)
     refinement = "doubled" if interpolant is None else "spectral"
     base_values = read(base)
     if how == "average":
@@ -214,7 +258,7 @@ def _refined(imm: FourierImmersion, grid: TorusGrid,
         points, fine = None, grid_fields(imm, fine_grid)
     else:
         centre = np.ravel_multi_index(tuple(2 * j for j in np.unravel_index(i, grid.sizes)), fine_grid.sizes)
-        points = _candidates(read(interpolant), how, centre, fine_grid.sizes)
+        points = _candidates(interpolant, read, how, centre)
         columns = pointwise._field_columns(*pointwise._chunk_core(imm, fine_grid.theta_at(points)))
         fine = GridFields(grid=fine_grid, **dict(zip(_FIELD_NAMES, columns)))     # at the points alone
     values = read(fine)

@@ -14,7 +14,7 @@ import pytest
 
 import toricurv.cli as cli
 from toricurv.cli import main
-from toricurv.designs import builtin_design
+from toricurv.designs import builtin_design, clifford
 from toricurv.formats import (
     immersion_to_obj,
     load_immersion,
@@ -693,6 +693,16 @@ def test_perfbench_trace_targets_resolve():
     for module, name in tracer.TARGETS:
         assert callable(getattr(importlib.import_module(f"toricurv.{module}"), name, None)), \
             f"toricurv.{module}.{name}"
+
+
+def test_trace_counts_the_points_of_a_fields_argument():
+    # intrinsic.conformal_grid(fields, k) takes the grid's fields, whose
+    # npoints is their grid's, so its traced span counts the grid's points.
+    tracer = _load_tracer()
+    grid = TorusGrid((8, 6))
+    fields = cli.pointwise.grid_fields(clifford(2), grid)
+    assert fields.npoints == grid.npoints == 48
+    assert tracer._points((fields, 0), {}) == 48
 
 
 def test_trace_span_records_the_batched_extremizer():

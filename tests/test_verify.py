@@ -1,7 +1,9 @@
 import ast
 import dataclasses
+import itertools
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -327,9 +329,9 @@ def test_conjecture_reads_mains_refined_zh_maximum(monkeypatch):
     taken = []
     candidates = verify._candidates
 
-    def counting(values, how, centre, sizes):
+    def counting(fields, read, how, centre):
         taken.append(how)
-        return candidates(values, how, centre, sizes)
+        return candidates(fields, read, how, centre)
 
     monkeypatch.setattr(verify, "_candidates", counting)
     d4 = subtorus_immersion(builtin_design("d4"))      # a fresh grid cache
@@ -682,18 +684,34 @@ def test_base_grid_fields_are_read_only():
 
 # ---------------------------------------------------------------- spectral refinement
 
-@pytest.mark.parametrize("sizes", [(128, 128), (127, 129)])
-def test_spectral_interpolant_matches_the_doubled_grid(sizes):
-    # perturbed_clifford(2, 5) is not homogeneous, and these grids resolve it
-    # (its outer shells hold about 1e-13): the interpolant is the doubled
-    # grid's fields to roundoff, on even and odd axes alike, and a max, a min
-    # and an average agree with the doubled grid's pass within 1e-12.
-    imm, grid = perturbed_clifford(2, seed=5), TorusGrid(sizes)
+def _assert_spectral_path_is_the_doubled_grids(imm, grid):
+    # Every coset of the interpolant, placed into the doubled grid, is the
+    # doubled grid's fields to roundoff, and a max, a min and an average agree
+    # with the doubled grid's pass within 1e-12.
     base = pointwise.grid_fields(imm, grid)
-    interpolant = verify._interpolant(imm, base, grid.doubled())
+    assert verify._interpolant(imm, base) is base
     fine = pointwise._evaluate_fields(imm, grid.doubled())
-    for name in ("r", "H2", "II2", "xt2"):
-        np.testing.assert_allclose(getattr(interpolant, name), getattr(fine, name), rtol=0, atol=1e-13)
+    placed = {name: np.full(grid.doubled().sizes, np.nan) for name in ("r", "H2", "II2", "xt2")}
+    parities = []
+    for parity, coset in verify._cosets(base):
+        parities.append(parity)
+        for name, values in placed.items():
+            values[tuple(slice(s, None, 2) for s in parity)] = getattr(coset, name).reshape(grid.sizes)
+    assert sorted(parities) == list(itertools.product((0, 1), repeat=grid.n))
+    for name, values in placed.items():
+        np.testing.assert_allclose(values.ravel(), getattr(fine, name), rtol=0, atol=1e-13)
+    # A read whose extremes scatter over the doubled grid: the candidates
+    # merged from the cosets hold the whole interpolant's most extreme points.
+    whole = pointwise.GridFields(grid=grid.doubled(), sqrt_det=None, hx=None,
+                                 **{name: values.ravel() for name, values in placed.items()})
+
+    def scatter(f):
+        return np.sin(1e9 * f.r)
+
+    for how in ("max", "min"):
+        values = scatter(whole)
+        top = np.argsort(-values if how == "max" else values)[:verify.SPECTRAL_CANDIDATES]
+        assert set(top) <= set(verify._candidates(base, scatter, how, 0))
     for read, how, reduce in ((lambda f: f.zh, "max", np.max), (lambda f: f.cos_beta - f.r, "min", np.min),
                               (lambda f: f.norm_H, "average", None)):
         refined = verify._refined(imm, grid, read, how)
@@ -709,6 +727,42 @@ def test_spectral_interpolant_matches_the_doubled_grid(sizes):
             assert refined.value >= refined.base if how == "max" else refined.value <= refined.base
 
 
+@pytest.mark.parametrize("sizes", [(128, 128), (127, 129)])
+def test_spectral_interpolant_matches_the_doubled_grid(sizes):
+    # perturbed_clifford(2, 5) is not homogeneous, and these grids resolve it
+    # (its outer shells hold about 1e-13), on even and odd axes alike: each
+    # axis's two coset operators are applied by GEMM.
+    _assert_spectral_path_is_the_doubled_grids(perturbed_clifford(2, seed=5), TorusGrid(sizes))
+
+
+@pytest.mark.parametrize("make,sizes", [
+    (lambda: perturbed_clifford(1, seed=5), (512,)),
+    (lambda: perturbed_clifford(3, seed=2, eps=1e-5, fmax=1), (20, 21, 22)),
+], ids=["circle", "3-torus"])
+def test_spectral_cosets_match_the_doubled_grid(make, sizes):
+    # A perturbed circle at its default 512 points, whose one axis's operator
+    # would be larger than the four columns it multiplies, so the walk applies
+    # it by FFT; and a perturbed 3-torus the grid resolves (outer shells below
+    # 1e-12, zh spread 2.5e-4), with 8 cosets over axes of both parities.
+    _assert_spectral_path_is_the_doubled_grids(make(), TorusGrid(sizes))
+
+
+def test_spectral_extremes_hold_no_doubled_grid_columns():
+    # With the grid's pass cached, the first spectral max of zh on d4 at 12^4
+    # (the benchmark's grid) allocates less than four doubled-grid columns at
+    # its peak: the walk holds base-grid cosets only.
+    d4, grid = subtorus_immersion(builtin_design("d4")), TorusGrid((12,) * 4)     # a fresh grid cache
+    pointwise.grid_fields(d4, grid)
+    tracemalloc.start()
+    try:
+        top = verify._refined(d4, grid, lambda f: f.zh, "max")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert top.refinement == "spectral"
+    assert peak < 4 * grid.doubled().npoints * 8
+
+
 def test_spectral_refinement_falls_back_on_every_ball_fixture():
     # Each ball fixture's fields hold far more than SPECTRAL_TAIL in their
     # outer shells (or a frequency reaches N/4), so none is interpolated.
@@ -716,7 +770,7 @@ def test_spectral_refinement_falls_back_on_every_ball_fixture():
                       (ball_immersion(4, 9, seed=7), TorusGrid((8,) * 4)),
                       (ball_immersion(5, 11, seed=3), TorusGrid((6,) * 5))):
         grid = grid or TorusGrid.default(imm.n)
-        assert verify._interpolant(imm, pointwise.grid_fields(imm, grid), grid.doubled()) is None
+        assert verify._interpolant(imm, pointwise.grid_fields(imm, grid)) is None
 
 
 def test_spectral_refinement_falls_back_by_the_frequency_rule():

@@ -433,7 +433,7 @@ _grid_cache: "weakref.WeakKeyDictionary[FourierImmersion, dict]" = weakref.WeakK
 def _memo(imm: FourierImmersion, key: tuple, compute):
     """imm's grid-cache entry under key, made by compute() if missing.  One
     function writes each key: grid_fields, global_normal_curvature_max,
-    intrinsic.analysis_grid, verify._interpolant, verify._ball_top or
+    intrinsic.analysis_grid, verify._resolves, verify._ball_top or
     verify._zh_top."""
     per_imm = _grid_cache.setdefault(imm, {})
     if key not in per_imm:

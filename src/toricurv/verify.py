@@ -150,10 +150,14 @@ def _cosets(fields: GridFields) -> Iterator[tuple[tuple[int, ...], GridFields]]:
 
     The interpolant is a tensor product of one operator per axis and parity,
     so the walk takes the axes last to first, depth first over the parities:
-    each node applies one axis, by GEMM with that axis's operator where the
-    operator is no larger than the stack it multiplies and by FFT elsewhere,
-    and moves it to the front.  The walk holds at most n + 1 stacks of the
-    four columns, and no array has the doubled grid's point count."""
+    each node applies one axis and moves it to the front.  It applies the
+    axis by GEMM with that axis's operator where the operator is no larger
+    than the stack it multiplies, and by FFT elsewhere: a GEMM node beat an
+    FFT node at every axis length timed, up to 512, but building the operator costs
+    O(N^2 log N) and holds N^2 values, which only a stack at least that large
+    pays back (on a 512-point circle or the long axis of 512 x 16 the FFT walk
+    is 4 to 60 times faster).  The walk holds at most n + 1 stacks of the four
+    columns, and no array has the doubled grid's point count."""
     sizes = fields.grid.sizes
     root = np.stack([getattr(fields, name) for name in ("r", "H2", "II2", "xt2")]).reshape(4, *sizes)
     operators = {N: np.stack([_half_steps(np.eye(N), s).T for s in (0, 1)])
@@ -176,25 +180,25 @@ def _cosets(fields: GridFields) -> Iterator[tuple[tuple[int, ...], GridFields]]:
     yield from walk(root, ())
 
 
-def _interpolant(imm: FourierImmersion, base: GridFields) -> GridFields | None:
-    """The grid's fields, whose trigonometric interpolant _cosets reads on the
-    doubled grid, or None where the grid does not resolve every field: a term
-    frequency has some |k_a| >= N_a/4, or a column is not finite or holds
-    SPECTRAL_TAIL * max(|column|, 1) or more in its outer shell.  Each column's
-    spectrum is freed after its shell sum, so only this verdict is kept:
-    memoized per (immersion, sizes)."""
+def _resolves(imm: FourierImmersion, base: GridFields) -> bool:
+    """Whether the grid resolves every field, so that _cosets' trigonometric
+    interpolant of its fields stands for the doubled grid's: every term
+    frequency has all |k_a| < N_a/4, and every column is finite and holds less
+    than SPECTRAL_TAIL * max(|column|, 1) in its outer shell.  Each column's
+    spectrum is freed after its shell sum; the verdict is memoized per
+    (immersion, sizes)."""
     def resolve():
         sizes = base.grid.sizes
         if not np.all(np.abs(imm._kmat) < np.array(sizes) / 4):
-            return None
+            return False
         for name in _FIELD_NAMES:
             column = getattr(base, name)
             if not np.isfinite(column).all():
-                return None
+                return False
             if _shell_sum(_spectrum(column, sizes), sizes) >= SPECTRAL_TAIL * max(float(np.max(np.abs(column))), 1.0):
-                return None
-        return base
-    return pointwise._memo(imm, ("interpolant", base.grid.sizes), resolve)
+                return False
+        return True
+    return pointwise._memo(imm, ("resolves", base.grid.sizes), resolve)
 
 
 def _candidates(fields: GridFields, read: Callable[[GridFields], np.ndarray], how: str,
@@ -229,21 +233,21 @@ def _refined(imm: FourierImmersion, grid: TorusGrid,
     "average", over the induced volume) on the grid, and refined.
 
     The one caller of grid_fields in verify.  It runs the grid's pass first.
-    Where _interpolant resolves the grid's fields, an average stays the
+    Where _resolves finds the grid's fields resolved, an average stays the
     grid's, with its integrand's outer-shell sum as the delta, and a max or
-    min is located on the interpolant, read coset by coset by _candidates
-    with no doubled-grid array, then re-read by exact jets at the doubled
+    min is located on the fields' interpolant on the doubled grid, read
+    coset by coset by _candidates with no doubled-grid array, then re-read by exact jets at the doubled
     grid's points around its SPECTRAL_CANDIDATES most extreme values and
     around the grid's own extreme, so it is an exact doubled-grid value no
     less extreme than the grid's.  Elsewhere the doubled grid's pass runs."""
     base = grid_fields(imm, grid)
     fine_grid = grid.doubled()
-    interpolant = _interpolant(imm, base)
-    refinement = "doubled" if interpolant is None else "spectral"
+    spectral = _resolves(imm, base)
+    refinement = "spectral" if spectral else "doubled"
     base_values = read(base)
     if how == "average":
         at_base = weighted_average(base, base_values)
-        if interpolant is None:
+        if not spectral:
             fine = grid_fields(imm, fine_grid)
             at_fine = weighted_average(fine, read(fine))
             delta = abs(at_fine - at_base)
@@ -254,11 +258,11 @@ def _refined(imm: FourierImmersion, grid: TorusGrid,
     pick = {"max": np.argmax, "min": np.argmin}[how]
     i = int(pick(base_values))
     at_base = float(base_values[i])
-    if interpolant is None:
+    if not spectral:
         points, fine = None, grid_fields(imm, fine_grid)
     else:
         centre = np.ravel_multi_index(tuple(2 * j for j in np.unravel_index(i, grid.sizes)), fine_grid.sizes)
-        points = _candidates(interpolant, read, how, centre)
+        points = _candidates(base, read, how, centre)
         columns = pointwise._field_columns(*pointwise._chunk_core(imm, fine_grid.theta_at(points)))
         fine = GridFields(grid=fine_grid, **dict(zip(_FIELD_NAMES, columns)))     # at the points alone
     values = read(fine)

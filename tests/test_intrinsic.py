@@ -381,7 +381,7 @@ def test_bracketed_min_singular_value_is_every_points_minimum(make, sizes, analy
 
 
 def test_grid_cache_holds_one_entry_per_writer():
-    # verify's fields, its spectral interpolant, ball maximum, zh maximum and
+    # verify's fields, its spectral verdict, ball maximum, zh maximum and
     # K gate and analyze's pass each keep their own key.  verify evaluates the grid's
     # fields first, with the gate's K range in the same pass; the doubled
     # grid's pass runs only where the grid does not resolve them, as on this
@@ -391,16 +391,16 @@ def test_grid_cache_holds_one_entry_per_writer():
     run_checks(imm, grid, seed=2)
     analysis_grid(imm, grid, 2)
     assert set(pointwise._grid_cache[imm]) == {
-        ("fields", (8, 8)), ("interpolant", (8, 8)), ("fields", (16, 16)), ("ball", (8, 8)),
+        ("fields", (8, 8)), ("resolves", (8, 8)), ("fields", (16, 16)), ("ball", (8, 8)),
         ("zh", (8, 8)), ("K_max", (8, 8), 2), ("analysis", (8, 8), 2)}
-    assert pointwise._grid_cache[imm][("interpolant", (8, 8))] is None
+    assert pointwise._grid_cache[imm][("resolves", (8, 8))] is False
     assert pointwise._grid_cache[imm][("fields", (8, 8))].k_seed == 2
     assert pointwise._grid_cache[imm][("fields", (16, 16))].k_seed is None
     # Clifford(2)'s constant fields are resolved: no doubled-grid pass
     resolved = dataclasses.replace(clifford(2))
     run_checks(resolved, grid, seed=2)
     assert set(pointwise._grid_cache[resolved]) == {
-        ("fields", (8, 8)), ("interpolant", (8, 8)), ("ball", (8, 8)), ("zh", (8, 8)),
+        ("fields", (8, 8)), ("resolves", (8, 8)), ("ball", (8, 8)), ("zh", (8, 8)),
         ("K_max", (8, 8), 2)}
 
 

@@ -665,7 +665,7 @@ def test_only_the_refinement_reader_reads_the_doubled_grid():
         return found
 
     assert callers(verify, "doubled") == callers(verify, "grid_fields") == {"_refined"}
-    assert callers(verify, "_interpolant") == callers(verify, "_field_columns") == {"_refined"}
+    assert callers(verify, "_resolves") == callers(verify, "_field_columns") == {"_refined"}
     assert callers(pointwise, "doubled") == callers(intrinsic, "doubled") == set()
     assert callers(intrinsic, "grid_fields") == set()
 
@@ -689,7 +689,7 @@ def _assert_spectral_path_is_the_doubled_grids(imm, grid):
     # doubled grid's fields to roundoff, and a max, a min and an average agree
     # with the doubled grid's pass within 1e-12.
     base = pointwise.grid_fields(imm, grid)
-    assert verify._interpolant(imm, base) is base
+    assert verify._resolves(imm, base) is True
     fine = pointwise._evaluate_fields(imm, grid.doubled())
     placed = {name: np.full(grid.doubled().sizes, np.nan) for name in ("r", "H2", "II2", "xt2")}
     parities = []
@@ -770,7 +770,7 @@ def test_spectral_refinement_falls_back_on_every_ball_fixture():
                       (ball_immersion(4, 9, seed=7), TorusGrid((8,) * 4)),
                       (ball_immersion(5, 11, seed=3), TorusGrid((6,) * 5))):
         grid = grid or TorusGrid.default(imm.n)
-        assert verify._interpolant(imm, pointwise.grid_fields(imm, grid)) is None
+        assert verify._resolves(imm, pointwise.grid_fields(imm, grid)) is False
 
 
 def test_spectral_refinement_falls_back_by_the_frequency_rule():

@@ -353,7 +353,6 @@ def cmd_explore(args) -> int:
         "sup_zh": result.sup_zh,
         "bound": 3.0 * config.n / (config.n + 2),
         "max_norm": result.max_norm,
-        "min_singular_value": result.min_singular_value,
         "counterexample_candidate": result.counterexample_candidate,
         "best_restart": result.best_restart,
         "objective_history": list(result.objective_history),

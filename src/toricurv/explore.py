@@ -5,7 +5,8 @@ coefficients of torus immersions constrained to the unit ball by a quadratic
 penalty.  Descent uses derivative-free coordinate pattern search: the
 objective's sup structure has subgradient kinks wherever the maximizing grid
 point swaps, which makes analytic gradients brittle.  Smoothing is for the
-descent only; reported suprema are always the exact grid maxima.
+descent only: the best immersion is judged by verify's ball and conjecture
+checks, whose refined maxima are the reported suprema.
 
 Trials differ only in their coefficients, so one search shares one table:
 the grid points in the chunks grid_fields uses, [cos | sin] of their phases
@@ -32,13 +33,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import forked
+from . import forked, verify
 from .designs import builtin_design, clifford, subtorus_immersion
 from .errors import DegenerateMetric
 from .fixtures import canonical_frequencies
-from .immersion import (FourierImmersion, FourierTerm, Signature, _basis_table, _gather_basis,
-                        _split_jets, _trig, immersion_rank_check)
-from .pointwise import _jet_core, _scalar_invariants, grid_fields
+from .immersion import FourierImmersion, FourierTerm, Signature, _basis_table, _gather_basis, _split_jets, _trig
+# grid_fields is not called here; perfbench/tests/test_tracer.py still wraps it by this name
+from .pointwise import _jet_core, _scalar_invariants, grid_fields  # noqa: F401
 from .quadrature import TorusGrid
 
 DEGENERATE_PENALTY = 1e9
@@ -78,11 +79,10 @@ class SearchConfig:
 class SearchResult:
     config: SearchConfig
     best: FourierImmersion
-    sup_zh: float                    # exact max of zh over the refined grid
-    max_norm: float                  # max |f| over the refined grid
-    min_singular_value: float        # rank check on the refined grid
+    sup_zh: float                    # verify._zh_top's refined max of zh
+    max_norm: float                  # verify._ball_top's refined max |f|
     objective_history: tuple[float, ...]
-    counterexample_candidate: bool
+    counterexample_candidate: bool   # verify's exit code on ball and conjecture is 3
     best_restart: int
 
 
@@ -235,10 +235,15 @@ def optimize(config: SearchConfig) -> SearchResult:
     one BLAS thread.  The history is rebuilt in restart order as min(best of
     the earlier restarts, each restart's own best-so-far), which min makes
     exact, so the result is the same for any number of processes and when a
-    fork fails.  The counterexample flag is set
-    only after re-verification on a grid with every size doubled, whose
-    field pass also certifies the metric there (lambda_min(g) >= 1e-12, or
-    it raises DegenerateMetric).
+    fork fails.
+
+    The best immersion is judged by verify's ball and conjecture checks on
+    the search's grid, as `toricurv verify --checks ball,conjecture` judges
+    it: the counterexample flag is set exactly when their exit code is 3
+    (ball holds, conjecture fails), and sup_zh and max_norm are the refined
+    maxima the two checks read, sup_zh also where ball fails and conjecture
+    is skipped.  The checks' field passes certify the metric
+    (lambda_min(g) >= 1e-12, or they raise DegenerateMetric).
     """
     trials = trial_table(config)
     x_init = _coefficients(_initial_immersion(config), trials.freqs, config.q)
@@ -255,20 +260,13 @@ def optimize(config: SearchConfig) -> SearchResult:
             best_x, best_f, best_restart = x, f, restart
 
     best = _immersion_from(best_x, trials.freqs, config)
-    fine = config.grid.doubled()
-    fields = grid_fields(best, fine)
-    sup_zh = float(np.max(fields.zh))
-    max_norm = float(np.max(fields.r))
-    sigma_min = immersion_rank_check(best, fine)
-    bound = 3.0 * config.n / (config.n + 2)
-    candidate = sup_zh < bound - 1e-4 and max_norm <= 1.0 - 1e-6
+    reports = verify.run_checks(best, config.grid, checks="ball,conjecture")
     return SearchResult(
         config=config,
         best=best,
-        sup_zh=sup_zh,
-        max_norm=max_norm,
-        min_singular_value=float(sigma_min),
+        sup_zh=verify._zh_top(best, config.grid).value,
+        max_norm=verify._ball_top(best, config.grid).value,
         objective_history=tuple(history),
-        counterexample_candidate=bool(candidate),
+        counterexample_candidate=verify.exit_code(reports) == 3,
         best_restart=best_restart,
     )

@@ -430,22 +430,25 @@ def _jet_core(d1: np.ndarray, d2: np.ndarray, thetas: np.ndarray):
 _grid_cache: "weakref.WeakKeyDictionary[FourierImmersion, dict]" = weakref.WeakKeyDictionary()
 
 
-def _memo(imm: FourierImmersion, key: tuple, compute):
-    """imm's grid-cache entry under key, made by compute() if missing.  One
-    function writes each key: grid_fields, global_normal_curvature_max,
-    intrinsic.analysis_grid, verify._resolves, verify._ball_top or
-    verify._zh_top."""
+def _memo(imm: FourierImmersion, key: tuple, compute, keep=None):
+    """imm's grid-cache entry under key, made by compute() if missing or if
+    keep(entry) is false.  One function writes each key: grid_fields,
+    global_normal_curvature_max, intrinsic.analysis_grid, verify._resolves,
+    verify._ball_top or verify._zh_top."""
     per_imm = _grid_cache.setdefault(imm, {})
-    if key not in per_imm:
+    if key not in per_imm or (keep is not None and not keep(per_imm[key])):
         per_imm[key] = compute()
     return per_imm[key]
 
 
 def grid_fields(imm: FourierImmersion, grid: TorusGrid, sweep: int | None = None) -> GridFields:
     """Pointwise invariant fields over a grid, one pass memoized per
-    (immersion, sizes).  Given a seed sweep, a pass that has not run yet also
-    takes _K_range at that seed at every point, in the same kernel call."""
-    return _memo(imm, ("fields", grid.sizes), lambda: _evaluate_fields(imm, grid, sweep))
+    (immersion, sizes).  Given a seed sweep, the pass also takes _K_range at
+    that seed at every point, in the same kernel call; an entry that holds no
+    K range at that seed is replaced by such a pass, whose fields are bit for
+    bit the entry's."""
+    return _memo(imm, ("fields", grid.sizes), lambda: _evaluate_fields(imm, grid, sweep),
+                 keep=lambda fields: sweep is None or fields.k_seed == sweep)
 
 
 def _field_columns(value: np.ndarray, E: np.ndarray, S: np.ndarray, sqrt_det: np.ndarray):
@@ -506,19 +509,10 @@ def _K_range(S: np.ndarray, seed: int):
 
 def grid_K_estimates(imm: FourierImmersion, grid: TorusGrid,
                      seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """_K_range at every point of a grid, as read-only arrays, in a pass of
-    its own, split over forked workers by grid_pass."""
-    _before_sweep_fork(grid.n, seed)
-    return tuple(grid_pass(grid, 2, lambda thetas: _K_range(_chunk_core(imm, thetas)[2], seed),
-                           "K estimates"))
-
-
-def grid_K_range(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """_K_range at every point of a grid, read from grid_fields' pass, which
-    sweeps K at this seed where it runs first from here; where the fields'
-    pass ran without that sweep, from grid_K_estimates' pass of its own."""
+    """_K_range at this seed at every point of a grid, as read-only arrays:
+    the K range of grid_fields' pass swept at the seed."""
     fields = grid_fields(imm, grid, sweep=seed)
-    return (fields.k_min, fields.k_max) if fields.k_seed == seed else grid_K_estimates(imm, grid, seed)
+    return fields.k_min, fields.k_max
 
 
 def _best_found_K(imm: FourierImmersion, grid: TorusGrid, K: np.ndarray, seed: int,
@@ -535,11 +529,11 @@ def _best_found_K(imm: FourierImmersion, grid: TorusGrid, K: np.ndarray, seed: i
 
 def global_normal_curvature_max(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> float:
     """Best-found maximum of the normal curvature over the whole torus, the
-    value the K <= 2 gate decides on: the larger of grid_K_range's K_max
+    value the K <= 2 gate decides on: the larger of grid_K_estimates' K_max
     and the extremizer's K_max (exact for n = 2, the power method from 16n
     starts above) at the four grid points where that estimate is highest.
     Values between grid points are not seen, so, like every grid-sampled
     supremum, it can fall short of the true maximum.  Memoized per
     (immersion, sizes, seed)."""
     return _memo(imm, ("K_max", grid.sizes, seed), lambda: _best_found_K(
-        imm, grid, grid_K_range(imm, grid, seed)[1], seed, highest=True))
+        imm, grid, grid_K_estimates(imm, grid, seed)[1], seed, highest=True))

@@ -584,7 +584,7 @@ def run_checks(imm: FourierImmersion, grid: TorusGrid | None = None, seed: int =
     selected = select_checks(checks)
     if "bow" in selected or ("main" in selected and imm.n >= 5):
         # a check reads the K <= 2 gate: the grid's one field pass sweeps K too
-        pointwise.grid_K_range(imm, grid, seed)
+        pointwise.grid_K_estimates(imm, grid, seed)
 
     dispatch = {
         "ball": lambda: check_ball_containment(imm, grid),

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import signal
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from toricurv import forked, pointwise
 from toricurv.designs import builtin_design, clifford, subtorus_immersion
 from toricurv.fixtures import perturbed_clifford, random_immersion
 from toricurv.immersion import FourierImmersion, FourierTerm, Signature
@@ -195,6 +197,23 @@ def reference_k2_range(S):
     v = np.einsum("da,db,abq->dq", D, D, S, optimize=True)
     K2 = np.einsum("dq,dq->d", v, v)
     return float(K2.min()), float(K2.max())
+
+
+def reference_K_pass(imm, grid, seed):
+    """_K_range at seed at every point of a grid, as read-only arrays, from a
+    grid_pass of its own that takes no fields: the reference that a swept
+    field pass's K range must equal bit for bit."""
+    return tuple(forked.grid_pass(grid, 2, lambda thetas: pointwise._K_range(
+        pointwise._chunk_core(imm, thetas)[2], seed), "K reference"))
+
+
+def load_perfbench(name: str):
+    """A module of perfbench/, loaded read-only from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------- processes

@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import importlib
-import importlib.util
 import json
 import math
 import os
@@ -13,6 +12,7 @@ import numpy as np
 import pytest
 
 import toricurv.cli as cli
+from toricurv import verify
 from toricurv.cli import main
 from toricurv.designs import builtin_design, clifford
 from toricurv.formats import (
@@ -27,7 +27,7 @@ from toricurv.immersion import evaluate_jet
 from toricurv.quadrature import MonomialEntry, MonomialReport, TorusGrid
 from toricurv.verify import global_normal_curvature_max
 
-from conftest import overflowing_torus
+from conftest import load_perfbench, overflowing_torus
 
 
 @pytest.fixture()
@@ -286,7 +286,7 @@ def test_out_refuses_to_overwrite_the_input(tmp_path, capsys, monkeypatch, comma
 def test_analyze_passes_the_benchmark_check(tmp_path):
     # The benchmark's own analyze input and correctness check, loaded
     # read-only from perfbench/: a failure there shows here first.
-    inputs, checks = _load_perfbench("inputs"), _load_perfbench("checks")
+    inputs, checks = load_perfbench("inputs"), load_perfbench("checks")
     path, _ = inputs.write_inputs(["wavy3"], 1, tmp_path)["wavy3"]
     base = tmp_path / "analyze"
     code = main(["analyze", str(path), "--seed", "1", "--out", str(base)])
@@ -302,7 +302,7 @@ def test_analyze_csv_leaves_no_text_in_this_process(tmp_path):
     # under 1 MB to the process's peak: its text never comes back here, where
     # it would add about 9 MB.  The peak is VmHWM, the process's own: a
     # process started by this larger one inherits its ru_maxrss.
-    inputs = _load_perfbench("inputs")
+    inputs = load_perfbench("inputs")
     path, _ = inputs.write_inputs(["wavy3"], 1, tmp_path)["wavy3"]
     code = f"""
 import toricurv.cli as cli, toricurv.forked as forked
@@ -327,7 +327,7 @@ cli.main(["analyze", {str(path)!r}, "--seed", "1", "--out", {str(tmp_path / "ana
 
 def test_verify_passes_the_benchmark_check(tmp_path):
     # verify-d4's input and check, on the 6^4 grid rather than 12^4.
-    inputs, checks = _load_perfbench("inputs"), _load_perfbench("checks")
+    inputs, checks = load_perfbench("inputs"), load_perfbench("checks")
     path, _ = inputs.write_inputs(["d4"], 5, tmp_path)["d4"]
     out = tmp_path / "verify.json"
     code = main(["verify", str(path), "--grid", "6", "--seed", "5", "--out", str(out)])
@@ -336,7 +336,7 @@ def test_verify_passes_the_benchmark_check(tmp_path):
 
 def test_explore_passes_the_benchmark_check(tmp_path):
     # explore-n2's check, on a smaller grid and a shorter search.
-    checks = _load_perfbench("checks")
+    checks = load_perfbench("checks")
     out = tmp_path / "explore.json"
     code = main(["explore", "--n", "2", "--q", "6", "--grid", "8", "--iterations", "20",
                  "--restarts", "2", "--out", str(out)])
@@ -422,6 +422,36 @@ def test_explore_cli_runs(tmp_path):
     assert payload["config"] == {
         "n": 2, "q": 6, "fmax": 1, "grid": [10, 10], "seed": 42, "iterations": 25, "restarts": 1,
         "penalty_weight": 1000.0, "smoothing": 0.05, "version": cli.__version__}
+
+
+@pytest.mark.parametrize("settings, explore_code, verify_code", [
+    (["--iterations", "40"], 0, 0),
+    (["--iterations", "2500", "--penalty-weight", "0"], 0, 1),
+    (["--iterations", "40"], 3, 3),
+], ids=["inside", "outside", "zh-lowered"])
+def test_explore_exits_3_iff_verify_does(tmp_path, monkeypatch, settings, explore_code, verify_code):
+    # verify on explore's best immersion, at the same grid with the ball and
+    # conjecture checks, exits 3 exactly when explore does and reads the same
+    # maxima.  Without the penalty the search leaves the ball, so ball fails
+    # and conjecture is skipped.  In the zh-lowered row both commands read
+    # verify's refined max zh lowered by 1 (patched), so the conjecture fails.
+    if explore_code == 3:
+        zh_top = verify._zh_top
+        monkeypatch.setattr(verify, "_zh_top",
+                            lambda imm, grid: zh_top(imm, grid)._replace(value=zh_top(imm, grid).value - 1.0))
+    probe, best, out = (tmp_path / name for name in ("probe.json", "best.json", "report.json"))
+    assert main(["explore", "--n", "2", "--q", "6", "--fmax", "1", "--grid", "8", "--restarts", "1",
+                 *settings, "--out", str(probe)]) == explore_code
+    payload = json.loads(probe.read_text())
+    assert "min_singular_value" not in payload
+    best.write_text(json.dumps(payload["best_immersion"]))
+    assert main(["verify", str(best), "--grid", "8", "--checks", "ball,conjecture",
+                 "--out", str(out)]) == verify_code
+    ball, conjecture = json.loads(out.read_text())
+    assert payload["max_norm"] == ball["diagnostics"]["max_norm_refined"]
+    assert (conjecture["status"] == "skipped") == (verify_code == 1)
+    if conjecture["status"] != "skipped":
+        assert payload["sup_zh"] == conjecture["diagnostics"]["max_zh"]
 
 
 # ---------------------------------------------------------------- selftest failure path
@@ -673,17 +703,8 @@ def test_analyze_gauss_residual_is_the_one_closed_form(tmp_path):
     assert summary["max_gauss_residual"] == float(np.max(np.abs(residual)))
 
 
-def _load_perfbench(name: str):
-    """A module of perfbench/, loaded read-only from its file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _load_tracer():
-    return _load_perfbench("tracer")
+    return load_perfbench("tracer")
 
 
 def test_perfbench_trace_targets_resolve():

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import math
 import os
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from toricurv import explore, forked, immersion, pointwise
+from toricurv import explore, forked, immersion, pointwise, verify
 from toricurv.cli import main
 from toricurv.explore import (
     DEGENERATE_PENALTY,
@@ -34,6 +35,19 @@ def config(**kw):
                 iterations=40, restarts=2)
     base.update(kw)
     return SearchConfig(**base)
+
+
+def assert_flag_is_verify_verdict(res):
+    """The search's flag is verify's exit code 3 on ball and conjecture for a
+    fresh copy of its best immersion at its grid, and its suprema are the
+    refined maxima those checks report (max zh where conjecture ran)."""
+    reports = verify.run_checks(dataclasses.replace(res.best), res.config.grid, checks="ball,conjecture")
+    ball, conjecture = reports
+    assert res.counterexample_candidate == (verify.exit_code(reports) == 3)
+    assert res.max_norm == ball["diagnostics"]["max_norm_refined"]
+    if conjecture["status"] != "skipped":
+        assert res.sup_zh == conjecture["diagnostics"]["max_zh"]
+    return reports
 
 
 def score_of(imm, cfg):
@@ -106,16 +120,24 @@ def test_only_the_trial_table_builds_a_jet_basis(monkeypatch):
 
 
 def test_optimize_calls_grid_fields_once(monkeypatch):
+    # No trial calls grid_fields: the calls optimize makes are exactly those
+    # that verify's ball and conjecture checks make on the best immersion.
     calls = []
 
-    def counted(imm, grid):
-        calls.append(grid.sizes)
-        return grid_fields(imm, grid)
+    def counted(imm, grid, sweep=None):
+        calls.append((grid.sizes, sweep))
+        return grid_fields(imm, grid, sweep)
 
     monkeypatch.setattr(pointwise, "grid_fields", counted)
-    monkeypatch.setattr("toricurv.explore.grid_fields", counted)
-    optimize(config())
-    assert calls == [(24, 24)]
+    monkeypatch.setattr(verify, "grid_fields", counted)
+    cfg = config()
+    res = optimize(cfg)
+    searched = list(calls)
+    calls.clear()
+    verify.run_checks(dataclasses.replace(res.best), cfg.grid, checks="ball,conjecture")
+    assert searched == calls
+    assert (cfg.grid.sizes, None) in searched
+    assert {sizes for sizes, _ in searched} <= {cfg.grid.sizes, cfg.grid.doubled().sizes}
 
 
 def test_initial_fixture_selection():
@@ -168,12 +190,14 @@ def test_optimize_single_iteration_returns_initialization():
     assert len(res.objective_history) == 1
     # One evaluation: the perturbed hexagonal start, near its zh level.
     assert res.sup_zh > 1.4
+    assert_flag_is_verify_verdict(res)
 
 
 def test_optimize_no_false_candidate_in_proven_case():
     res = optimize(config(iterations=80, restarts=2))
     assert not res.counterexample_candidate
     assert res.sup_zh >= 1.5 - 1e-3
+    assert_flag_is_verify_verdict(res)
 
 
 def test_optimize_penalty_off_escapes_ball():
@@ -184,6 +208,30 @@ def test_optimize_penalty_off_escapes_ball():
     assert res.max_norm > 1.0
     assert res.sup_zh < 1.5
     assert not res.counterexample_candidate   # not inside the ball
+    ball, conjecture = assert_flag_is_verify_verdict(res)
+    assert ball["status"] == "fail" and conjecture["status"] == "skipped"
+
+
+# The bands where explore's own rules (sup zh < 3n/(n+2) - 1e-4 and
+# max |f| <= 1 - 1e-6) disagreed with verify's (margin < -1e-9 and
+# max |f| <= 1 + 1e-9): the first two rows lie in them, and the flag is
+# verify's verdict there; the last two sit just past verify's tolerances.
+@pytest.mark.parametrize("zh_margin, norm, flagged", [
+    (-5e-5, 1.0 - 5e-7, True),
+    (-1e-8, 1.0 + 5e-10, True),
+    (-5e-10, 1.0 - 5e-7, False),      # within conjecture's tolerance: it passes
+    (-5e-5, 1.0 + 2e-9, False),       # outside the ball: ball fails, exit 1
+])
+def test_flag_is_verify_verdict_where_the_old_rules_disagreed(monkeypatch, zh_margin, norm, flagged):
+    # The refined readings are patched: verify's max zh reads 3/2 + zh_margin
+    # and its max |f| reads norm, for the checks and the search alike.
+    zh_top, ball_top = verify._zh_top, verify._ball_top
+    monkeypatch.setattr(verify, "_zh_top", lambda imm, grid: zh_top(imm, grid)._replace(value=1.5 + zh_margin))
+    monkeypatch.setattr(verify, "_ball_top", lambda imm, grid: ball_top(imm, grid)._replace(value=norm))
+    res = optimize(config(iterations=1, restarts=1))
+    assert res.counterexample_candidate is flagged
+    assert res.sup_zh == 1.5 + zh_margin and res.max_norm == norm
+    assert_flag_is_verify_verdict(res)
 
 
 # ---------------------------------------------------------------- restart pool
@@ -306,7 +354,8 @@ def test_killed_search_leaves_no_worker():
 def test_interrupted_search_ends_its_workers():
     # Ctrl-C kills the workers instead of waiting for their restarts.
     exit_s, code, left = signal_mid_run(SEARCH, signal.SIGINT)
-    assert code == -signal.SIGINT and exit_s < 2.0 and left == []
+    assert code == -signal.SIGINT and exit_s < 2.0 and left == [], \
+        f"exit_s = {exit_s:.3f}, code = {code}, left = {left}"
 
 
 def test_cli_import_loads_no_pool_modules():

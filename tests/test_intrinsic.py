@@ -32,7 +32,7 @@ from toricurv.pointwise import _FIELD_NAMES, _chunk_core, _scalar_invariants, gr
 from toricurv.quadrature import TorusGrid
 from toricurv.verify import run_checks
 
-from conftest import pinched_torus, random_points
+from conftest import pinched_torus, random_points, reference_K_pass
 
 
 def bumped_clifford2(eps=0.05):
@@ -307,7 +307,7 @@ def test_analysis_grid_matches_the_separate_passes(make, sizes, seed):
     sc = np.concatenate([_christoffel(imm, thetas).sc for _, thetas in grid.iter_points(512)])
     assert np.array_equal(result.sc, sc)
     fresh = make()          # an immersion with an empty grid cache
-    k_min, k_max = grid_K_estimates(fresh, grid, seed)
+    k_min, k_max = reference_K_pass(fresh, grid, seed)
     assert np.array_equal(result.k_min, k_min) and np.array_equal(result.k_max, k_max)
     assert result.min_singular_value == immersion_rank_check(fresh, grid)
 

@@ -518,6 +518,8 @@ def test_sweeping_passes_build_the_direction_set_before_the_fork():
     # before grid_pass forks, so that its workers inherit both instead of each
     # importing numpy.random; in a fresh interpreter, where nothing has
     # loaded numpy.random yet, every such fork_map call sees both in place.
+    # grid_K_estimates at a seed the cached pass did not sweep reruns the
+    # field pass with that seed's sweep.
     code = """if True:
         import sys
         from toricurv import forked, intrinsic, pointwise
@@ -538,7 +540,7 @@ def test_sweeping_passes_build_the_direction_set_before_the_fork():
     """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-    assert out.stdout.strip() == str([[], ("grid fields", True, 1), ("K estimates", True, 2),
+    assert out.stdout.strip() == str([[], ("grid fields", True, 1), ("grid fields", True, 2),
                                       ("analysis pass", True, 3)])
 
 

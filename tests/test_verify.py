@@ -34,7 +34,7 @@ from toricurv.verify import (
     run_checks,
 )
 
-from conftest import overflowing_torus
+from conftest import load_perfbench, overflowing_torus, reference_K_pass
 
 
 def scaled(imm, lam):
@@ -342,6 +342,33 @@ def test_conjecture_reads_mains_refined_zh_maximum(monkeypatch):
     assert conjecture["diagnostics"]["refinement"] == "spectral"
 
 
+def test_gate_after_a_plain_pass_replaces_it_by_one_swept_pass(monkeypatch):
+    # A plain pass of the grid ran first.  The K <= 2 gate then reruns that
+    # pass once with the sweep, whose fields are the plain pass's bit for
+    # bit, and runs no K-only pass; a second run of the checks runs no pass.
+    # The immersion is resolved at 32^2, so no doubled-grid pass runs either.
+    passes, fork_map = [], forked.fork_map
+
+    def counting(task, items, what):
+        passes.append(what)
+        return fork_map(task, items, what)
+
+    imm, grid = perturbed_clifford(2, 7, eps=1e-5, fmax=1), TorusGrid((32, 32))
+    monkeypatch.setattr(forked, "fork_map", counting)
+    plain = pointwise.grid_fields(imm, grid)
+    assert passes == ["grid fields"] and plain.k_seed is None
+    first = run_checks(imm, grid, checks="ball,bow,conjecture")
+    assert passes == ["grid fields"] * 2
+    assert [r["status"] for r in first] == ["pass"] * 3
+    assert {r["diagnostics"]["refinement"] for r in first} == {"spectral"}
+    swept = pointwise.grid_fields(imm, grid)
+    assert swept.k_seed == 0
+    for name in pointwise._FIELD_NAMES:
+        assert np.array_equal(getattr(swept, name), getattr(plain, name)), name
+    assert run_checks(imm, grid, checks="ball,bow,conjecture") == first
+    assert passes == ["grid fields"] * 2
+
+
 def test_gate_memo_shared_by_main_and_bow(monkeypatch):
     # The n >= 5 main gate and the bow gate read one memoized K range, swept
     # in the grid's one field pass, and one batched extremizer call at no more
@@ -367,13 +394,13 @@ def test_gate_memo_shared_by_main_and_bow(monkeypatch):
     assert sum(swept) == grid.npoints
     assert len(refined) == 1 and refined[0] <= 4
     # The combined pass's fields are bit for bit a pass without the sweep, and
-    # its K range is bit for bit grid_K_estimates' pass of its own.
+    # its K range is bit for bit a K-only pass's.
     fields, fresh = pointwise.grid_fields(imm, grid), clifford(5)
     alone = pointwise._evaluate_fields(fresh, grid)
     for name in pointwise._FIELD_NAMES:
         assert np.array_equal(getattr(fields, name), getattr(alone, name)), name
     assert fields.k_seed == 0 and alone.k_seed is None
-    k_min, k_max = pointwise.grid_K_estimates(fresh, grid, 0)
+    k_min, k_max = reference_K_pass(fresh, grid, 0)
     assert np.array_equal(fields.k_min, k_min) and np.array_equal(fields.k_max, k_max)
     # Split over two forked workers, the sweep gives the gate the same K.
     gate = pointwise.global_normal_curvature_max(imm, grid)
@@ -764,34 +791,45 @@ def test_spectral_extremes_hold_no_doubled_grid_columns():
 
 
 def test_spectral_refinement_falls_back_on_every_ball_fixture():
-    # Each ball fixture's fields hold far more than SPECTRAL_TAIL in their
-    # outer shells (or a frequency reaches N/4), so none is interpolated.
-    for imm, grid in ((ball_immersion(2, 5, seed=7), None), (ball_immersion(3, 7, seed=7), None),
-                      (ball_immersion(4, 9, seed=7), TorusGrid((8,) * 4)),
-                      (ball_immersion(5, 11, seed=3), TorusGrid((6,) * 5))):
-        grid = grid or TorusGrid.default(imm.n)
-        assert verify._resolves(imm, pointwise.grid_fields(imm, grid)) is False
+    # Every row of SPECTRAL_TAIL's calibration, at its grid: each ball
+    # fixture's fields hold far more than SPECTRAL_TAIL in their outer shells
+    # (or a frequency reaches N/4), so none is interpolated, and neither is a
+    # perturbed Clifford torus, perturbed_clifford(2, 5) at 64^2 with a largest
+    # shell ratio of 6.1e-7 among them; the homogeneous tori are resolved.
+    d4_bench = parse_immersion({"type": "gromov", "B": load_perfbench("inputs").d4_rows(3)})
+    for imm, sizes, resolved in (
+            (clifford(2), (64, 64), True), (clifford(3), (32,) * 3, True), (clifford(4), (16,) * 4, True),
+            (subtorus_immersion(builtin_design("hex2")), (64, 64), True),
+            (subtorus_immersion(builtin_design("d4")), (16,) * 4, True), (d4_bench, (12,) * 4, True),
+            (perturbed_clifford(2, seed=5), (64, 64), False), (perturbed_clifford(3, seed=1), (32,) * 3, False),
+            (perturbed_clifford(3, seed=1, eps=0.01), (32,) * 3, False),
+            (ball_immersion(2, 5, seed=7), (64, 64), False), (ball_immersion(3, 7, seed=7), (32,) * 3, False),
+            (ball_immersion(4, 9, seed=7), (8,) * 4, False), (ball_immersion(5, 11, seed=3), (6,) * 5, False)):
+        grid = TorusGrid(sizes)
+        assert verify._resolves(imm, pointwise.grid_fields(imm, grid)) is resolved, (imm, sizes)
 
 
 def test_spectral_refinement_falls_back_by_the_frequency_rule():
-    # Clifford(2) plus 1e-4 sin(128 t) e5: the term and its second jet vanish
-    # at every point of the 64^2 grid, so every field is constant there and
-    # every outer shell is roundoff, but 128 >= 64/4 sends the checks to the
-    # doubled grid.
+    # Clifford(2) plus 1e-4 sin(k t) e5 on the 64^2 grid.  For k = 128 the
+    # term and its second jet vanish at every grid point, so every field is
+    # constant there; for k = 30 every outer shell is still roundoff.  Either
+    # way k >= 64/4 sends the checks to the doubled grid (k = 30 also lies
+    # below 64/2).
     e = np.eye(5)
     radius = 0.99 / math.sqrt(2.0)
-    imm = FourierImmersion(Signature(2, 5), (
-        FourierTerm((1, 0), radius * e[0], radius * e[1]),
-        FourierTerm((0, 1), radius * e[2], radius * e[3]),
-        FourierTerm((128, 0), 0.0 * e[4], 1e-4 * e[4])))
     grid = TorusGrid((64, 64))
-    base = pointwise.grid_fields(imm, grid)
-    for name in pointwise._FIELD_NAMES:
-        column = getattr(base, name)
-        shell = verify._shell_sum(verify._spectrum(column, grid.sizes), grid.sizes)
-        assert shell < verify.SPECTRAL_TAIL * max(float(np.max(np.abs(column))), 1.0), name
-    (report,) = run_checks(imm, grid, checks="ball")
-    assert report["diagnostics"]["refinement"] == "doubled"
+    for frequency in (128, 30):
+        imm = FourierImmersion(Signature(2, 5), (
+            FourierTerm((1, 0), radius * e[0], radius * e[1]),
+            FourierTerm((0, 1), radius * e[2], radius * e[3]),
+            FourierTerm((frequency, 0), 0.0 * e[4], 1e-4 * e[4])))
+        base = pointwise.grid_fields(imm, grid)
+        for name in pointwise._FIELD_NAMES:
+            column = getattr(base, name)
+            shell = verify._shell_sum(verify._spectrum(column, grid.sizes), grid.sizes)
+            assert shell < verify.SPECTRAL_TAIL * max(float(np.max(np.abs(column))), 1.0), (frequency, name)
+        (report,) = run_checks(imm, grid, checks="ball")
+        assert report["diagnostics"]["refinement"] == "doubled", frequency
 
 
 def test_main_margin_is_the_refined_maximum():

@@ -19,10 +19,11 @@ the worker count or on a fork: OpenBLAS rounds a GEMM differently on more
 threads, and workers that each keep its threads contend for the CPUs.
 
 grid_pass runs a kernel over every chunk of _CHUNK grid points, the one
-chunk loop of the package, in contiguous runs of whole chunks, one per
-worker, so every chunk holds the same points as in one process and its bits
-do not change.  It owns the kernels' floating-point mode, numpy's overflow,
-invalid and divide warnings off, so a point whose jets overflow reads NaN
+chunk loop of the grid passes (verify's exact re-reads take chunks of the
+same size), in contiguous runs of whole chunks, one per worker, so every
+chunk holds the same points as in one process and its bits do not change.
+It owns the kernels' floating-point mode, numpy's overflow, invalid and
+divide warnings off, so a point whose jets overflow reads NaN
 (_chunk_core and _christoffel take that mode outside a pass too).  runs is
 the one rule for that split, and analyze's CSV writer formats its rows in
 the same runs, one per worker.  The runs write into one shared anonymous

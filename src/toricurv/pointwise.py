@@ -434,7 +434,7 @@ def _memo(imm: FourierImmersion, key: tuple, compute, keep=None):
     """imm's grid-cache entry under key, made by compute() if missing or if
     keep(entry) is false.  One function writes each key: grid_fields,
     global_normal_curvature_max, intrinsic.analysis_grid, verify._resolves,
-    verify._ball_top or verify._zh_top."""
+    verify._extremes, verify._ball_top or verify._zh_top."""
     per_imm = _grid_cache.setdefault(imm, {})
     if key not in per_imm or (keep is not None and not keep(per_imm[key])):
         per_imm[key] = compute()

@@ -13,6 +13,12 @@ interpolant of its fields on the doubled grid, read one coset of the grid at a
 time, and otherwise on a grid with all sizes doubled.  If the refinement moves
 a value by 1e-6 or more the report is marked unresolved (a negative margin
 still wins and marks a failure).
+
+Every max or min a check reads has a name in _EXTREMES.  On the resolved
+path _extremes locates all those a run's checks read in one walk of the
+interpolant's cosets, and re-reads them exactly with one evaluation of jets
+at the union of their candidate points; run_checks names them before its
+first check runs, and a check called alone walks for its own reads only.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from . import intrinsic, pointwise
+from . import forked, intrinsic, pointwise
 from .errors import (
     InapplicableHypothesis,
     NoNonpositiveScalarPoint,
@@ -157,7 +163,9 @@ def _cosets(fields: GridFields) -> Iterator[tuple[tuple[int, ...], GridFields]]:
     O(N^2 log N) and holds N^2 values, which only a stack at least that large
     pays back (on a 512-point circle or the long axis of 512 x 16 the FFT walk
     is 4 to 60 times faster).  The walk holds at most n + 1 stacks of the four
-    columns, and no array has the doubled grid's point count."""
+    columns, and no array has the doubled grid's point count.  _candidates
+    walks it once for all the maxima and minima it is asked for, so
+    run_checks walks it once."""
     sizes = fields.grid.sizes
     root = np.stack([getattr(fields, name) for name in ("r", "H2", "II2", "xt2")]).reshape(4, *sizes)
     operators = {N: np.stack([_half_steps(np.eye(N), s).T for s in (0, 1)])
@@ -201,51 +209,150 @@ def _resolves(imm: FourierImmersion, base: GridFields) -> bool:
     return pointwise._memo(imm, ("resolves", base.grid.sizes), resolve)
 
 
-def _candidates(fields: GridFields, read: Callable[[GridFields], np.ndarray], how: str,
-                centre: int) -> np.ndarray:
-    """Sorted flat indices of the doubled grid's points within one step, on
-    every axis and wrapping, of centre or of the SPECTRAL_CANDIDATES values of
-    read on the fields' interpolant most extreme by how ("max" or "min").
-    Each coset keeps its own most extreme values, so the merged ones are the
-    whole interpolant's."""
+class _Extreme(NamedTuple):
+    """A max or min that checks read: how it reduces, its per-point read and
+    the checks that read it."""
+
+    how: str                                   # "max" or "min"
+    read: Callable[[GridFields], np.ndarray]
+    checks: tuple[str, ...]
+
+
+# Every max or min a check reads, by name.  run_checks has one walk of the
+# cosets locate all those its selected checks read.
+_EXTREMES = {
+    "r": _Extreme("max", lambda f: f.r, ("ball", "avg_h", "2d", "flat", "main", "bow", "conjecture")),
+    "zh": _Extreme("max", lambda f: f.zh, ("main", "conjecture")),
+    "abs_sc": _Extreme("max", lambda f: np.abs(f.sc_ext), ("flat",)),
+    "off_sphere": _Extreme("max", lambda f: np.abs(f.r - 1.0), ("sphere",)),
+    "nonpos_zh": _Extreme("max", lambda f: np.where(f.sc_ext <= NONPOS_SC_TOL, f.zh, -np.inf), ("sphere",)),
+    # origin points satisfy the bow bound trivially
+    "bow": _Extreme("min", lambda f: np.where(f.r < 1e-12, 1.0, f.cos_beta - f.r), ("bow",)),
+}
+_PICK = {"max": np.argmax, "min": np.argmin}
+
+
+class _Once:
+    """GridFields read through, each of its columns and derived columns
+    computed on its first read only, so reads that share zh or Sc share it."""
+
+    def __init__(self, fields: GridFields):
+        self._fields = fields
+
+    def __getattr__(self, name: str):
+        value = getattr(self._fields, name)
+        setattr(self, name, value)
+        return value
+
+
+def _sorted_unique(indices: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, sorted.  np.unique would
+    import numpy.ma on its first call, 10-16 ms on 2 cores."""
+    indices = np.sort(indices)
+    return indices[np.concatenate(([True], indices[1:] != indices[:-1]))]
+
+
+def _candidates(fields: GridFields, extremes: dict[str, _Extreme]) -> dict[str, np.ndarray]:
+    """For each named extreme, the doubled grid's flat indices of the
+    SPECTRAL_CANDIDATES values of its read on the fields' interpolant most
+    extreme by its how, from one walk of _cosets.  Each coset computes each
+    column the reads derive once, and keeps every read's own most extreme
+    values, so the merged ones are the whole interpolant's."""
     def lowest(keys):
         return np.argpartition(keys, min(SPECTRAL_CANDIDATES, keys.size) - 1)[:SPECTRAL_CANDIDATES]
 
     sizes = fields.grid.sizes
     fine_sizes = tuple(2 * N for N in sizes)
-    keys, indices = [], []
+    kept = {name: ([], []) for name in extremes}
     for parity, coset in _cosets(fields):
-        key = -read(coset) if how == "max" else read(coset)
-        top = lowest(key)
-        keys.append(key[top])
-        indices.append(np.ravel_multi_index([2 * j + s for j, s in zip(np.unravel_index(top, sizes), parity)],
-                                            fine_sizes))
-    top = np.concatenate(indices)[lowest(np.concatenate(keys))]
-    centres = np.stack(np.unravel_index(np.append(top, centre), fine_sizes), axis=1)
-    steps = np.array(list(itertools.product((-1, 0, 1), repeat=len(sizes))))
-    around = (centres[:, None, :] + steps).reshape(-1, len(sizes)) % np.array(fine_sizes)
-    return np.unique(np.ravel_multi_index(tuple(around.T), fine_sizes))
+        coset = _Once(coset)
+        for name, (how, read, _) in extremes.items():
+            key = -read(coset) if how == "max" else read(coset)
+            top = lowest(key)
+            keys, indices = kept[name]
+            keys.append(key[top])
+            indices.append(np.ravel_multi_index([2 * j + s for j, s in zip(np.unravel_index(top, sizes), parity)],
+                                                fine_sizes))
+    return {name: np.concatenate(indices)[lowest(np.concatenate(keys))] for name, (keys, indices) in kept.items()}
 
 
-def _refined(imm: FourierImmersion, grid: TorusGrid,
-             read: Callable[[GridFields], np.ndarray], how: str) -> _Refined:
-    """The per-point values read(fields) reduced by how ("max", "min" or
-    "average", over the induced volume) on the grid, and refined.
+class _Exact(NamedTuple):
+    """A max's or min's exact re-read on the spectral path."""
 
-    The one caller of grid_fields in verify.  It runs the grid's pass first.
-    Where _resolves finds the grid's fields resolved, an average stays the
-    grid's, with its integrand's outer-shell sum as the delta, and a max or
-    min is located on the fields' interpolant on the doubled grid, read
-    coset by coset by _candidates with no doubled-grid array, then re-read by exact jets at the doubled
-    grid's points around its SPECTRAL_CANDIDATES most extreme values and
-    around the grid's own extreme, so it is an exact doubled-grid value no
-    less extreme than the grid's.  Elsewhere the doubled grid's pass runs."""
+    base: float            # the extreme on the grid
+    points: np.ndarray     # the doubled grid's flat indices re-read, sorted
+    fields: GridFields     # exact, at those points alone
+
+
+def _exact_columns(imm: FourierImmersion, thetas: np.ndarray) -> np.ndarray:
+    """The (6, P) field columns, in _FIELD_NAMES order, by exact jets at the
+    points thetas, in chunks of forked._CHUNK points.  The last chunk is
+    filled up with copies of its last point: |II|^2's matrix-vector product
+    rounds a batch's last few rows differently, so only in full chunks, as
+    a grid pass's are, do a point's columns not depend on its neighbours in
+    the batch."""
+    P, chunk = thetas.shape[0], forked._CHUNK
+    padded = np.concatenate([thetas, np.repeat(thetas[-1:], -P % chunk, axis=0)])
+    return np.concatenate([np.stack(pointwise._field_columns(*pointwise._chunk_core(imm, padded[lo:lo + chunk])))
+                           for lo in range(0, padded.shape[0], chunk)], axis=1)[:, :P]
+
+
+def _extremes(imm: FourierImmersion, grid: TorusGrid, names) -> dict[str, _Exact]:
+    """The spectral path's reader: the exact re-reads of the named extremes
+    of _EXTREMES, memoized per (immersion, sizes) and name, where _resolves
+    finds the grid's fields resolved; elsewhere it reads nothing.
+
+    For the names it does not yet hold, one walk of _candidates locates each
+    extreme's SPECTRAL_CANDIDATES most extreme values on the interpolant.
+    Exact jets are then evaluated once, by _exact_columns, at the union over
+    those names of the doubled grid's points within one step, on every axis
+    and wrapping, of those values and of the extreme's own point on the grid
+    (its centre).  Each name keeps its own sorted points and their exact
+    columns, so its re-read extreme is an exact doubled-grid value no less
+    extreme than the grid's, the same whichever names were read with it."""
+    held = pointwise._memo(imm, ("extremes", grid.sizes), dict)
+    wanted = {name: _EXTREMES[name] for name in dict.fromkeys(names) if name not in held}
+    if not wanted:
+        return held
+    base = grid_fields(imm, grid)
+    if not _resolves(imm, base):
+        return held
+    fine_grid = grid.doubled()
+    steps = np.array(list(itertools.product((-1, 0, 1), repeat=grid.n)))
+    whole, bases, around = _Once(base), {}, {}
+    for name, top in _candidates(base, wanted).items():
+        how, read, _ = wanted[name]
+        values = read(whole)
+        centre = int(_PICK[how](values))
+        bases[name] = float(values[centre])
+        centres = np.vstack([np.stack(np.unravel_index(top, fine_grid.sizes), axis=1),
+                             2 * np.array(np.unravel_index(centre, grid.sizes))])
+        points = (centres[:, None, :] + steps).reshape(-1, grid.n) % np.array(fine_grid.sizes)
+        around[name] = _sorted_unique(np.ravel_multi_index(tuple(points.T), fine_grid.sizes))
+    union = _sorted_unique(np.concatenate(list(around.values())))
+    columns = _exact_columns(imm, fine_grid.theta_at(union))
+    for name, points in around.items():
+        exact = dict(zip(_FIELD_NAMES, columns[:, np.searchsorted(union, points)]))
+        held[name] = _Exact(bases[name], points, GridFields(grid=fine_grid, **exact))
+    return held
+
+
+def _refined(imm: FourierImmersion, grid: TorusGrid, read: str | Callable[[GridFields], np.ndarray]) -> _Refined:
+    """A per-point read on the grid, reduced and refined: the named max or
+    min of _EXTREMES, or the induced-volume average of a callable read.
+
+    Every check reads both grids through it.  It runs the grid's pass
+    first.  Where _resolves finds the grid's fields resolved, an average
+    stays the grid's, with its integrand's outer-shell sum as the delta, and
+    a max or min is _extremes' exact re-read of the doubled grid's points
+    near the extremes of the fields' interpolant, with no doubled-grid
+    array.  Elsewhere the doubled grid's pass runs."""
     base = grid_fields(imm, grid)
     fine_grid = grid.doubled()
     spectral = _resolves(imm, base)
     refinement = "spectral" if spectral else "doubled"
-    base_values = read(base)
-    if how == "average":
+    if callable(read):
+        base_values = read(base)
         at_base = weighted_average(base, base_values)
         if not spectral:
             fine = grid_fields(imm, fine_grid)
@@ -255,17 +362,14 @@ def _refined(imm: FourierImmersion, grid: TorusGrid,
             integrand = base_values * base.sqrt_det / np.mean(base.sqrt_det)
             at_fine, delta = at_base, _shell_sum(_spectrum(integrand, grid.sizes), grid.sizes)
         return _Refined(at_base, at_fine, delta, None, None, None, None, base, refinement)
-    pick = {"max": np.argmax, "min": np.argmin}[how]
-    i = int(pick(base_values))
-    at_base = float(base_values[i])
-    if not spectral:
-        points, fine = None, grid_fields(imm, fine_grid)
+    how, per_point, _ = _EXTREMES[read]
+    pick = _PICK[how]
+    if spectral:
+        at_base, points, fine = _extremes(imm, grid, (read,))[read]
     else:
-        centre = np.ravel_multi_index(tuple(2 * j for j in np.unravel_index(i, grid.sizes)), fine_grid.sizes)
-        points = _candidates(base, read, how, centre)
-        columns = pointwise._field_columns(*pointwise._chunk_core(imm, fine_grid.theta_at(points)))
-        fine = GridFields(grid=fine_grid, **dict(zip(_FIELD_NAMES, columns)))     # at the points alone
-    values = read(fine)
+        values = per_point(base)
+        at_base, points, fine = float(values[pick(values)]), None, grid_fields(imm, fine_grid)
+    values = per_point(fine)
     row = int(pick(values))
     index = row if points is None else int(points[row])
     return _Refined(at_base, float(values[row]), abs(float(values[row]) - at_base), index,
@@ -275,13 +379,13 @@ def _refined(imm: FourierImmersion, grid: TorusGrid,
 def _ball_top(imm: FourierImmersion, grid: TorusGrid) -> _Refined:
     """The refined max |f|, which check_ball_containment and every ball-gated
     check read: memoized per (immersion, sizes)."""
-    return pointwise._memo(imm, ("ball", grid.sizes), lambda: _refined(imm, grid, lambda f: f.r, "max"))
+    return pointwise._memo(imm, ("ball", grid.sizes), lambda: _refined(imm, grid, "r"))
 
 
 def _zh_top(imm: FourierImmersion, grid: TorusGrid) -> _Refined:
     """The refined max zh, which check_main and conjecture_probe read:
     memoized per (immersion, sizes)."""
-    return pointwise._memo(imm, ("zh", grid.sizes), lambda: _refined(imm, grid, lambda f: f.zh, "max"))
+    return pointwise._memo(imm, ("zh", grid.sizes), lambda: _refined(imm, grid, "zh"))
 
 
 def _ensure_ball(imm: FourierImmersion, grid: TorusGrid) -> None:
@@ -307,8 +411,8 @@ def check_avg_H(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     average<H, x> = -n recorded as a hard sub-check."""
     _ensure_ball(imm, grid)
     n = imm.n
-    avg = _refined(imm, grid, lambda f: f.norm_H, "average")
-    div = _refined(imm, grid, lambda f: f.hx, "average")
+    avg = _refined(imm, grid, lambda f: f.norm_H)
+    div = _refined(imm, grid, lambda f: f.hx)
     div_dev = abs(div.value + n)
     return _report(
         "avg_h", margin=avg.value - n, tolerance=1e-7,
@@ -328,8 +432,8 @@ def check_2d(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     if imm.n != 2:
         raise WrongDimension(f"check_2d needs n = 2, got n = {imm.n}")
     _ensure_ball(imm, grid)
-    avg = _refined(imm, grid, lambda f: f.zh, "average")
-    sc = _refined(imm, grid, lambda f: f.sc_ext, "average")
+    avg = _refined(imm, grid, lambda f: f.zh)
+    sc = _refined(imm, grid, lambda f: f.sc_ext)
     return _report(
         "2d", margin=avg.value - 1.5, tolerance=1e-7,
         diagnostics={
@@ -351,7 +455,7 @@ def check_flat(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     closed form) at FLAT_SAMPLE seeded points, so it cannot pass on the
     closed form alone."""
     _ensure_ball(imm, grid)
-    sc_max = _refined(imm, grid, lambda f: np.abs(f.sc_ext), "max").value
+    sc_max = _refined(imm, grid, "abs_sc").value
     thetas = _philox(FLAT_KEY).uniform(0.0, 2.0 * math.pi, size=(FLAT_SAMPLE, imm.n))
     residual = float(np.max(np.abs(intrinsic.gauss_residuals(imm, thetas))))
     if sc_max + residual >= FLAT_SC_TOL:
@@ -360,7 +464,7 @@ def check_flat(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
             f">= {FLAT_SC_TOL}")
     n = imm.n
     bound = 3.0 * n / (n + 2)
-    avg = _refined(imm, grid, lambda f: f.zh, "average")
+    avg = _refined(imm, grid, lambda f: f.zh)
     return _report(
         "flat", margin=avg.value - bound, tolerance=1e-8,
         diagnostics={"average_zh": avg.value, "bound": bound,
@@ -377,13 +481,13 @@ def check_sphere(imm: FourierImmersion, grid: TorusGrid) -> CheckReport:
     The witness is the grid point of largest zh among those with nonpositive
     scalar curvature (the closed form Sc <= NONPOS_SC_TOL), which must exist
     because no torus metric has positive scalar curvature everywhere."""
-    off_sphere = _refined(imm, grid, lambda f: np.abs(f.r - 1.0), "max").value
+    off_sphere = _refined(imm, grid, "off_sphere").value
     if off_sphere >= SPHERE_TOL:
         raise InapplicableHypothesis(
             f"image is not on the unit sphere: max ||f|-1| = {off_sphere!r} >= {SPHERE_TOL}")
     n = imm.n
     bound = 3.0 * n / (n + 2)
-    top = _refined(imm, grid, lambda f: np.where(f.sc_ext <= NONPOS_SC_TOL, f.zh, -np.inf), "max")
+    top = _refined(imm, grid, "nonpos_zh")
     # the grid's points are doubled-grid points, so a point there is one on both
     if top.base == -np.inf:
         raise NoNonpositiveScalarPoint(
@@ -509,8 +613,7 @@ def check_bow(imm: FourierImmersion, grid: TorusGrid, seed: int = 0) -> CheckRep
     """|x| <= cos(beta) wherever normal curvatures stay at most 2."""
     _ensure_ball(imm, grid)
     k_top = _gate_K(imm, grid, seed, "bow")
-    # origin points satisfy the bound trivially
-    low = _refined(imm, grid, lambda f: np.where(f.r < 1e-12, 1.0, f.cos_beta - f.r), "min")
+    low = _refined(imm, grid, "bow")
     fields, i = low.fields, low.row
     return _report(
         "bow", margin=low.value, tolerance=1e-8,
@@ -585,6 +688,8 @@ def run_checks(imm: FourierImmersion, grid: TorusGrid | None = None, seed: int =
     if "bow" in selected or ("main" in selected and imm.n >= 5):
         # a check reads the K <= 2 gate: the grid's one field pass sweeps K too
         pointwise.grid_K_estimates(imm, grid, seed)
+    # one walk of the cosets locates every max or min the selected checks read
+    _extremes(imm, grid, [name for name, extreme in _EXTREMES.items() if set(extreme.checks) & set(selected)])
 
     dispatch = {
         "ball": lambda: check_ball_containment(imm, grid),

@@ -14,7 +14,7 @@ import pytest
 import toricurv.cli as cli
 from toricurv import verify
 from toricurv.cli import main
-from toricurv.designs import builtin_design, clifford
+from toricurv.designs import builtin_design, clifford, subtorus_immersion
 from toricurv.formats import (
     immersion_to_obj,
     load_immersion,
@@ -332,6 +332,24 @@ def test_verify_passes_the_benchmark_check(tmp_path):
     out = tmp_path / "verify.json"
     code = main(["verify", str(path), "--grid", "6", "--seed", "5", "--out", str(out)])
     assert checks.verify_d4(code, json.loads(out.read_text())) == []
+
+
+def test_verify_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on its first call, which costs a verify run
+    # on d4 11-16 ms; the spectral reader dedupes its points without it.
+    path = tmp_path / "d4.json"
+    save_immersion(subtorus_immersion(builtin_design("d4")), path)
+    code = f"""
+import sys
+import toricurv.cli as cli
+code = cli.main(["verify", {str(path)!r}, "--grid", "8", "--out", {str(tmp_path / "verify.json")!r}])
+print(code, "numpy.ma" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.split()[-2:] == ["0", "False"]
+    assert {r["diagnostics"]["refinement"] for r in json.loads((tmp_path / "verify.json").read_text())
+            if r["status"] == "pass"} == {"spectral"}
 
 
 def test_explore_passes_the_benchmark_check(tmp_path):

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import itertools
+import json
 import math
 import sys
 import tracemalloc
@@ -324,19 +325,20 @@ def test_global_curvature_max(clifford2, hexagonal):
 
 def test_conjecture_reads_mains_refined_zh_maximum(monkeypatch):
     # check_main and conjecture_probe read one memoized refined max of zh, so
-    # on d4, which the grid resolves, the spectral candidates are taken twice:
-    # once for the ball's max |f| and once for that max zh.
-    taken = []
+    # on d4, which the grid resolves, the spectral candidates are taken for
+    # two maxima, in one walk: the ball's max |f| and that max zh.
+    taken, walks = [], []
     candidates = verify._candidates
 
-    def counting(fields, read, how, centre):
-        taken.append(how)
-        return candidates(fields, read, how, centre)
+    def counting(fields, extremes):
+        walks.append(list(extremes))
+        taken.extend(extreme.how for extreme in extremes.values())
+        return candidates(fields, extremes)
 
     monkeypatch.setattr(verify, "_candidates", counting)
     d4 = subtorus_immersion(builtin_design("d4"))      # a fresh grid cache
     main, conjecture = run_checks(d4, TorusGrid((8,) * 4), checks="main,conjecture")
-    assert taken == ["max", "max"]
+    assert taken == ["max", "max"] and walks == [["r", "zh"]]
     assert main["status"] == conjecture["status"] == "pass"
     assert conjecture["diagnostics"]["max_zh"] == main["diagnostics"]["max_zh"]
     assert conjecture["diagnostics"]["refinement"] == "spectral"
@@ -596,7 +598,7 @@ def test_no_nonpositive_point_reported_not_failed(clifford3, monkeypatch):
         return dataclasses.replace(f, H2=f.II2 + 1.0)     # Sc = |H|^2 - |II|^2 > 0
 
     monkeypatch.setattr(verify, "grid_fields", positive)
-    reports = run_checks(clifford3, grid=GRID3, checks="sphere")
+    reports = run_checks(dataclasses.replace(clifford3), grid=GRID3, checks="sphere")    # an empty grid cache
     assert reports[0]["status"] == "unresolved"
     assert "error" in reports[0]["diagnostics"]
 
@@ -613,7 +615,7 @@ def test_no_nonpositive_point_names_the_grid(clifford3, monkeypatch):
 
     monkeypatch.setattr(verify, "grid_fields", positive)
     with pytest.raises(NoNonpositiveScalarPoint) as exc:
-        check_sphere(clifford3, GRID3)
+        check_sphere(dataclasses.replace(clifford3), GRID3)     # an empty grid cache
     assert str(exc.value) == (f"no grid point with Sc <= 1e-07 on grid {GRID3.sizes}; "
                               "either under-resolved or a bug")
 
@@ -674,14 +676,14 @@ def test_base_pass_first_doubled_pass_only_where_unresolved(monkeypatch):
     monkeypatch.undo()
     # the grid's fields are its own cached pass, on either path
     for imm, grid in ((d4, GRID4), (ball, GRID2)):
-        assert verify._refined(imm, grid, lambda f: f.r, "max").base_fields is pointwise.grid_fields(imm, grid)
+        assert verify._refined(imm, grid, "r").base_fields is pointwise.grid_fields(imm, grid)
 
 
 def test_only_the_refinement_reader_reads_the_doubled_grid():
-    # Every grid verdict reads both grids through _refined alone, which runs
-    # the grid's pass and either re-reads exact jets near the interpolant's
-    # extremes or runs the doubled grid's pass; pointwise and intrinsic know
-    # nothing of how the two grids relate.
+    # Every grid verdict reads both grids through _refined, which runs the
+    # grid's pass and either has _extremes re-read exact jets near the
+    # interpolant's extremes or runs the doubled grid's pass; pointwise and
+    # intrinsic know nothing of how the two grids relate.
     def callers(module, name):
         found = set()
         for top in ast.parse(Path(module.__file__).read_text()).body:
@@ -691,8 +693,10 @@ def test_only_the_refinement_reader_reads_the_doubled_grid():
                     found.add(top.name)
         return found
 
-    assert callers(verify, "doubled") == callers(verify, "grid_fields") == {"_refined"}
-    assert callers(verify, "_resolves") == callers(verify, "_field_columns") == {"_refined"}
+    assert callers(verify, "doubled") == callers(verify, "grid_fields") == {"_refined", "_extremes"}
+    assert callers(verify, "_resolves") == {"_refined", "_extremes"}
+    assert callers(verify, "_field_columns") == {"_exact_columns"}
+    assert callers(verify, "_exact_columns") == {"_extremes"}
     assert callers(pointwise, "doubled") == callers(intrinsic, "doubled") == set()
     assert callers(intrinsic, "grid_fields") == set()
 
@@ -700,13 +704,13 @@ def test_only_the_refinement_reader_reads_the_doubled_grid():
 def test_base_grid_fields_are_read_only():
     # The grid's fields that _refined returns are its read-only pass.
     imm = clifford(2)
-    base = verify._refined(imm, TorusGrid((8, 8)), lambda f: f.r, "max").base_fields
+    base = verify._refined(imm, TorusGrid((8, 8)), "r").base_fields
     r0 = base.r[0]
     for name in pointwise._FIELD_NAMES:
         assert not getattr(base, name).flags.writeable, name
     with pytest.raises(ValueError, match="read-only"):
         base.r[0] = 5.0
-    assert verify._refined(imm, TorusGrid((8, 8)), lambda f: f.r, "max").base_fields.r[0] == r0
+    assert verify._refined(imm, TorusGrid((8, 8)), "r").base_fields.r[0] == r0
 
 
 # ---------------------------------------------------------------- spectral refinement
@@ -738,11 +742,12 @@ def _assert_spectral_path_is_the_doubled_grids(imm, grid):
     for how in ("max", "min"):
         values = scatter(whole)
         top = np.argsort(-values if how == "max" else values)[:verify.SPECTRAL_CANDIDATES]
-        assert set(top) <= set(verify._candidates(base, scatter, how, 0))
-    for read, how, reduce in ((lambda f: f.zh, "max", np.max), (lambda f: f.cos_beta - f.r, "min", np.min),
-                              (lambda f: f.norm_H, "average", None)):
-        refined = verify._refined(imm, grid, read, how)
+        assert set(top) <= set(verify._candidates(base, {"scatter": verify._Extreme(how, scatter, ())})["scatter"])
+    for read, reduce in (("zh", np.max), ("bow", np.min), (lambda f: f.norm_H, None)):
+        refined = verify._refined(imm, grid, read)
         assert refined.refinement == "spectral"
+        if reduce is not None:
+            how, read = verify._EXTREMES[read][:2]
         want = pointwise.weighted_average(fine, read(fine)) if reduce is None else reduce(read(fine))
         assert abs(refined.value - want) < 1e-12
         if reduce is None:     # the integrand's outer shell
@@ -782,12 +787,97 @@ def test_spectral_extremes_hold_no_doubled_grid_columns():
     pointwise.grid_fields(d4, grid)
     tracemalloc.start()
     try:
-        top = verify._refined(d4, grid, lambda f: f.zh, "max")
+        top = verify._refined(d4, grid, "zh")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert top.refinement == "spectral"
     assert peak < 4 * grid.doubled().npoints * 8
+
+
+def test_exact_rereads_are_the_grid_pass_bit_for_bit():
+    # numpy rounds a batch's columns differently when the batch is not a
+    # whole chunk (a lone point differs in most of them, and |II|^2's
+    # matrix-vector product rounds a batch's last rows its own way).  The
+    # exact re-read fills its last chunk, so each point's columns are the
+    # grid pass's, whatever points share the read: here one point more than
+    # a chunk, whose last point would otherwise be read alone.
+    imm, grid = perturbed_clifford(3, seed=2, eps=1e-5, fmax=1), TorusGrid((20, 21, 22))
+    base = pointwise.grid_fields(imm, grid)
+    for seed in range(3):
+        points = np.sort(np.random.default_rng(seed).choice(grid.npoints, forked._CHUNK + 1, replace=False))
+        columns = verify._exact_columns(imm, grid.theta_at(points))
+        for row, name in enumerate(pointwise._FIELD_NAMES):
+            assert np.array_equal(columns[row], getattr(base, name)[points]), (seed, name)
+
+
+def test_spectral_extremes_are_the_doubled_grids_where_copies_tie():
+    # A perturbed Clifford 2-torus at twice its frequencies repeats itself
+    # under a half turn of either angle, so an extreme of each read is tied,
+    # up to roundoff, at four doubled-grid points far apart, and the
+    # interpolant ranks those copies by its own roundoff, not the exact
+    # jets'.  Every copy is among the SPECTRAL_CANDIDATES re-read, so each
+    # spectral extreme is the doubled grid's exact one, bit for bit (with
+    # SPECTRAL_CANDIDATES = 1, 4 of these 12 reads come out lower).
+    grid = TorusGrid((64, 64))
+    for seed in (5, 7):
+        once = perturbed_clifford(2, seed=seed, eps=1e-5, fmax=1)
+        imm = dataclasses.replace(once, terms=[FourierTerm(tuple(2 * k for k in t.k), t.a, t.b) for t in once.terms])
+        fine = pointwise._evaluate_fields(imm, grid.doubled())
+        for name, (how, read, _) in verify._EXTREMES.items():
+            refined = verify._refined(imm, grid, name)
+            values = read(fine)
+            assert refined.refinement == "spectral"
+            assert refined.value == (values.max() if how == "max" else values.min()), (seed, name)
+
+
+# the benchmark's kind of input and a non-homogeneous one, both resolved by
+# their grids; each call makes a copy with an empty grid cache
+_RESOLVED = {
+    "d4": (lambda: subtorus_immersion(builtin_design("d4")), (8,) * 4),
+    "3-torus": (lambda: dataclasses.replace(perturbed_clifford(3, seed=2, eps=1e-5, fmax=1)), (20, 21, 22)),
+}
+
+
+@pytest.mark.parametrize("name", list(_RESOLVED))
+def test_a_run_walks_the_cosets_once_and_reads_each_point_once(name, monkeypatch):
+    # run_checks hands every max and min its checks read to one walk of the
+    # cosets, and their exact re-reads share one evaluation: no doubled-grid
+    # point is passed to _chunk_core by two calls (the copies that fill the
+    # last chunk are in that chunk's call).  The grid's pass and the gate's
+    # polish are pointwise's own calls, and are not counted.
+    make, sizes = _RESOLVED[name]
+    walks, calls = [], []
+    cosets, chunk_core = verify._cosets, pointwise._chunk_core
+
+    def walking(fields):
+        walks.append(fields.grid.sizes)
+        return cosets(fields)
+
+    def evaluating(imm, thetas):
+        if sys._getframe(1).f_globals["__name__"] == verify.__name__:
+            calls.append({tuple(theta) for theta in thetas.tolist()})
+        return chunk_core(imm, thetas)
+
+    monkeypatch.setattr(verify, "_cosets", walking)
+    monkeypatch.setattr(pointwise, "_chunk_core", evaluating)
+    reports = run_checks(make(), TorusGrid(sizes))
+    assert walks == [sizes]
+    assert {r["diagnostics"].get("refinement") for r in reports if r["status"] != "skipped"} <= {"spectral", None}
+    assert len(calls) >= 2       # the exact re-read and constant_k's 64 seeded points
+    assert sum(len(points) for points in calls) == len(set().union(*calls))
+
+
+@pytest.mark.parametrize("name", list(_RESOLVED))
+def test_a_check_run_alone_reports_as_in_the_full_run(name):
+    # A check run alone walks for its own reads only, and re-reads fewer
+    # points, yet its report is the full run's, byte for byte.
+    make, sizes = _RESOLVED[name]
+    grid = TorusGrid(sizes)
+    full = {report["name"]: report for report in run_checks(make(), grid)}
+    for check in ("ball", "flat", "sphere", "main", "bow", "conjecture"):
+        (alone,) = run_checks(make(), grid, checks=check)
+        assert json.dumps(alone) == json.dumps(full[check]), check
 
 
 def test_spectral_refinement_falls_back_on_every_ball_fixture():
